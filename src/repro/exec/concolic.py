@@ -23,11 +23,12 @@ Symbolic values are terms from :mod:`repro.smt`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.exec.compiler import AnnotationDomain
 from repro.exec.concrete import ConcreteInterpreter
 from repro.exec.trace import ExecutionReport
-from repro.lang.ast import AllocStmt, BinaryOp, Stmt, UnaryOp
+from repro.lang.ast import BinaryOp, UnaryOp
 from repro.lang.program import Program
 from repro.smt import builder as smt
 from repro.smt.simplify import simplify
@@ -87,6 +88,166 @@ class ConcolicReport:
         return [b for b in self.branches if b.condition is not None]
 
 
+def _symbolic_binary(op: BinaryOp, width: int) -> Callable[[Term, Term], Term]:
+    """The bitvector term builder for one machine operator at ``width``."""
+    one = smt.bv_const(1, width)
+    zero = smt.bv_const(0, width)
+    arithmetic = _ARITHMETIC.get(op)
+    if arithmetic is not None:
+        return arithmetic
+    comparison = _COMPARISONS.get(op)
+    if comparison is not None:
+        return lambda left, right: smt.ite(comparison(left, right), one, zero)
+    if op is BinaryOp.AND:
+        return lambda left, right: smt.ite(
+            smt.band(smt.ne(left, zero), smt.ne(right, zero)), one, zero
+        )
+    if op is BinaryOp.OR:
+        return lambda left, right: smt.ite(
+            smt.bor(smt.ne(left, zero), smt.ne(right, zero)), one, zero
+        )
+    raise ValueError(f"unsupported binary operator {op}")
+
+
+def _symbolic_unary(op: UnaryOp, width: int) -> Callable[[Term], Term]:
+    """The bitvector term builder for one unary machine operator at ``width``."""
+    one = smt.bv_const(1, width)
+    zero = smt.bv_const(0, width)
+    if op is UnaryOp.NEG:
+        return smt.neg
+    if op is UnaryOp.BITNOT:
+        return smt.bvnot
+    if op is UnaryOp.NOT:
+        return lambda operand: smt.ite(smt.eq(operand, zero), one, zero)
+    if op is UnaryOp.ABS:
+        return lambda operand: smt.ite(smt.slt(operand, zero), smt.neg(operand), operand)
+    raise ValueError(f"unsupported unary operator {op}")
+
+
+_ARITHMETIC: Dict[BinaryOp, Callable[[Term, Term], Term]] = {
+    BinaryOp.ADD: smt.add,
+    BinaryOp.SUB: smt.sub,
+    BinaryOp.MUL: smt.mul,
+    BinaryOp.DIV: smt.udiv,
+    BinaryOp.MOD: smt.urem,
+    BinaryOp.SHL: smt.shl,
+    BinaryOp.SHR: smt.lshr,
+    BinaryOp.BITAND: smt.bvand,
+    BinaryOp.BITOR: smt.bvor,
+    BinaryOp.BITXOR: smt.bvxor,
+}
+
+_COMPARISONS: Dict[BinaryOp, Callable[[Term, Term], Term]] = {
+    BinaryOp.EQ: smt.eq,
+    BinaryOp.NE: smt.ne,
+    BinaryOp.LT: smt.ult,
+    BinaryOp.LE: smt.ule,
+    BinaryOp.GT: smt.ugt,
+    BinaryOp.GE: smt.uge,
+    BinaryOp.SLT: smt.slt,
+    BinaryOp.SLE: smt.sle,
+    BinaryOp.SGT: smt.sgt,
+    BinaryOp.SGE: smt.sge,
+}
+
+
+def _keep(term: Term) -> Term:
+    return term
+
+
+class ConcolicDomain(AnnotationDomain):
+    """Annotations are symbolic terms (``None`` for values no relevant byte reaches).
+
+    Every result term goes through :func:`repro.smt.simplify.simplify` when
+    ``simplify_online`` is set.  The relevant bytes and the field map vary
+    per run and are read from the running interpreter.
+    """
+
+    def __init__(self, simplify_online: bool = True) -> None:
+        self.simplify_online = simplify_online
+        self.key = ("concolic", simplify_online)
+
+    def _finish(self) -> Callable[[Term], Term]:
+        # ``simplify`` is looked up at call time, never bound here, so a
+        # wrapper installed on this module's ``simplify`` sees every call.
+        if self.simplify_online:
+            return lambda term: simplify(term)
+        return _keep
+
+    def input_byte(self, width: int) -> Callable[[Any, int, Any], Optional[Term]]:
+        def annotate(rt: Any, offset: int, offset_term: Any) -> Optional[Term]:
+            # An input-dependent offset (input[input[i]]) is outside the
+            # relevant-byte model: the offset is concretised and the byte
+            # stays symbolic if it is relevant.
+            relevant = rt.relevant_bytes
+            if relevant is not None and offset not in relevant:
+                return None
+            mapping = rt.field_map.get(offset)
+            if mapping is not None:
+                field_name, field_width, low_bit = mapping
+                field_var = smt.bv_var(field_name, field_width)
+                if field_width <= 8 and low_bit == 0:
+                    byte_term = field_var
+                else:
+                    byte_term = smt.extract(field_var, low_bit + 7, low_bit)
+                return smt.zext(byte_term, width)
+            return smt.zext(input_byte_variable(offset), width)
+
+        return annotate
+
+    def unary(self, op: UnaryOp, width: int) -> Callable[[Any], Optional[Term]]:
+        build, finish = _symbolic_unary(op, width), self._finish()
+
+        def annotate(term: Any) -> Optional[Term]:
+            return None if term is None else finish(build(term))
+
+        return annotate
+
+    def binary(
+        self, op: BinaryOp, width: int
+    ) -> Callable[[int, Any, int, Any], Optional[Term]]:
+        build, finish = _symbolic_binary(op, width), self._finish()
+        bv_const = smt.bv_const
+
+        def annotate(left: int, left_term: Any, right: int, right_term: Any) -> Optional[Term]:
+            if left_term is None:
+                if right_term is None:
+                    return None
+                left_term = bv_const(left, width)
+            elif right_term is None:
+                right_term = bv_const(right, width)
+            return finish(build(left_term, right_term))
+
+        return annotate
+
+    def branch(self, label: int, width: int) -> Callable[..., Optional[Term]]:
+        zero, finish = smt.bv_const(0, width), self._finish()
+
+        def observe(rt: Any, term: Any, taken: bool, seq: int) -> Optional[Term]:
+            if term is None:
+                return None
+            truth = smt.ne(term, zero)
+            oriented = finish(truth if taken else smt.bnot(truth))
+            rt.concolic_report.branches.append(
+                SymbolicBranch(label, taken, oriented, seq)
+            )
+            return oriented
+
+        return observe
+
+    def allocation(self, label: int, tag: Optional[str]) -> Callable[..., Optional[Term]]:
+        def observe(rt: Any, size: int, term: Any, seq: int) -> Optional[Term]:
+            rt.concolic_report.allocations.append(
+                SymbolicAllocation(label, tag, size, term, seq)
+            )
+            return term
+
+        return observe
+
+
+_DOMAINS = {online: ConcolicDomain(online) for online in (True, False)}
+
+
 class ConcolicInterpreter(ConcreteInterpreter):
     """Concrete interpreter that pairs values with symbolic expressions.
 
@@ -106,7 +267,7 @@ class ConcolicInterpreter(ConcreteInterpreter):
     ) -> None:
         super().__init__(program, **kwargs)
         self.relevant_bytes = set(relevant_bytes) if relevant_bytes is not None else None
-        self.simplify_online = simplify_online
+        self.domain = _DOMAINS[bool(simplify_online)]
         #: offset → (field variable name, field width in bits, low bit of
         #: this byte within the field value).  When present, input bytes are
         #: symbolised as slices of a per-field variable instead of per-byte
@@ -114,9 +275,6 @@ class ConcolicInterpreter(ConcreteInterpreter):
         self.field_map = dict(field_map) if field_map else {}
         self.concolic_report: Optional[ConcolicReport] = None
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def run_concolic(self, input_bytes: bytes) -> ConcolicReport:
         """Run the program and return the concolic report."""
         execution = self.run(input_bytes)
@@ -124,190 +282,5 @@ class ConcolicInterpreter(ConcreteInterpreter):
         self.concolic_report.execution = execution
         return self.concolic_report
 
-    # ------------------------------------------------------------------
-    # Analysis hooks
-    # ------------------------------------------------------------------
     def _setup_analysis(self) -> None:
         self.concolic_report = ConcolicReport(execution=ExecutionReport())
-
-    def _maybe_simplify(self, term: Term) -> Term:
-        return simplify(term) if self.simplify_online else term
-
-    def _annotate_constant(self, value: int) -> Optional[Term]:
-        return None
-
-    def _annotate_input_size(self, value: int) -> Optional[Term]:
-        return None
-
-    def _annotate_input_byte(
-        self, offset: int, value: int, offset_annotation: Any
-    ) -> Optional[Term]:
-        if offset_annotation is not None:
-            # Input-dependent offsets (input[input[i]]) are outside the
-            # relevant-byte model; concretise the offset, keep the byte
-            # symbolic if it is relevant.
-            pass
-        if self.relevant_bytes is not None and offset not in self.relevant_bytes:
-            return None
-        mapping = self.field_map.get(offset)
-        if mapping is not None:
-            field_name, field_width, low_bit = mapping
-            field_var = smt.bv_var(field_name, field_width)
-            if field_width <= 8 and low_bit == 0:
-                byte_term = field_var
-            else:
-                byte_term = smt.extract(field_var, low_bit + 7, low_bit)
-            return smt.zext(byte_term, self.machine.width)
-        return smt.zext(input_byte_variable(offset), self.machine.width)
-
-    def _annotate_unary(
-        self, op: UnaryOp, operand: Tuple[int, Any], result: int
-    ) -> Optional[Term]:
-        operand_term = self._term_of(operand)
-        if operand_term is None:
-            return None
-        if op is UnaryOp.NEG:
-            return self._maybe_simplify(smt.neg(operand_term))
-        if op is UnaryOp.BITNOT:
-            return self._maybe_simplify(smt.bvnot(operand_term))
-        if op is UnaryOp.NOT:
-            zero = smt.bv_const(0, self.machine.width)
-            return self._maybe_simplify(
-                smt.ite(smt.eq(operand_term, zero), smt.bv_const(1, self.machine.width), zero)
-            )
-        if op is UnaryOp.ABS:
-            zero = smt.bv_const(0, self.machine.width)
-            return self._maybe_simplify(
-                smt.ite(smt.slt(operand_term, zero), smt.neg(operand_term), operand_term)
-            )
-        return None
-
-    def _annotate_binary(
-        self, op: BinaryOp, left: Tuple[int, Any], right: Tuple[int, Any], result: int
-    ) -> Optional[Term]:
-        left_term = self._term_of(left)
-        right_term = self._term_of(right)
-        if left_term is None and right_term is None:
-            return None
-        width = self.machine.width
-        if left_term is None:
-            left_term = smt.bv_const(left[0], width)
-        if right_term is None:
-            right_term = smt.bv_const(right[0], width)
-        term = self._symbolic_binary(op, left_term, right_term, width)
-        if term is None:
-            return None
-        return self._maybe_simplify(term)
-
-    def _symbolic_binary(
-        self, op: BinaryOp, left: Term, right: Term, width: int
-    ) -> Optional[Term]:
-        one = smt.bv_const(1, width)
-        zero = smt.bv_const(0, width)
-
-        if op is BinaryOp.ADD:
-            return smt.add(left, right)
-        if op is BinaryOp.SUB:
-            return smt.sub(left, right)
-        if op is BinaryOp.MUL:
-            return smt.mul(left, right)
-        if op is BinaryOp.DIV:
-            return smt.udiv(left, right)
-        if op is BinaryOp.MOD:
-            return smt.urem(left, right)
-        if op is BinaryOp.SHL:
-            return smt.shl(left, right)
-        if op is BinaryOp.SHR:
-            return smt.lshr(left, right)
-        if op is BinaryOp.BITAND:
-            return smt.bvand(left, right)
-        if op is BinaryOp.BITOR:
-            return smt.bvor(left, right)
-        if op is BinaryOp.BITXOR:
-            return smt.bvxor(left, right)
-
-        comparison = self._symbolic_comparison(op, left, right)
-        if comparison is not None:
-            return smt.ite(comparison, one, zero)
-        if op is BinaryOp.AND:
-            return smt.ite(
-                smt.band(smt.ne(left, zero), smt.ne(right, zero)), one, zero
-            )
-        if op is BinaryOp.OR:
-            return smt.ite(
-                smt.bor(smt.ne(left, zero), smt.ne(right, zero)), one, zero
-            )
-        return None
-
-    @staticmethod
-    def _symbolic_comparison(op: BinaryOp, left: Term, right: Term) -> Optional[Term]:
-        if op is BinaryOp.EQ:
-            return smt.eq(left, right)
-        if op is BinaryOp.NE:
-            return smt.ne(left, right)
-        if op is BinaryOp.LT:
-            return smt.ult(left, right)
-        if op is BinaryOp.LE:
-            return smt.ule(left, right)
-        if op is BinaryOp.GT:
-            return smt.ugt(left, right)
-        if op is BinaryOp.GE:
-            return smt.uge(left, right)
-        if op is BinaryOp.SLT:
-            return smt.slt(left, right)
-        if op is BinaryOp.SLE:
-            return smt.sle(left, right)
-        if op is BinaryOp.SGT:
-            return smt.sgt(left, right)
-        if op is BinaryOp.SGE:
-            return smt.sge(left, right)
-        return None
-
-    def _annotate_alloc_address(self, size: Tuple[int, Any], address: int) -> Optional[Term]:
-        return None
-
-    def _observe_branch(
-        self, statement: Stmt, condition: Tuple[int, Any], taken: bool
-    ) -> Optional[Term]:
-        condition_term = self._term_of(condition)
-        if condition_term is None:
-            return None
-        width = self.machine.width
-        zero = smt.bv_const(0, width)
-        truth = smt.ne(condition_term, zero)
-        oriented = truth if taken else smt.bnot(truth)
-        oriented = self._maybe_simplify(oriented)
-        if self.concolic_report is not None:
-            self.concolic_report.branches.append(
-                SymbolicBranch(
-                    label=statement.label if statement.label is not None else -1,
-                    taken=taken,
-                    condition=oriented,
-                    sequence_index=self.sequence_index,
-                )
-            )
-        return oriented
-
-    def _observe_allocation(
-        self, statement: AllocStmt, size: Tuple[int, Any]
-    ) -> Optional[Term]:
-        size_term = self._term_of(size)
-        if self.concolic_report is not None:
-            self.concolic_report.allocations.append(
-                SymbolicAllocation(
-                    site_label=statement.label if statement.label is not None else -1,
-                    site_tag=statement.tag,
-                    requested_size=size[0],
-                    size_expression=size_term,
-                    sequence_index=self.sequence_index,
-                )
-            )
-        return size_term
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _term_of(annotated: Tuple[int, Any]) -> Optional[Term]:
-        annotation = annotated[1]
-        if isinstance(annotation, Term):
-            return annotation
-        return None

@@ -1,9 +1,12 @@
 """Concrete interpreter for the core language (Figures 4–6 of the paper).
 
-The interpreter is a tree-walking evaluator over the lowered AST.  It is the
-base class for the taint and concolic interpreters: the concrete value flow
-is identical in all three; subclasses override the annotation hooks to track
-input-byte taint sets or symbolic expressions alongside the concrete values.
+The interpreter runs a program through the closures
+:mod:`repro.exec.compiler` builds once per program and annotation domain;
+its own :class:`ConcreteDomain` annotates nothing.  It is the base class for the taint, overflow-witness and concolic
+interpreters: the concrete value flow is identical in all of them;
+subclasses name an :class:`~repro.exec.compiler.AnnotationDomain` that
+tracks input-byte taint sets, wrapped-operation provenance or symbolic
+expressions alongside the concrete values.
 
 The interpreter also drives the :class:`repro.exec.memcheck.MemcheckMonitor`
 so every run — seed, candidate, or fuzzed — produces the memory-error
@@ -13,52 +16,15 @@ evidence DIODE's error detection stage consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional
 
+from repro.exec.compiler import AnnotationDomain, Halt, StepLimit, compiled
 from repro.exec.memcheck import MemcheckMonitor, SegmentationFault
-from repro.exec.state import (
-    AllocationRecord,
-    BranchObservation,
-    Environment,
-    Memory,
-)
+from repro.exec.state import Memory
 from repro.exec.trace import ExecutionOutcome, ExecutionReport
 from repro.exec.values import MachineInt, WORD_WIDTH
-from repro.lang.ast import (
-    AllocStmt,
-    AssignStmt,
-    BinaryExpr,
-    BinaryOp,
-    ConstExpr,
-    Expr,
-    HaltStmt,
-    IfStmt,
-    InputByteExpr,
-    InputSizeExpr,
-    LoadExpr,
-    SeqStmt,
-    SkipStmt,
-    Stmt,
-    StoreStmt,
-    UnaryExpr,
-    UnaryOp,
-    VarExpr,
-    WarnStmt,
-    WhileStmt,
-)
+from repro.lang.ast import BinaryOp, UnaryOp
 from repro.lang.program import Program
-
-
-class _Halt(Exception):
-    """Internal control-flow signal for the ``halt`` statement."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message)
-        self.message = message
-
-
-class _StepLimit(Exception):
-    """Internal control-flow signal for runaway executions."""
 
 
 @dataclass
@@ -69,8 +35,36 @@ class ExecutionLimits:
     page_size: int = 4096
 
 
+def _none(*args: Any) -> None:
+    return None
+
+
+class ConcreteDomain(AnnotationDomain):
+    """Plain execution: every annotation is ``None``."""
+
+    key = "concrete"
+
+    def input_byte(self, width: int) -> Callable[..., None]:
+        return _none
+
+    def unary(self, op: UnaryOp, width: int) -> Callable[..., None]:
+        return _none
+
+    def binary(self, op: BinaryOp, width: int) -> Callable[..., None]:
+        return _none
+
+    def branch(self, label: int, width: int) -> Callable[..., None]:
+        return _none
+
+    def allocation(self, label: int, tag: Optional[str]) -> Callable[..., None]:
+        return _none
+
+
 class ConcreteInterpreter:
     """Execute a :class:`repro.lang.program.Program` on an input byte string."""
+
+    #: The annotation domain the program's closures are compiled for.
+    domain: AnnotationDomain = ConcreteDomain()
 
     def __init__(
         self,
@@ -87,236 +81,34 @@ class ConcreteInterpreter:
     # ------------------------------------------------------------------
     def run(self, input_bytes: bytes) -> ExecutionReport:
         """Execute the program on ``input_bytes`` and return the report."""
-        self.input_bytes = bytes(input_bytes)
-        self.environment = Environment()
+        execute = compiled(self.program, self.domain, self.machine.width)
+        max_steps = self.limits.max_steps
+        self.input = bytes(input_bytes)
+        self.env: dict = {}
         self.memory = Memory()
+        self.blocks = self.memory.by_address
         self.memcheck = MemcheckMonitor(page_size=self.limits.page_size)
-        self.report = ExecutionReport()
-        self.sequence_index = 0
+        self.report = report = ExecutionReport()
+        self.branches = report.branches
+        self.allocations = report.allocations
+        self.warnings = report.warnings
+        self.seq = 0
+        self.limit = max_steps
         self._setup_analysis()
         try:
-            self._execute_sequence(self.program.body)
-            self.report.outcome = ExecutionOutcome.COMPLETED
-        except _Halt as halt:
-            self.report.outcome = ExecutionOutcome.HALTED
-            self.report.halt_message = halt.message
+            execute(self)
+            report.outcome = ExecutionOutcome.COMPLETED
+        except Halt as halt:
+            report.outcome = ExecutionOutcome.HALTED
+            report.halt_message = halt.message
         except SegmentationFault:
-            self.report.outcome = ExecutionOutcome.CRASHED
-        except _StepLimit:
-            self.report.outcome = ExecutionOutcome.STEP_LIMIT
-        self.report.memory_errors = list(self.memcheck.errors)
-        self.report.final_environment = self.environment.snapshot()
-        self._finish_analysis()
-        return self.report
+            report.outcome = ExecutionOutcome.CRASHED
+        except StepLimit:
+            report.outcome = ExecutionOutcome.STEP_LIMIT
+        report.steps = self.seq + max_steps - self.limit
+        report.memory_errors = list(self.memcheck.errors)
+        report.final_environment = dict(self.env)
+        return report
 
-    # ------------------------------------------------------------------
-    # Analysis hooks (overridden by the taint / concolic interpreters)
-    # ------------------------------------------------------------------
     def _setup_analysis(self) -> None:
-        """Hook called at the start of :meth:`run`."""
-
-    def _finish_analysis(self) -> None:
-        """Hook called at the end of :meth:`run`."""
-
-    def _annotate_constant(self, value: int) -> Any:
-        """Annotation for a literal constant."""
-        return None
-
-    def _annotate_input_byte(self, offset: int, value: int, offset_annotation: Any) -> Any:
-        """Annotation for an input byte read at a concrete offset."""
-        return None
-
-    def _annotate_input_size(self, value: int) -> Any:
-        """Annotation for the ``input_size`` expression."""
-        return None
-
-    def _annotate_unary(self, op: UnaryOp, operand: Tuple[int, Any], result: int) -> Any:
-        """Annotation for a unary operation result."""
-        return None
-
-    def _annotate_binary(
-        self, op: BinaryOp, left: Tuple[int, Any], right: Tuple[int, Any], result: int
-    ) -> Any:
-        """Annotation for a binary operation result."""
-        return None
-
-    def _annotate_alloc_address(self, size: Tuple[int, Any], address: int) -> Any:
-        """Annotation for the address value produced by ``alloc``."""
-        return None
-
-    def _observe_branch(
-        self, statement: Stmt, condition: Tuple[int, Any], taken: bool
-    ) -> Any:
-        """Annotation recorded in the branch observation for this branch."""
-        return None
-
-    def _observe_allocation(self, statement: AllocStmt, size: Tuple[int, Any]) -> Any:
-        """Annotation recorded in the allocation record (defaults to size annotation)."""
-        return size[1]
-
-    # ------------------------------------------------------------------
-    # Statement execution
-    # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        self.report.steps += 1
-        if self.report.steps > self.limits.max_steps:
-            raise _StepLimit()
-
-    def _execute_sequence(self, sequence: SeqStmt) -> None:
-        for statement in sequence.statements:
-            self._execute_statement(statement)
-
-    def _execute_statement(self, statement: Stmt) -> None:
-        self._tick()
-        self.sequence_index += 1
-
-        if isinstance(statement, SkipStmt):
-            return
-        if isinstance(statement, WarnStmt):
-            self.report.warnings.append(statement.message)
-            return
-        if isinstance(statement, HaltStmt):
-            raise _Halt(statement.message)
-        if isinstance(statement, AssignStmt):
-            value, annotation = self._evaluate(statement.value)
-            self.environment.write(statement.target, value, annotation)
-            return
-        if isinstance(statement, AllocStmt):
-            self._execute_alloc(statement)
-            return
-        if isinstance(statement, StoreStmt):
-            self._execute_store(statement)
-            return
-        if isinstance(statement, IfStmt):
-            self._execute_if(statement)
-            return
-        if isinstance(statement, WhileStmt):
-            self._execute_while(statement)
-            return
-        if isinstance(statement, SeqStmt):
-            self._execute_sequence(statement)
-            return
-        raise TypeError(f"cannot execute statement of type {type(statement).__name__}")
-
-    def _execute_alloc(self, statement: AllocStmt) -> None:
-        size_value, size_annotation = self._evaluate(statement.size)
-        block = self.memory.allocate(
-            size=size_value,
-            site_label=statement.label if statement.label is not None else -1,
-            site_tag=statement.tag,
-        )
-        record_annotation = self._observe_allocation(statement, (size_value, size_annotation))
-        self.report.allocations.append(
-            AllocationRecord(
-                site_label=statement.label if statement.label is not None else -1,
-                site_tag=statement.tag,
-                requested_size=size_value,
-                size_annotation=record_annotation,
-                address=block.address,
-                sequence_index=self.sequence_index,
-            )
-        )
-        address_annotation = self._annotate_alloc_address(
-            (size_value, size_annotation), block.address
-        )
-        self.environment.write(statement.target, block.address, address_annotation)
-
-    def _execute_store(self, statement: StoreStmt) -> None:
-        offset_value, _offset_annotation = self._evaluate(statement.offset)
-        value, annotation = self._evaluate(statement.value)
-        base_value, _base_annotation = self.environment.read(statement.base)
-        signed_offset = self.machine.to_signed(offset_value)
-        self.memcheck.check_access(
-            self.memory,
-            base_value,
-            signed_offset,
-            is_write=True,
-            access_label=statement.label if statement.label is not None else -1,
-            sequence_index=self.sequence_index,
-        )
-        self.memory.write(base_value, signed_offset, value, annotation)
-
-    def _execute_if(self, statement: IfStmt) -> None:
-        condition_value, condition_annotation = self._evaluate(statement.condition)
-        taken = bool(condition_value)
-        self._record_branch(statement, (condition_value, condition_annotation), taken)
-        if taken:
-            self._execute_sequence(statement.then_body)
-        else:
-            self._execute_sequence(statement.else_body)
-
-    def _execute_while(self, statement: WhileStmt) -> None:
-        while True:
-            self._tick()
-            condition_value, condition_annotation = self._evaluate(statement.condition)
-            taken = bool(condition_value)
-            self._record_branch(statement, (condition_value, condition_annotation), taken)
-            if not taken:
-                break
-            self._execute_sequence(statement.body)
-
-    def _record_branch(
-        self, statement: Stmt, condition: Tuple[int, Any], taken: bool
-    ) -> None:
-        annotation = self._observe_branch(statement, condition, taken)
-        self.report.branches.append(
-            BranchObservation(
-                label=statement.label if statement.label is not None else -1,
-                taken=taken,
-                condition=annotation,
-                sequence_index=self.sequence_index,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Expression evaluation
-    # ------------------------------------------------------------------
-    def _evaluate(self, expr: Expr) -> Tuple[int, Any]:
-        if isinstance(expr, ConstExpr):
-            value = self.machine.wrap(expr.value)
-            return value, self._annotate_constant(value)
-        if isinstance(expr, VarExpr):
-            return self.environment.read(expr.name)
-        if isinstance(expr, InputSizeExpr):
-            value = self.machine.wrap(len(self.input_bytes))
-            return value, self._annotate_input_size(value)
-        if isinstance(expr, InputByteExpr):
-            offset_value, offset_annotation = self._evaluate(expr.offset)
-            if offset_value < len(self.input_bytes):
-                value = self.input_bytes[offset_value]
-            else:
-                value = 0
-            return value, self._annotate_input_byte(offset_value, value, offset_annotation)
-        if isinstance(expr, LoadExpr):
-            return self._evaluate_load(expr)
-        if isinstance(expr, UnaryExpr):
-            operand = self._evaluate(expr.operand)
-            result = self.machine.unary(expr.op, operand[0])
-            return result, self._annotate_unary(expr.op, operand, result)
-        if isinstance(expr, BinaryExpr):
-            return self._evaluate_binary(expr)
-        raise TypeError(f"cannot evaluate expression of type {type(expr).__name__}")
-
-    def _evaluate_binary(self, expr: BinaryExpr) -> Tuple[int, Any]:
-        # Short-circuit boolean operators still evaluate both sides here:
-        # the core language's boolean expressions are total (no side effects
-        # in expressions), so eager evaluation is semantically equivalent and
-        # keeps the symbolic annotations complete.
-        left = self._evaluate(expr.left)
-        right = self._evaluate(expr.right)
-        result = self.machine.binary(expr.op, left[0], right[0])
-        return result, self._annotate_binary(expr.op, left, right, result)
-
-    def _evaluate_load(self, expr: LoadExpr) -> Tuple[int, Any]:
-        offset_value, _offset_annotation = self._evaluate(expr.offset)
-        base_value, _base_annotation = self.environment.read(expr.base)
-        signed_offset = self.machine.to_signed(offset_value)
-        self.memcheck.check_access(
-            self.memory,
-            base_value,
-            signed_offset,
-            is_write=False,
-            access_label=-1,
-            sequence_index=self.sequence_index,
-        )
-        return self.memory.read(base_value, signed_offset)
+        """Per-run hook: subclasses create their domain report here."""

@@ -21,11 +21,12 @@ different their triggering field values are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, FrozenSet, List, Optional, Tuple
 
+from repro.exec.compiler import AnnotationDomain
 from repro.exec.concrete import ConcreteInterpreter
 from repro.exec.trace import ExecutionReport
-from repro.lang.ast import AllocStmt, BinaryOp, Stmt, UnaryOp
+from repro.lang.ast import BinaryOp, UnaryOp
 from repro.lang.program import Program
 
 #: Operators whose result can exceed the machine width.
@@ -77,6 +78,73 @@ class OverflowWitnessReport:
         return tuple(sorted(merged))
 
 
+def _wrapped(op: BinaryOp, width: int) -> Callable[[int, int], bool]:
+    """Whether ``op`` on these operands left the unsigned range of ``width``.
+
+    A shift by ``width`` or more wraps whenever the shifted value is
+    non-zero: every set bit is shifted out, exactly as for shorter shifts
+    that overflow (and the ideal result is never built for huge amounts).
+    """
+    mask = (1 << width) - 1
+    if op is BinaryOp.ADD:
+        return lambda a, b: (a + b) & mask != a + b
+    if op is BinaryOp.SUB:
+        return lambda a, b: (a - b) & mask != a - b
+    if op is BinaryOp.MUL:
+        return lambda a, b: (a * b) & mask != a * b
+    if op is BinaryOp.SHL:
+        return lambda a, b: a != 0 if b >= width else (a << b) & mask != a << b
+    raise ValueError(f"{op} cannot wrap")
+
+
+class OverflowWitnessDomain(AnnotationDomain):
+    """Annotations are the names of the operators that wrapped upstream."""
+
+    key = "witness"
+    constant = _CLEAN
+
+    def input_byte(self, width: int) -> Callable[..., FrozenSet[str]]:
+        return lambda rt, offset, offset_ops: _CLEAN
+
+    def unary(self, op: UnaryOp, width: int) -> Callable[[Any], FrozenSet[str]]:
+        # Negation of a non-zero unsigned value always wraps; treat it as
+        # benign (it is how two's-complement code is written) unless the
+        # operand already carried a wrap.
+        return lambda provenance: provenance or _CLEAN
+
+    def binary(
+        self, op: BinaryOp, width: int
+    ) -> Callable[[int, Any, int, Any], FrozenSet[str]]:
+        if op not in _WRAPPING_OPS:
+            return lambda left, left_ops, right, right_ops: (
+                (left_ops or _CLEAN) | (right_ops or _CLEAN)
+            )
+        wrapped = _wrapped(op, width)
+        this_op = frozenset((op.name.lower(),))
+
+        def annotate(left: int, left_ops: Any, right: int, right_ops: Any) -> FrozenSet[str]:
+            carried = (left_ops or _CLEAN) | (right_ops or _CLEAN)
+            return carried | this_op if wrapped(left, right) else carried
+
+        return annotate
+
+    def branch(self, label: int, width: int) -> Callable[..., FrozenSet[str]]:
+        return lambda rt, provenance, taken, seq: provenance or _CLEAN
+
+    def allocation(self, label: int, tag: Optional[str]) -> Callable[..., FrozenSet[str]]:
+        def observe(rt: Any, size: int, provenance: Any, seq: int) -> FrozenSet[str]:
+            provenance = provenance or _CLEAN
+            if provenance:
+                rt.witness_report.overflowed_allocations.append(
+                    OverflowedAllocation(
+                        label, tag, size, seq, tuple(sorted(provenance))
+                    )
+                )
+            return provenance
+
+        return observe
+
+
 class OverflowWitnessInterpreter(ConcreteInterpreter):
     """Concrete interpreter whose annotation is "this value's computation wrapped".
 
@@ -84,11 +152,12 @@ class OverflowWitnessInterpreter(ConcreteInterpreter):
     means the value's dataflow never wrapped.
     """
 
+    domain = OverflowWitnessDomain()
+
     def __init__(self, program: Program, **kwargs: Any) -> None:
         super().__init__(program, **kwargs)
         self.witness_report: Optional[OverflowWitnessReport] = None
 
-    # ------------------------------------------------------------------
     def run_witness(self, input_bytes: bytes) -> OverflowWitnessReport:
         """Run the program and return the overflow-witness report."""
         execution = self.run(input_bytes)
@@ -96,72 +165,5 @@ class OverflowWitnessInterpreter(ConcreteInterpreter):
         self.witness_report.execution = execution
         return self.witness_report
 
-    # ------------------------------------------------------------------
     def _setup_analysis(self) -> None:
         self.witness_report = OverflowWitnessReport(execution=ExecutionReport())
-
-    def _annotate_constant(self, value: int) -> FrozenSet[str]:
-        return _CLEAN
-
-    def _annotate_input_size(self, value: int) -> FrozenSet[str]:
-        return _CLEAN
-
-    def _annotate_input_byte(
-        self, offset: int, value: int, offset_annotation: Any
-    ) -> FrozenSet[str]:
-        return _CLEAN
-
-    def _annotate_unary(
-        self, op: UnaryOp, operand: Tuple[int, Any], result: int
-    ) -> FrozenSet[str]:
-        # Negation of a non-zero unsigned value always wraps; treat it as
-        # benign (it is how two's-complement code is written) unless the
-        # operand already carried a wrap.
-        return operand[1] or _CLEAN
-
-    def _annotate_binary(
-        self, op: BinaryOp, left: Tuple[int, Any], right: Tuple[int, Any], result: int
-    ) -> FrozenSet[str]:
-        carried = (left[1] or _CLEAN) | (right[1] or _CLEAN)
-        if op not in _WRAPPING_OPS:
-            return carried
-        ideal = self._ideal_result(op, left[0], right[0])
-        if ideal is not None and self.machine.wrap(ideal) != ideal:
-            return carried | {op.name.lower()}
-        return carried
-
-    @staticmethod
-    def _ideal_result(op: BinaryOp, left: int, right: int) -> Optional[int]:
-        if op is BinaryOp.ADD:
-            return left + right
-        if op is BinaryOp.SUB:
-            return left - right
-        if op is BinaryOp.MUL:
-            return left * right
-        if op is BinaryOp.SHL:
-            return left << right if right < 64 else None
-        return None
-
-    def _annotate_alloc_address(self, size: Tuple[int, Any], address: int) -> FrozenSet[str]:
-        return _CLEAN
-
-    def _observe_branch(
-        self, statement: Stmt, condition: Tuple[int, Any], taken: bool
-    ) -> FrozenSet[str]:
-        return condition[1] or _CLEAN
-
-    def _observe_allocation(
-        self, statement: AllocStmt, size: Tuple[int, Any]
-    ) -> FrozenSet[str]:
-        provenance = size[1] or _CLEAN
-        if provenance and self.witness_report is not None:
-            self.witness_report.overflowed_allocations.append(
-                OverflowedAllocation(
-                    site_label=statement.label if statement.label is not None else -1,
-                    site_tag=statement.tag,
-                    requested_size=size[0],
-                    sequence_index=self.sequence_index,
-                    provenance=tuple(sorted(provenance)),
-                )
-            )
-        return provenance

@@ -1,10 +1,10 @@
-"""Program state: environment, memory, branch conditions, allocations.
+"""Program state: memory, branch conditions, allocations.
 
 These classes mirror the formal state of the paper's operational semantics
-(Section 3.2): an environment mapping variables to ⟨value, symbolic value⟩
-pairs, a memory mapping (base address, offset) to such pairs, and a branch
-condition φ — the execution-ordered sequence of ⟨label, symbolic branch
-condition⟩ observations.
+(Section 3.2): a memory mapping (base address, offset) to ⟨value, symbolic
+value⟩ pairs, and a branch condition φ — the execution-ordered sequence of
+⟨label, symbolic branch condition⟩ observations.  The environment ρ is a
+plain ``dict`` of such pairs owned by the running interpreter.
 
 The "annotation" slot generalises the paper's symbolic value: the concrete
 interpreter stores ``None`` there, the taint interpreter stores a frozenset
@@ -15,50 +15,11 @@ of influencing input-byte offsets, and the concolic interpreter stores an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 #: A runtime value paired with its analysis annotation.
 AnnotatedValue = Tuple[int, Any]
-
-
-class Environment:
-    """Variable environment ρ: name → ⟨value, annotation⟩."""
-
-    def __init__(self) -> None:
-        self._bindings: Dict[str, AnnotatedValue] = {}
-
-    def read(self, name: str) -> AnnotatedValue:
-        """Read a variable; undefined variables read as ⟨0, None⟩.
-
-        Real C code routinely reads uninitialised stack slots that happen to
-        be zero; modelling undefined-as-zero keeps the application models
-        concise without affecting the analyses (an undefined variable cannot
-        be input-influenced).
-        """
-        return self._bindings.get(name, (0, None))
-
-    def write(self, name: str, value: int, annotation: Any = None) -> None:
-        """Bind a variable to ⟨value, annotation⟩."""
-        self._bindings[name] = (value, annotation)
-
-    def defined(self, name: str) -> bool:
-        """Whether the variable has been written."""
-        return name in self._bindings
-
-    def names(self) -> Iterator[str]:
-        """Iterate over bound variable names."""
-        return iter(self._bindings)
-
-    def snapshot(self) -> Dict[str, AnnotatedValue]:
-        """Copy of the current bindings (for reports / debugging)."""
-        return dict(self._bindings)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __repr__(self) -> str:
-        return f"Environment({len(self._bindings)} bindings)"
 
 
 @dataclass
@@ -90,7 +51,9 @@ class Memory:
     BLOCK_STRIDE = 1 << 20
 
     def __init__(self) -> None:
-        self._blocks: Dict[int, MemoryBlock] = {}
+        #: Base address → block.  The compiled executor reads and writes
+        #: cells through it directly; only :meth:`allocate` adds to it.
+        self.by_address: Dict[int, MemoryBlock] = {}
         self._next_address = self.BLOCK_STRIDE
 
     def allocate(
@@ -102,36 +65,22 @@ class Memory:
         block = MemoryBlock(
             address=address, size=size, site_label=site_label, site_tag=site_tag
         )
-        self._blocks[address] = block
+        self.by_address[address] = block
         return block
 
     def block_at(self, address: int) -> Optional[MemoryBlock]:
         """The block whose base address is ``address`` (or ``None``)."""
-        return self._blocks.get(address)
+        return self.by_address.get(address)
 
     def blocks(self) -> List[MemoryBlock]:
         """All allocated blocks in allocation order."""
-        return list(self._blocks.values())
-
-    def read(self, address: int, offset: int) -> AnnotatedValue:
-        """Read a cell; uninitialised cells read as ⟨0, None⟩."""
-        block = self._blocks.get(address)
-        if block is None:
-            return (0, None)
-        return block.cells.get(offset, (0, None))
-
-    def write(self, address: int, offset: int, value: int, annotation: Any = None) -> None:
-        """Write a cell (whether or not it is in bounds — memcheck reports it)."""
-        block = self._blocks.get(address)
-        if block is None:
-            return
-        block.cells[offset] = (value, annotation)
+        return list(self.by_address.values())
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self.by_address)
 
     def __repr__(self) -> str:
-        return f"Memory({len(self._blocks)} blocks)"
+        return f"Memory({len(self.by_address)} blocks)"
 
 
 @dataclass(frozen=True)

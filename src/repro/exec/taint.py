@@ -11,11 +11,12 @@ the size is the set of *relevant input bytes* for that site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
+from repro.exec.compiler import AnnotationDomain
 from repro.exec.concrete import ConcreteInterpreter
 from repro.exec.trace import ExecutionReport
-from repro.lang.ast import AllocStmt, BinaryOp, Stmt, UnaryOp
+from repro.lang.ast import BinaryOp, UnaryOp
 from repro.lang.program import Program
 
 #: The taint annotation: a frozenset of input byte offsets (empty = untainted).
@@ -60,16 +61,62 @@ class TaintReport:
         return result
 
 
+class TaintDomain(AnnotationDomain):
+    """Annotations are taint sets; every operation unions its operands' taint."""
+
+    key = "taint"
+    constant = EMPTY_TAINT
+
+    def input_byte(self, width: int) -> Callable[[Any, int, Any], TaintSet]:
+        def annotate(rt: Any, offset: int, offset_taint: Any) -> TaintSet:
+            taint = frozenset((offset,))
+            return taint | offset_taint if offset_taint else taint
+
+        return annotate
+
+    def unary(self, op: UnaryOp, width: int) -> Callable[[Any], TaintSet]:
+        return lambda taint: taint or EMPTY_TAINT
+
+    def binary(self, op: BinaryOp, width: int) -> Callable[[int, Any, int, Any], TaintSet]:
+        return lambda left, left_taint, right, right_taint: (
+            (left_taint or EMPTY_TAINT) | (right_taint or EMPTY_TAINT)
+        )
+
+    def branch(self, label: int, width: int) -> Callable[..., TaintSet]:
+        def observe(rt: Any, taint: Any, taken: bool, seq: int) -> TaintSet:
+            taint = taint or EMPTY_TAINT
+            if taint:
+                labels = rt.taint_report.tainted_branch_labels
+                labels[label] = labels.get(label, EMPTY_TAINT) | taint
+            return taint
+
+        return observe
+
+    def allocation(self, label: int, tag: Optional[str]) -> Callable[..., TaintSet]:
+        def observe(rt: Any, size: int, taint: Any, seq: int) -> TaintSet:
+            taint = taint or EMPTY_TAINT
+            if taint:
+                rt.taint_report.tainted_allocations.append(
+                    TaintedAllocation(label, tag, size, taint, seq)
+                )
+            return taint
+
+        return observe
+
+
 class TaintInterpreter(ConcreteInterpreter):
-    """Concrete interpreter that additionally propagates input-byte taint."""
+    """Concrete interpreter that additionally propagates input-byte taint.
+
+    Taint does not flow through ``alloc`` addresses: an address is not
+    input data.
+    """
+
+    domain = TaintDomain()
 
     def __init__(self, program: Program, **kwargs: Any) -> None:
         super().__init__(program, **kwargs)
         self.taint_report: Optional[TaintReport] = None
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def run_taint(self, input_bytes: bytes) -> TaintReport:
         """Run the program and return the taint report."""
         execution = self.run(input_bytes)
@@ -77,58 +124,5 @@ class TaintInterpreter(ConcreteInterpreter):
         self.taint_report.execution = execution
         return self.taint_report
 
-    # ------------------------------------------------------------------
-    # Analysis hooks
-    # ------------------------------------------------------------------
     def _setup_analysis(self) -> None:
         self.taint_report = TaintReport(execution=ExecutionReport())
-
-    def _annotate_constant(self, value: int) -> TaintSet:
-        return EMPTY_TAINT
-
-    def _annotate_input_size(self, value: int) -> TaintSet:
-        return EMPTY_TAINT
-
-    def _annotate_input_byte(
-        self, offset: int, value: int, offset_annotation: Any
-    ) -> TaintSet:
-        taint = frozenset({offset})
-        if offset_annotation:
-            taint = taint | offset_annotation
-        return taint
-
-    def _annotate_unary(self, op: UnaryOp, operand: Tuple[int, Any], result: int) -> TaintSet:
-        return operand[1] or EMPTY_TAINT
-
-    def _annotate_binary(
-        self, op: BinaryOp, left: Tuple[int, Any], right: Tuple[int, Any], result: int
-    ) -> TaintSet:
-        return (left[1] or EMPTY_TAINT) | (right[1] or EMPTY_TAINT)
-
-    def _annotate_alloc_address(self, size: Tuple[int, Any], address: int) -> TaintSet:
-        # The address itself is not input data; taint does not flow through it.
-        return EMPTY_TAINT
-
-    def _observe_branch(
-        self, statement: Stmt, condition: Tuple[int, Any], taken: bool
-    ) -> TaintSet:
-        taint = condition[1] or EMPTY_TAINT
-        if taint and self.taint_report is not None:
-            label = statement.label if statement.label is not None else -1
-            existing = self.taint_report.tainted_branch_labels.get(label, EMPTY_TAINT)
-            self.taint_report.tainted_branch_labels[label] = existing | taint
-        return taint
-
-    def _observe_allocation(self, statement: AllocStmt, size: Tuple[int, Any]) -> TaintSet:
-        taint = size[1] or EMPTY_TAINT
-        if taint and self.taint_report is not None:
-            self.taint_report.tainted_allocations.append(
-                TaintedAllocation(
-                    site_label=statement.label if statement.label is not None else -1,
-                    site_tag=statement.tag,
-                    requested_size=size[0],
-                    relevant_bytes=taint,
-                    sequence_index=self.sequence_index,
-                )
-            )
-        return taint

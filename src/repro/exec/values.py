@@ -5,16 +5,25 @@ of a fixed width (32 bits by default, matching the 32-bit allocation-size
 arithmetic the paper's overflows live in).  Arithmetic wraps around, exactly
 as in the hardware — which is the behaviour the target constraints must
 faithfully model.
+
+Every operator resolves, once per width, to a plain two- or one-argument
+function with the width's mask folded in; the compiled executor
+(:mod:`repro.exec.compiler`) looks the function up once per program node,
+so no operator enum is hashed while a program runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from functools import lru_cache
+from typing import Callable, Dict, Tuple
 
 from repro.lang.ast import BinaryOp, UnaryOp
 
 #: Default machine word width for program variables.
 WORD_WIDTH = 32
+
+BinaryFn = Callable[[int, int], int]
+UnaryFn = Callable[[int], int]
 
 
 class MachineInt:
@@ -26,6 +35,7 @@ class MachineInt:
         self.width = width
         self.mask = (1 << width) - 1
         self.sign_bit = 1 << (width - 1)
+        self._binary, self._unary = _operator_tables(width)
 
     # ------------------------------------------------------------------
     def wrap(self, value: int) -> int:
@@ -34,123 +44,82 @@ class MachineInt:
 
     def to_signed(self, value: int) -> int:
         """Interpret an unsigned value as two's complement."""
-        value = self.wrap(value)
-        return value - (1 << self.width) if value & self.sign_bit else value
+        return ((value & self.mask) ^ self.sign_bit) - self.sign_bit
 
     # ------------------------------------------------------------------
-    def binary(self, op: BinaryOp, left: int, right: int) -> int:
-        """Apply a binary operator with machine semantics.
+    def binary_op(self, op: BinaryOp) -> BinaryFn:
+        """The function applying ``op`` with machine semantics at this width.
 
         Comparison and boolean operators return 0/1.
         """
-        handler = self._BINARY_HANDLERS.get(op)
+        handler = self._binary.get(op)
         if handler is None:
             raise ValueError(f"unsupported binary operator {op}")
-        return handler(self, left, right)
+        return handler
+
+    def unary_op(self, op: UnaryOp) -> UnaryFn:
+        """The function applying ``op`` with machine semantics at this width."""
+        handler = self._unary.get(op)
+        if handler is None:
+            raise ValueError(f"unsupported unary operator {op}")
+        return handler
+
+    def binary(self, op: BinaryOp, left: int, right: int) -> int:
+        """Apply a binary operator with machine semantics."""
+        return self.binary_op(op)(left, right)
 
     def unary(self, op: UnaryOp, operand: int) -> int:
         """Apply a unary operator with machine semantics."""
-        if op is UnaryOp.NEG:
-            return self.wrap(-operand)
-        if op is UnaryOp.BITNOT:
-            return self.wrap(~operand)
-        if op is UnaryOp.NOT:
-            return 0 if operand else 1
-        if op is UnaryOp.ABS:
-            signed = self.to_signed(operand)
-            return self.wrap(-signed if signed < 0 else signed)
-        raise ValueError(f"unsupported unary operator {op}")
+        return self.unary_op(op)(operand)
 
-    # ------------------------------------------------------------------
-    def _add(self, a: int, b: int) -> int:
-        return self.wrap(a + b)
 
-    def _sub(self, a: int, b: int) -> int:
-        return self.wrap(a - b)
+@lru_cache(maxsize=None)
+def _operator_tables(
+    width: int,
+) -> Tuple[Dict[BinaryOp, BinaryFn], Dict[UnaryOp, UnaryFn]]:
+    mask = (1 << width) - 1
+    sign = 1 << (width - 1)
 
-    def _mul(self, a: int, b: int) -> int:
-        return self.wrap(a * b)
+    def signed(value: int) -> int:
+        return ((value & mask) ^ sign) - sign
 
-    def _div(self, a: int, b: int) -> int:
+    def div(a: int, b: int) -> int:
         # Unsigned division; division by zero yields all-ones (the same
         # convention as the SMT substrate, so constraints stay faithful).
-        return self.mask if b == 0 else self.wrap(a // b)
+        return mask if b == 0 else (a // b) & mask
 
-    def _mod(self, a: int, b: int) -> int:
-        return a if b == 0 else self.wrap(a % b)
+    def absolute(a: int) -> int:
+        value = signed(a)
+        return (-value if value < 0 else value) & mask
 
-    def _shl(self, a: int, b: int) -> int:
-        return 0 if b >= self.width else self.wrap(a << b)
-
-    def _shr(self, a: int, b: int) -> int:
-        return 0 if b >= self.width else a >> b
-
-    def _bitand(self, a: int, b: int) -> int:
-        return a & b
-
-    def _bitor(self, a: int, b: int) -> int:
-        return a | b
-
-    def _bitxor(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def _eq(self, a: int, b: int) -> int:
-        return 1 if a == b else 0
-
-    def _ne(self, a: int, b: int) -> int:
-        return 1 if a != b else 0
-
-    def _lt(self, a: int, b: int) -> int:
-        return 1 if a < b else 0
-
-    def _le(self, a: int, b: int) -> int:
-        return 1 if a <= b else 0
-
-    def _gt(self, a: int, b: int) -> int:
-        return 1 if a > b else 0
-
-    def _ge(self, a: int, b: int) -> int:
-        return 1 if a >= b else 0
-
-    def _slt(self, a: int, b: int) -> int:
-        return 1 if self.to_signed(a) < self.to_signed(b) else 0
-
-    def _sle(self, a: int, b: int) -> int:
-        return 1 if self.to_signed(a) <= self.to_signed(b) else 0
-
-    def _sgt(self, a: int, b: int) -> int:
-        return 1 if self.to_signed(a) > self.to_signed(b) else 0
-
-    def _sge(self, a: int, b: int) -> int:
-        return 1 if self.to_signed(a) >= self.to_signed(b) else 0
-
-    def _and(self, a: int, b: int) -> int:
-        return 1 if (a and b) else 0
-
-    def _or(self, a: int, b: int) -> int:
-        return 1 if (a or b) else 0
-
-    _BINARY_HANDLERS: Dict[BinaryOp, Callable[["MachineInt", int, int], int]] = {
-        BinaryOp.ADD: _add,
-        BinaryOp.SUB: _sub,
-        BinaryOp.MUL: _mul,
-        BinaryOp.DIV: _div,
-        BinaryOp.MOD: _mod,
-        BinaryOp.SHL: _shl,
-        BinaryOp.SHR: _shr,
-        BinaryOp.BITAND: _bitand,
-        BinaryOp.BITOR: _bitor,
-        BinaryOp.BITXOR: _bitxor,
-        BinaryOp.EQ: _eq,
-        BinaryOp.NE: _ne,
-        BinaryOp.LT: _lt,
-        BinaryOp.LE: _le,
-        BinaryOp.GT: _gt,
-        BinaryOp.GE: _ge,
-        BinaryOp.SLT: _slt,
-        BinaryOp.SLE: _sle,
-        BinaryOp.SGT: _sgt,
-        BinaryOp.SGE: _sge,
-        BinaryOp.AND: _and,
-        BinaryOp.OR: _or,
+    binary: Dict[BinaryOp, BinaryFn] = {
+        BinaryOp.ADD: lambda a, b: (a + b) & mask,
+        BinaryOp.SUB: lambda a, b: (a - b) & mask,
+        BinaryOp.MUL: lambda a, b: (a * b) & mask,
+        BinaryOp.DIV: div,
+        BinaryOp.MOD: lambda a, b: a if b == 0 else (a % b) & mask,
+        BinaryOp.SHL: lambda a, b: 0 if b >= width else (a << b) & mask,
+        BinaryOp.SHR: lambda a, b: 0 if b >= width else a >> b,
+        BinaryOp.BITAND: lambda a, b: a & b,
+        BinaryOp.BITOR: lambda a, b: a | b,
+        BinaryOp.BITXOR: lambda a, b: a ^ b,
+        BinaryOp.EQ: lambda a, b: 1 if a == b else 0,
+        BinaryOp.NE: lambda a, b: 1 if a != b else 0,
+        BinaryOp.LT: lambda a, b: 1 if a < b else 0,
+        BinaryOp.LE: lambda a, b: 1 if a <= b else 0,
+        BinaryOp.GT: lambda a, b: 1 if a > b else 0,
+        BinaryOp.GE: lambda a, b: 1 if a >= b else 0,
+        BinaryOp.SLT: lambda a, b: 1 if signed(a) < signed(b) else 0,
+        BinaryOp.SLE: lambda a, b: 1 if signed(a) <= signed(b) else 0,
+        BinaryOp.SGT: lambda a, b: 1 if signed(a) > signed(b) else 0,
+        BinaryOp.SGE: lambda a, b: 1 if signed(a) >= signed(b) else 0,
+        BinaryOp.AND: lambda a, b: 1 if (a and b) else 0,
+        BinaryOp.OR: lambda a, b: 1 if (a or b) else 0,
     }
+    unary: Dict[UnaryOp, UnaryFn] = {
+        UnaryOp.NEG: lambda a: (-a) & mask,
+        UnaryOp.BITNOT: lambda a: (~a) & mask,
+        UnaryOp.NOT: lambda a: 0 if a else 1,
+        UnaryOp.ABS: absolute,
+    }
+    return binary, unary

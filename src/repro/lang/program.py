@@ -3,11 +3,17 @@
 A :class:`Program` bundles the labelled core statement sequence with lookup
 tables (label → statement, tag → label) and validation.  It is the unit the
 interpreters in :mod:`repro.exec` execute and the unit DIODE analyses.
+
+Programs are immutable once built, which makes them safe to share:
+:meth:`Program.from_source` returns one process-wide instance per
+``(source, name, entry)``, and the executor caches its compiled closures on
+that instance (:meth:`Program.compiled`), so a program is parsed, lowered
+and compiled once per process — fork-started workers inherit all three.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.lang.ast import (
     AllocStmt,
@@ -30,24 +36,51 @@ class ProgramError(ValueError):
     """Raised when a program fails validation."""
 
 
+#: ``(class, source, name, entry)`` → the shared program built from them.
+_FROM_SOURCE: Dict[Tuple[type, str, str, str], "Program"] = {}
+
+
 class Program:
-    """A lowered, labelled core-language program."""
+    """A lowered, labelled core-language program.
+
+    Attributes cannot be rebound after construction, and nothing may mutate
+    :attr:`body`: one instance is shared by every user of the same source
+    and carries compiled closures derived from the body.
+    """
 
     def __init__(self, name: str, body: SeqStmt) -> None:
         self.name = name
         self.body = body
         self._by_label: Dict[int, Stmt] = {}
         self._by_tag: Dict[str, Stmt] = {}
+        self._compiled: Dict[Hashable, Any] = {}
         self._validate_and_index()
+        self._frozen = True
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if getattr(self, "_frozen", False):
+            raise AttributeError(f"Program is immutable; cannot set {name!r}")
+        super().__setattr__(name, value)
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
     def from_source(cls, source: str, name: str = "program", entry: str = "main") -> "Program":
-        """Parse and lower DSL source text into a :class:`Program`."""
-        unit = parse_program(source, filename=name)
-        return cls.from_unit(unit, name=name, entry=entry)
+        """Parse and lower DSL source text into a :class:`Program`.
+
+        Memoised per process: the same ``(source, name, entry)`` returns the
+        same instance.  A program that fails to build is not memoised.
+        """
+        key = (cls, source, name, entry)
+        program = _FROM_SOURCE.get(key)
+        if program is None:
+            unit = parse_program(source, filename=name)
+            # Racing first builds are benign: the first stored one wins.
+            program = _FROM_SOURCE.setdefault(
+                key, cls.from_unit(unit, name=name, entry=entry)
+            )
+        return program
 
     @classmethod
     def from_unit(cls, unit: ParsedUnit, name: str = "program", entry: str = "main") -> "Program":
@@ -80,6 +113,20 @@ class Program:
                 for sub in walk_expressions(expression):
                     if isinstance(sub, CallExpr):
                         raise ProgramError("CallExpr survived lowering")
+
+    # ------------------------------------------------------------------
+    # Derived artifacts
+    # ------------------------------------------------------------------
+    def compiled(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The artifact cached under ``key``, built by ``build()`` on first use.
+
+        Concurrent first uses may each build; the first to finish is kept
+        and every caller gets that one, so builds must be pure.
+        """
+        artifact = self._compiled.get(key)
+        if artifact is None:
+            artifact = self._compiled.setdefault(key, build())
+        return artifact
 
     # ------------------------------------------------------------------
     # Queries

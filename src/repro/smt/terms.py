@@ -161,6 +161,8 @@ class Term:
     )
 
     _intern_lock = threading.Lock()
+    #: Never cleared: terms hoisted into compiled closures (the concolic
+    #: domain's width constants) must stay the interned copies.
     _intern: Dict[tuple, "Term"] = {}
     _next_id = 0
 
@@ -219,12 +221,6 @@ class Term:
             cls._next_id += 1
             cls._intern[key] = term
             return term
-
-    @classmethod
-    def clear_intern_cache(cls) -> None:
-        """Drop the intern table (used by tests to bound memory)."""
-        with cls._intern_lock:
-            cls._intern.clear()
 
     # ------------------------------------------------------------------
     # Sort helpers

@@ -319,3 +319,23 @@ class TestOverflowWitness:
         assert labels == sorted(set(labels), key=labels.index)
         first_seen = [r.site_label for r in report.overflowed_allocations]
         assert labels == list(dict.fromkeys(first_seen))
+
+    @pytest.mark.parametrize("shift", [31, 32, 63, 64, 65, 200])
+    def test_shift_out_of_width_is_flagged_for_any_amount(self, shift):
+        # Every shift by the word width or more yields size 0 from a
+        # non-zero value; all of them wrapped, not just those below 64.
+        program = _program(f"s = input(0) << {shift}; buf = alloc(s);")
+        report = OverflowWitnessInterpreter(program).run_witness(bytes([3]))
+        assert [r.provenance for r in report.overflowed_allocations] == [("shl",)]
+        assert report.overflowed_allocations[0].requested_size == (
+            (3 << shift) & 0xFFFFFFFF
+        )
+
+    def test_shift_of_zero_never_wraps(self):
+        program = _program("s = input(0) << input(1); buf = alloc(s);")
+        report = OverflowWitnessInterpreter(program).run_witness(bytes([0, 200]))
+        assert report.overflowed_allocations == []
+        report = OverflowWitnessInterpreter(program).run_witness(bytes([1, 200]))
+        assert report.site_provenance(report.overflowed_allocations[0].site_label) == (
+            "shl",
+        )

@@ -6,7 +6,6 @@ from repro.exec.memcheck import MemcheckMonitor, SegmentationFault
 from repro.exec.state import (
     AllocationRecord,
     BranchObservation,
-    Environment,
     Memory,
 )
 from repro.exec.trace import (
@@ -15,31 +14,6 @@ from repro.exec.trace import (
     MemoryError as TraceMemoryError,
     MemoryErrorKind,
 )
-
-
-class TestEnvironment:
-    def test_undefined_reads_as_zero(self):
-        assert Environment().read("nothing") == (0, None)
-
-    def test_write_then_read(self):
-        env = Environment()
-        env.write("x", 7, "annotation")
-        assert env.read("x") == (7, "annotation")
-        assert env.defined("x") and not env.defined("y")
-
-    def test_snapshot_is_a_copy(self):
-        env = Environment()
-        env.write("x", 1)
-        snapshot = env.snapshot()
-        env.write("x", 2)
-        assert snapshot["x"][0] == 1
-
-    def test_names_and_len(self):
-        env = Environment()
-        env.write("a", 1)
-        env.write("b", 2)
-        assert set(env.names()) == {"a", "b"}
-        assert len(env) == 2
 
 
 class TestMemory:
@@ -56,16 +30,6 @@ class TestMemory:
         assert memory.block_at(block.address) is block
         assert memory.block_at(12345) is None
         assert block.site_tag == "t"
-
-    def test_read_write_cells(self):
-        memory = Memory()
-        block = memory.allocate(8, site_label=1)
-        memory.write(block.address, 3, 99, "ann")
-        assert memory.read(block.address, 3) == (99, "ann")
-        assert memory.read(block.address, 4) == (0, None)
-
-    def test_read_unknown_block_is_zero(self):
-        assert Memory().read(42, 0) == (0, None)
 
     def test_in_bounds(self):
         block = Memory().allocate(4, site_label=1)
