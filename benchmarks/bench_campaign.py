@@ -3,9 +3,8 @@
 Reproduces the headline claims of the campaign PRs:
 
 1. fanning the whole registry out over the campaign scheduler with the
-   shared solver cache (plus the persistent simplification memo) beats the
-   serial, uncached baseline by at least 1.5x while answering a nonzero
-   fraction of solver queries from cache;
+   shared solver cache beats the serial, uncached baseline by at least
+   1.5x while answering a nonzero fraction of solver queries from cache;
 2. a warm-cache rerun against a persistent ``cache_dir`` store answers
    *more* queries from cache and finishes *faster* than the cold run that
    populated the store — both enforced, not just observed.

@@ -801,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the shared solver-result cache and simplify memo",
+        help="disable the shared solver-result cache",
     )
     campaign.add_argument(
         "--no-incremental",

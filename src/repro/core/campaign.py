@@ -7,9 +7,9 @@ pluggable execution backend (:mod:`repro.sched`): ``serial`` (the
 deterministic reference schedule), ``thread`` (a work queue sharing one
 in-process cache) or ``process`` (real CPU parallelism over a process
 pool, with per-worker caches merged back into the parent).  Every unit's
-solver is backed by a shared :class:`~repro.smt.cache.SolverCache` plus
-the persistent simplification memo, so enforcement iterations and sibling
-sites stop re-deriving work.  Units solve incrementally by default
+solver is backed by a shared :class:`~repro.smt.cache.SolverCache`, and
+every term keeps its simplified form, so enforcement iterations and
+sibling sites stop re-deriving work.  Units solve incrementally by default
 (:class:`~repro.smt.solver.SolverSession` per observation, query
 decomposition, component-granularity caching); the cache carries verdicts
 at both whole-query and component granularity through every backend —
@@ -83,7 +83,7 @@ from repro.sched import (
     build_application_context,
     get_backend,
 )
-from repro.smt.cache import SolverCache, SolverCacheStats, simplify_memo
+from repro.smt.cache import SolverCache, SolverCacheStats
 from repro.smt.cachestore import CacheStore
 from repro.smt.solver import TELEMETRY
 
@@ -130,7 +130,8 @@ class CampaignConfig:
     #: Workers; ``None`` means one per CPU, ``1`` forces the deterministic
     #: serial schedule for the ``thread`` backend (no executor at all).
     jobs: Optional[int] = None
-    #: Share a solver-result cache and the simplification memo across units.
+    #: Share a solver-result cache across units.  Simplification is always
+    #: reused: each term keeps its own simplified form.
     use_cache: bool = True
     #: Application short names to analyze; ``None`` means the whole registry.
     applications: Optional[Sequence[str]] = None
@@ -369,74 +370,73 @@ class CampaignEngine:
         telemetry_mark = TELEMETRY.snapshot()
         metrics_mark = METRICS.snapshot()
         events_mark = ev.EVENTS.snapshot()
-        with simplify_memo(enabled=self.config.use_cache):
-            contexts = self._build_contexts()
-            skipped: Dict["Slot", SiteResult] = {}
-            adopted: Dict["Slot", "WitnessRecord"] = {}
-            if self.config.skip_known and corpus_records:
-                skipped, adopted = self._skip_known_sites(contexts, corpus_records)
-            units = [
-                CampaignUnit(
-                    app_index=context.index,
-                    site_index=site_index,
-                    application_name=context.application.name,
-                    site_name=site.name,
-                )
-                for context in contexts
-                for site_index, site in enumerate(context.sites)
-                if (context.index, site_index) not in skipped
-            ]
-            request = UnitRunRequest(
-                contexts=contexts,
-                units=units,
-                cache=cache,
-                jobs=jobs,
-                diode=self.config.diode,
-                application_names=self.config.registry_names(),
-                triage=self.config.triage,
-                minimize_witnesses=self.config.minimize_witnesses,
-                trace_dir=self.config.trace_dir,
-                events=self.config.events,
-                heartbeat_seconds=self.config.heartbeat_seconds,
+        contexts = self._build_contexts()
+        skipped: Dict["Slot", SiteResult] = {}
+        adopted: Dict["Slot", "WitnessRecord"] = {}
+        if self.config.skip_known and corpus_records:
+            skipped, adopted = self._skip_known_sites(contexts, corpus_records)
+        units = [
+            CampaignUnit(
+                app_index=context.index,
+                site_index=site_index,
+                application_name=context.application.name,
+                site_name=site.name,
             )
-            # Live monitors wrap only the unit-execution window.  Progress
-            # and the watchdog are event-stream *subscribers*: they attach
-            # before the queued events fire so the progress line knows the
-            # total, and detach in a finally so a failing unit cannot leak
-            # a sink into the next campaign in this process.
-            progress: Optional[ProgressRenderer] = None
-            watchdog: Optional[StragglerWatchdog] = None
-            stop_heartbeat = None
-            if self.config.events:
-                if self.config.progress:
-                    progress = ProgressRenderer()
-                    ev.EVENTS.add_sink(progress)
-                if self.config.watchdog:
-                    watchdog = StragglerWatchdog()
-                    watchdog.start()
-                for unit in units:
-                    ev.EVENTS.emit(
-                        ev.UNIT_QUEUED,
-                        application=unit.application_name,
-                        site=unit.site_name,
-                        backend=backend_name,
-                    )
-                # The parent's heartbeat covers in-process backends (serial,
-                # thread); process-backend workers heartbeat themselves.
-                stop_heartbeat = ev.start_heartbeat(
-                    max(0.05, self.config.heartbeat_seconds)
+            for context in contexts
+            for site_index, site in enumerate(context.sites)
+            if (context.index, site_index) not in skipped
+        ]
+        request = UnitRunRequest(
+            contexts=contexts,
+            units=units,
+            cache=cache,
+            jobs=jobs,
+            diode=self.config.diode,
+            application_names=self.config.registry_names(),
+            triage=self.config.triage,
+            minimize_witnesses=self.config.minimize_witnesses,
+            trace_dir=self.config.trace_dir,
+            events=self.config.events,
+            heartbeat_seconds=self.config.heartbeat_seconds,
+        )
+        # Live monitors wrap only the unit-execution window.  Progress
+        # and the watchdog are event-stream *subscribers*: they attach
+        # before the queued events fire so the progress line knows the
+        # total, and detach in a finally so a failing unit cannot leak
+        # a sink into the next campaign in this process.
+        progress: Optional[ProgressRenderer] = None
+        watchdog: Optional[StragglerWatchdog] = None
+        stop_heartbeat = None
+        if self.config.events:
+            if self.config.progress:
+                progress = ProgressRenderer()
+                ev.EVENTS.add_sink(progress)
+            if self.config.watchdog:
+                watchdog = StragglerWatchdog()
+                watchdog.start()
+            for unit in units:
+                ev.EVENTS.emit(
+                    ev.UNIT_QUEUED,
+                    application=unit.application_name,
+                    site=unit.site_name,
+                    backend=backend_name,
                 )
-            try:
-                site_results = get_backend(backend_name).run_units(request)
-            finally:
-                if stop_heartbeat is not None:
-                    stop_heartbeat()
-                if watchdog is not None:
-                    watchdog.stop()
-                if progress is not None:
-                    ev.EVENTS.remove_sink(progress)
-                    progress.close()
-            site_results.update(skipped)
+            # The parent's heartbeat covers in-process backends (serial,
+            # thread); process-backend workers heartbeat themselves.
+            stop_heartbeat = ev.start_heartbeat(
+                max(0.05, self.config.heartbeat_seconds)
+            )
+        try:
+            site_results = get_backend(backend_name).run_units(request)
+        finally:
+            if stop_heartbeat is not None:
+                stop_heartbeat()
+            if watchdog is not None:
+                watchdog.stop()
+            if progress is not None:
+                ev.EVENTS.remove_sink(progress)
+                progress.close()
+        site_results.update(skipped)
         telemetry = telemetry_delta(telemetry_mark, TELEMETRY.snapshot())
 
         if store is not None and self.config.save_cache:

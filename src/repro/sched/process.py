@@ -104,7 +104,7 @@ class _WorkerState:
     ) -> None:
         from repro.obs import events as ev
         from repro.obs.metrics import METRICS
-        from repro.smt.cache import SimplifyMemo, SolverCache
+        from repro.smt.cache import SolverCache
 
         self.application_names = application_names
         self.diode = diode
@@ -151,15 +151,11 @@ class _WorkerState:
         self.exported_keys: set = set()
         assert SolverCache.STATS_FIELDS == _STATS_FIELDS
         self.stats_mark: Tuple[int, ...] = (0,) * _STATS_FIELDS
-        if self.cache is not None:
-            # The memo stays enabled for the worker's whole lifetime; the
-            # process dies with the pool, so no disable pairing is needed.
-            SimplifyMemo.enable()
-            if seed_entries:
-                from repro.smt.cachestore import merge_wire_entries
+        if self.cache is not None and seed_entries:
+            from repro.smt.cachestore import merge_wire_entries
 
-                merged = merge_wire_entries(self.cache, seed_entries)
-                self.exported_keys.update(merged)
+            merged = merge_wire_entries(self.cache, seed_entries)
+            self.exported_keys.update(merged)
 
     def context_for(self, app_index: int) -> "ApplicationContext":
         context = self.contexts.get(app_index)

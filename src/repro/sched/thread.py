@@ -1,11 +1,11 @@
 """The thread backend: a work queue over ``ThreadPoolExecutor``.
 
 Every worker shares the campaign's :class:`~repro.smt.cache.SolverCache`
-and the process-wide simplification memo directly, so a verdict derived by
-one unit is visible to every sibling the moment it is stored.  Under the
-GIL the threads add no CPU parallelism for the pure-Python solver — the
-measured win comes from that sharing — which is exactly why the process
-backend exists.
+and the simplified forms stored on interned terms directly, so a verdict
+derived by one unit is visible to every sibling the moment it is stored.
+Under the GIL the threads add no CPU parallelism for the pure-Python
+solver — the measured win comes from that sharing — which is exactly why
+the process backend exists.
 """
 
 from __future__ import annotations

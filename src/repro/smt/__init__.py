@@ -59,7 +59,7 @@ from repro.smt.builder import (
     bnot,
     implies,
 )
-from repro.smt.cache import SolverCache, SolverCacheStats, simplify_memo
+from repro.smt.cache import SolverCache, SolverCacheStats
 from repro.smt.decompose import Component, compose_models, decompose
 from repro.smt.evalmodel import Model, evaluate
 from repro.smt.simplify import simplify
@@ -128,7 +128,6 @@ __all__ = [
     "ModelSampler",
     "SolverCache",
     "SolverCacheStats",
-    "simplify_memo",
     "Component",
     "compose_models",
     "decompose",

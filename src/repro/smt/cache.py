@@ -32,11 +32,6 @@ graph (see :mod:`repro.smt.decompose`).  A component shared by two
 different whole queries — sibling sites, successive enforcement
 iterations, multi-site screening conjunctions — hits in the component
 table even though the whole-query keys differ.
-
-The module also owns the persistent simplification memo
-(:func:`enable_simplify_memo`): simplification is a pure function of an
-interned term, so memoizing it across the whole campaign removes the single
-largest source of re-derived work in the concolic stage.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.smt import simplify as _simplify_module
 from repro.smt.evalmodel import Model
 from repro.smt.terms import Term, TermKind
 
@@ -722,58 +716,3 @@ def _rename_term(term: Term, rename: Dict[str, str], memo: Dict[Term, Term]) -> 
         )
     memo[term] = result
     return result
-
-
-# ----------------------------------------------------------------------
-# Persistent simplification memo
-# ----------------------------------------------------------------------
-class SimplifyMemo:
-    """Handle for the process-wide simplification memo.
-
-    Enabling installs a persistent table into :mod:`repro.smt.simplify`;
-    disabling restores the default per-call behaviour.  Nested enables share
-    the same table (reference-counted), so a campaign can wrap an analysis
-    that itself toggles the memo.
-    """
-
-    _lock = threading.Lock()
-    _refcount = 0
-    _table: Dict[Term, Term] = {}
-
-    @classmethod
-    def enable(cls) -> None:
-        with cls._lock:
-            cls._refcount += 1
-            if cls._refcount == 1:
-                cls._table = {}
-                _simplify_module.install_memo(cls._table)
-
-    @classmethod
-    def disable(cls) -> None:
-        with cls._lock:
-            if cls._refcount == 0:
-                return
-            cls._refcount -= 1
-            if cls._refcount == 0:
-                _simplify_module.uninstall_memo()
-                cls._table = {}
-
-    @classmethod
-    def size(cls) -> int:
-        return len(cls._table)
-
-
-class simplify_memo:
-    """Context manager: ``with simplify_memo(): ...`` enables the memo."""
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-
-    def __enter__(self) -> "simplify_memo":
-        if self.enabled:
-            SimplifyMemo.enable()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self.enabled:
-            SimplifyMemo.disable()

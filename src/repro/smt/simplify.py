@@ -7,56 +7,41 @@ coalesces chained ``Add32`` operations).  This module provides the same
 service for the whole system: constant folding, identity/absorption rules,
 coalescing of constant-add/shift chains, and boolean clean-up.
 
-The simplifier is a bottom-up rewriter with memoisation over the DAG.  It is
+The simplifier is a bottom-up rewriter; each term remembers its own
+simplified form, so shared subterms are rewritten once.  It is
 deliberately *not* a decision procedure: anything it cannot reduce it leaves
 alone for the interval analysis or the bit-blasting backend.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.smt import builder as b
 from repro.smt.terms import Term, TermKind, mask, to_signed, truncate
 
-#: Optional process-wide memo table installed by :mod:`repro.smt.cache`.
-#: Simplification is a pure function of the (immutable, interned) term, so a
-#: persistent memo is safe.  Keys are terms themselves (identity hash), never
-#: raw ``id()`` values, so a cleared-and-rebuilt intern table can only cause
-#: misses, not wrong answers — note the flip side: while installed, the memo
-#: pins every memoized term in memory.
-_persistent_memo: Optional[Dict[Term, Term]] = None
-
-
-def install_memo(memo: Dict[Term, Term]) -> None:
-    """Install a persistent cross-call memo table (see :mod:`repro.smt.cache`)."""
-    global _persistent_memo
-    _persistent_memo = memo
-
-
-def uninstall_memo() -> None:
-    """Remove the persistent memo; each call reverts to a private table."""
-    global _persistent_memo
-    _persistent_memo = None
-
 
 def simplify(term: Term) -> Term:
-    """Return a simplified term equivalent to ``term``."""
-    memo = _persistent_memo
-    cache: Dict[Term, Term] = {} if memo is None else memo
-    return _simplify(term, cache)
+    """Return a simplified term equivalent to ``term``.
+
+    The result is stored on the interned term itself (``Term._simplified``,
+    like :meth:`Term.variables`), so each distinct term is rewritten once
+    per process.  The slot holds exactly this function's answer for that
+    term; results are not marked as their own fixpoint, because a rewrite
+    rule may expose a further rewrite on a second pass.
+    """
+    return _simplify(term)
 
 
-def _simplify(term: Term, cache: Dict[Term, Term]) -> Term:
-    cached = cache.get(term)
+def _simplify(term: Term) -> Term:
+    # Recursion stays on this private name, so a wrapper installed on the
+    # public ``simplify`` (tracing, call counting) sees outermost calls only.
+    cached = term._simplified
     if cached is not None:
         return cached
     if term.is_const or term.is_var:
-        cache[term] = term
-        return term
-    args = tuple(_simplify(a, cache) for a in term.args)
-    result = _rewrite(term, args)
-    cache[term] = result
+        result = term
+    else:
+        result = _rewrite(term, tuple(_simplify(a) for a in term.args))
+    term._simplified = result
     return result
 
 
@@ -241,7 +226,7 @@ def _rewrite(term: Term, args: tuple) -> Term:
             return b.bool_const(not operand.value)
         negated = _negate_comparison(operand)
         if negated is not None:
-            return negated
+            return _rewrite_comparison(negated, negated.args)
         return _rebuild(term, args)
     if kind is TermKind.BXOR:
         left, right = args
@@ -290,6 +275,11 @@ def _negate_comparison(term: Term) -> Term | None:
     if negated_kind is None:
         return None
     return Term.make(negated_kind, term.args)
+
+
+def _negate(condition: Term) -> Term:
+    """The simplified ``!condition`` for an already-simplified ``condition``."""
+    return _rewrite(Term.make(TermKind.BNOT, (condition,)), (condition,))
 
 
 def _fold_constant(kind: TermKind, args: tuple, width, params) -> Term | None:
@@ -482,11 +472,11 @@ def _unwrap_boolean_test(kind: TermKind, left: Term, right: Term) -> Term | None
     if kind is TermKind.NE and constant == else_value:
         return condition
     if kind is TermKind.NE and constant == then_value:
-        return Term.make(TermKind.BNOT, (condition,))
+        return _negate(condition)
     if kind is TermKind.EQ and constant == then_value:
         return condition
     if kind is TermKind.EQ and constant == else_value:
-        return Term.make(TermKind.BNOT, (condition,))
+        return _negate(condition)
     if kind is TermKind.UGT and constant < then_value and constant >= else_value:
         return condition
     return None

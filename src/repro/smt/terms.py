@@ -158,6 +158,7 @@ class Term:
         "_hash",
         "_id",
         "_vars",
+        "_simplified",
     )
 
     _intern_lock = threading.Lock()
@@ -186,6 +187,9 @@ class Term:
         self._hash = _hash
         self._id = _id
         self._vars: Optional[Tuple["Term", ...]] = None
+        #: What :func:`repro.smt.simplify.simplify` returns for this term,
+        #: filled on first request (the simplifier owns it).
+        self._simplified: Optional["Term"] = None
 
     # ------------------------------------------------------------------
     # Interning

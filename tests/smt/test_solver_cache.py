@@ -15,14 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import builder as b
-from repro.smt.cache import (
-    CachedVerdict,
-    SimplifyMemo,
-    SolverCache,
-    simplify_memo,
-)
-from repro.smt.evalmodel import evaluate, satisfies
-from repro.smt.simplify import simplify
+from repro.smt.cache import CachedVerdict, SolverCache
+from repro.smt.evalmodel import satisfies
 from repro.smt.solver import PortfolioSolver, SolverStatus
 from repro.smt.terms import Term
 
@@ -122,16 +116,6 @@ class TestObservationalEquivalence:
             assert cache.stats.hits >= 1
         if mirrored.is_sat:
             _assert_model_satisfies(mirrored.model, renamed)
-
-    @given(system=constraint_systems())
-    @settings(max_examples=30, deadline=None)
-    def test_simplify_memo_does_not_change_verdicts(self, system):
-        plain = PortfolioSolver().check(system)
-        with simplify_memo():
-            memoized = PortfolioSolver().check(system)
-        assert memoized.status == plain.status
-        if memoized.is_sat:
-            _assert_model_satisfies(memoized.model, system)
 
 
 def _rename(term: Term, renaming) -> Term:
@@ -387,32 +371,3 @@ class TestCacheStore:
         assert statuses == {SolverStatus.SAT}
         models = {tuple(sorted(result.model.as_dict().items())) for result in results}
         assert len(models) == 1
-
-
-class TestSimplifyMemo:
-    def test_memoized_simplify_matches_plain_simplify(self):
-        x = b.bv_var("x", 32)
-        term = b.add(b.add(x, b.bv_const(1, 32)), b.bv_const(2, 32))
-        plain = simplify(term)
-        with simplify_memo():
-            assert simplify(term) is plain
-            assert SimplifyMemo.size() > 0
-
-    def test_memo_is_refcounted(self):
-        with simplify_memo():
-            with simplify_memo():
-                simplify(b.add(b.bv_var("x", 8), b.bv_const(1, 8)))
-                inner = SimplifyMemo.size()
-            assert SimplifyMemo.size() == inner
-        assert SimplifyMemo.size() == 0
-
-    def test_disabled_context_is_a_no_op(self):
-        with simplify_memo(enabled=False):
-            simplify(b.add(b.bv_var("x", 8), b.bv_const(1, 8)))
-            assert SimplifyMemo.size() == 0
-
-    @given(term=bv_terms(), model=st.fixed_dictionaries({"x": VALUE, "y": VALUE, "z": VALUE}))
-    @settings(max_examples=60, deadline=None)
-    def test_memoized_simplify_preserves_semantics(self, term, model):
-        with simplify_memo():
-            assert evaluate(simplify(term), model) == evaluate(term, model)
