@@ -161,6 +161,16 @@ class ConcolicDomain(AnnotationDomain):
     Every result term goes through :func:`repro.smt.simplify.simplify` when
     ``simplify_online`` is set.  The relevant bytes and the field map vary
     per run and are read from the running interpreter.
+
+    Each annotator keeps a *computed table*: a dict from its interned
+    operands to the finished term, local to the closure the factory
+    returns.  Terms are hash-consed and never freed, so the same operands
+    always build the same term; a repeated operation — the same seed run
+    re-executed for a sibling target site — is one dict lookup and builds
+    nothing.  A miss runs the builder and ``simplify`` exactly as an
+    unmemoised annotator would, so terms are created in the same order.
+    The tables live as long as the compiled closures that hold them (the
+    program's compile cache).
     """
 
     def __init__(self, simplify_online: bool = True) -> None:
@@ -169,12 +179,15 @@ class ConcolicDomain(AnnotationDomain):
 
     def _finish(self) -> Callable[[Term], Term]:
         # ``simplify`` is looked up at call time, never bound here, so a
-        # wrapper installed on this module's ``simplify`` sees every call.
+        # wrapper installed on this module's ``simplify`` sees every call
+        # the annotators make — computed-table misses only; hits skip it.
         if self.simplify_online:
             return lambda term: simplify(term)
         return _keep
 
     def input_byte(self, width: int) -> Callable[[Any, int, Any], Optional[Term]]:
+        memo: Dict[Tuple[int, Any], Term] = {}
+
         def annotate(rt: Any, offset: int, offset_term: Any) -> Optional[Term]:
             # An input-dependent offset (input[input[i]]) is outside the
             # relevant-byte model: the offset is concretised and the byte
@@ -183,23 +196,25 @@ class ConcolicDomain(AnnotationDomain):
             if relevant is not None and offset not in relevant:
                 return None
             mapping = rt.field_map.get(offset)
-            if mapping is not None:
-                field_name, field_width, low_bit = mapping
-                field_var = smt.bv_var(field_name, field_width)
-                if field_width <= 8 and low_bit == 0:
-                    byte_term = field_var
-                else:
-                    byte_term = smt.extract(field_var, low_bit + 7, low_bit)
-                return smt.zext(byte_term, width)
-            return smt.zext(input_byte_variable(offset), width)
+            key = (offset, mapping)
+            term = memo.get(key)
+            if term is None:
+                term = memo[key] = _input_byte_term(offset, mapping, width)
+            return term
 
         return annotate
 
     def unary(self, op: UnaryOp, width: int) -> Callable[[Any], Optional[Term]]:
         build, finish = _symbolic_unary(op, width), self._finish()
+        memo: Dict[Term, Term] = {}
 
         def annotate(term: Any) -> Optional[Term]:
-            return None if term is None else finish(build(term))
+            if term is None:
+                return None
+            result = memo.get(term)
+            if result is None:
+                result = memo[term] = finish(build(term))
+            return result
 
         return annotate
 
@@ -208,26 +223,40 @@ class ConcolicDomain(AnnotationDomain):
     ) -> Callable[[int, Any, int, Any], Optional[Term]]:
         build, finish = _symbolic_binary(op, width), self._finish()
         bv_const = smt.bv_const
+        # Keyed on the concrete value where a side has no term: the
+        # constant that side becomes is a function of it.
+        memo: Dict[Tuple[Any, Any], Term] = {}
 
         def annotate(left: int, left_term: Any, right: int, right_term: Any) -> Optional[Term]:
-            if left_term is None:
-                if right_term is None:
-                    return None
-                left_term = bv_const(left, width)
-            elif right_term is None:
-                right_term = bv_const(right, width)
-            return finish(build(left_term, right_term))
+            if left_term is None and right_term is None:
+                return None
+            key = (
+                left if left_term is None else left_term,
+                right if right_term is None else right_term,
+            )
+            result = memo.get(key)
+            if result is None:
+                if left_term is None:
+                    left_term = bv_const(left, width)
+                elif right_term is None:
+                    right_term = bv_const(right, width)
+                result = memo[key] = finish(build(left_term, right_term))
+            return result
 
         return annotate
 
     def branch(self, label: int, width: int) -> Callable[..., Optional[Term]]:
         zero, finish = smt.bv_const(0, width), self._finish()
+        memo: Dict[Tuple[Term, bool], Term] = {}
 
         def observe(rt: Any, term: Any, taken: bool, seq: int) -> Optional[Term]:
             if term is None:
                 return None
-            truth = smt.ne(term, zero)
-            oriented = finish(truth if taken else smt.bnot(truth))
+            key = (term, taken)
+            oriented = memo.get(key)
+            if oriented is None:
+                truth = smt.ne(term, zero)
+                oriented = memo[key] = finish(truth if taken else smt.bnot(truth))
             rt.concolic_report.branches.append(
                 SymbolicBranch(label, taken, oriented, seq)
             )
@@ -243,6 +272,25 @@ class ConcolicDomain(AnnotationDomain):
             return term
 
         return observe
+
+
+def _input_byte_term(
+    offset: int, mapping: Optional[Tuple[str, int, int]], width: int
+) -> Term:
+    """The ``width``-bit term for the input byte at ``offset``.
+
+    ``mapping`` is the byte's field-map entry: the byte becomes a slice of
+    its field's variable, or its own byte variable without one.
+    """
+    if mapping is not None:
+        field_name, field_width, low_bit = mapping
+        field_var = smt.bv_var(field_name, field_width)
+        if field_width <= 8 and low_bit == 0:
+            byte_term = field_var
+        else:
+            byte_term = smt.extract(field_var, low_bit + 7, low_bit)
+        return smt.zext(byte_term, width)
+    return smt.zext(input_byte_variable(offset), width)
 
 
 _DOMAINS = {online: ConcolicDomain(online) for online in (True, False)}

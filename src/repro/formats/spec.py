@@ -29,10 +29,14 @@ class FormatSpec:
         self.name = name
         self.fields: List[FieldSpec] = list(fields)
         self._by_path: Dict[str, FieldSpec] = {}
+        #: offset -> the first field in file order whose bytes hold it.
+        self._by_offset: Dict[int, FieldSpec] = {}
         for spec in self.fields:
             if spec.path in self._by_path:
                 raise FormatError(f"duplicate field path {spec.path!r}")
             self._by_path[spec.path] = spec
+            for offset in spec.byte_range():
+                self._by_offset.setdefault(offset, spec)
 
     # ------------------------------------------------------------------
     def field(self, path: str) -> FieldSpec:
@@ -56,10 +60,7 @@ class FormatSpec:
 
     def field_at_offset(self, offset: int) -> Optional[FieldSpec]:
         """The field containing the given byte offset, if any."""
-        for spec in self.fields:
-            if offset in spec.byte_range():
-                return spec
-        return None
+        return self._by_offset.get(offset)
 
     def minimum_size(self) -> int:
         """Smallest file size that contains every fixed field."""

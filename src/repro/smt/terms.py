@@ -207,7 +207,7 @@ class Term:
         """Create (or return the interned copy of) a term."""
         args = tuple(args)
         params = tuple(params)
-        key = (kind, tuple(id(a) for a in args), width, value, name, params)
+        key = (kind, tuple(map(id, args)), width, value, name, params)
         with cls._intern_lock:
             existing = cls._intern.get(key)
             if existing is not None:

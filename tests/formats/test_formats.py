@@ -4,6 +4,7 @@ import zlib
 
 import pytest
 
+from repro.apps.registry import application_names, get_application
 from repro.formats import (
     PngFormat,
     SwfFormat,
@@ -73,6 +74,32 @@ class TestFormatSpec:
     def test_field_at_offset(self):
         assert self._spec().field_at_offset(3).path == "/len"
         assert self._spec().field_at_offset(100) is None
+
+    def test_field_at_offset_first_field_wins_and_negative_sizes_own_nothing(self):
+        spec = FormatSpec(
+            "overlap",
+            [
+                FieldSpec("/header", 0, 4, FieldKind.BYTES),
+                FieldSpec("/len", 2, 2, FieldKind.UINT),
+                FieldSpec("/tail", 6, -1, FieldKind.BYTES),
+            ],
+        )
+        assert spec.field_at_offset(2).path == "/header"
+        assert spec.field_at_offset(5) is None
+        assert spec.field_at_offset(6) is None
+
+    @pytest.mark.parametrize("name", application_names())
+    def test_field_at_offset_matches_a_linear_scan(self, name):
+        def scan(spec, offset):
+            for field in spec.fields:
+                if offset in field.byte_range():
+                    return field
+            return None
+
+        spec = get_application(name).format_spec
+        end = max(field.offset + max(field.size, 0) for field in spec.fields)
+        for offset in range(-2, end + 5):
+            assert spec.field_at_offset(offset) is scan(spec, offset)
 
     def test_minimum_size(self):
         assert self._spec().minimum_size() == 8
