@@ -25,11 +25,6 @@ core without a solver call):
    strictly fewer CDCL conflicts and solver checks than the unguided arm,
    with identical outcomes — re-deriving the UNSAT tail is exactly the
    work the cores eliminate.
-3. **Hot-path speedup** — the same CDCL-hard chains on the legacy solving
-   stack (:func:`repro.smt.hotpath.legacy_hot_path`) versus the flattened
-   one, byte-identical classifications required and a
-   :data:`MIN_HOTPATH_SPEEDUP` wall-clock floor enforced (the flattening
-   PR's acceptance gate).
 
 Emits a machine-readable ``BENCH_enforcement.json`` artifact; set
 ``BENCH_ARTIFACT_DIR`` to redirect it.  Standalone::
@@ -41,8 +36,8 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 import pytest
 
@@ -61,8 +56,9 @@ from repro.core.target import extract_target_observations
 from repro.formats.fields import Endianness, FieldKind, FieldSpec
 from repro.formats.spec import FormatSpec
 from repro.lang.program import Program
+from repro.obs.metrics import METRICS, counter_value
 from repro.smt.cache import SolverCache
-from repro.smt.solver import TELEMETRY, PortfolioSolver, SolverConfig
+from repro.smt.solver import PortfolioSolver, SolverConfig
 
 #: Re-analysis passes per site (pass 1 is cold; later passes are where the
 #: accumulated cores answer the repeated UNSAT queries).
@@ -74,15 +70,6 @@ HARD_PASSES = 3
 
 #: Number of constant-varied CDCL-hard guarded programs in workload 2.
 HARD_VARIANTS = 3
-
-#: Required wall-clock speedup of the flattened solving hot path over the
-#: legacy arm on the CDCL-hard chains (the standalone CI gate; measured
-#: ~5.9x on the reference machine).
-MIN_HOTPATH_SPEEDUP = 5.0
-
-#: Looser floor for the pytest twin, which runs inside the full benchmark
-#: suite where background load can squeeze the measurement.
-SUITE_MIN_HOTPATH_SPEEDUP = 3.0
 
 
 # ----------------------------------------------------------------------
@@ -96,20 +83,25 @@ class ArmMeasurement:
     wall_seconds: float
     #: Per-pass classification maps: application -> site -> classification.
     classifications: List[Dict[str, Dict[str, str]]]
-    telemetry: Dict[str, float]
+    #: ``METRICS`` wire delta over the arm.
+    metrics: dict
+
+    def solver(self, name: str) -> int:
+        """A ``solver.*`` counter of this arm."""
+        return counter_value(self.metrics, f"solver.{name}")
 
     @property
     def conflicts(self) -> int:
-        return int(self.telemetry["cdcl_conflicts"])
+        return self.solver("cdcl_conflicts")
 
     @property
     def checks(self) -> int:
         """Solver-backed enforcement checks (core-pruned queries excluded)."""
-        return int(self.telemetry["queries"])
+        return self.solver("queries")
 
     @property
     def pruned(self) -> int:
-        return int(self.telemetry["core_pruned_candidates"])
+        return self.solver("core_pruned_candidates")
 
 
 def _arm_config(guided: bool) -> SolverConfig:
@@ -145,7 +137,7 @@ def _run_applications(
     classifications: List[Dict[str, Dict[str, str]]] = [
         {} for _ in range(passes)
     ]
-    TELEMETRY.reset()
+    mark = METRICS.snapshot()
     started = time.perf_counter()
     for app in applications:
         mapper = FieldMapper(app.format_spec)
@@ -178,7 +170,7 @@ def _run_applications(
         label=label,
         wall_seconds=time.perf_counter() - started,
         classifications=classifications,
-        telemetry=TELEMETRY.snapshot(),
+        metrics=METRICS.delta(mark),
     )
 
 
@@ -258,47 +250,6 @@ def run_hard_chains(guided: bool) -> ArmMeasurement:
 
 
 # ----------------------------------------------------------------------
-# Workload 3: flattened solving hot path vs the legacy arm
-# ----------------------------------------------------------------------
-def run_hotpath_speedup() -> Tuple[ArmMeasurement, ArmMeasurement]:
-    """The CDCL-hard chains on the legacy vs the flattened hot path.
-
-    Both arms run the *guided* configuration end-to-end — interpreter,
-    enforcement loop, sessions, CDCL — differing only in the solving hot
-    path (:func:`repro.smt.hotpath.legacy_hot_path` swaps in the
-    object-graph CDCL, the recursive term interpreter and the unhashed
-    Tseitin encoder).  Classifications must be byte-identical across
-    every pass; the wall-clock speedup is the flattening PR's acceptance
-    gate.
-    """
-    from repro.smt.hotpath import legacy_hot_path
-
-    with legacy_hot_path():
-        legacy = run_hard_chains(True)
-        legacy.label = "legacy"
-    flat = run_hard_chains(True)
-    flat.label = "flat"
-    return legacy, flat
-
-
-def print_hotpath(legacy: ArmMeasurement, flat: ArmMeasurement) -> None:
-    print("\n=== CDCL-hard chains: legacy hot path vs flattened core ===")
-    for arm in (legacy, flat):
-        print(
-            f"{arm.label:9s}: {arm.wall_seconds:6.3f}s wall, "
-            f"{arm.checks} enforcement checks, "
-            f"{arm.conflicts} CDCL conflicts, "
-            f"{int(arm.telemetry['propagations'])} propagations"
-        )
-    print(
-        "classifications equal: "
-        f"{legacy.classifications == flat.classifications}"
-    )
-    if flat.wall_seconds > 0:
-        print(f"wall speedup         : {legacy.wall_seconds / flat.wall_seconds:.2f}x")
-
-
-# ----------------------------------------------------------------------
 # Reporting and gates
 # ----------------------------------------------------------------------
 def print_arms(title: str, unguided: ArmMeasurement, guided: ArmMeasurement) -> None:
@@ -309,8 +260,8 @@ def print_arms(title: str, unguided: ArmMeasurement, guided: ArmMeasurement) -> 
             f"{arm.checks} enforcement checks, "
             f"{arm.conflicts} CDCL conflicts, "
             f"{arm.pruned} queries answered from cores, "
-            f"{int(arm.telemetry['cores_extracted'])} cores, "
-            f"{int(arm.telemetry['sessions_reused'])} sessions reused"
+            f"{arm.solver('cores_extracted')} cores, "
+            f"{arm.solver('sessions_reused')} sessions reused"
         )
     print(
         "classifications equal: "
@@ -323,8 +274,6 @@ def artifact_payload(
     registry_guided: ArmMeasurement,
     hard_unguided: ArmMeasurement,
     hard_guided: ArmMeasurement,
-    hotpath_legacy: ArmMeasurement,
-    hotpath_flat: ArmMeasurement,
 ) -> dict:
     def arm(measurement: ArmMeasurement) -> dict:
         return {
@@ -332,12 +281,10 @@ def artifact_payload(
             "enforcement_checks": measurement.checks,
             "cdcl_conflicts": measurement.conflicts,
             "core_pruned_candidates": measurement.pruned,
-            "cores_extracted": int(measurement.telemetry["cores_extracted"]),
-            "sessions_reused": int(measurement.telemetry["sessions_reused"]),
-            "propagations": int(measurement.telemetry.get("propagations", 0)),
-            "sat_decisions": int(
-                measurement.telemetry.get("sat_decisions", 0)
-            ),
+            "cores_extracted": measurement.solver("cores_extracted"),
+            "sessions_reused": measurement.solver("sessions_reused"),
+            "cdcl_propagations": measurement.solver("cdcl_propagations"),
+            "cdcl_decisions": measurement.solver("cdcl_decisions"),
         }
 
     return {
@@ -361,19 +308,6 @@ def artifact_payload(
                 hard_unguided.classifications == hard_guided.classifications
             ),
         },
-        "hotpath": {
-            "min_speedup": MIN_HOTPATH_SPEEDUP,
-            "legacy": arm(hotpath_legacy),
-            "flat": arm(hotpath_flat),
-            "classification_parity": (
-                hotpath_legacy.classifications == hotpath_flat.classifications
-            ),
-            "wall_speedup": round(
-                hotpath_legacy.wall_seconds / hotpath_flat.wall_seconds, 2
-            )
-            if hotpath_flat.wall_seconds > 0
-            else None,
-        },
     }
 
 
@@ -382,8 +316,6 @@ def _gate_failures(
     registry_guided: ArmMeasurement,
     hard_unguided: ArmMeasurement,
     hard_guided: ArmMeasurement,
-    hotpath_legacy: ArmMeasurement,
-    hotpath_flat: ArmMeasurement,
 ) -> List[str]:
     failures = []
     if registry_unguided.classifications != registry_guided.classifications:
@@ -410,20 +342,6 @@ def _gate_failures(
         failures.append(
             f"guided enforcement checks {hard_guided.checks} not below "
             f"unguided {hard_unguided.checks} on the hard chains"
-        )
-    if hotpath_legacy.classifications != hotpath_flat.classifications:
-        failures.append(
-            "hot-path classifications diverge between legacy and flat arms"
-        )
-    speedup = (
-        hotpath_legacy.wall_seconds / hotpath_flat.wall_seconds
-        if hotpath_flat.wall_seconds > 0
-        else float("inf")
-    )
-    if speedup < MIN_HOTPATH_SPEEDUP:
-        failures.append(
-            f"flattened hot path speedup {speedup:.2f}x below the "
-            f"{MIN_HOTPATH_SPEEDUP:.1f}x floor on the CDCL-hard chains"
         )
     return failures
 
@@ -459,19 +377,6 @@ def test_hard_chains_guided_saves_cdcl_conflicts(benchmark):
     assert guided.checks < unguided.checks
 
 
-@pytest.mark.benchmark(group="enforcement")
-def test_flattened_hot_path_speedup_on_hard_chains(benchmark):
-    """Identical classifications; the flattening PR's wall-clock gate.
-
-    The suite twin uses the looser floor (the standalone entry point
-    enforces :data:`MIN_HOTPATH_SPEEDUP`).
-    """
-    legacy, flat = benchmark.pedantic(run_hotpath_speedup, rounds=1, iterations=1)
-    print_hotpath(legacy, flat)
-    assert legacy.classifications == flat.classifications
-    assert legacy.wall_seconds / flat.wall_seconds >= SUITE_MIN_HOTPATH_SPEEDUP
-
-
 # ----------------------------------------------------------------------
 # Standalone entry point (the CI gate)
 # ----------------------------------------------------------------------
@@ -484,17 +389,12 @@ def main() -> int:
     hard_guided = run_hard_chains(True)
     print_arms("CDCL-hard guarded chains", hard_unguided, hard_guided)
 
-    hotpath_legacy, hotpath_flat = run_hotpath_speedup()
-    print_hotpath(hotpath_legacy, hotpath_flat)
-
     path = write_artifact(
         artifact_payload(
             registry_unguided,
             registry_guided,
             hard_unguided,
             hard_guided,
-            hotpath_legacy,
-            hotpath_flat,
         ),
         name="BENCH_enforcement.json",
     )
@@ -505,8 +405,6 @@ def main() -> int:
         registry_guided,
         hard_unguided,
         hard_guided,
-        hotpath_legacy,
-        hotpath_flat,
     )
     for failure in failures:
         print(f"FAIL: {failure}")

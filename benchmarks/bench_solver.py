@@ -24,12 +24,14 @@ cache):
    (``component hits > 0``) while returning identical statuses.
 
 Two later workloads ride the same harness: **warm skeletons** (persisted
-blasted-CNF replay vs fresh Tseitin translation) and the **propagation
-loop** before/after comparison — the CDCL-bound chain queries solved on
-the legacy hot path (:func:`repro.smt.hotpath.legacy_hot_path`: object
-CDCL, recursive evaluation, unhashed gates) versus the flattened one,
-with per-arm ``propagations``/``sat_decisions`` telemetry in the
-artifact.
+blasted-CNF replay vs fresh Tseitin translation) and the **encoder size**
+count gate — the CNF the structurally-hashed Tseitin encoder builds for
+the CDCL-bound systems must stay within :data:`MAX_ENCODER_VARS` variables
+and :data:`MAX_ENCODER_CLAUSES` clauses.  The count is deterministic (no
+timing, independent of ``PYTHONHASHSEED``); an encoder that stops sharing
+gates (21,200 variables and 69,028 clauses without gate hashing) fails it.
+Solver correctness on small instances is held to brute-force oracles in
+``tests/smt/test_solver_oracles.py``.
 
 Emits a machine-readable ``BENCH_solver.json`` artifact; set
 ``BENCH_ARTIFACT_DIR`` to redirect it.  Standalone::
@@ -54,13 +56,21 @@ from repro.core.fieldmap import FieldMapper
 from repro.core.overflow import overflow_constraint
 from repro.core.sites import identify_target_sites
 from repro.core.target import extract_target_observations
+from repro.obs.metrics import METRICS, counter_value, histogram_stats
 from repro.smt import builder as b
+from repro.smt.bitblast import BitBlaster
 from repro.smt.cache import SolverCache
 from repro.smt.sampler import SamplerConfig
-from repro.smt.solver import TELEMETRY, PortfolioSolver, SolverConfig
+from repro.smt.solver import PortfolioSolver, SolverConfig
 
 #: Number of alpha/constant-varied enforcement chains in workload 2.
 CHAIN_COUNT = 4
+
+#: Encoder-size ceiling: CNF variables and clauses the structurally-hashed
+#: Tseitin encoder builds for the CDCL-bound systems plus the skeleton
+#: systems (the exact count of the current encoder).
+MAX_ENCODER_VARS = 20_504
+MAX_ENCODER_CLAUSES = 66_932
 
 
 # ----------------------------------------------------------------------
@@ -73,16 +83,21 @@ class ArmMeasurement:
     label: str
     wall_seconds: float
     statuses: List[str]
-    telemetry: Dict[str, float]
+    #: ``METRICS`` wire delta over the arm.
+    metrics: dict
     cache_stats: Dict[str, float] = field(default_factory=dict)
+
+    def solver(self, name: str) -> int:
+        """A ``solver.*`` counter of this arm."""
+        return counter_value(self.metrics, f"solver.{name}")
 
     @property
     def conflicts(self) -> int:
-        return int(self.telemetry["cdcl_conflicts"])
+        return self.solver("cdcl_conflicts")
 
     @property
     def bitblast_seconds(self) -> float:
-        return float(self.telemetry["bitblast_seconds"])
+        return histogram_stats(self.metrics, "solver.bitblast.seconds")[1]
 
 
 def _solver_config(incremental: bool, **overrides) -> SolverConfig:
@@ -167,7 +182,7 @@ def run_enforcement_chains(incremental: bool) -> ArmMeasurement:
     cache = SolverCache()
     solver = PortfolioSolver(config, cache=cache)
     statuses: List[str] = []
-    TELEMETRY.reset()
+    mark = METRICS.snapshot()
     started = time.perf_counter()
     for variant in range(CHAIN_COUNT):
         beta, deltas = _enforcement_chain(variant)
@@ -188,7 +203,7 @@ def run_enforcement_chains(incremental: bool) -> ArmMeasurement:
         label="incremental" if incremental else "fresh",
         wall_seconds=time.perf_counter() - started,
         statuses=statuses,
-        telemetry=TELEMETRY.snapshot(),
+        metrics=METRICS.delta(mark),
         cache_stats=cache.stats.as_dict(),
     )
 
@@ -228,7 +243,7 @@ def run_screening(incremental: bool) -> ArmMeasurement:
     config = _solver_config(incremental)
     cache = SolverCache()
     statuses: List[str] = []
-    TELEMETRY.reset()
+    mark = METRICS.snapshot()
     started = time.perf_counter()
     for betas in _registry_betas():
         solver = PortfolioSolver(config, cache=cache)
@@ -251,7 +266,7 @@ def run_screening(incremental: bool) -> ArmMeasurement:
         label="incremental" if incremental else "fresh",
         wall_seconds=time.perf_counter() - started,
         statuses=statuses,
-        telemetry=TELEMETRY.snapshot(),
+        metrics=METRICS.delta(mark),
         cache_stats=cache.stats.as_dict(),
     )
 
@@ -307,14 +322,14 @@ def run_skeleton_arms() -> Tuple[ArmMeasurement, ArmMeasurement]:
 
     def arm(label: str, cache: SolverCache) -> ArmMeasurement:
         solver = PortfolioSolver(config, cache=cache)
-        TELEMETRY.reset()
+        mark = METRICS.snapshot()
         started = time.perf_counter()
         statuses = [solver.check(system).status for system in systems]
         return ArmMeasurement(
             label=label,
             wall_seconds=time.perf_counter() - started,
             statuses=statuses,
-            telemetry=TELEMETRY.snapshot(),
+            metrics=METRICS.delta(mark),
             cache_stats=cache.stats.as_dict(),
         )
 
@@ -332,40 +347,17 @@ def run_skeleton_arms() -> Tuple[ArmMeasurement, ArmMeasurement]:
 
 
 # ----------------------------------------------------------------------
-# Workload 5: flattened propagation loop vs the legacy hot path
+# Workload 5: encoder size on the CDCL-bound systems
 # ----------------------------------------------------------------------
-def run_hotpath_arms() -> Tuple[ArmMeasurement, ArmMeasurement]:
-    """Before/after arms of the solving hot-path flattening.
-
-    The *legacy* arm re-solves the CDCL-bound chain queries on the
-    pre-flattening stack (object-graph CDCL, recursive term interpreter,
-    fresh-variable Tseitin gates) via
-    :func:`repro.smt.hotpath.legacy_hot_path`; the *flat* arm runs the
-    current one.  Telemetry makes the propagation-loop work visible on
-    both sides (``propagations``/``sat_decisions`` per arm), and the gate
-    demands identical statuses with the flat arm strictly faster on
-    bit-blast/CDCL time.
-    """
-    from repro.smt.hotpath import legacy_hot_path
-
-    config = _solver_config(
-        False,
-        sampler=SamplerConfig(
-            random_attempts_per_sample=3,
-            hill_climb_steps=2,
-            perturbation_attempts=2,
-            seed=0,
-        ),
-        heuristic_max_checks=4,
-        bitblast_max_conflicts=100_000,
-    )
+def _cdcl_bound_systems():
+    """The enforcement chains as whole conjunctions, plus CDCL-searching
+    companions: exact squares force real decisions (the sampler would have
+    to guess the root), mod-32 non-residues force real conflicts (squares
+    mod 32 are {0,1,4,9,16,17,25})."""
     systems = []
     for variant in range(CHAIN_COUNT):
         beta, deltas = _enforcement_chain(variant)
         systems.append([beta] + deltas)
-        # CDCL-searching companions: exact squares force real decisions
-        # (the sampler would have to guess the root), mod-32 non-residues
-        # force real conflicts (squares mod 32 are {0,1,4,9,16,17,25}).
         root = 1234 + 17 * variant
         x = b.bv_var(f"hp{variant}", 16)
         systems.append([b.eq(b.mul(x, x), b.bv_const((root * root) & 0xFFFF, 16))])
@@ -378,25 +370,18 @@ def run_hotpath_arms() -> Tuple[ArmMeasurement, ArmMeasurement]:
                 )
             ]
         )
+    return systems
 
-    def arm(label: str) -> ArmMeasurement:
-        cache = SolverCache()
-        solver = PortfolioSolver(config, cache=cache)
-        TELEMETRY.reset()
-        started = time.perf_counter()
-        statuses = [solver.check(system).status for system in systems]
-        return ArmMeasurement(
-            label=label,
-            wall_seconds=time.perf_counter() - started,
-            statuses=statuses,
-            telemetry=TELEMETRY.snapshot(),
-            cache_stats=cache.stats.as_dict(),
-        )
 
-    with legacy_hot_path():
-        legacy = arm("legacy")
-    flat = arm("flat")
-    return legacy, flat
+def run_encoder_size() -> Tuple[int, int]:
+    """Total CNF variables and clauses over one fresh blast per system."""
+    variables = clauses = 0
+    for system in _cdcl_bound_systems() + _skeleton_systems():
+        blaster = BitBlaster()
+        blaster.assert_all(system)
+        variables += blaster.cnf.num_vars
+        clauses += len(blaster.cnf.clauses)
+    return variables, clauses
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +394,7 @@ def print_chains(fresh: ArmMeasurement, incremental: ArmMeasurement) -> None:
             f"{arm.label:12s}: {arm.wall_seconds:6.3f}s wall, "
             f"{arm.bitblast_seconds:6.3f}s bitblast/CDCL, "
             f"{arm.conflicts} conflicts, "
-            f"{int(arm.telemetry['bitblast_calls'])} complete-backend calls"
+            f"{arm.solver('bitblast_calls')} complete-backend calls"
         )
     print(f"statuses equal     : {fresh.statuses == incremental.statuses}")
 
@@ -431,25 +416,18 @@ def print_skeletons(cold: ArmMeasurement, warm: ArmMeasurement) -> None:
         print(
             f"{arm.label:12s}: {arm.wall_seconds:6.3f}s wall, "
             f"{arm.bitblast_seconds:6.3f}s bitblast/CDCL, "
-            f"skeleton hits {int(arm.telemetry['skeleton_hits'])}, "
-            f"stores {int(arm.telemetry['skeleton_stores'])}"
+            f"skeleton hits {arm.solver('skeleton_hits')}, "
+            f"stores {arm.solver('skeleton_stores')}"
         )
     print(f"statuses equal     : {cold.statuses == warm.statuses}")
 
 
-def print_hotpath(legacy: ArmMeasurement, flat: ArmMeasurement) -> None:
-    print("\n=== Propagation loop: legacy hot path vs flattened core ===")
-    for arm in (legacy, flat):
-        print(
-            f"{arm.label:12s}: {arm.wall_seconds:6.3f}s wall, "
-            f"{arm.bitblast_seconds:6.3f}s bitblast/CDCL, "
-            f"{int(arm.telemetry['propagations'])} propagations, "
-            f"{int(arm.telemetry['sat_decisions'])} decisions, "
-            f"{arm.conflicts} conflicts"
-        )
-    print(f"statuses equal     : {legacy.statuses == flat.statuses}")
-    if flat.wall_seconds > 0:
-        print(f"wall speedup       : {legacy.wall_seconds / flat.wall_seconds:.2f}x")
+def print_encoder_size(variables: int, clauses: int) -> None:
+    print("\n=== Encoder size: CDCL-bound and skeleton systems ===")
+    print(
+        f"CNF variables      : {variables} (ceiling {MAX_ENCODER_VARS})\n"
+        f"CNF clauses        : {clauses} (ceiling {MAX_ENCODER_CLAUSES})"
+    )
 
 
 def artifact_payload(
@@ -462,22 +440,19 @@ def artifact_payload(
     screen_incremental: ArmMeasurement,
     skeleton_cold: ArmMeasurement,
     skeleton_warm: ArmMeasurement,
-    hotpath_legacy: ArmMeasurement,
-    hotpath_flat: ArmMeasurement,
+    encoder_size: Tuple[int, int],
 ) -> dict:
     def arm(measurement: ArmMeasurement) -> dict:
         return {
             "wall_seconds": round(measurement.wall_seconds, 4),
             "bitblast_seconds": round(measurement.bitblast_seconds, 4),
             "cdcl_conflicts": measurement.conflicts,
-            "bitblast_calls": int(measurement.telemetry["bitblast_calls"]),
+            "bitblast_calls": measurement.solver("bitblast_calls"),
             "component_hits": int(
                 measurement.cache_stats.get("component_hits", 0)
             ),
-            "propagations": int(measurement.telemetry.get("propagations", 0)),
-            "sat_decisions": int(
-                measurement.telemetry.get("sat_decisions", 0)
-            ),
+            "cdcl_propagations": measurement.solver("cdcl_propagations"),
+            "cdcl_decisions": measurement.solver("cdcl_decisions"),
         }
 
     return {
@@ -501,19 +476,15 @@ def artifact_payload(
         "warm_skeletons": {
             "cold": arm(skeleton_cold),
             "warm": arm(skeleton_warm),
-            "skeleton_hits": int(skeleton_warm.telemetry["skeleton_hits"]),
-            "skeleton_stores": int(skeleton_cold.telemetry["skeleton_stores"]),
+            "skeleton_hits": skeleton_warm.solver("skeleton_hits"),
+            "skeleton_stores": skeleton_cold.solver("skeleton_stores"),
             "statuses_equal": skeleton_cold.statuses == skeleton_warm.statuses,
         },
-        "propagation_loop": {
-            "legacy": arm(hotpath_legacy),
-            "flat": arm(hotpath_flat),
-            "statuses_equal": hotpath_legacy.statuses == hotpath_flat.statuses,
-            "wall_speedup": round(
-                hotpath_legacy.wall_seconds / hotpath_flat.wall_seconds, 2
-            )
-            if hotpath_flat.wall_seconds > 0
-            else None,
+        "encoder_size": {
+            "cnf_vars": encoder_size[0],
+            "cnf_clauses": encoder_size[1],
+            "max_cnf_vars": MAX_ENCODER_VARS,
+            "max_cnf_clauses": MAX_ENCODER_CLAUSES,
         },
     }
 
@@ -526,8 +497,7 @@ def _gate_failures(
     screen_incremental: ArmMeasurement,
     skeleton_cold: ArmMeasurement,
     skeleton_warm: ArmMeasurement,
-    hotpath_legacy: ArmMeasurement,
-    hotpath_flat: ArmMeasurement,
+    encoder_size: Tuple[int, int],
 ) -> List[str]:
     failures = []
     if not parity:
@@ -552,24 +522,19 @@ def _gate_failures(
         failures.append("screening produced no component-cache hits")
     if skeleton_cold.statuses != skeleton_warm.statuses:
         failures.append("warm-skeleton statuses diverge from the cold arm")
-    if skeleton_warm.telemetry["skeleton_hits"] <= 0:
+    if skeleton_warm.solver("skeleton_hits") <= 0:
         failures.append("warm arm replayed no persisted CNF skeletons")
     if skeleton_warm.bitblast_seconds >= skeleton_cold.bitblast_seconds:
         failures.append(
             f"warm bitblast/CDCL time {skeleton_warm.bitblast_seconds:.3f}s "
             f"not below cold {skeleton_cold.bitblast_seconds:.3f}s"
         )
-    if hotpath_legacy.statuses != hotpath_flat.statuses:
+    variables, clauses = encoder_size
+    if variables > MAX_ENCODER_VARS or clauses > MAX_ENCODER_CLAUSES:
         failures.append(
-            "propagation-loop statuses diverge between legacy and flat arms"
+            f"encoder built {variables} variables / {clauses} clauses, above "
+            f"the {MAX_ENCODER_VARS} / {MAX_ENCODER_CLAUSES} ceiling"
         )
-    if hotpath_flat.bitblast_seconds >= hotpath_legacy.bitblast_seconds:
-        failures.append(
-            f"flat bitblast/CDCL time {hotpath_flat.bitblast_seconds:.3f}s "
-            f"not below legacy {hotpath_legacy.bitblast_seconds:.3f}s"
-        )
-    if int(hotpath_flat.telemetry["propagations"]) <= 0:
-        failures.append("flat arm recorded no propagation-loop telemetry")
     return failures
 
 
@@ -613,14 +578,12 @@ def test_screening_hits_the_component_cache(benchmark):
 
 
 @pytest.mark.benchmark(group="solver")
-def test_flattened_hot_path_beats_the_legacy_arm(benchmark):
-    """The flattened core answers the chain queries identically, faster."""
-    legacy, flat = benchmark.pedantic(run_hotpath_arms, rounds=1, iterations=1)
-    print_hotpath(legacy, flat)
-    assert legacy.statuses == flat.statuses
-    assert flat.bitblast_seconds < legacy.bitblast_seconds
-    assert flat.telemetry["propagations"] > 0
-    assert flat.telemetry["sat_decisions"] > 0
+def test_encoder_size_stays_within_the_ceiling(benchmark):
+    """The hashed encoder's CNF for the CDCL-bound systems does not grow."""
+    variables, clauses = benchmark.pedantic(run_encoder_size, rounds=1, iterations=1)
+    print_encoder_size(variables, clauses)
+    assert variables <= MAX_ENCODER_VARS
+    assert clauses <= MAX_ENCODER_CLAUSES
 
 
 @pytest.mark.benchmark(group="solver")
@@ -629,7 +592,7 @@ def test_warm_skeletons_skip_the_tseitin_translation(benchmark):
     cold, warm = benchmark.pedantic(run_skeleton_arms, rounds=1, iterations=1)
     print_skeletons(cold, warm)
     assert cold.statuses == warm.statuses
-    assert warm.telemetry["skeleton_hits"] > 0
+    assert warm.solver("skeleton_hits") > 0
     assert warm.bitblast_seconds < cold.bitblast_seconds
 
 
@@ -656,8 +619,8 @@ def main() -> int:
     skeleton_cold, skeleton_warm = run_skeleton_arms()
     print_skeletons(skeleton_cold, skeleton_warm)
 
-    hotpath_legacy, hotpath_flat = run_hotpath_arms()
-    print_hotpath(hotpath_legacy, hotpath_flat)
+    encoder_size = run_encoder_size()
+    print_encoder_size(*encoder_size)
 
     path = write_artifact(
         artifact_payload(
@@ -670,8 +633,7 @@ def main() -> int:
             screen_incremental,
             skeleton_cold,
             skeleton_warm,
-            hotpath_legacy,
-            hotpath_flat,
+            encoder_size,
         ),
         name="BENCH_solver.json",
     )
@@ -685,8 +647,7 @@ def main() -> int:
         screen_incremental,
         skeleton_cold,
         skeleton_warm,
-        hotpath_legacy,
-        hotpath_flat,
+        encoder_size,
     )
     for failure in failures:
         print(f"FAIL: {failure}")

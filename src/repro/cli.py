@@ -234,9 +234,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         config.diode.solver.enable_unsat_cores = False
     if args.no_cnf_skeletons:
         config.diode.solver.enable_cnf_skeletons = False
-    if args.external_sat:
-        config.diode.solver.enable_external_sat = True
-        config.diode.solver.external_sat_shadow = args.external_sat_shadow
     result = CampaignEngine(config).run()
 
     if args.json:
@@ -247,14 +244,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "incremental": not args.no_incremental,
             "core_guidance": not args.no_core_guidance,
             "cnf_skeletons": not args.no_cnf_skeletons,
-            "external_sat": bool(args.external_sat),
             "cache_enabled": result.cache_enabled,
             "unit_count": result.unit_count,
             "wall_seconds": round(result.wall_seconds, 3),
             "cache_stats": (
                 result.cache_stats.as_dict() if result.cache_stats else None
             ),
-            "solver": result.solver_telemetry,
             "metrics": result.metrics,
             "events": result.events,
             "store": _store_block(result.metrics),
@@ -332,16 +327,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     else:
         line += "; solver cache: disabled"
     print(line)
-    if result.solver_telemetry is not None:
-        telemetry = result.solver_telemetry
+    if result.metrics is not None:
+        from repro.obs.metrics import counter_value
+
+        def solver(name: str) -> int:
+            return counter_value(result.metrics, f"solver.{name}")
+
         print(
-            "solver sessions: "
-            f"{int(telemetry.get('session_checks', 0))} checks, "
-            f"{int(telemetry.get('sessions_reused', 0))} reused across "
-            "observations; unsat cores: "
-            f"{int(telemetry.get('cores_extracted', 0))} accumulated, "
-            f"{int(telemetry.get('core_pruned_candidates', 0))} candidate "
-            "queries pruned"
+            f"solver sessions: {solver('session_checks')} checks, "
+            f"{solver('sessions_reused')} reused across observations; "
+            f"unsat cores: {solver('cores_extracted')} accumulated, "
+            f"{solver('core_pruned_candidates')} candidate queries pruned"
         )
     if args.cache_dir:
         print(
@@ -831,26 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
             "bitblast path; a stored skeleton rebuilds the exact CNF a "
             "fresh Tseitin translation would produce, so classifications "
             "are identical either way)"
-        ),
-    )
-    campaign.add_argument(
-        "--external-sat",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "route one-shot complete solves to a native PySAT solver when "
-            "the optional python-sat package is importable (--no-external-sat "
-            "is the explicit ablation arm and the default; the knob is "
-            "fingerprinted, so stores never mix external and pure verdicts)"
-        ),
-    )
-    campaign.add_argument(
-        "--external-sat-shadow",
-        action="store_true",
-        help=(
-            "with --external-sat: re-solve every external query on the pure "
-            "CDCL core and fail loudly on a SAT/UNSAT disagreement (the "
-            "parity harness CI runs; roughly doubles complete-solve cost)"
         ),
     )
     campaign.add_argument(

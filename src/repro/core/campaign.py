@@ -85,7 +85,6 @@ from repro.sched import (
 )
 from repro.smt.cache import SolverCache, SolverCacheStats
 from repro.smt.cachestore import CacheStore
-from repro.smt.solver import TELEMETRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily at call time: repro.triage imports repro.core
@@ -101,25 +100,7 @@ __all__ = [
     "CampaignUnit",
     "UnitAnalysisError",
     "run_campaign",
-    "telemetry_delta",
 ]
-
-
-def telemetry_delta(
-    mark: Dict[str, float], final: Dict[str, float]
-) -> Dict[str, float]:
-    """Per-key ``final - mark`` over the *union* of both key sets.
-
-    Snapshot key sets may differ across a run (a telemetry schema that
-    grew a counter mid-process, a mark taken before any solver ran): a key
-    only in ``final`` counts from zero, and a key only in ``mark`` is
-    reported as its negation rather than silently dropped — a delta must
-    never lose a key it was marked against.
-    """
-    return {
-        key: round(final.get(key, 0) - mark.get(key, 0), 6)
-        for key in sorted(set(mark) | set(final))
-    }
 
 
 @dataclass
@@ -236,19 +217,13 @@ class CampaignResult:
     corpus_saved: int = 0
     #: Sites answered by replaying a corpus witness instead of enforcement.
     skipped_known: int = 0
-    #: Delta of the process-wide solver telemetry
-    #: (:data:`repro.smt.solver.TELEMETRY`) across the run: bit-blast/CDCL
-    #: effort plus the core-guidance counters (cores extracted, candidates
-    #: pruned, sessions reused).  Counts this process only — the
-    #: ``process`` backend's workers solve in their own interpreters.
-    solver_telemetry: Optional[Dict[str, float]] = None
     #: Wire-form delta of the campaign-wide metrics registry
     #: (:data:`repro.obs.metrics.METRICS`) across the run — stage timers,
-    #: store/lock activity, solver counters.  Unlike ``solver_telemetry``
-    #: this *does* include process-backend workers: each unit ships its
-    #: registry delta back beside its cache delta and the parent merges
-    #: them, so counter totals are identical for any backend and worker
-    #: count on schedule-independent workloads.
+    #: store/lock activity, the ``solver.*`` counters.  Process-backend
+    #: workers are included: each unit ships its registry delta back beside
+    #: its cache delta and the parent merges them, so counter totals are
+    #: identical for any backend and worker count on schedule-independent
+    #: workloads.
     metrics: Optional[dict] = None
     #: Wire-form per-name event-count delta of the live event stream
     #: (:data:`repro.obs.events.EVENTS`) across the run.  Includes
@@ -367,7 +342,6 @@ class CampaignEngine:
             corpus_store = CorpusStore(self.config.corpus_dir)
             corpus_records = corpus_store.load()
 
-        telemetry_mark = TELEMETRY.snapshot()
         metrics_mark = METRICS.snapshot()
         events_mark = ev.EVENTS.snapshot()
         contexts = self._build_contexts()
@@ -437,7 +411,6 @@ class CampaignEngine:
                 ev.EVENTS.remove_sink(progress)
                 progress.close()
         site_results.update(skipped)
-        telemetry = telemetry_delta(telemetry_mark, TELEMETRY.snapshot())
 
         if store is not None and self.config.save_cache:
             saved = store.save(cache, fingerprint)
@@ -480,7 +453,6 @@ class CampaignEngine:
             corpus_loaded=len(corpus_records),
             corpus_saved=corpus_saved,
             skipped_known=len(skipped),
-            solver_telemetry=telemetry,
             metrics=METRICS.delta(metrics_mark),
             events=(
                 ev.EVENTS.delta(events_mark) if self.config.events else None

@@ -68,12 +68,12 @@ from repro.core.detection import CandidateEvaluation, ErrorDetector
 from repro.core.inputs import GeneratedInput, InputGenerator
 from repro.core.overflow import OverflowSpec, overflow_constraint
 from repro.core.target import TargetObservation
+from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.smt import builder as smt
 from repro.smt.sampler import split_conjuncts
 from repro.smt.simplify import simplify
 from repro.smt.solver import (
-    TELEMETRY,
     PortfolioSolver,
     SolverResult,
     SolverSession,
@@ -339,7 +339,7 @@ class GoalDirectedEnforcer:
         if session is not None:
             while len(session):
                 session.pop()
-            TELEMETRY.record_session_reuse()
+            METRICS.counter("solver.sessions_reused").inc()
             return session
         session = self.solver.open_session()
         if config.reuse_sessions:
@@ -365,7 +365,7 @@ class GoalDirectedEnforcer:
         """
         guided = self.solver.config.enable_unsat_cores
         if guided and any(core <= active for core in self._cores):
-            TELEMETRY.record_core_pruned()
+            METRICS.counter("solver.core_pruned_candidates").inc()
             return SolverResult(SolverStatus.UNSAT, reason="unsat-core")
         if session is not None:
             result = session.check()
@@ -375,7 +375,7 @@ class GoalDirectedEnforcer:
             core = frozenset(result.unsat_core or active)
             if core and core not in self._cores:
                 self._cores.append(core)
-                TELEMETRY.record_core_extracted()
+                METRICS.counter("solver.cores_extracted").inc()
         return result
 
     def _disjoint_from_cores(self, branch: BranchConstraint) -> bool:

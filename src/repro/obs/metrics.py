@@ -1,9 +1,9 @@
 """The campaign-wide metrics registry: counters, gauges, duration histograms.
 
 Every layer of the pipeline records into one process-global
-:class:`MetricsRegistry` (:data:`METRICS`): the solver's complete-backend
-effort (behind the :class:`~repro.smt.solver.SolverTelemetry` shim), the
-store layer's load/save/lock activity, the scheduler's per-unit dispatch
+:class:`MetricsRegistry` (:data:`METRICS`): the solver's query, session,
+core-guidance and complete-backend counters (``solver.*``), the store
+layer's load/save/lock activity, the scheduler's per-unit dispatch
 and the stage timers the tracer derives from spans.  The registry is the
 *aggregation* half of the observability subsystem; the event half (spans,
 structured events, JSONL sinks) lives in :mod:`repro.obs.trace`.
@@ -239,8 +239,7 @@ class MetricsRegistry:
         a delta carries the current value.  Metrics absent from the mark
         appear whole; metrics absent from the current state but present in
         the mark are reported at zero (a knob disabling a counter mid-way
-        must skew nothing — the invariant the campaign's telemetry delta
-        shares).
+        must skew nothing).
         """
         return diff_snapshots(mark, self.snapshot())
 

@@ -65,7 +65,6 @@ from repro.smt.evalmodel import Model, evaluate
 from repro.smt.simplify import simplify
 from repro.smt.interval import Interval, interval_of, propagate_intervals
 from repro.smt.solver import (
-    TELEMETRY,
     PortfolioSolver,
     SolverResult,
     SolverSession,
@@ -124,7 +123,6 @@ __all__ = [
     "SolverResult",
     "SolverSession",
     "SolverStatus",
-    "TELEMETRY",
     "ModelSampler",
     "SolverCache",
     "SolverCacheStats",

@@ -18,10 +18,7 @@ via De Morgan so both kinds share one cache, XOR strips operand signs and
 re-applies them to the output, MUX folds a negated condition into a branch
 swap).  Shared subterms across a component's conjuncts therefore encode
 once: fewer variables and clauses reach the SAT core, while
-:meth:`BitBlaster.extract_model` reads back the same models.  The
-``STRUCTURAL_HASHING`` module flag exists only so the legacy benchmark arm
-(:func:`repro.smt.hotpath.legacy_hot_path`) can measure the pre-hashing
-encoder; it is on everywhere else.
+:meth:`BitBlaster.extract_model` reads back the same models.
 """
 
 from __future__ import annotations
@@ -32,12 +29,7 @@ from typing import Dict, List, Tuple
 from repro.smt.cnf import CNF
 from repro.smt.sat import CDCLSolver, SatResult, SatStatus
 from repro.smt.evalmodel import Model
-from repro.smt.terms import Term, TermKind, to_signed
-
-
-#: Gate-level structural hashing switch (see module docstring).  Mutated
-#: only by the legacy benchmark arm; never change it mid-blaster.
-STRUCTURAL_HASHING = True
+from repro.smt.terms import Term, TermKind
 
 
 class BitBlastError(ValueError):
@@ -171,10 +163,6 @@ class BitBlaster:
             literals.append(literal)
             by_literal.setdefault(literal, []).append(conjunct)
         return literals, by_literal
-
-    def variable_bits(self) -> Dict[str, List[int]]:
-        """CNF literals allocated for each bitvector variable (LSB first)."""
-        return dict(self._var_bits)
 
     def skeleton(self) -> CnfSkeleton:
         """Snapshot the accumulated CNF as a persistable :class:`CnfSkeleton`."""
@@ -382,10 +370,6 @@ class BitBlaster:
             return a
         if a == -b:
             return self._false
-        if not STRUCTURAL_HASHING:
-            output = self.cnf.new_var()
-            self.cnf.encode_and(output, (a, b))
-            return output
         if b < a:
             a, b = b, a
         key = (a, b)
@@ -397,16 +381,6 @@ class BitBlaster:
         return output
 
     def _or_gate(self, a: int, b: int) -> int:
-        if not STRUCTURAL_HASHING:
-            if a == self._true or b == self._true:
-                return self._true
-            if a == self._false:
-                return b
-            if b == self._false:
-                return a
-            output = self.cnf.new_var()
-            self.cnf.encode_or(output, (a, b))
-            return output
         # De Morgan: OR(a, b) = -AND(-a, -b).  Routing through the AND cache
         # lets AND and OR gates over the same operands share one definition
         # (and inherits every constant fold of :meth:`_and_gate`).
@@ -425,10 +399,6 @@ class BitBlaster:
             return self._false
         if a == -b:
             return self._true
-        if not STRUCTURAL_HASHING:
-            output = self.cnf.new_var()
-            self.cnf.encode_xor(output, a, b)
-            return output
         # XOR(-a, b) = -XOR(a, b): strip operand signs into an output sign
         # so all four polarity combinations share one definition.
         negate = False
@@ -455,10 +425,6 @@ class BitBlaster:
             return otherwise
         if then == otherwise:
             return then
-        if not STRUCTURAL_HASHING:
-            output = self.cnf.new_var()
-            self.cnf.encode_ite(output, cond, then, otherwise)
-            return output
         if then == -otherwise:
             # mux(c, t, -t) = XNOR(c, t)
             return -self._xor_gate(cond, then)

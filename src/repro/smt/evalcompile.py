@@ -1,64 +1,44 @@
 """Compile term DAGs to straight-line Python evaluators.
 
-Profiling the CDCL-hard enforcement chains shows the recursive interpreter
-in :mod:`repro.smt.evalmodel` — not the SAT core — dominating wall clock:
-the sampler's hill climber evaluates the same conjuncts millions of times,
-paying dict-cache lookups, ``isinstance`` dispatch and Python call overhead
-per DAG node on every evaluation.
+Term evaluation is hot: the sampler's hill climber evaluates the same
+conjuncts millions of times on the CDCL-hard enforcement chains, so per-node
+dispatch and Python call overhead would dominate wall clock.
 
 This module removes that per-evaluation overhead by compiling a term once
 into a generated Python function: a topological walk emits one assignment
-statement per *distinct* subterm (so DAG sharing is preserved exactly like
-the interpreter's memo cache), with all masks and width constants folded
-into integer literals.  Evaluating a term then costs one function call and
-a handful of arithmetic bytecodes.
+statement per *distinct* subterm (so DAG sharing is preserved), with all
+masks and width constants folded into integer literals.  Evaluating a term
+then costs one function call and a handful of arithmetic bytecodes.
 
-The generated code mirrors :func:`repro.smt.evalmodel._eval_uncached`
-expression for expression — same wrap-around semantics, same division and
-shift edge cases, same error message for unassigned variables.  A
-hypothesis differential test pins the two implementations to each other;
-classification parity across the campaign depends on them never diverging.
+The generated code uses the same wrap-around machine semantics as the
+concrete interpreter in :mod:`repro.exec.values`, including its division
+and shift edge cases.  Brute-force oracles in
+``tests/smt/test_solver_oracles.py`` pin it to the simplifier's independent
+constant folder; classification parity across the campaign depends on the
+two never diverging.
 
 Compiled functions are cached by the term's intern id (ids are allocated
 monotonically and never reused, so entries can never alias a different
-term).  Terms whose kind the compiler does not know yield ``None`` and the
-caller falls back to the interpreter.
+term).  A term whose kind the compiler does not know raises
+:class:`~repro.smt.evalmodel.EvaluationError`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping
 
 from repro.smt.terms import Term, TermKind, mask
 
-#: Compiled evaluators (or ``None`` for uncompilable terms) by term id.
-_COMPILED: Dict[int, Optional[Callable[[Mapping[str, int]], int]]] = {}
+#: Compiled evaluators by term id.
+_COMPILED: Dict[int, Callable[[Mapping[str, int]], int]] = {}
 
 
-def compiled_evaluator(
-    term: Term,
-) -> Optional[Callable[[Mapping[str, int]], int]]:
-    """Return a compiled evaluator for ``term`` (``None`` if uncompilable)."""
-    term_id = term._id
-    try:
-        return _COMPILED[term_id]
-    except KeyError:
-        pass
-    try:
-        fn = _compile(term)
-    except _CompileError:
-        fn = None
-    _COMPILED[term_id] = fn
+def compiled_evaluator(term: Term) -> Callable[[Mapping[str, int]], int]:
+    """Return the compiled evaluator for ``term``, compiling it on first use."""
+    fn = _COMPILED.get(term._id)
+    if fn is None:
+        fn = _COMPILED[term._id] = _compile(term)
     return fn
-
-
-def clear_compiled_cache() -> None:
-    """Drop all compiled evaluators (used by tests to bound memory)."""
-    _COMPILED.clear()
-
-
-class _CompileError(Exception):
-    """Internal: the term uses a kind the compiler does not handle."""
 
 
 def _signed(expr: str, width: int) -> str:
@@ -69,6 +49,8 @@ def _signed(expr: str, width: int) -> str:
 
 
 def _compile(term: Term) -> Callable[[Mapping[str, int]], int]:
+    from repro.smt.evalmodel import EvaluationError
+
     # Iterative topological order over the DAG, children before parents.
     order: List[Term] = []
     state: Dict[int, int] = {}  # id -> 0 visiting, 1 done
@@ -199,16 +181,13 @@ def _compile(term: Term) -> Callable[[Mapping[str, int]], int]:
         elif kind is TermKind.IMPLIES:
             expr = f"1 if (not {a}) or {b} else 0"
         else:
-            raise _CompileError(f"cannot compile term kind {kind}")
+            raise EvaluationError(f"cannot evaluate term kind {kind}")
 
         lines.append(f"    {out} = {expr}")
         names[node._id] = out
 
     lines.append(f"    return {ref(term)}")
     source = "\n".join(lines)
-
-    from repro.smt.evalmodel import EvaluationError
-
     namespace: Dict[str, object] = {"_EvaluationError": EvaluationError}
     exec(compile(source, "<term-eval>", "exec"), namespace)
     return namespace["_compiled"]  # type: ignore[return-value]

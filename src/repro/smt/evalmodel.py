@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Union
 
 from repro.smt import evalcompile
-from repro.smt.terms import Term, TermKind, mask, to_signed, truncate
+from repro.smt.terms import Term
 
 
 class EvaluationError(ValueError):
@@ -92,146 +92,17 @@ class Model:
         return Model({k: v for k, v in self._assignment.items() if k in keep})
 
 
-#: When true (the default), :func:`evaluate` dispatches through the
-#: straight-line compiled evaluators of :mod:`repro.smt.evalcompile`.
-#: :func:`repro.smt.hotpath.legacy_hot_path` flips this off so benchmarks
-#: can measure the recursive interpreter as the "before" arm; the
-#: differential tests pin both paths to identical results.
-USE_COMPILED = True
-
-
 def evaluate(term: Term, model: Union[Model, Mapping[str, int]]) -> int:
     """Evaluate ``term`` under ``model``.
 
     Bitvector terms evaluate to unsigned Python integers in ``[0, 2^w)``;
-    boolean terms evaluate to ``0`` or ``1``.
+    boolean terms evaluate to ``0`` or ``1``.  Evaluation runs the term's
+    straight-line compiled evaluator (:mod:`repro.smt.evalcompile`).
     """
-    if USE_COMPILED:
-        fn = evalcompile.compiled_evaluator(term)
-        if fn is not None:
-            # Compiled code only reads the mapping, so the model's own dict
-            # can be passed without the defensive copy the interpreter makes.
-            lookup = model._assignment if isinstance(model, Model) else model
-            return fn(lookup)
-    if isinstance(model, Model):
-        lookup = model.as_dict()
-    else:
-        lookup = dict(model)
-    cache: Dict[int, int] = {}
-    return _eval(term, lookup, cache)
-
-
-def _eval(term: Term, model: Mapping[str, int], cache: Dict[int, int]) -> int:
-    cached = cache.get(id(term))
-    if cached is not None:
-        return cached
-    value = _eval_uncached(term, model, cache)
-    cache[id(term)] = value
-    return value
-
-
-def _eval_uncached(term: Term, model: Mapping[str, int], cache: Dict[int, int]) -> int:
-    kind = term.kind
-    width = term.width
-
-    if kind is TermKind.BV_CONST or kind is TermKind.BOOL_CONST:
-        return int(term.value)
-    if kind is TermKind.BV_VAR:
-        if term.name not in model:
-            raise EvaluationError(f"unassigned bitvector variable {term.name!r}")
-        return truncate(int(model[term.name]), width)
-    if kind is TermKind.BOOL_VAR:
-        if term.name not in model:
-            raise EvaluationError(f"unassigned boolean variable {term.name!r}")
-        return 1 if model[term.name] else 0
-
-    args = [_eval(a, model, cache) for a in term.args]
-
-    # Bitvector arithmetic.
-    if kind is TermKind.ADD:
-        return truncate(args[0] + args[1], width)
-    if kind is TermKind.SUB:
-        return truncate(args[0] - args[1], width)
-    if kind is TermKind.MUL:
-        return truncate(args[0] * args[1], width)
-    if kind is TermKind.UDIV:
-        return mask(width) if args[1] == 0 else truncate(args[0] // args[1], width)
-    if kind is TermKind.UREM:
-        return args[0] if args[1] == 0 else truncate(args[0] % args[1], width)
-    if kind is TermKind.NEG:
-        return truncate(-args[0], width)
-
-    # Bitwise.
-    if kind is TermKind.AND:
-        return args[0] & args[1]
-    if kind is TermKind.OR:
-        return args[0] | args[1]
-    if kind is TermKind.XOR:
-        return args[0] ^ args[1]
-    if kind is TermKind.NOT:
-        return truncate(~args[0], width)
-    if kind is TermKind.SHL:
-        shift = args[1]
-        return 0 if shift >= width else truncate(args[0] << shift, width)
-    if kind is TermKind.LSHR:
-        shift = args[1]
-        return 0 if shift >= width else args[0] >> shift
-    if kind is TermKind.ASHR:
-        shift = min(args[1], width - 1) if args[1] >= width else args[1]
-        signed = to_signed(args[0], term.args[0].width)
-        return truncate(signed >> shift, width)
-
-    # Structural.
-    if kind is TermKind.ZEXT:
-        return args[0]
-    if kind is TermKind.SEXT:
-        return truncate(to_signed(args[0], term.args[0].width), width)
-    if kind is TermKind.EXTRACT:
-        high, low = term.params
-        return (args[0] >> low) & mask(high - low + 1)
-    if kind is TermKind.CONCAT:
-        return (args[0] << term.args[1].width) | args[1]
-    if kind is TermKind.ITE:
-        return args[1] if args[0] else args[2]
-
-    # Comparisons.
-    if kind is TermKind.EQ:
-        return 1 if args[0] == args[1] else 0
-    if kind is TermKind.NE:
-        return 1 if args[0] != args[1] else 0
-    if kind is TermKind.ULT:
-        return 1 if args[0] < args[1] else 0
-    if kind is TermKind.ULE:
-        return 1 if args[0] <= args[1] else 0
-    if kind is TermKind.UGT:
-        return 1 if args[0] > args[1] else 0
-    if kind is TermKind.UGE:
-        return 1 if args[0] >= args[1] else 0
-    opw = term.args[0].width if term.args else None
-    if kind is TermKind.SLT:
-        return 1 if to_signed(args[0], opw) < to_signed(args[1], opw) else 0
-    if kind is TermKind.SLE:
-        return 1 if to_signed(args[0], opw) <= to_signed(args[1], opw) else 0
-    if kind is TermKind.SGT:
-        return 1 if to_signed(args[0], opw) > to_signed(args[1], opw) else 0
-    if kind is TermKind.SGE:
-        return 1 if to_signed(args[0], opw) >= to_signed(args[1], opw) else 0
-
-    # Boolean connectives.
-    if kind is TermKind.BAND:
-        return args[0] & args[1]
-    if kind is TermKind.BOR:
-        return args[0] | args[1]
-    if kind is TermKind.BNOT:
-        return 1 - args[0]
-    if kind is TermKind.BXOR:
-        return args[0] ^ args[1]
-    if kind is TermKind.IMPLIES:
-        return 1 if (not args[0]) or args[1] else 0
-    if kind is TermKind.BITE:
-        return args[1] if args[0] else args[2]
-
-    raise EvaluationError(f"cannot evaluate term kind {kind}")
+    # Compiled code only reads the mapping, so the model's own dict can be
+    # passed without a defensive copy.
+    lookup = model._assignment if isinstance(model, Model) else model
+    return evalcompile.compiled_evaluator(term)(lookup)
 
 
 def satisfies(constraint: Term, model: Union[Model, Mapping[str, int]]) -> bool:

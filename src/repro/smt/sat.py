@@ -9,10 +9,8 @@ The implementation follows the standard conflict-driven clause learning
 recipe: two-watched-literal propagation, first-UIP conflict analysis, VSIDS
 branching with phase saving, Luby restarts and learned-clause deletion.
 
-Unlike the original object-graph implementation (preserved as
-:mod:`repro.smt.sat_reference`), the hot state lives in flat integer
-arrays so propagation and conflict analysis are index arithmetic instead
-of attribute chasing:
+The hot state lives in flat integer arrays so propagation and conflict
+analysis are index arithmetic instead of attribute chasing:
 
 * literals are encoded as **literal indices**: variable ``v`` maps to
   ``2*v`` (positive) and ``2*v + 1`` (negative), so negation is ``idx ^ 1``

@@ -47,12 +47,11 @@ prunes candidate queries subsumed by one (see ``docs/solver.md``).
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import METRICS, MetricsRegistry
+from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.smt import builder as b
 from repro.smt.bitblast import BitBlaster, BitBlastError
@@ -62,7 +61,6 @@ from repro.smt.evalmodel import EvaluationError, Model, satisfies
 from repro.smt.heuristics import try_algebraic_solution
 from repro.smt.interval import Interval, propagate_intervals
 from repro.smt.sampler import ModelSampler, SamplerConfig, split_conjuncts
-from repro.smt.extsat import external_backend
 from repro.smt.sat import CDCLSolver, SatResult, SatStatus
 from repro.smt.simplify import simplify
 from repro.smt.terms import Term, TermKind
@@ -109,16 +107,6 @@ class SolverResult:
         return self.status == SolverStatus.UNKNOWN
 
 
-class ExternalSatParityError(AssertionError):
-    """The external SAT backend and the pure core disagreed on a status.
-
-    Raised only when ``SolverConfig.external_sat_shadow`` is on.  A
-    SAT/UNSAT split between the two complete backends on the same CNF is a
-    soundness bug in one of them; the shadow turns it into a loud failure
-    instead of a silently divergent classification.
-    """
-
-
 @dataclass
 class SolverConfig:
     """Tuning knobs for :class:`PortfolioSolver`."""
@@ -154,22 +142,6 @@ class SolverConfig:
     #: statuses and models are identical
     #: (``repro campaign --no-cnf-skeletons`` disables it).
     enable_cnf_skeletons: bool = True
-    #: Route one-shot complete solves through a native external SAT solver
-    #: (PySAT) when the optional ``python-sat`` package is importable.  Off
-    #: by default: the default configuration must never depend on an
-    #: optional dependency, and cached verdicts are fingerprinted on this
-    #: knob so pure and external stores never mix
-    #: (``repro campaign --external-sat`` enables it,
-    #: ``--no-external-sat`` is the explicit ablation spelling).
-    #: Incremental sessions always use the pure core — its
-    #: assumption/learned-clause API is what push/pop is built on.
-    enable_external_sat: bool = False
-    #: Shadow every external verdict with the pure CDCL core on the same
-    #: CNF and raise on a SAT/UNSAT disagreement (UNKNOWN on either side is
-    #: a budget artifact and compatible with anything).  CI's
-    #: external-sat-smoke job runs with the shadow on; it costs a full pure
-    #: solve per query, so it is a verification mode, not a speed mode.
-    external_sat_shadow: bool = False
 
     def fingerprint(self) -> Tuple:
         """The knobs a cached verdict depends on.
@@ -200,146 +172,19 @@ class SolverConfig:
             self.enable_unsat_cores,
             self.reuse_sessions,
             self.enable_cnf_skeletons,
-            self.enable_external_sat,
-            self.external_sat_shadow,
         )
 
 
-class SolverTelemetry:
-    """Compatibility shim over the campaign-wide metrics registry.
-
-    Historically this class held its own process-wide counters; they now
-    live in :data:`repro.obs.metrics.METRICS` under ``solver.*`` names, so
-    solver effort aggregates with every other layer's metrics, travels
-    through the process-backend wire beside cache deltas, and shows up in
-    trace reports.  The shim preserves the original API — ``record_*``
-    methods, a flat :meth:`snapshot` dict with the legacy key names, and
-    :meth:`reset` — for the benchmarks and tests built on it.
-
-    :meth:`reset` is mark-based: the registry's counters stay monotonic
-    (other observers may be mid-delta), and the shim subtracts its mark,
-    so the observable semantics — counters monotonic between resets — are
-    unchanged.  All methods are thread-safe.
-    """
-
-    #: legacy snapshot key -> registry counter name (snapshot order).
-    _COUNTERS = {
-        "queries": "solver.queries",
-        "session_checks": "solver.session_checks",
-        "bitblast_calls": "solver.bitblast_calls",
-        "cdcl_conflicts": "solver.cdcl_conflicts",
-        "cdcl_decisions": "solver.cdcl_decisions",
-        "cdcl_propagations": "solver.cdcl_propagations",
-        "cores_extracted": "solver.cores_extracted",
-        "core_pruned_candidates": "solver.core_pruned_candidates",
-        "sessions_reused": "solver.sessions_reused",
-        "skeleton_hits": "solver.skeleton_hits",
-        "skeleton_stores": "solver.skeleton_stores",
-        "propagations": "solver.propagations",
-        "sat_decisions": "solver.sat_decisions",
-        "external_calls": "solver.external_calls",
-    }
-
-    #: Registry histogram behind the legacy ``bitblast_seconds`` float.
-    _BITBLAST_HISTOGRAM = "solver.bitblast.seconds"
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._registry = registry if registry is not None else METRICS
-        self._mark: Dict[str, int] = {}
-        self.reset()
-
-    # ------------------------------------------------------------------
-    def _raw(self) -> Dict[str, int]:
-        """Registry-level raw values for every legacy key (ns for time)."""
-        raw = {
-            key: self._registry.counter(name).value
-            for key, name in self._COUNTERS.items()
-        }
-        raw["bitblast_seconds"] = self._registry.histogram(
-            self._BITBLAST_HISTOGRAM
-        ).sum_nanos
-        return raw
-
-    def reset(self) -> None:
-        self._mark = self._raw()
-
-    # ------------------------------------------------------------------
-    def record_query(self, session: bool) -> None:
-        self._registry.counter("solver.queries").inc()
-        if session:
-            self._registry.counter("solver.session_checks").inc()
-
-    def record_core_extracted(self) -> None:
-        """An enforcement loop accumulated a new UNSAT core."""
-        self._registry.counter("solver.cores_extracted").inc()
-
-    def record_core_pruned(self) -> None:
-        """An enforcement candidate query was answered by core subsumption."""
-        self._registry.counter("solver.core_pruned_candidates").inc()
-
-    def record_session_reuse(self) -> None:
-        """A per-site session was reused for another observation."""
-        self._registry.counter("solver.sessions_reused").inc()
-
-    def record_skeleton_hit(self) -> None:
-        """A bit-blast was replayed from a stored CNF skeleton."""
-        self._registry.counter("solver.skeleton_hits").inc()
-
-    def record_skeleton_store(self) -> None:
-        """A fresh bit-blast's CNF skeleton was stored for reuse."""
-        self._registry.counter("solver.skeleton_stores").inc()
-
-    def record_bitblast(self, elapsed: float, result: Optional[SatResult]) -> None:
-        self._registry.counter("solver.bitblast_calls").inc()
-        self._registry.histogram(self._BITBLAST_HISTOGRAM).observe(elapsed)
-        if result is not None:
-            self._registry.counter("solver.cdcl_conflicts").inc(result.conflicts)
-            self._registry.counter("solver.cdcl_decisions").inc(result.decisions)
-            self._registry.counter("solver.cdcl_propagations").inc(
-                result.propagations
-            )
-            # Flattened-loop work counters: wire-merged like every other
-            # ``solver.*`` name, so the propagation/decision volume of the
-            # SAT core is visible in ``campaign --json`` and trace reports
-            # regardless of which complete backend ran.
-            self._registry.counter("solver.propagations").inc(result.propagations)
-            self._registry.counter("solver.sat_decisions").inc(result.decisions)
-
-    def record_external_solve(self) -> None:
-        """A complete solve ran on the external (PySAT) backend."""
-        self._registry.counter("solver.external_calls").inc()
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, float]:
-        raw = self._raw()
-        out: Dict[str, float] = {}
-        for key in (
-            "queries",
-            "session_checks",
-            "bitblast_calls",
-            "bitblast_seconds",
-            "cdcl_conflicts",
-            "cdcl_decisions",
-            "cdcl_propagations",
-            "cores_extracted",
-            "core_pruned_candidates",
-            "sessions_reused",
-            "skeleton_hits",
-            "skeleton_stores",
-            "propagations",
-            "sat_decisions",
-            "external_calls",
-        ):
-            value = raw[key] - self._mark.get(key, 0)
-            if key == "bitblast_seconds":
-                out[key] = round(value / 1e9, 6)
-            else:
-                out[key] = value
-        return out
-
-
-#: The process-wide telemetry instance (see :class:`SolverTelemetry`).
-TELEMETRY = SolverTelemetry()
+def _record_bitblast(started: float, result: Optional[SatResult]) -> None:
+    """Count one complete-backend call and the CDCL work it did."""
+    METRICS.counter("solver.bitblast_calls").inc()
+    METRICS.histogram("solver.bitblast.seconds").observe(
+        time.perf_counter() - started
+    )
+    if result is not None:
+        METRICS.counter("solver.cdcl_conflicts").inc(result.conflicts)
+        METRICS.counter("solver.cdcl_decisions").inc(result.decisions)
+        METRICS.counter("solver.cdcl_propagations").inc(result.propagations)
 
 
 def _translate_core(
@@ -444,10 +289,10 @@ class PortfolioSolver:
     def check(self, constraints: Iterable[Term]) -> SolverResult:
         """Decide the conjunction of ``constraints``."""
         with TRACER.span("solve", session=False) as span:
-            mark = METRICS.counter("solver.propagations").value
+            mark = METRICS.counter("solver.cdcl_propagations").value
             started = time.perf_counter()
             self.query_count += 1
-            TELEMETRY.record_query(session=False)
+            METRICS.counter("solver.queries").inc()
             constraint_list = [simplify(c) for c in constraints]
             stages: List[str] = []
 
@@ -471,7 +316,7 @@ class PortfolioSolver:
                 # Propagation-loop work attributed to this solve, so trace
                 # reports can rank queries by SAT-core effort, not just wall.
                 span.attrs["propagations"] = (
-                    METRICS.counter("solver.propagations").value - mark
+                    METRICS.counter("solver.cdcl_propagations").value - mark
                 )
 
     def open_session(self) -> "SolverSession":
@@ -486,10 +331,11 @@ class PortfolioSolver:
     def _check_session(self, session: "SolverSession") -> SolverResult:
         """Decide a session's conjunction (see :meth:`SolverSession.check`)."""
         with TRACER.span("solve", session=True) as span:
-            mark = METRICS.counter("solver.propagations").value
+            mark = METRICS.counter("solver.cdcl_propagations").value
             started = time.perf_counter()
             self.query_count += 1
-            TELEMETRY.record_query(session=True)
+            METRICS.counter("solver.queries").inc()
+            METRICS.counter("solver.session_checks").inc()
             stages: List[str] = ["simplify"]
             conjuncts = list(session.conjuncts)
 
@@ -508,7 +354,7 @@ class PortfolioSolver:
                 )
             finally:
                 span.attrs["propagations"] = (
-                    METRICS.counter("solver.propagations").value - mark
+                    METRICS.counter("solver.cdcl_propagations").value - mark
                 )
 
     def solve_for_model(self, constraints: Iterable[Term]) -> Optional[Model]:
@@ -930,34 +776,6 @@ class PortfolioSolver:
         # useful amount of time, so the portfolio degrades to UNKNOWN instead.
         return wide_multiplications <= 2
 
-    def _complete_solve(self, cnf) -> SatResult:
-        """Run the complete backend on a blasted CNF (one-shot path).
-
-        The pure :class:`CDCLSolver` is the default.  When
-        ``enable_external_sat`` is on and ``python-sat`` is importable the
-        query runs on the external backend instead — with the optional
-        shadow re-solving it on the pure core and refusing to continue on a
-        SAT/UNSAT disagreement, so an external run can never classify
-        differently without failing loudly.  Incremental sessions never
-        route here; they are built on the pure core's assumption API.
-        """
-        budget = self.config.bitblast_max_conflicts
-        if self.config.enable_external_sat:
-            backend = external_backend(cnf, max_conflicts=budget)
-            if backend is not None:
-                result = backend.solve()
-                TELEMETRY.record_external_solve()
-                if self.config.external_sat_shadow:
-                    pure = CDCLSolver(cnf, max_conflicts=budget).solve()
-                    statuses = {result.status, pure.status}
-                    if SatStatus.UNKNOWN not in statuses and len(statuses) > 1:
-                        raise ExternalSatParityError(
-                            f"external backend said {result.status}, "
-                            f"pure CDCL said {pure.status}"
-                        )
-                return result
-        return CDCLSolver(cnf, max_conflicts=budget).solve()
-
     def _bitblast(self, conjuncts: Sequence[Term]) -> Tuple[str, Optional[Model]]:
         if self.cache is not None and self.config.enable_cnf_skeletons:
             via_skeleton = self._bitblast_via_skeleton(conjuncts)
@@ -967,11 +785,13 @@ class PortfolioSolver:
         try:
             blaster = BitBlaster()
             blaster.assert_all(conjuncts)
-            result = self._complete_solve(blaster.cnf)
+            result = CDCLSolver(
+                blaster.cnf, max_conflicts=self.config.bitblast_max_conflicts
+            ).solve()
         except (BitBlastError, RecursionError, MemoryError):
-            TELEMETRY.record_bitblast(time.perf_counter() - started, None)
+            _record_bitblast(started, None)
             return SatStatus.UNKNOWN, None
-        TELEMETRY.record_bitblast(time.perf_counter() - started, result)
+        _record_bitblast(started, result)
         if result.status == SatStatus.SAT:
             return SatStatus.SAT, blaster.extract_model(result)
         return result.status, None
@@ -1004,21 +824,23 @@ class PortfolioSolver:
                 blaster = BitBlaster()
                 blaster.assert_all(system.conjuncts)
             except (BitBlastError, RecursionError, MemoryError):
-                TELEMETRY.record_bitblast(time.perf_counter() - started, None)
+                _record_bitblast(started, None)
                 return SatStatus.UNKNOWN, None
             skeleton = blaster.skeleton()
             if self.cache.store_cnf(system.conjuncts, skeleton):
-                TELEMETRY.record_skeleton_store()
+                METRICS.counter("solver.skeleton_stores").inc()
             cnf = blaster.cnf
         else:
-            TELEMETRY.record_skeleton_hit()
+            METRICS.counter("solver.skeleton_hits").inc()
             cnf = skeleton.build_cnf()
         try:
-            result = self._complete_solve(cnf)
+            result = CDCLSolver(
+                cnf, max_conflicts=self.config.bitblast_max_conflicts
+            ).solve()
         except (RecursionError, MemoryError):
-            TELEMETRY.record_bitblast(time.perf_counter() - started, None)
+            _record_bitblast(started, None)
             return SatStatus.UNKNOWN, None
-        TELEMETRY.record_bitblast(time.perf_counter() - started, result)
+        _record_bitblast(started, result)
         if result.status != SatStatus.SAT:
             return result.status, None
         model = skeleton.extract_model(result)
@@ -1159,9 +981,9 @@ class SolverSession:
             # The session's accumulated CNF blew a resource limit the
             # current (smaller) conjunction alone would not; same policy
             # as the budget case below — retry fresh.
-            TELEMETRY.record_bitblast(time.perf_counter() - started, None)
+            _record_bitblast(started, None)
             return self.solver._bitblast(conjuncts)
-        TELEMETRY.record_bitblast(time.perf_counter() - started, result)
+        _record_bitblast(started, result)
         if result.status == SatStatus.UNKNOWN:
             # The per-call conflict budget ran out under the session's
             # inherited search state (learned clauses, activities, phases).

@@ -22,7 +22,8 @@ from repro.core.target import extract_target_observations
 from repro.formats.fields import Endianness, FieldKind, FieldSpec
 from repro.formats.spec import FormatSpec
 from repro.lang.program import Program
-from repro.smt.solver import TELEMETRY, PortfolioSolver, SolverConfig
+from repro.obs.metrics import METRICS, counter_value
+from repro.smt.solver import PortfolioSolver, SolverConfig
 
 # One immediately-exposed site, one site whose target constraint is
 # unsatisfiable (16-bit quantity * 4 cannot exceed the overflow bound), and
@@ -131,14 +132,14 @@ class TestCoreAccumulation:
         observation = _observation(app, "narrow.c@3")
         first = enforcer.run(observation)
 
-        before = TELEMETRY.snapshot()
+        mark = METRICS.snapshot()
         second = enforcer.run(observation)
-        after = TELEMETRY.snapshot()
+        delta = METRICS.delta(mark)
 
         assert second.outcome is first.outcome
-        assert after["core_pruned_candidates"] == before["core_pruned_candidates"] + 1
+        assert counter_value(delta, "solver.core_pruned_candidates") == 1
         # The pruned β query never reached the solver.
-        assert after["session_checks"] == before["session_checks"]
+        assert counter_value(delta, "solver.session_checks") == 0
 
     def test_unguided_rerun_pays_the_solver_call(self, app):
         enforcer = _enforcer(app, SolverConfig(enable_unsat_cores=False))
@@ -146,25 +147,25 @@ class TestCoreAccumulation:
         enforcer.run(observation)
         assert enforcer.accumulated_cores == ()
 
-        before = TELEMETRY.snapshot()
+        mark = METRICS.snapshot()
         enforcer.run(observation)
-        after = TELEMETRY.snapshot()
-        assert after["session_checks"] > before["session_checks"]
-        assert after["core_pruned_candidates"] == before["core_pruned_candidates"]
+        delta = METRICS.delta(mark)
+        assert counter_value(delta, "solver.session_checks") > 0
+        assert counter_value(delta, "solver.core_pruned_candidates") == 0
 
 
 class TestSessionReuse:
     def test_site_session_is_reused_across_observations(self, app):
         enforcer = _enforcer(app, SolverConfig(enable_unsat_cores=False))
         observation = _observation(app, "capped.c@2")
-        before = TELEMETRY.snapshot()
+        mark = METRICS.snapshot()
         first = enforcer.run(observation)
         session = enforcer._session
         assert session is not None
         second = enforcer.run(observation)
-        after = TELEMETRY.snapshot()
+        delta = METRICS.delta(mark)
         assert enforcer._session is session
-        assert after["sessions_reused"] == before["sessions_reused"] + 1
+        assert counter_value(delta, "solver.sessions_reused") == 1
         assert first.outcome is second.outcome
         # The reused session was popped back before the second observation:
         # its stack holds only the second run's frames.
@@ -175,9 +176,9 @@ class TestSessionReuse:
             app, SolverConfig(reuse_sessions=False, enable_unsat_cores=False)
         )
         observation = _observation(app, "capped.c@2")
-        before = TELEMETRY.snapshot()
+        mark = METRICS.snapshot()
         enforcer.run(observation)
         assert enforcer._session is None
         enforcer.run(observation)
-        after = TELEMETRY.snapshot()
-        assert after["sessions_reused"] == before["sessions_reused"]
+        delta = METRICS.delta(mark)
+        assert counter_value(delta, "solver.sessions_reused") == 0

@@ -9,7 +9,7 @@ patterns legitimately depend on unit interleaving).
 
 from __future__ import annotations
 
-from repro.core.campaign import CampaignConfig, run_campaign, telemetry_delta
+from repro.core.campaign import CampaignConfig, run_campaign
 from repro.obs.metrics import counter_value
 from repro.obs.report import load_trace_dir, stage_summaries, unit_summaries
 
@@ -92,24 +92,7 @@ class TestMetricsAggregation:
         assert serial.classifications() == process.classifications()
         assert _counters(serial) == _counters(process)
 
-    def test_solver_telemetry_still_reported(self):
+    def test_solver_counters_reported_in_metrics(self):
         result = _run()
-        assert result.solver_telemetry is not None
-        assert result.solver_telemetry["queries"] > 0
-        assert counter_value(result.metrics, "solver.queries") == int(
-            result.solver_telemetry["queries"]
-        )
-
-
-class TestTelemetryDelta:
-    def test_tolerates_keys_only_in_final(self):
-        delta = telemetry_delta({"queries": 3}, {"queries": 10, "new_counter": 4})
-        assert delta == {"new_counter": 4, "queries": 7}
-
-    def test_tolerates_keys_only_in_mark(self):
-        delta = telemetry_delta({"queries": 3, "gone": 5}, {"queries": 10})
-        assert delta == {"gone": -5, "queries": 7}
-
-    def test_rounds_float_values(self):
-        delta = telemetry_delta({"t": 0.1}, {"t": 0.30000001})
-        assert delta == {"t": 0.2}
+        assert counter_value(result.metrics, "solver.queries") > 0
+        assert counter_value(result.metrics, "solver.session_checks") > 0

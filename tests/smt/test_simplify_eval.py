@@ -228,7 +228,7 @@ class TestEvaluator:
         assert evaluate(x, {"x": 513}) == 513
 
     def test_unassigned_variable_raises(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match="unassigned bitvector variable 'missing'"):
             evaluate(b.bv_var("missing", 8), {})
 
     def test_wrapping_mul(self):
