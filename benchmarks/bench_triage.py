@@ -15,7 +15,12 @@ The acceptance bar of the triage subsystem, enforced as three gates:
 3. **warm skip-known** — a warm-corpus ``--skip-known`` campaign finishes
    strictly faster than the cold campaign that populated the corpus while
    reporting byte-identical classifications (skipped sites answered from
-   replayed witnesses, everything else re-analyzed).
+   replayed witnesses, everything else re-analyzed);
+4. **goal-directed minimization counts** (deterministic) — minimizing every
+   registry witness spends at most :data:`MAX_TRIAGE_WITNESS_RUNS` concrete
+   runs, and every minimized field is 1-minimal (one step toward the seed
+   baseline loses the overflow or a root operator kind) unless the
+   minimizer recorded it as a concrete-bisection fallback.
 
 Emits a machine-readable ``BENCH_triage.json`` artifact; set
 ``BENCH_ARTIFACT_DIR`` to redirect it.  Standalone::
@@ -48,6 +53,9 @@ DEDUP_ARMS = (
 )
 
 ARTIFACT_NAME = "BENCH_triage.json"
+
+#: Concrete witness runs the minimizer may spend over the whole registry.
+MAX_TRIAGE_WITNESS_RUNS = 40
 
 
 def _run(corpus_dir: Optional[str] = None, **overrides) -> CampaignResult:
@@ -271,10 +279,107 @@ def print_skip_known(measurement: SkipKnownMeasurement) -> None:
 
 
 # ----------------------------------------------------------------------
+# Gate 4: goal-directed minimization counts
+# ----------------------------------------------------------------------
+@dataclass
+class MinimizationCountMeasurement:
+    witness_runs: int
+    campaign_witness_runs: int
+    fields: int
+    one_minimal: int
+    fallbacks: List[str]
+
+    def gates(self) -> List[str]:
+        failures = []
+        if self.witness_runs > MAX_TRIAGE_WITNESS_RUNS:
+            failures.append(
+                f"minimization spent {self.witness_runs} witness runs "
+                f"(ceiling {MAX_TRIAGE_WITNESS_RUNS})"
+            )
+        if self.campaign_witness_runs != self.witness_runs:
+            failures.append(
+                f"campaign counted {self.campaign_witness_runs} triage witness "
+                f"runs, direct minimization {self.witness_runs}"
+            )
+        if self.one_minimal + len(self.fallbacks) != self.fields:
+            failures.append(
+                f"only {self.one_minimal}/{self.fields} minimized fields are "
+                f"1-minimal ({len(self.fallbacks)} recorded fallbacks)"
+            )
+        return failures
+
+
+def run_minimization_counts() -> MinimizationCountMeasurement:
+    """Minimize every registry witness with its site's enforcement result.
+
+    A serial campaign keeps each site's in-process enforcement result, so
+    its witnesses are minimized again here directly, exactly as the
+    campaign's triage pass did, to read each outcome's recorded fallbacks.
+    """
+    from repro.apps import all_applications
+    from repro.triage.minimize import WitnessMinimizer
+
+    applications = {app.name: app for app in all_applications()}
+    campaign = _run(backend="serial", jobs=1)
+    campaign_runs = (
+        campaign.metrics["metrics"].get("triage.witness_runs", {}).get("value", 0)
+    )
+    witness_runs = fields = one_minimal = 0
+    fallbacks: List[str] = []
+    for app_result in campaign.application_results:
+        minimizer = WitnessMinimizer(applications[app_result.application])
+        for site_result in app_result.site_results:
+            report = site_result.bug_report
+            if report is None:
+                continue
+            label = site_result.site.site_label
+            outcome = minimizer.minimize(
+                label, report.triggering_field_values, site_result.enforcement
+            )
+            witness_runs += outcome.attempts
+            for path, value in outcome.field_values.items():
+                fields += 1
+                if path in outcome.fallback_fields:
+                    fallbacks.append(f"{site_result.site.name}:{path}")
+                    continue
+                baseline = minimizer.baseline_value(path)
+                step = value - 1 if value > baseline else value + 1
+                data = minimizer.generator.generate_from_fields(
+                    {**outcome.field_values, path: step}
+                ).data
+                evaluation = minimizer.detector.evaluate(data, label)
+                if not evaluation.triggers_overflow or not set(
+                    outcome.root_kinds
+                ) <= set(evaluation.wrap_provenance):
+                    one_minimal += 1
+    return MinimizationCountMeasurement(
+        witness_runs=witness_runs,
+        campaign_witness_runs=campaign_runs,
+        fields=fields,
+        one_minimal=one_minimal,
+        fallbacks=fallbacks,
+    )
+
+
+def print_minimization_counts(measurement: MinimizationCountMeasurement) -> None:
+    print("\n=== Goal-directed minimization: witness runs and 1-minimality ===")
+    print(
+        f"triage witness runs  : {measurement.witness_runs} "
+        f"(campaign counter {measurement.campaign_witness_runs}, "
+        f"ceiling {MAX_TRIAGE_WITNESS_RUNS})"
+    )
+    print(
+        f"1-minimal fields     : {measurement.one_minimal}/{measurement.fields} "
+        f"(fallbacks: {', '.join(measurement.fallbacks) or 'none'})"
+    )
+
+
+# ----------------------------------------------------------------------
 def artifact_payload(
     dedup: DedupMeasurement,
     minimization: MinimizationMeasurement,
     skip: SkipKnownMeasurement,
+    counts: MinimizationCountMeasurement,
 ) -> dict:
     return {
         "benchmark": "triage",
@@ -307,6 +412,14 @@ def artifact_payload(
             "speedup": round(skip.speedup, 3),
             "skipped": skip.warm.skipped_known,
         },
+        "minimization_counts": {
+            "witness_runs": counts.witness_runs,
+            "campaign_witness_runs": counts.campaign_witness_runs,
+            "max_witness_runs": MAX_TRIAGE_WITNESS_RUNS,
+            "fields": counts.fields,
+            "one_minimal": counts.one_minimal,
+            "fallbacks": counts.fallbacks,
+        },
     }
 
 
@@ -337,6 +450,13 @@ def test_minimized_witnesses_reverify_and_skip_known_preserves_parity(benchmark)
     assert minimization.gates() == []
 
 
+@pytest.mark.benchmark(group="triage")
+def test_minimization_stays_within_its_witness_runs_and_is_one_minimal(benchmark):
+    measurement = benchmark.pedantic(run_minimization_counts, rounds=1, iterations=1)
+    print_minimization_counts(measurement)
+    assert measurement.gates() == []
+
+
 def main() -> int:
     dedup = run_dedup()
     print_dedup(dedup)
@@ -344,13 +464,15 @@ def main() -> int:
     print_minimization(minimization)
     skip = run_skip_known()
     print_skip_known(skip)
+    counts = run_minimization_counts()
+    print_minimization_counts(counts)
 
     path = write_artifact(
-        artifact_payload(dedup, minimization, skip), name=ARTIFACT_NAME
+        artifact_payload(dedup, minimization, skip, counts), name=ARTIFACT_NAME
     )
     print(f"\nartifact written     : {path}")
 
-    failures = dedup.gates() + minimization.gates() + skip.gates()
+    failures = dedup.gates() + minimization.gates() + skip.gates() + counts.gates()
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:

@@ -569,7 +569,8 @@ class CampaignEngine:
         the worker side (the process backend's witness payloads) are
         adopted from their wire form; the rest run through a
         per-application :class:`WitnessTriager` sharing the campaign's
-        seed-run detector.
+        seed-run detector, with the site's enforcement result to steer
+        minimization.
         """
         from repro.triage.corpus import WitnessRecord, merge_records
         from repro.triage.engine import TriageStats, WitnessTriager
@@ -603,7 +604,9 @@ class CampaignEngine:
                             minimize=self.config.minimize_witnesses,
                         )
                         triagers[context.index] = triager
-                    record = triager.triage(site, result.bug_report)
+                    record = triager.triage(
+                        site, result.bug_report, result.enforcement
+                    )
                 if record is None:
                     stats.validation_failures += 1
                     continue

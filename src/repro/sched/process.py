@@ -266,7 +266,7 @@ def _worker_run(
     witness_wire: Optional[dict] = None
     if state.triage and result.bug_report is not None:
         record = state.triager_for(unit.app_index).triage(
-            context.sites[unit.site_index], result.bug_report
+            context.sites[unit.site_index], result.bug_report, result.enforcement
         )
         witness_wire = None if record is None else record.to_wire()
 

@@ -11,8 +11,9 @@ overflow after the campaign finds it:
   found via different field values, schedules or backends dedupes to one
   record;
 * :mod:`repro.triage.minimize` — ddmin-style reduction of the triggering
-  field values plus per-field shrink-toward-baseline, every candidate
-  re-validated by a concrete overflow-witness run;
+  field values plus per-field shrink-toward-baseline, steered by the
+  site's symbolic target constraint, every accepted candidate re-validated
+  by a concrete overflow-witness run;
 * :mod:`repro.triage.corpus` — the persistent witness corpus: versioned,
   fingerprint-stamped, sharded JSON with merge-on-save semantics, so
   parallel campaigns and process-backend workers converge on one deduped

@@ -7,8 +7,10 @@ given one :class:`~repro.core.report.OverflowBugReport` it
 1. re-validates the witness with a concrete overflow-witness run —
    preferring a rebuild from the triggering *field values* (the minimizable
    representation), falling back to the raw triggering input bytes when the
-   field vocabulary cannot express the witness;
-2. minimizes the field values (:mod:`repro.triage.minimize`);
+   field vocabulary cannot express the witness; when minimizing, a rebuild
+   byte-identical to the input enforcement already ran reuses that run;
+2. minimizes the field values (:mod:`repro.triage.minimize`), goal-directed
+   by the site's enforcement result when the caller passes it;
 3. extracts the wrapped-op provenance of the final witness run and mints
    the canonical signature (:mod:`repro.triage.signature`);
 4. emits a corpus-ready :class:`~repro.triage.corpus.WitnessRecord`.
@@ -32,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.appbase import Application
 from repro.core.detection import CandidateEvaluation, ErrorDetector
+from repro.core.enforcement import EnforcementResult
 from repro.core.inputs import InputGenerator
 from repro.core.report import OverflowBugReport
 from repro.core.sites import TargetSite, identify_target_sites
@@ -153,21 +156,33 @@ class WitnessTriager:
 
     # ------------------------------------------------------------------
     def triage(
-        self, site: TargetSite, report: OverflowBugReport
+        self,
+        site: TargetSite,
+        report: OverflowBugReport,
+        enforcement: Optional[EnforcementResult] = None,
     ) -> Optional[WitnessRecord]:
-        """Validate, minimize and sign one bug report; ``None`` if bogus."""
+        """Validate, minimize and sign one bug report; ``None`` if bogus.
+
+        ``enforcement`` is the site's in-process enforcement result; when
+        given, minimization is goal-directed (:mod:`repro.triage.minimize`).
+        """
         with TRACER.span(
             "triage", application=self.application.name, site=site.name
         ):
-            return self._triage(site, report)
+            return self._triage(site, report, enforcement)
 
     def _triage(
-        self, site: TargetSite, report: OverflowBugReport
+        self,
+        site: TargetSite,
+        report: OverflowBugReport,
+        enforcement: Optional[EnforcementResult],
     ) -> Optional[WitnessRecord]:
         field_values = dict(report.triggering_field_values)
 
         if self.minimize:
-            outcome = self.minimizer.minimize(site.site_label, field_values)
+            outcome = self.minimizer.minimize(
+                site.site_label, field_values, enforcement
+            )
             if outcome.validated:
                 return self._record(
                     site,

@@ -105,6 +105,44 @@ class TestMinimize:
         # Validation still succeeded (the first run is the original witness).
         assert outcome.validated
 
+    def test_enforcement_witness_seeds_the_memo(self, dillo, exposed_site):
+        """No candidate runs twice, and enforcement's own witness runs never."""
+        detector = ErrorDetector(dillo.program, dillo.seed_input)
+        ran = []
+        evaluate = detector.evaluate
+
+        def counting(candidate, site_label):
+            ran.append(candidate)
+            return evaluate(candidate, site_label)
+
+        detector.evaluate = counting
+        minimizer = WitnessMinimizer(dillo, detector=detector)
+        enforcement = exposed_site.enforcement
+        outcome = minimizer.minimize(
+            exposed_site.site.site_label,
+            exposed_site.bug_report.triggering_field_values,
+            enforcement,
+        )
+        assert outcome.validated
+        assert outcome.root_kinds == ("mul",)
+        assert outcome.attempts == len(ran) == len(set(ran))
+        assert enforcement.triggering_input not in ran
+
+    def test_goal_direction_spends_fewer_runs(self, dillo, detector, exposed_site):
+        site_label = exposed_site.site.site_label
+        values = exposed_site.bug_report.triggering_field_values
+        concrete = WitnessMinimizer(dillo, detector=detector).minimize(
+            site_label, values
+        )
+        directed = WitnessMinimizer(dillo, detector=detector).minimize(
+            site_label, values, exposed_site.enforcement
+        )
+        assert set(directed.field_values) == set(concrete.field_values)
+        assert directed.attempts < concrete.attempts
+        assert directed.evaluation.wrap_provenance == (
+            concrete.evaluation.wrap_provenance
+        )
+
     def test_baseline_value_reads_the_seed(self, dillo, detector):
         minimizer = WitnessMinimizer(dillo, detector=detector)
         spec = dillo.format_spec
