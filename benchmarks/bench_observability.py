@@ -5,8 +5,8 @@ stage of every campaign unit must not meaningfully slow the campaign down
 or change anything it computes.  This harness measures and gates:
 
 1. **Overhead** — a registry campaign with a ``trace_dir`` (full JSONL
-   span emission *plus* the live event stream with its JSONL event sink
-   and heartbeat thread) must finish within ``MAX_OVERHEAD`` of the same
+   span emission *plus* the event stream with its JSONL event sink)
+   must finish within ``MAX_OVERHEAD`` of the same
    campaign with all instrumentation off (``events=False``, no trace),
    and classifications must be identical.
 2. **Coverage** — for every traced unit, the durations of its direct

@@ -9,7 +9,6 @@ Six subcommands cover the common workflows::
     python -m repro.cli campaign --backend process --jobs 4 --cache-dir .diode-cache
     python -m repro.cli campaign --corpus-dir .diode-corpus --skip-known
     python -m repro.cli campaign --trace-dir .diode-trace  # structured run trace
-    python -m repro.cli campaign --progress                # live progress line
     python -m repro.cli replay --corpus-dir .diode-corpus  # regression replay
     python -m repro.cli trace --trace-dir .diode-trace     # render the trace
     python -m repro.cli events --trace-dir .diode-trace    # event-log summary
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -173,6 +173,17 @@ def _positive_int(value: str) -> int:
     return jobs
 
 
+def _positive_float(value: str) -> float:
+    """argparse type for ``--poll``: a finite number of seconds > 0."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a number")
+    if not math.isfinite(seconds) or seconds <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0 seconds (got {value})")
+    return seconds
+
+
 def _store_block(metrics: Optional[dict]) -> dict:
     """The ``store`` summary of a campaign's metrics delta (lock visibility)."""
     from repro.obs.metrics import counter_value, histogram_stats
@@ -204,13 +215,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.no_events and (args.progress or args.watchdog):
-        print(
-            "--progress and --watchdog are driven by the event stream; "
-            "drop --no-events to use them",
-            file=sys.stderr,
-        )
-        return 2
     config = CampaignConfig(
         jobs=args.jobs,
         use_cache=not args.no_cache,
@@ -224,8 +228,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         skip_known=args.skip_known,
         trace_dir=args.trace_dir,
         events=not args.no_events,
-        watchdog=args.watchdog,
-        progress=args.progress,
     )
     if args.no_incremental:
         config.diode.solver.enable_sessions = False
@@ -358,8 +360,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(
             f"event stream: {sum(event_counts.values())} events "
             f"({event_count(result.events, 'unit.finished')} units finished, "
-            f"{event_count(result.events, 'unit.failed')} failed, "
-            f"{event_count(result.events, 'unit.straggler')} stragglers)"
+            f"{event_count(result.events, 'unit.failed')} failed)"
         )
     if args.trace_dir:
         print(
@@ -633,9 +634,7 @@ def _cmd_events(args: argparse.Namespace) -> int:
     counts = {summary.name: summary.count for summary in summaries}
     print(
         f"\n{counts.get('unit.finished', 0)} unit(s) finished, "
-        f"{counts.get('unit.failed', 0)} failed, "
-        f"{counts.get('unit.straggler', 0)} straggler(s), "
-        f"{counts.get('worker.up', 0)} worker(s)"
+        f"{counts.get('unit.failed', 0)} failed"
     )
     return 0
 
@@ -894,28 +893,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-events",
         action="store_true",
         help=(
-            "disable the live event stream (unit lifecycle, heartbeats, "
-            "cache hit/miss, worker up/down; the ablation arm — "
-            "classifications are identical either way)"
-        ),
-    )
-    campaign.add_argument(
-        "--progress",
-        action="store_true",
-        help=(
-            "render a live done/in-flight/stragglers/ETA line on stderr, "
-            "driven by the event stream (works with every backend, "
-            "including process-pool workers)"
-        ),
-    )
-    campaign.add_argument(
-        "--watchdog",
-        action="store_true",
-        help=(
-            "flag in-flight units exceeding a quantile-based deadline "
-            "derived from this run's own stage.unit.seconds distribution "
-            "(unit.straggler event + campaign.stragglers counter + warning "
-            "line; detection only — flagged units run to completion)"
+            "disable the event stream (unit lifecycle, cache hit/miss, "
+            "store lock waits; the ablation arm — classifications are "
+            "identical either way)"
         ),
     )
     campaign.add_argument("--json", action="store_true", help="emit JSON")
@@ -1023,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     events.add_argument(
         "--poll",
-        type=float,
+        type=_positive_float,
         default=0.5,
         metavar="SECONDS",
         help="with --follow: poll interval (default: 0.5)",

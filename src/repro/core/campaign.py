@@ -72,9 +72,7 @@ from repro.core.report import (
 )
 from repro.obs import events as ev
 from repro.obs.metrics import METRICS
-from repro.obs.progress import ProgressRenderer
 from repro.obs.trace import TRACER, JsonlSink, ensure_trace_dir
-from repro.obs.watchdog import StragglerWatchdog
 from repro.sched import (
     ApplicationContext,
     CampaignUnit,
@@ -145,26 +143,12 @@ class CampaignConfig:
     #: duration histograms in :data:`repro.obs.metrics.METRICS` are
     #: recorded either way.  Rendered afterwards by ``repro trace``.
     trace_dir: Optional[str] = None
-    #: Enable the live event stream (:mod:`repro.obs.events`): unit
-    #: lifecycle, heartbeats, cache hit/miss, store lock waits, worker
-    #: up/down.  ``False`` is the ablation arm (``campaign --no-events``)
-    #: the classification-parity tests hold the stream against.  With a
-    #: ``trace_dir`` the events are also persisted as
-    #: ``events-<pid>.jsonl`` beside the spans.
+    #: Enable the campaign event stream (:mod:`repro.obs.events`): unit
+    #: lifecycle, cache hit/miss and store lock waits.  ``False`` is the
+    #: ablation arm (``campaign --no-events``) the classification-parity
+    #: tests hold the stream against.  With a ``trace_dir`` the events are
+    #: also persisted as ``events-<pid>.jsonl`` beside the spans.
     events: bool = True
-    #: Start the straggler watchdog (:mod:`repro.obs.watchdog`): flags
-    #: in-flight units exceeding a quantile-based deadline derived from
-    #: the run's own ``stage.unit.seconds`` distribution.  Off by default
-    #: because the ``campaign.stragglers`` counter is inherently
-    #: timing-dependent, and default-on would break the backend
-    #: counter-parity invariant on loaded machines.  Requires ``events``.
-    watchdog: bool = False
-    #: Render the live done/in-flight/stragglers/ETA progress line on
-    #: stderr (``campaign --progress``).  Requires ``events``.
-    progress: bool = False
-    #: Cadence of ``unit.heartbeat`` events for in-flight units, in the
-    #: campaign parent and in every process-backend worker.
-    heartbeat_seconds: float = 0.5
 
     def resolved_jobs(self) -> int:
         if self.jobs is None:
@@ -225,7 +209,7 @@ class CampaignResult:
     #: identical for any backend and worker count on schedule-independent
     #: workloads.
     metrics: Optional[dict] = None
-    #: Wire-form per-name event-count delta of the live event stream
+    #: Wire-form per-name event-count delta of the campaign event stream
     #: (:data:`repro.obs.events.EVENTS`) across the run.  Includes
     #: process-backend workers the same way ``metrics`` does — each unit
     #: ships its event-count delta back and the parent merges.  ``None``
@@ -319,10 +303,6 @@ class CampaignEngine:
             raise ValueError("CampaignConfig.skip_known requires a corpus_dir")
         if self.config.corpus_dir and not self.config.triage:
             raise ValueError("CampaignConfig.corpus_dir requires triage")
-        if (self.config.progress or self.config.watchdog) and not self.config.events:
-            raise ValueError(
-                "CampaignConfig.progress/watchdog require the event stream"
-            )
         jobs = self.config.resolved_jobs()
         backend_name = self.config.resolved_backend()
         cache = SolverCache() if self.config.use_cache else None
@@ -371,23 +351,8 @@ class CampaignEngine:
             minimize_witnesses=self.config.minimize_witnesses,
             trace_dir=self.config.trace_dir,
             events=self.config.events,
-            heartbeat_seconds=self.config.heartbeat_seconds,
         )
-        # Live monitors wrap only the unit-execution window.  Progress
-        # and the watchdog are event-stream *subscribers*: they attach
-        # before the queued events fire so the progress line knows the
-        # total, and detach in a finally so a failing unit cannot leak
-        # a sink into the next campaign in this process.
-        progress: Optional[ProgressRenderer] = None
-        watchdog: Optional[StragglerWatchdog] = None
-        stop_heartbeat = None
         if self.config.events:
-            if self.config.progress:
-                progress = ProgressRenderer()
-                ev.EVENTS.add_sink(progress)
-            if self.config.watchdog:
-                watchdog = StragglerWatchdog()
-                watchdog.start()
             for unit in units:
                 ev.EVENTS.emit(
                     ev.UNIT_QUEUED,
@@ -395,21 +360,7 @@ class CampaignEngine:
                     site=unit.site_name,
                     backend=backend_name,
                 )
-            # The parent's heartbeat covers in-process backends (serial,
-            # thread); process-backend workers heartbeat themselves.
-            stop_heartbeat = ev.start_heartbeat(
-                max(0.05, self.config.heartbeat_seconds)
-            )
-        try:
-            site_results = get_backend(backend_name).run_units(request)
-        finally:
-            if stop_heartbeat is not None:
-                stop_heartbeat()
-            if watchdog is not None:
-                watchdog.stop()
-            if progress is not None:
-                ev.EVENTS.remove_sink(progress)
-                progress.close()
+        site_results = get_backend(backend_name).run_units(request)
         site_results.update(skipped)
 
         if store is not None and self.config.save_cache:

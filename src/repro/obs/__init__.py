@@ -1,23 +1,32 @@
-"""Campaign-wide observability: metrics, spans, trace sinks, reporting.
+"""Campaign-wide observability: metrics, spans, events, reporting.
 
-Three modules, layered bottom-up (none of them imports anything else from
-:mod:`repro`, so every other layer — solver, store, scheduler, campaign —
-may instrument itself freely without import cycles):
+Six modules.  The first three are layered bottom-up and import nothing
+from :mod:`repro` outside this package, so every other layer — solver,
+store, scheduler, campaign — may instrument itself freely without import
+cycles:
 
 * :mod:`repro.obs.metrics` — the process-global :data:`~repro.obs.metrics.METRICS`
   registry (counters, gauges, fixed-bucket duration histograms) whose
   snapshots delta and merge losslessly across process-backend workers;
 * :mod:`repro.obs.trace` — the process-global :data:`~repro.obs.trace.TRACER`
-  (nestable stage spans, structured events) over pluggable sinks
-  (in-memory collector, schema-versioned JSONL trace directory);
+  (nestable stage spans, point events) over pluggable sinks (in-memory collector,
+  schema-versioned JSONL trace directory);
+* :mod:`repro.obs.events` — the process-global
+  :data:`~repro.obs.events.EVENTS` stream (unit lifecycle, cache hit/miss,
+  store lock waits) with mergeable per-name counts and an
+  ``events-<pid>.jsonl`` sink beside the spans;
 * :mod:`repro.obs.report` — the re-runnable report step behind the
-  ``repro trace`` CLI subcommand (per-stage summary, straggler top-N,
-  Chrome trace-event export).
+  ``repro trace`` and ``repro events`` CLI subcommands (per-stage summary,
+  straggler top-N, Chrome trace-event export, event-log summaries);
+* :mod:`repro.obs.attribution` — the code-version stamp (package version,
+  ``git describe``) persisted artifacts carry;
+* :mod:`repro.obs.benchhist` — bench-run history and the regression
+  comparison behind ``repro bench-diff``.
 
 The contract every instrumented layer relies on: **observability is
-passive** — identical site classifications with tracing on or off, and
-deterministic metric totals regardless of backend worker count for
-schedule-independent workloads (gated by CI and
+passive** — identical site classifications with tracing and events on or
+off, and deterministic metric and event totals regardless of backend
+worker count for schedule-independent workloads (gated by the tests and
 ``benchmarks/bench_observability.py``).
 """
 

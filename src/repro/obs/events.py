@@ -1,45 +1,29 @@
-"""The live campaign event stream: unit lifecycle, heartbeats, workers.
+"""The campaign event stream: unit lifecycle, cache and store events.
 
-:mod:`repro.obs.trace` answers *where the time went* after a run;
-this module answers *what is happening right now*.  The process-global
-:class:`EventStream` (:data:`EVENTS`) is a versioned, append-only stream
-of structured occurrences — a unit queued, started, heartbeating,
-finished or failed; a cache hit or miss; a store lock waited on; a pool
-worker coming up or going down — over pluggable sinks:
+:mod:`repro.obs.trace` answers *where the time went*; this module records
+*what happened*.  The process-global :class:`EventStream`
+(:data:`EVENTS`) is a versioned, append-only stream of structured
+occurrences — a unit queued, started, finished or failed; a cache hit or
+miss; a store lock waited on — over pluggable sinks:
 
-* :class:`RingBufferSink` — a bounded in-memory buffer (tests, live
-  summaries);
+* :class:`RingBufferSink` — a bounded in-memory buffer (tests);
 * :class:`JsonlEventSink` — ``events-<pid>.jsonl`` under the campaign's
   ``--trace-dir``, beside the span files, one flushed JSON record per
-  line;
-* :class:`QueueSink` — the process backend's side channel: workers
-  forward *low-rate streaming* events (lifecycle, heartbeat, worker
-  up/down, straggler) onto a multiprocessing queue **while units run**,
-  and the campaign parent ingests them live so progress rendering and
-  straggler detection see worker units mid-flight, not just at
-  end-of-unit delta time.  High-rate events (``cache.*``) stay local to
-  the worker — its JSONL file and its counts — and reach the parent as
-  an exactly-mergeable wire delta instead.
+  line.  Every process, including each process-backend worker, writes
+  its own file.
 
 Counting follows the :mod:`repro.obs.metrics` discipline exactly: every
 emitted event increments an integer per-name count, and count snapshots
 are JSON-able wire dicts (version :data:`EVENTS_WIRE_VERSION`) whose
 ``merge``/``diff`` are associative and commutative over arbitrary,
 *asymmetric* key sets — the parent of a process-backend campaign folds
-one event-count delta per unit in any arrival order and always reaches
-the serial totals for schedule-independent workloads.
-
-The two ingestion paths are deliberately disjoint so nothing is counted
-twice:
-
-* :meth:`EventStream.ingest` (live queue records from another process)
-  dispatches to subscriber sinks only — **no** count increment;
-* :meth:`EventStream.merge` (a worker's end-of-unit count delta) adds
-  counts only — **no** sink dispatch.
+one event-count delta per unit (:meth:`EventStream.merge`, counts only,
+no sink dispatch) in any arrival order and reaches the serial totals for
+schedule-independent workloads.
 
 Observability stays passive: the stream never raises into analysis, a
 broken sink is detached, and :attr:`EventStream.enabled` is the ablation
-switch (``campaign --no-events``) CI holds classification parity
+switch (``campaign --no-events``) the tests hold classification parity
 against.
 
 Record schema (``v`` = :data:`EVENT_SCHEMA_VERSION`)::
@@ -61,7 +45,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "CACHE_HIT",
@@ -70,26 +54,17 @@ __all__ = [
     "EVENTS_WIRE_VERSION",
     "EVENT_SCHEMA_VERSION",
     "EventStream",
-    "InFlightTable",
-    "INFLIGHT",
     "JsonlEventSink",
     "LIFECYCLE_EVENTS",
-    "QueueSink",
     "RingBufferSink",
     "STORE_LOCK_WAIT",
-    "STREAMED_EVENTS",
     "UNIT_FAILED",
     "UNIT_FINISHED",
-    "UNIT_HEARTBEAT",
     "UNIT_QUEUED",
     "UNIT_STARTED",
-    "UNIT_STRAGGLER",
-    "WORKER_DOWN",
-    "WORKER_UP",
     "diff_event_wires",
     "event_count",
     "merge_event_wires",
-    "start_heartbeat",
     "unit_lifecycle",
     "validate_event_record",
 ]
@@ -105,43 +80,20 @@ EVENT_SCHEMA_VERSION = 1
 # ----------------------------------------------------------------------
 UNIT_QUEUED = "unit.queued"
 UNIT_STARTED = "unit.started"
-UNIT_HEARTBEAT = "unit.heartbeat"
 UNIT_FINISHED = "unit.finished"
 UNIT_FAILED = "unit.failed"
-UNIT_STRAGGLER = "unit.straggler"
 CACHE_HIT = "cache.hit"
 CACHE_MISS = "cache.miss"
 STORE_LOCK_WAIT = "store.lock_wait"
-WORKER_UP = "worker.up"
-WORKER_DOWN = "worker.down"
 
-#: The schedule-independent unit-lifecycle subset: for a workload with no
-#: shared cache these counts are identical for every backend and worker
-#: count (the serial≡process parity CI gates).  Heartbeats, stragglers
-#: and worker events are timing-/topology-dependent by nature and are
-#: deliberately not part of the parity set.
+#: The unit-lifecycle subset: these counts are identical for every
+#: backend and worker count even with a shared cache (whose hit/miss
+#: split depends on which unit derived a verdict first).
 LIFECYCLE_EVENTS: Tuple[str, ...] = (
     UNIT_QUEUED,
     UNIT_STARTED,
     UNIT_FINISHED,
     UNIT_FAILED,
-)
-
-#: Low-rate event names a process-backend worker forwards live over the
-#: side queue.  ``cache.*`` / ``store.*`` events can fire hundreds of
-#: times per unit; shipping each as a queue RPC would tax the very path
-#: being observed, so they travel as end-of-unit count deltas instead.
-STREAMED_EVENTS: frozenset = frozenset(
-    {
-        UNIT_QUEUED,
-        UNIT_STARTED,
-        UNIT_HEARTBEAT,
-        UNIT_FINISHED,
-        UNIT_FAILED,
-        UNIT_STRAGGLER,
-        WORKER_UP,
-        WORKER_DOWN,
-    }
 )
 
 #: Sequence numbers, unique within one process (``pid`` disambiguates
@@ -155,7 +107,7 @@ def validate_event_record(record: object) -> List[str]:
     """Schema errors for one event record (empty list = valid).
 
     Used by the loader (invalid records are counted and skipped, never
-    trusted) and by the CI events-smoke job, which asserts that a real
+    trusted) and by the campaign tests, which assert that a real
     campaign's event log contains zero invalid records.
     """
     errors: List[str] = []
@@ -186,9 +138,6 @@ def validate_event_record(record: object) -> List[str]:
 class RingBufferSink:
     """A bounded in-memory buffer of the most recent records."""
 
-    #: Remote (queue-ingested) records are dispatched to this sink.
-    ingest_remote = True
-
     def __init__(self, capacity: int = 4096) -> None:
         self._lock = threading.Lock()
         self._records: deque = deque(maxlen=max(1, int(capacity)))
@@ -210,12 +159,8 @@ class JsonlEventSink:
 
     Same discipline as the span sink: lazy open on first emit, per-line
     flush (a killed worker must not lose its tail), writes serialized by
-    a lock for the thread backend.  Remote records are *not* re-written
-    here — the process that produced them already persisted them to its
-    own ``events-<pid>.jsonl``.
+    a lock for the thread backend.
     """
-
-    ingest_remote = False
 
     def __init__(self, trace_dir: str) -> None:
         self.trace_dir = str(trace_dir)
@@ -240,29 +185,6 @@ class JsonlEventSink:
             handle, self._handle = self._handle, None
             if handle is not None:
                 handle.close()
-
-
-class QueueSink:
-    """Forwards streaming-class records onto a multiprocessing queue.
-
-    The worker half of the process backend's live side channel; the
-    parent's drainer thread calls :meth:`EventStream.ingest` on every
-    record it pulls off.  Only :data:`STREAMED_EVENTS` names are
-    forwarded (see the module doc for why).
-    """
-
-    ingest_remote = False
-
-    def __init__(self, queue, names: Optional[Iterable[str]] = None) -> None:
-        self._queue = queue
-        self._names = frozenset(names) if names is not None else STREAMED_EVENTS
-
-    def emit(self, record: dict) -> None:
-        if record.get("name") in self._names:
-            self._queue.put(record)
-
-    def close(self) -> None:  # pragma: no cover - queue owned by the parent
-        pass
 
 
 # ----------------------------------------------------------------------
@@ -361,11 +283,6 @@ class EventStream:
         with self._lock:
             self._sinks = []
 
-    @property
-    def active(self) -> bool:
-        """Whether any sink is attached (counts accrue regardless)."""
-        return bool(self._sinks)
-
     # ------------------------------------------------------------------
     def emit(self, name: str, **attrs) -> None:
         """Record one event: count it and dispatch to every sink."""
@@ -373,40 +290,19 @@ class EventStream:
             return
         with self._lock:
             self._counts[name] = self._counts.get(name, 0) + 1
-        if not self._sinks:
+        sinks = self._sinks
+        if not sinks:
             return
-        self._dispatch(
-            {
-                "v": EVENT_SCHEMA_VERSION,
-                "name": name,
-                "seq": next(_SEQ),
-                "pid": os.getpid(),
-                "tid": threading.get_ident(),
-                "wall": time.time(),
-                "attrs": attrs,
-            },
-            remote=False,
-        )
-
-    def ingest(self, record: dict) -> None:
-        """Dispatch a record produced by *another process* to subscribers.
-
-        Deliberately does **not** count: the producing process already
-        counted the event, and its counts reach this process through
-        :meth:`merge` — counting here too would double every streamed
-        event.  Sinks that persist locally (``ingest_remote = False``)
-        are skipped; the producer's own JSONL file is the durable copy.
-        """
-        if not self.enabled or not isinstance(record, dict):
-            return
-        if validate_event_record(record):
-            return
-        self._dispatch(record, remote=True)
-
-    def _dispatch(self, record: dict, remote: bool) -> None:
-        for sink in self._sinks:
-            if remote and not getattr(sink, "ingest_remote", True):
-                continue
+        record = {
+            "v": EVENT_SCHEMA_VERSION,
+            "name": name,
+            "seq": next(_SEQ),
+            "pid": os.getpid(),
+            "tid": threading.get_ident(),
+            "wall": time.time(),
+            "attrs": attrs,
+        }
+        for sink in sinks:
             try:
                 sink.emit(record)
             except Exception:
@@ -446,98 +342,20 @@ class EventStream:
         return merged
 
 
-# ----------------------------------------------------------------------
-# In-flight units and heartbeats
-# ----------------------------------------------------------------------
-class InFlightTable:
-    """The units currently being analyzed *in this process*.
-
-    :func:`unit_lifecycle` registers every unit for its duration; the
-    heartbeat thread walks the table to emit ``unit.heartbeat`` events
-    for long-running units while they run.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: Dict[str, Tuple[float, Dict[str, object]]] = {}
-
-    def begin(self, key: str, attrs: Dict[str, object]) -> None:
-        with self._lock:
-            self._entries[key] = (time.time(), dict(attrs))
-
-    def end(self, key: str) -> None:
-        with self._lock:
-            self._entries.pop(key, None)
-
-    def snapshot(self) -> List[Tuple[str, float, Dict[str, object]]]:
-        with self._lock:
-            return [
-                (key, started, dict(attrs))
-                for key, (started, attrs) in self._entries.items()
-            ]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-#: The process-wide in-flight table (one per campaign parent or worker).
-INFLIGHT = InFlightTable()
-
-
-def start_heartbeat(
-    interval: float,
-    stream: Optional[EventStream] = None,
-    table: Optional[InFlightTable] = None,
-):
-    """Start the daemon heartbeat thread; returns a ``stop()`` callable.
-
-    Every ``interval`` seconds the thread emits one ``unit.heartbeat``
-    per in-flight unit, carrying the unit's identity and its elapsed
-    seconds so far — the liveness signal the watchdog, the progress line
-    and (eventually) a fleet coordinator's re-dispatch consume.
-    """
-    stream = EVENTS if stream is None else stream
-    table = INFLIGHT if table is None else table
-    stop = threading.Event()
-
-    def beat() -> None:
-        while not stop.wait(interval):
-            now = time.time()
-            for _key, started, attrs in table.snapshot():
-                stream.emit(
-                    UNIT_HEARTBEAT, elapsed=round(now - started, 6), **attrs
-                )
-
-    thread = threading.Thread(target=beat, name="repro-heartbeat", daemon=True)
-    thread.start()
-
-    def stopper() -> None:
-        stop.set()
-        thread.join(timeout=max(1.0, 4 * interval))
-
-    return stopper
-
-
 @contextmanager
 def unit_lifecycle(application: str, site: str, backend: str):
     """Emit the started/failed/finished lifecycle around one unit run.
 
-    Registers the unit in :data:`INFLIGHT` for its duration (feeding the
-    heartbeat thread), and yields a mutable attrs dict the caller may
-    extend (e.g. with the resulting classification) before the finished
-    event is emitted.
+    Yields a mutable attrs dict the caller may extend (e.g. with the
+    resulting classification) before the finished event is emitted.
     """
     attrs = {"application": application, "site": site, "backend": backend}
-    key = f"{application}::{site}"
     EVENTS.emit(UNIT_STARTED, **attrs)
-    INFLIGHT.begin(key, attrs)
     started = time.perf_counter()
     extra: Dict[str, object] = {}
     try:
         yield extra
     except BaseException as exc:
-        INFLIGHT.end(key)
         EVENTS.emit(
             UNIT_FAILED,
             seconds=round(time.perf_counter() - started, 6),
@@ -545,7 +363,6 @@ def unit_lifecycle(application: str, site: str, backend: str):
             **attrs,
         )
         raise
-    INFLIGHT.end(key)
     EVENTS.emit(
         UNIT_FINISHED,
         seconds=round(time.perf_counter() - started, 6),

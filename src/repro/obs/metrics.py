@@ -5,8 +5,9 @@ Every layer of the pipeline records into one process-global
 core-guidance and complete-backend counters (``solver.*``), the store
 layer's load/save/lock activity, the scheduler's per-unit dispatch
 and the stage timers the tracer derives from spans.  The registry is the
-*aggregation* half of the observability subsystem; the event half (spans,
-structured events, JSONL sinks) lives in :mod:`repro.obs.trace`.
+*aggregation* half of the observability subsystem; spans and their JSONL
+sink live in :mod:`repro.obs.trace`, structured events and their per-name
+counts in :mod:`repro.obs.events`.
 
 Design constraints, in decreasing order of importance:
 
@@ -42,7 +43,7 @@ indices; ``buckets`` is sparse (absent index = zero).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = [
     "BUCKET_BOUNDS",
@@ -146,30 +147,6 @@ class Histogram:
 
     def sum_seconds(self) -> float:
         return self.sum_nanos / 1e9
-
-    def quantile_nanos(self, q: float) -> Optional[int]:
-        """An upper bound on the ``q``-quantile duration, in nanoseconds.
-
-        Resolves to the fixed upper bound of the bucket containing the
-        quantile rank — conservative (never under-reports), which is the
-        right bias for deadline computation: the watchdog must not flag a
-        unit the distribution says is still plausible.  ``None`` when the
-        histogram is empty.
-        """
-        with self._lock:
-            if self.count <= 0:
-                return None
-            rank = max(1, int(q * self.count + 0.5))
-            seen = 0
-            for index in sorted(self.buckets):
-                seen += self.buckets[index]
-                if seen >= rank:
-                    if index < len(BUCKET_BOUNDS):
-                        return BUCKET_BOUNDS[index]
-                    # Overflow bucket: no fixed bound; fall back to the sum
-                    # (an upper bound on any single observation).
-                    return self.sum_nanos
-            return BUCKET_BOUNDS[-1]
 
     def wire(self) -> dict:
         return {

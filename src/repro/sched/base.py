@@ -92,14 +92,11 @@ class UnitRunRequest:
     #: backend ships this path to workers so each attaches its own
     #: ``spans-<pid>.jsonl`` sink.
     trace_dir: Optional[str] = None
-    #: Whether the live event stream is enabled for this run (``campaign
+    #: Whether the event stream is enabled for this run (``campaign
     #: --no-events`` is the ablation).  In-process backends inherit the
     #: parent's already-toggled stream; the process backend ships the flag
     #: to workers.
     events: bool = True
-    #: Heartbeat cadence for in-flight units (the process backend starts a
-    #: heartbeat thread per worker; the campaign engine starts the parent's).
-    heartbeat_seconds: float = 0.5
 
     def run_unit(self, unit: CampaignUnit, backend: str = "") -> "SiteResult":
         """Execute one unit in-process against the shared contexts."""

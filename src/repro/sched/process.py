@@ -20,7 +20,12 @@ term would rebuild as a distinct, non-interned object and silently break
   :class:`~repro.triage.corpus.WitnessRecord` (validated, minimized,
   signed *in the worker*, which parallelizes minimization's concrete
   re-validation runs); the parent collects them into
-  ``request.witness_results`` for the campaign's corpus merge.
+  ``request.witness_results`` for the campaign's corpus merge.  Each
+  result also carries the worker's metric and event-count deltas since
+  its previous unit; the parent merges them, so without a shared cache
+  the campaign totals equal the serial schedule's.  Nothing else crosses
+  back: workers persist their own span and event records to
+  ``<trace_dir>/*-<pid>.jsonl``.
 
 Workers are primed at pool start with the parent cache's current contents
 (the warm-start path when a ``--cache-dir`` store was loaded), and report
@@ -99,8 +104,6 @@ class _WorkerState:
         minimize_witnesses: bool = True,
         trace_dir: Optional[str] = None,
         events: bool = True,
-        heartbeat_seconds: float = 0.5,
-        event_queue=None,
     ) -> None:
         from repro.obs import events as ev
         from repro.obs.metrics import METRICS
@@ -131,20 +134,12 @@ class _WorkerState:
             # lives for the worker's lifetime and dies with the pool.
             TRACER.add_sink(JsonlSink(trace_dir))
         # The event stream mirrors the parent's configuration: the worker
-        # persists its own events-<pid>.jsonl and forwards the low-rate
-        # streaming subset live over the side queue.  The count mark is
-        # taken *before* worker.up so the first unit's delta carries it.
+        # persists its own events-<pid>.jsonl, and its counts reach the
+        # parent as per-unit deltas.
         ev.EVENTS.enabled = bool(events)
-        if events:
-            if trace_dir:
-                ev.EVENTS.add_sink(ev.JsonlEventSink(trace_dir))
-            if event_queue is not None:
-                ev.EVENTS.add_sink(ev.QueueSink(event_queue))
+        if events and trace_dir:
+            ev.EVENTS.add_sink(ev.JsonlEventSink(trace_dir))
         self.events_mark: dict = ev.EVENTS.snapshot()
-        if events:
-            ev.EVENTS.emit(ev.WORKER_UP)
-            # Daemon thread, dies with the worker; nothing to stop.
-            ev.start_heartbeat(max(0.05, float(heartbeat_seconds)))
         #: ``(kind, key)`` pairs already shipped to the parent — all four
         #: artifact kinds (whole-query, component, UNSAT core, CNF
         #: skeleton) travel through the same delta stream.
@@ -197,8 +192,6 @@ def _worker_init(
     minimize_witnesses: bool = True,
     trace_dir: Optional[str] = None,
     events: bool = True,
-    heartbeat_seconds: float = 0.5,
-    event_queue=None,
 ) -> None:
     global _STATE
     _STATE = _WorkerState(
@@ -210,8 +203,6 @@ def _worker_init(
         minimize_witnesses,
         trace_dir,
         events,
-        heartbeat_seconds,
-        event_queue,
     )
 
 
@@ -272,8 +263,7 @@ def _worker_run(
 
     # Last, so the deltas also cover triage/cache work done above.  The
     # event delta carries exact counts for everything this worker emitted
-    # since the previous unit — including the high-rate cache.* events the
-    # live queue deliberately does not forward.
+    # since the previous unit.
     snapshot = METRICS.snapshot()
     metrics_wire = diff_snapshots(state.metrics_mark, snapshot)
     state.metrics_mark = snapshot
@@ -296,9 +286,8 @@ class ProcessBackend(Backend):
     name = "process"
 
     def run_units(self, request: UnitRunRequest) -> Dict[Slot, object]:
-        import threading
-
-        from repro.obs import events as ev
+        from repro.obs.events import EVENTS
+        from repro.obs.metrics import METRICS
 
         seed_entries: List[dict] = []
         if request.cache is not None:
@@ -306,82 +295,22 @@ class ProcessBackend(Backend):
 
             seed_entries, _ = export_wire_entries(request.cache)
 
-        # The live side channel: workers forward streaming-class event
-        # records (lifecycle, heartbeat, worker up/down) onto a managed
-        # queue *while units run*, and the drainer thread ingests them into
-        # the parent stream so progress rendering and straggler detection
-        # see worker units mid-flight.  A Manager proxy queue is used
-        # because a plain multiprocessing.Queue cannot ride through
-        # ProcessPoolExecutor initargs.  Counts are NOT taken from the
-        # queue (ingest never counts); they arrive exactly via the per-unit
-        # event wire deltas merged below.
-        manager = None
-        event_queue = None
-        drainer = None
-        worker_pids: set = set()
-        if request.events:
-            import multiprocessing
-
-            manager = multiprocessing.Manager()
-            event_queue = manager.Queue()
-
-            def drain() -> None:
-                while True:
-                    try:
-                        record = event_queue.get()
-                    except (EOFError, OSError):  # pragma: no cover - teardown
-                        return
-                    if record is None:
-                        return
-                    if isinstance(record, dict):
-                        pid = record.get("pid")
-                        if isinstance(pid, int):
-                            worker_pids.add(pid)
-                        ev.EVENTS.ingest(record)
-
-            drainer = threading.Thread(
-                target=drain, name="repro-event-drain", daemon=True
-            )
-            drainer.start()
-
-        try:
-            with ProcessPoolExecutor(
-                max_workers=request.worker_count(),
-                initializer=_worker_init,
-                initargs=(
-                    list(request.application_names),
-                    request.diode,
-                    request.cache is not None,
-                    seed_entries,
-                    request.triage,
-                    request.minimize_witnesses,
-                    request.trace_dir,
-                    request.events,
-                    request.heartbeat_seconds,
-                    event_queue,
-                ),
-            ) as executor:
-                futures = [
-                    executor.submit(_worker_run, unit) for unit in request.units
-                ]
-                payloads = drain_futures(request.units, futures)
-        finally:
-            if event_queue is not None:
-                # Unblock and retire the drainer even when a unit failed,
-                # then mark every worker that announced itself as down (the
-                # pool is closed here, so the processes are gone; workers
-                # have no shutdown hook of their own).
-                try:
-                    event_queue.put(None)
-                except Exception:  # pragma: no cover - manager already dead
-                    pass
-                drainer.join(timeout=10)
-                for pid in sorted(worker_pids):
-                    ev.EVENTS.emit(ev.WORKER_DOWN, worker_pid=pid)
-            if manager is not None:
-                manager.shutdown()
-
-        from repro.obs.metrics import METRICS
+        with ProcessPoolExecutor(
+            max_workers=request.worker_count(),
+            initializer=_worker_init,
+            initargs=(
+                list(request.application_names),
+                request.diode,
+                request.cache is not None,
+                seed_entries,
+                request.triage,
+                request.minimize_witnesses,
+                request.trace_dir,
+                request.events,
+            ),
+        ) as executor:
+            futures = [executor.submit(_worker_run, unit) for unit in request.units]
+            payloads = drain_futures(request.units, futures)
 
         results: Dict[Slot, object] = {}
         for unit, (
@@ -407,5 +336,5 @@ class ProcessBackend(Backend):
             # integers and add, gauges take max (see repro.obs.metrics);
             # event counts are integers and add (see repro.obs.events).
             METRICS.merge(metrics_wire)
-            ev.EVENTS.merge(events_wire)
+            EVENTS.merge(events_wire)
         return results

@@ -382,20 +382,6 @@ class TestVersionFlag:
 
 
 class TestEventFlags:
-    def test_no_events_with_progress_is_rejected(self, capsys):
-        assert (
-            main(["campaign", "--apps", "dillo", "--no-events", "--progress"])
-            == 2
-        )
-        assert "--no-events" in capsys.readouterr().err
-
-    def test_no_events_with_watchdog_is_rejected(self, capsys):
-        assert (
-            main(["campaign", "--apps", "dillo", "--no-events", "--watchdog"])
-            == 2
-        )
-        assert "--no-events" in capsys.readouterr().err
-
     def test_campaign_text_reports_event_stream(self, capsys):
         assert main(["campaign", "--jobs", "1", "--apps", "dillo"]) == 0
         assert "event stream:" in capsys.readouterr().out
@@ -417,11 +403,6 @@ class TestEventFlags:
             == 0
         )
         assert json.loads(capsys.readouterr().out)["events"] is None
-
-    def test_campaign_progress_renders_on_stderr(self, capsys):
-        assert main(["campaign", "--jobs", "1", "--apps", "dillo", "--progress"]) == 0
-        err = capsys.readouterr().err
-        assert "done" in err and "in-flight" in err
 
 
 class TestTraceCommandErrors:
@@ -495,6 +476,20 @@ class TestEventsCommand:
         )
         out = capsys.readouterr().out
         assert "unit.started" in out
+
+    @pytest.mark.parametrize("poll", ["-1", "0"])
+    def test_non_positive_poll_is_a_one_line_error(self, capsys, tmp_path, poll):
+        """A negative poll used to crash in ``time.sleep``; zero busy-looped."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["events", "--trace-dir", str(tmp_path), "--follow",
+                 "--duration", "0.1", "--poll", poll]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--poll" in errors[0]
 
     def test_missing_dir_is_a_one_line_error(self, capsys):
         assert main(["events", "--trace-dir", "/nonexistent/trace"]) == 2

@@ -1,15 +1,15 @@
-"""The live event stream: wires, sinks, lifecycle, and backend parity.
+"""The campaign event stream: wires, sinks, lifecycle, and backend parity.
 
 Mirrors ``test_metrics.py``'s discipline for the event-count wire dicts:
 merge must be commutative and associative over arbitrary *asymmetric*
 key sets (hypothesis-driven), and ``diff`` must report the union of both
 key sets rather than silently dropping names.  On top of that sit the
-sink semantics that keep counts exact across processes — ``emit`` counts
-and dispatches, ``ingest`` dispatches without counting, ``merge`` counts
-without dispatching — and the campaign-level contracts: the serial and
-process backends agree on lifecycle-event counts for a cache-free
-workload, and the ablation switch (``events=False``) changes no
-classification.
+stream semantics that keep counts exact across processes — ``emit``
+counts and dispatches, ``merge`` counts without dispatching — and the
+campaign-level contracts: on a cache-free workload the serial, thread and
+process backends produce the same whole event-count wire, every persisted
+record validates and sits in its own process's file, and the ablation
+switch (``events=False``) changes no classification.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import glob
 import json
 import os
-import queue
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,11 +26,8 @@ from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
     EVENTS_WIRE_VERSION,
     LIFECYCLE_EVENTS,
-    STREAMED_EVENTS,
     EventStream,
-    InFlightTable,
     JsonlEventSink,
-    QueueSink,
     RingBufferSink,
     diff_event_wires,
     event_count,
@@ -166,41 +162,8 @@ class TestStream:
         stream.add_sink(sink)
         stream.enabled = False
         stream.emit("unit.started")
-        stream.ingest(
-            {"v": EVENT_SCHEMA_VERSION, "name": "unit.started", "seq": 1,
-             "pid": 1, "tid": 1, "wall": 0.0, "attrs": {}}
-        )
         assert stream.snapshot()["events"] == {}
         assert sink.records() == []
-
-    def test_ingest_dispatches_without_counting(self):
-        stream = EventStream()
-        sink = RingBufferSink()
-        stream.add_sink(sink)
-        stream.ingest(
-            {"v": EVENT_SCHEMA_VERSION, "name": "unit.started", "seq": 1,
-             "pid": 99, "tid": 1, "wall": 0.0, "attrs": {}}
-        )
-        # The producing process already counted it; counting here too
-        # would double every streamed event once the delta merges in.
-        assert event_count(stream.snapshot(), "unit.started") == 0
-        assert len(sink.records()) == 1
-
-    def test_ingest_skips_invalid_records_and_local_sinks(self, tmp_path):
-        stream = EventStream()
-        ring = RingBufferSink()
-        jsonl = JsonlEventSink(str(tmp_path / "trace"))
-        stream.add_sink(ring)
-        stream.add_sink(jsonl)
-        stream.ingest({"v": 999, "name": "unit.started"})
-        assert ring.records() == []
-        stream.ingest(
-            {"v": EVENT_SCHEMA_VERSION, "name": "unit.started", "seq": 1,
-             "pid": 99, "tid": 1, "wall": 0.0, "attrs": {}}
-        )
-        # The remote producer's own JSONL file is the durable copy.
-        assert len(ring.records()) == 1
-        assert not os.path.exists(jsonl.path())
 
     def test_merge_counts_without_dispatching(self):
         stream = EventStream()
@@ -261,25 +224,6 @@ class TestSinks:
         sink.close()
         assert not os.path.exists(sink.path())
 
-    def test_queue_sink_forwards_streaming_names_only(self):
-        side = queue.Queue()
-        stream = EventStream()
-        stream.add_sink(QueueSink(side))
-        stream.emit("unit.started", application="a", site="s")
-        stream.emit("cache.hit")  # high-rate: counts-delta only, no queue RPC
-        stream.emit("worker.up")
-        names = []
-        while not side.empty():
-            names.append(side.get_nowait()["name"])
-        assert names == ["unit.started", "worker.up"]
-        # Both still counted locally regardless of queue eligibility.
-        assert event_count(stream.snapshot(), "cache.hit") == 1
-
-    def test_streamed_set_is_low_rate_lifecycle_only(self):
-        assert set(LIFECYCLE_EVENTS) <= STREAMED_EVENTS
-        assert "cache.hit" not in STREAMED_EVENTS
-        assert "store.lock_wait" not in STREAMED_EVENTS
-
 
 class TestUnitLifecycle:
     def test_success_emits_started_then_finished(self):
@@ -310,105 +254,98 @@ class TestUnitLifecycle:
         assert [r["name"] for r in records] == ["unit.started", "unit.failed"]
         assert records[-1]["attrs"]["error"] == "RuntimeError"
 
-    def test_inflight_table_registers_for_the_duration(self):
-        table = InFlightTable()
-        table.begin("a::s", {"application": "a", "site": "s"})
-        assert len(table) == 1
-        [(key, started, attrs)] = table.snapshot()
-        assert key == "a::s" and attrs["site"] == "s" and started > 0
-        table.end("a::s")
-        assert len(table) == 0 and table.snapshot() == []
-
 
 # ----------------------------------------------------------------------
 # Campaign-level contracts
 # ----------------------------------------------------------------------
-_APPS = ["dillo"]
+_BACKENDS = ("serial", "thread", "process")
 
 
-def _run(backend="serial", jobs=1, **overrides):
-    return run_campaign(
-        CampaignConfig(
-            applications=_APPS, backend=backend, jobs=jobs, **overrides
+@pytest.fixture(scope="module")
+def backend_runs(tmp_path_factory):
+    """One traced cache-free campaign per backend: ``backend -> (result, dir)``.
+
+    Without a shared cache nothing the stream counts depends on the
+    schedule, so the whole event-count wire must agree across backends.
+    """
+    runs = {}
+    for backend in _BACKENDS:
+        trace_dir = str(tmp_path_factory.mktemp(f"events-{backend}"))
+        result = run_campaign(
+            CampaignConfig(
+                applications=["dillo", "swfplay"],
+                backend=backend,
+                jobs=2,
+                use_cache=False,
+                trace_dir=trace_dir,
+            )
         )
-    )
+        runs[backend] = (result, trace_dir)
+    return runs
 
 
-def _lifecycle_counts(result):
-    return {
-        name: event_count(result.events, name) for name in LIFECYCLE_EVENTS
-    }
+def _event_files(trace_dir):
+    return sorted(glob.glob(os.path.join(trace_dir, "events-*.jsonl")))
 
 
 class TestCampaignEvents:
     def test_events_ablation_changes_no_classification(self):
-        with_events = _run(events=True)
-        without = _run(events=False)
+        with_events = run_campaign(CampaignConfig(applications=["dillo"], jobs=1))
+        without = run_campaign(
+            CampaignConfig(applications=["dillo"], jobs=1, events=False)
+        )
         assert with_events.classifications() == without.classifications()
         assert without.events is None
         assert with_events.events is not None
 
-    def test_serial_lifecycle_counts_close(self):
-        result = _run()
-        counts = _lifecycle_counts(result)
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_lifecycle_counts_close(self, backend_runs, backend):
+        result, _ = backend_runs[backend]
+        assert result.backend == backend
+        counts = {
+            name: event_count(result.events, name) for name in LIFECYCLE_EVENTS
+        }
         assert counts["unit.queued"] == result.unit_count
         assert counts["unit.started"] == result.unit_count
         assert counts["unit.finished"] == result.unit_count
         assert counts["unit.failed"] == 0
 
-    def test_serial_process_lifecycle_parity_without_cache(self):
-        serial = _run(use_cache=False)
-        process = _run(backend="process", jobs=2, use_cache=False)
-        assert serial.classifications() == process.classifications()
-        # The schedule-independent subset only: heartbeat/worker counts
-        # legitimately depend on timing and topology.
-        assert _lifecycle_counts(serial) == _lifecycle_counts(process)
+    def test_whole_event_wire_equal_across_backends(self, backend_runs):
+        serial, _ = backend_runs["serial"]
+        for backend in ("thread", "process"):
+            result, _ = backend_runs[backend]
+            assert result.classifications() == serial.classifications()
+            # Every name, not a hand-picked subset: no event the stream
+            # records may depend on the backend or the worker count.
+            assert result.events == serial.events, backend
 
-    def test_process_run_reports_worker_lifecycle(self):
-        result = _run(backend="process", jobs=2, use_cache=False)
-        assert event_count(result.events, "worker.up") >= 1
-        assert event_count(result.events, "worker.up") == event_count(
-            result.events, "worker.down"
-        )
-
-    def test_event_jsonl_lands_beside_spans(self, tmp_path):
-        trace_dir = str(tmp_path / "trace")
-        result = _run(trace_dir=trace_dir)
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_event_jsonl_lands_beside_spans(self, backend_runs, backend):
+        result, trace_dir = backend_runs[backend]
         data = load_events_dir(trace_dir)
         assert data.error is None
         assert data.invalid_records == 0
-        started = [r for r in data.records if r["name"] == "unit.started"]
-        assert len(started) == result.unit_count
+        assert glob.glob(os.path.join(trace_dir, "spans-*.jsonl"))
+        for name in ("unit.started", "unit.finished"):
+            records = [r for r in data.records if r["name"] == name]
+            assert len(records) == result.unit_count, name
 
-    def test_worker_event_files_hold_only_their_own_records(self, tmp_path):
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_event_files_hold_only_their_own_records(self, backend_runs, backend):
         """Fork-started workers must not write into the parent's file.
 
         A forked worker inherits the parent's sink list with its open
         handle; without clearing it, every worker record lands twice —
         once in the worker's events-<pid>.jsonl and once in the parent's.
         """
-        trace_dir = str(tmp_path / "trace")
-        result = _run(backend="process", jobs=2, use_cache=False,
-                      trace_dir=trace_dir)
-        data = load_events_dir(trace_dir)
-        for record in data.records:
-            assert f"events-{record['pid']}.jsonl" in [
-                os.path.basename(p)
-                for p in glob.glob(os.path.join(trace_dir, "events-*.jsonl"))
-            ]
-        by_file = {}
-        for path in glob.glob(os.path.join(trace_dir, "events-*.jsonl")):
+        _, trace_dir = backend_runs[backend]
+        paths = _event_files(trace_dir)
+        assert paths
+        for path in paths:
             own = int(os.path.basename(path)[len("events-"):-len(".jsonl")])
             with open(path, "r", encoding="utf-8") as handle:
                 pids = {json.loads(line)["pid"] for line in handle}
-            by_file[own] = pids
             assert pids == {own}, f"{path} holds foreign-pid records: {pids}"
-        # And nothing was lost: the files cover every finished unit once.
-        finished = [r for r in data.records if r["name"] == "unit.finished"]
-        assert len(finished) == result.unit_count
-
-    def test_progress_without_events_is_rejected(self):
-        with pytest.raises(ValueError):
-            _run(events=False, progress=True)
-        with pytest.raises(ValueError):
-            _run(events=False, watchdog=True)
+        if backend == "process":
+            # The parent plus at least one worker wrote a file.
+            assert len(paths) >= 2
