@@ -382,6 +382,13 @@ class TestVersionFlag:
 
 
 class TestEventFlags:
+    @pytest.mark.parametrize("flag", ["--progress", "--watchdog"])
+    def test_live_telemetry_flag_is_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--apps", "dillo", flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_campaign_text_reports_event_stream(self, capsys):
         assert main(["campaign", "--jobs", "1", "--apps", "dillo"]) == 0
         assert "event stream:" in capsys.readouterr().out
@@ -477,9 +484,7 @@ class TestEventsCommand:
         out = capsys.readouterr().out
         assert "unit.started" in out
 
-    @pytest.mark.parametrize("poll", ["-1", "0"])
-    def test_non_positive_poll_is_a_one_line_error(self, capsys, tmp_path, poll):
-        """A negative poll used to crash in ``time.sleep``; zero busy-looped."""
+    def _assert_poll_rejected(self, capsys, tmp_path, poll):
         with pytest.raises(SystemExit) as excinfo:
             main(
                 ["events", "--trace-dir", str(tmp_path), "--follow",
@@ -490,6 +495,18 @@ class TestEventsCommand:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "--poll" in errors[0]
+
+    @pytest.mark.parametrize("poll", ["-1", "0"])
+    def test_non_positive_poll_is_a_one_line_error(self, capsys, tmp_path, poll):
+        """A negative poll used to crash in ``time.sleep``; zero busy-looped."""
+        self._assert_poll_rejected(capsys, tmp_path, poll)
+
+    @pytest.mark.parametrize("poll", ["nan", "inf", "-inf", "soon"])
+    def test_non_finite_or_non_numeric_poll_is_a_one_line_error(
+        self, capsys, tmp_path, poll
+    ):
+        """``nan`` would slip past a bare ``> 0`` check; ``inf`` never wakes."""
+        self._assert_poll_rejected(capsys, tmp_path, poll)
 
     def test_missing_dir_is_a_one_line_error(self, capsys):
         assert main(["events", "--trace-dir", "/nonexistent/trace"]) == 2

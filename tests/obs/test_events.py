@@ -349,3 +349,48 @@ class TestCampaignEvents:
         if backend == "process":
             # The parent plus at least one worker wrote a file.
             assert len(paths) >= 2
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_finished_records_name_each_unit_and_its_classification(
+        self, backend_runs, backend
+    ):
+        """The persisted finish records alone reconstruct the campaign."""
+        result, trace_dir = backend_runs[backend]
+        finished = [
+            r for r in load_events_dir(trace_dir).records
+            if r["name"] == "unit.finished"
+        ]
+        persisted = {}
+        for record in finished:
+            attrs = record["attrs"]
+            assert attrs["backend"] == backend
+            persisted.setdefault(attrs["application"], {})[attrs["site"]] = (
+                attrs["classification"]
+            )
+        assert persisted == result.classifications()
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_each_unit_starts_once_before_it_finishes(self, backend_runs, backend):
+        result, trace_dir = backend_runs[backend]
+        seqs = {}
+        for record in load_events_dir(trace_dir).records:
+            if record["name"] in ("unit.started", "unit.finished"):
+                attrs = record["attrs"]
+                key = (attrs["application"], attrs["site"])
+                seqs.setdefault(key, {}).setdefault(record["name"], []).append(
+                    (record["pid"], record["seq"])
+                )
+        assert len(seqs) == result.unit_count
+        for key, by_name in seqs.items():
+            [(started_pid, started)] = by_name["unit.started"]
+            [(finished_pid, finished)] = by_name["unit.finished"]
+            # One process runs a unit start to finish; its counter orders them.
+            assert started_pid == finished_pid, key
+            assert started < finished, key
+
+
+@pytest.mark.parametrize("removed", ["watchdog", "progress", "heartbeat_seconds"])
+def test_campaign_config_has_no_live_telemetry_field(removed):
+    """Event counts travel only in unit deltas; no live-telemetry knobs remain."""
+    with pytest.raises(TypeError):
+        CampaignConfig(applications=["dillo"], **{removed: True})
