@@ -13,7 +13,9 @@ Each strategy is a :class:`~repro.sched.base.Backend`:
   shipping slim picklable unit descriptors out and picklable
   :class:`~repro.sched.process.SiteResultPayload` records (plus wire-format
   solver-cache deltas) back, rebuilding per-application collaborators once
-  per worker; the only backend with real CPU parallelism.
+  per worker; the only backend with real CPU parallelism.  One pool serves
+  every campaign of the parent process, so its workers stay warm across
+  campaigns (:func:`~repro.sched.process.shutdown_pool` stops it early).
 
 Classification parity is the contract: every backend must produce exactly
 the classifications of the serial ``Diode.analyze`` path.  The unit is pure
@@ -33,7 +35,7 @@ from repro.sched.base import (
     UnitRunRequest,
 )
 from repro.sched.context import ApplicationContext, build_application_context
-from repro.sched.process import ProcessBackend, SiteResultPayload
+from repro.sched.process import ProcessBackend, SiteResultPayload, shutdown_pool
 from repro.sched.serial import SerialBackend
 from repro.sched.thread import ThreadBackend
 
@@ -73,4 +75,5 @@ __all__ = [
     "available_backends",
     "build_application_context",
     "get_backend",
+    "shutdown_pool",
 ]

@@ -74,7 +74,9 @@ class UnitRunRequest:
     jobs: int
     diode: "DiodeConfig"
     #: Registry short names indexed by ``app_index`` — what a worker process
-    #: needs to rebuild the application model on its side of the pipe.
+    #: needs to rebuild the application model on its side of the pipe, and
+    #: the key its warm per-application contexts are kept under (an index
+    #: only means something within one campaign's application order).
     application_names: List[str]
     #: Whether workers should triage bug reports (validate + minimize + sign
     #: witnesses; :mod:`repro.triage`).  Only the process backend acts on
@@ -89,13 +91,14 @@ class UnitRunRequest:
     witness_results: Dict[Slot, Optional[dict]] = field(default_factory=dict)
     #: Trace directory for this run (``campaign --trace-dir``).  In-process
     #: backends inherit the campaign's already-attached sink; the process
-    #: backend ships this path to workers so each attaches its own
-    #: ``spans-<pid>.jsonl`` sink.
+    #: backend ships this path in each unit's campaign token, and a worker
+    #: starting on a new campaign re-attaches its own ``spans-<pid>.jsonl``
+    #: sink for it.
     trace_dir: Optional[str] = None
     #: Whether the event stream is enabled for this run (``campaign
     #: --no-events`` is the ablation).  In-process backends inherit the
     #: parent's already-toggled stream; the process backend ships the flag
-    #: to workers.
+    #: in each unit's campaign token.
     events: bool = True
 
     def run_unit(self, unit: CampaignUnit, backend: str = "") -> "SiteResult":

@@ -1,4 +1,4 @@
-"""The process backend: real CPU parallelism over ``ProcessPoolExecutor``.
+"""The process backend: real CPU parallelism over one long-lived process pool.
 
 Terms are hash-consed with identity equality, so nothing containing a
 :class:`~repro.smt.terms.Term` may cross the process boundary — a pickled
@@ -6,9 +6,10 @@ term would rebuild as a distinct, non-interned object and silently break
 ``is``-based equality.  The backend therefore ships only:
 
 * **out**: slim :class:`~repro.sched.base.CampaignUnit` descriptors
-  (primitives only); each worker rebuilds the application model and its
-  per-application collaborators from the registry short name, lazily and
-  at most once per ⟨worker, application⟩ pair;
+  (primitives only), each paired with its campaign's
+  :class:`_CampaignToken`; a worker rebuilds the application model and
+  its per-application collaborators from the registry short name, lazily
+  and at most once per ⟨worker, application⟩ pair;
 * **back**: :class:`SiteResultPayload` records (classification value, bug
   report, timing — all term-free) plus the worker cache's *new* artifacts
   in the :mod:`repro.smt.cachestore` wire format — whole-query verdicts,
@@ -27,14 +28,42 @@ term would rebuild as a distinct, non-interned object and silently break
   back: workers persist their own span and event records to
   ``<trace_dir>/*-<pid>.jsonl``.
 
-Workers are primed at pool start with the parent cache's current contents
-(the warm-start path when a ``--cache-dir`` store was loaded), and report
-per-unit hit/miss counter deltas so the campaign's aggregate cache
-statistics reflect worker-side lookups.
+**One pool per parent process.**  The pool outlives a single
+:meth:`ProcessBackend.run_units` call, so its workers keep their
+process-lifetime caches across campaigns — interned terms, simplified
+forms, compiled programs and concolic tables, plus the per-application
+contexts (keyed by registry name: ``app_index`` follows each campaign's
+application order) and triagers — as the serial backend's process does.
+The pool is reused while its key matches: (worker count, start method,
+a digest of the code bindings in ``repro.*``).  A fork-started worker
+runs the parent's code as it was at fork time, so once anything callable
+in a ``repro`` module namespace or ``repro`` class ``__dict__`` has been
+rebound (``monkeypatch``, ``mock.patch``, a profiler's wrappers) the pool
+is replaced.  A campaign that raises — a unit exception or a dead worker
+— shuts the pool down and the next campaign forks a fresh one;
+:func:`shutdown_pool` runs at exit, and every worker exits on its own
+once its parent is gone, so no worker outlives the parent.
+
+A worker that sees a new campaign token resets its per-campaign state
+before taking its metric and event marks: a fresh
+:class:`~repro.smt.cache.SolverCache` primed with the parent cache's
+contents at campaign start (the warm-start path when a ``--cache-dir``
+store was loaded), a fresh exported-key set and stats mark, and its own
+trace and event sinks for the campaign's ``trace_dir``.  Per-unit
+hit/miss counter deltas keep the campaign's aggregate cache statistics
+covering worker-side lookups.
 """
 
 from __future__ import annotations
 
+import atexit
+import itertools
+import multiprocessing
+import os
+import pickle
+import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -48,14 +77,18 @@ from repro.sched.base import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.engine import DiodeConfig
     from repro.core.report import OverflowBugReport, SiteResult
     from repro.core.sites import TargetSite
     from repro.sched.context import ApplicationContext
 
 #: Width of :meth:`SolverCache.stats_snapshot` tuples (imported lazily in
 #: workers, so the width is mirrored here; asserted against the class when
-#: a worker builds its state).
+#: a worker starts a campaign).
 _STATS_FIELDS = 11
+
+#: How often an idle or busy worker checks that its parent is still alive.
+_PARENT_POLL_SECONDS = 0.5
 
 
 @dataclass
@@ -91,123 +124,147 @@ class SiteResultPayload:
         )
 
 
+@dataclass(frozen=True)
+class _CampaignToken:
+    """The per-campaign state a worker needs, shipped with every unit."""
+
+    #: Unique per ``run_units`` call; a worker resets when it changes.
+    generation: int
+    #: Registry short names indexed by ``app_index``.
+    application_names: Tuple[str, ...]
+    diode: "DiodeConfig"
+    use_cache: bool
+    #: The parent cache's wire entries at campaign start, pickled once.
+    seed_entries: bytes
+    triage: bool
+    minimize_witnesses: bool
+    trace_dir: Optional[str]
+    events: bool
+
+
 class _WorkerState:
-    """Per-process collaborators, built once by the pool initializer."""
+    """One worker's process-lifetime collaborators and its current campaign."""
 
-    def __init__(
-        self,
-        application_names: List[str],
-        diode,
-        use_cache: bool,
-        seed_entries: List[dict],
-        triage: bool = False,
-        minimize_witnesses: bool = True,
-        trace_dir: Optional[str] = None,
-        events: bool = True,
-    ) -> None:
-        from repro.obs import events as ev
-        from repro.obs.metrics import METRICS
-        from repro.smt.cache import SolverCache
-
-        self.application_names = application_names
-        self.diode = diode
-        self.cache = SolverCache() if use_cache else None
-        self.contexts: Dict[int, "ApplicationContext"] = {}
-        self.triage = triage
-        self.minimize_witnesses = minimize_witnesses
-        self.triagers: Dict[int, object] = {}
-        #: Registry wire mark for per-unit metric deltas (the worker-side
-        #: half of the campaign's metric aggregation).
-        self.metrics_mark: dict = METRICS.snapshot()
-        # A fork-started worker inherits the parent's sink lists, whose
-        # already-open JSONL handles point at the *parent's* files —
-        # emitting through them would write every worker record into the
-        # parent's file as well as the worker's own.  Drop the inherited
-        # sinks (the parent still owns the handles) before attaching the
-        # worker's per-process ones.
-        from repro.obs.trace import TRACER, JsonlSink
-
-        TRACER.clear_sinks()
-        ev.EVENTS.clear_sinks()
-        if trace_dir:
-            # Each worker appends to its own spans-<pid>.jsonl; the sink
-            # lives for the worker's lifetime and dies with the pool.
-            TRACER.add_sink(JsonlSink(trace_dir))
-        # The event stream mirrors the parent's configuration: the worker
-        # persists its own events-<pid>.jsonl, and its counts reach the
-        # parent as per-unit deltas.
-        ev.EVENTS.enabled = bool(events)
-        if events and trace_dir:
-            ev.EVENTS.add_sink(ev.JsonlEventSink(trace_dir))
-        self.events_mark: dict = ev.EVENTS.snapshot()
+    def __init__(self) -> None:
+        self.generation: Optional[int] = None
+        #: Registry name -> context; kept across campaigns.
+        self.contexts: Dict[str, "ApplicationContext"] = {}
+        #: ``(registry name, minimize)`` -> triager; kept across campaigns.
+        self.triagers: Dict[Tuple[str, bool], object] = {}
+        self.cache = None
         #: ``(kind, key)`` pairs already shipped to the parent — all four
         #: artifact kinds (whole-query, component, UNSAT core, CNF
         #: skeleton) travel through the same delta stream.
         self.exported_keys: set = set()
-        assert SolverCache.STATS_FIELDS == _STATS_FIELDS
         self.stats_mark: Tuple[int, ...] = (0,) * _STATS_FIELDS
-        if self.cache is not None and seed_entries:
+        #: Registry wire marks for per-unit metric and event deltas.
+        self.metrics_mark: dict = {}
+        self.events_mark: dict = {}
+        #: Trace and event sinks this worker attached for its campaign.
+        self.sinks: List[object] = []
+
+    def begin(self, token: _CampaignToken) -> None:
+        """Reset the per-campaign state for ``token``'s campaign."""
+        from repro.obs import events as ev
+        from repro.obs.metrics import METRICS
+        from repro.obs.trace import TRACER, JsonlSink
+        from repro.smt.cache import SolverCache
+
+        self.generation = token.generation
+        self.cache = SolverCache() if token.use_cache else None
+        self.exported_keys = set()
+        assert SolverCache.STATS_FIELDS == _STATS_FIELDS
+        self.stats_mark = (0,) * _STATS_FIELDS
+        if self.cache is not None and token.seed_entries:
             from repro.smt.cachestore import merge_wire_entries
 
-            merged = merge_wire_entries(self.cache, seed_entries)
-            self.exported_keys.update(merged)
+            seed = pickle.loads(token.seed_entries)
+            self.exported_keys.update(merge_wire_entries(self.cache, seed))
 
-    def context_for(self, app_index: int) -> "ApplicationContext":
-        context = self.contexts.get(app_index)
+        # A fork-started worker inherits the parent's sink lists, whose
+        # already-open JSONL handles point at the *parent's* files —
+        # emitting through them would write every worker record into the
+        # parent's file as well as the worker's own.  Drop whatever is
+        # attached (the parent owns inherited handles; the worker closes
+        # its own from the previous campaign) before attaching this
+        # campaign's per-process sinks.
+        TRACER.clear_sinks()
+        ev.EVENTS.clear_sinks()
+        for sink in self.sinks:
+            sink.close()
+        self.sinks = []
+        if token.trace_dir:
+            self.sinks.append(JsonlSink(token.trace_dir))
+            TRACER.add_sink(self.sinks[-1])
+        # The event stream mirrors the parent's configuration: the worker
+        # persists its own events-<pid>.jsonl, and its counts reach the
+        # parent as per-unit deltas.
+        ev.EVENTS.enabled = token.events
+        if token.events and token.trace_dir:
+            self.sinks.append(ev.JsonlEventSink(token.trace_dir))
+            ev.EVENTS.add_sink(self.sinks[-1])
+        self.metrics_mark = METRICS.snapshot()
+        self.events_mark = ev.EVENTS.snapshot()
+
+    def context_for(self, name: str, app_index: int) -> "ApplicationContext":
+        """Lazy per-⟨worker, application⟩ context.
+
+        Its ``index`` is the campaign's that built it; workers look
+        contexts up by registry name and never read the index.
+        """
+        context = self.contexts.get(name)
         if context is None:
             from repro.apps.registry import get_application
             from repro.sched.context import build_application_context
 
-            context = build_application_context(
-                app_index, get_application(self.application_names[app_index])
-            )
-            self.contexts[app_index] = context
+            context = build_application_context(app_index, get_application(name))
+            self.contexts[name] = context
         return context
 
-    def triager_for(self, app_index: int):
-        """Lazy per-⟨worker, application⟩ witness triager."""
-        triager = self.triagers.get(app_index)
+    def triager_for(
+        self, name: str, context: "ApplicationContext", minimize: bool
+    ):
+        """Lazy per-⟨worker, application, minimize⟩ witness triager."""
+        triager = self.triagers.get((name, minimize))
         if triager is None:
             from repro.triage.engine import WitnessTriager
 
-            context = self.context_for(app_index)
             triager = WitnessTriager(
                 context.application,
                 detector=context.detector,
-                minimize=self.minimize_witnesses,
+                minimize=minimize,
             )
-            self.triagers[app_index] = triager
+            self.triagers[(name, minimize)] = triager
         return triager
 
 
 _STATE: Optional[_WorkerState] = None
 
 
-def _worker_init(
-    application_names: List[str],
-    diode,
-    use_cache: bool,
-    seed_entries: List[dict],
-    triage: bool = False,
-    minimize_witnesses: bool = True,
-    trace_dir: Optional[str] = None,
-    events: bool = True,
-) -> None:
+def _worker_init(parent_pid: Optional[int]) -> None:
+    """Pool initializer: fresh worker state and the parent-death watch."""
     global _STATE
-    _STATE = _WorkerState(
-        application_names,
-        diode,
-        use_cache,
-        seed_entries,
-        triage,
-        minimize_witnesses,
-        trace_dir,
-        events,
-    )
+    _STATE = _WorkerState()
+    expected = os.getppid() if parent_pid is None else parent_pid
+    threading.Thread(
+        target=_watch_parent, args=(expected,), name="parent-watch", daemon=True
+    ).start()
+
+
+def _watch_parent(parent_pid: int) -> None:
+    """Exit the worker once ``parent_pid`` is no longer its parent.
+
+    An orphan is reparented, so its ``getppid()`` changes when the parent
+    dies.  The first check also covers the fork race: a parent killed
+    between the fork and this thread's start is already gone.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
 
 
 def _worker_run(
-    unit: CampaignUnit,
+    token: _CampaignToken, unit: CampaignUnit
 ) -> Tuple[
     SiteResultPayload, List[dict], Tuple[int, ...], Optional[dict], dict, dict
 ]:
@@ -220,7 +277,10 @@ def _worker_run(
     state = _STATE
     if state is None:  # pragma: no cover - initializer always runs first
         raise RuntimeError("process backend worker used before initialization")
-    context = state.context_for(unit.app_index)
+    if state.generation != token.generation:
+        state.begin(token)
+    name = token.application_names[unit.app_index]
+    context = state.context_for(name, unit.app_index)
     with unit_lifecycle(
         unit.application_name, unit.site_name, "process"
     ) as finish_attrs:
@@ -233,7 +293,7 @@ def _worker_run(
             result = analyze_site(
                 context.application,
                 context.sites[unit.site_index],
-                state.diode,
+                token.diode,
                 solver_cache=state.cache,
                 detector=context.detector,
                 field_mapper=context.mapper,
@@ -255,8 +315,10 @@ def _worker_run(
         state.stats_mark = mark
 
     witness_wire: Optional[dict] = None
-    if state.triage and result.bug_report is not None:
-        record = state.triager_for(unit.app_index).triage(
+    if token.triage and result.bug_report is not None:
+        record = state.triager_for(
+            name, context, token.minimize_witnesses
+        ).triage(
             context.sites[unit.site_index], result.bug_report, result.enforcement
         )
         witness_wire = None if record is None else record.to_wire()
@@ -280,6 +342,108 @@ def _worker_run(
     )
 
 
+# ----------------------------------------------------------------------
+# The parent's pool
+# ----------------------------------------------------------------------
+class _Pool:
+    """The parent's one live executor and the key it was forked under."""
+
+    def __init__(self) -> None:
+        self.executor: Optional[ProcessPoolExecutor] = None
+        self.key: Optional[tuple] = None
+        #: Held for a whole campaign: concurrent process campaigns in one
+        #: parent take turns on the pool instead of resetting each
+        #: other's workers.
+        self.lock = threading.RLock()
+
+    def executor_for(self, workers: int) -> ProcessPoolExecutor:
+        """The live executor for ``workers``, replacing a stale or dead one."""
+        method = multiprocessing.get_start_method()
+        key = (os.getpid(), workers, method, _code_digest())
+        if self.executor is not None and self.key[0] != key[0]:
+            # Inherited through a fork: the pool belongs to our parent.
+            self.executor = None
+        if self.executor is not None and (
+            self.key != key or not _all_workers_alive(self.executor)
+        ):
+            self.shutdown()
+        if self.executor is None:
+            # A forkserver-started worker's parent is the fork server,
+            # which exits with this process; the worker watches that.
+            parent_pid = None if method == "forkserver" else os.getpid()
+            self.executor = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context(method),
+                initializer=_worker_init,
+                initargs=(parent_pid,),
+            )
+            self.key = key
+        return self.executor
+
+    def shutdown(self) -> None:
+        executor, self.executor, self.key = self.executor, None, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+
+_POOL = _Pool()
+
+#: Campaign generations, unique for this parent's lifetime.
+_GENERATIONS = itertools.count(1)
+
+
+def shutdown_pool() -> None:
+    """Stop the live worker pool, if any; the next campaign forks a new one."""
+    with _POOL.lock:
+        _POOL.shutdown()
+
+
+atexit.register(shutdown_pool)
+
+
+def _code_digest() -> int:
+    """Digest of every callable bound in a ``repro`` module or class.
+
+    Identity-based: rebinding any function, method or class (a patch, a
+    wrapper) changes it; plain data such as counters and caches does not
+    count.  Modules the workers import lazily are imported first, so a
+    campaign's own first imports do not change the digest of the next.
+    """
+    import repro.core.engine  # noqa: F401
+    import repro.sched.context  # noqa: F401
+    import repro.smt.cachestore  # noqa: F401
+    import repro.triage.engine  # noqa: F401
+
+    bindings: list = []
+    for module_name, module in list(sys.modules.items()):
+        if module is None or not (
+            module_name == "repro" or module_name.startswith("repro.")
+        ):
+            continue
+        for name, value in list(vars(module).items()):
+            if not _is_code(value):
+                continue
+            bindings += (name, id(value))
+            if isinstance(value, type) and value.__module__ == module_name:
+                for attribute, member in list(vars(value).items()):
+                    if _is_code(member):
+                        bindings += (attribute, id(member))
+    return hash(tuple(bindings))
+
+
+def _is_code(value: object) -> bool:
+    return callable(value) or isinstance(value, (staticmethod, classmethod, property))
+
+
+def _all_workers_alive(executor: ProcessPoolExecutor) -> bool:
+    # ``_broken`` and ``_processes`` are the executor's own bookkeeping; a
+    # worker killed since the last campaign shows up in either.
+    if getattr(executor, "_broken", False):
+        return False
+    processes = getattr(executor, "_processes", None) or {}
+    return all(process.is_alive() for process in list(processes.values()))
+
+
 class ProcessBackend(Backend):
     """Fan units out over ``request.jobs`` worker processes."""
 
@@ -289,28 +453,38 @@ class ProcessBackend(Backend):
         from repro.obs.events import EVENTS
         from repro.obs.metrics import METRICS
 
-        seed_entries: List[dict] = []
+        if not request.units:
+            return {}
+        seed_entries = b""
         if request.cache is not None:
             from repro.smt.cachestore import export_wire_entries
 
-            seed_entries, _ = export_wire_entries(request.cache)
+            entries, _ = export_wire_entries(request.cache)
+            if entries:
+                seed_entries = pickle.dumps(entries, pickle.HIGHEST_PROTOCOL)
+        token = _CampaignToken(
+            generation=next(_GENERATIONS),
+            application_names=tuple(request.application_names),
+            diode=request.diode,
+            use_cache=request.cache is not None,
+            seed_entries=seed_entries,
+            triage=request.triage,
+            minimize_witnesses=request.minimize_witnesses,
+            trace_dir=request.trace_dir,
+            events=request.events,
+        )
 
-        with ProcessPoolExecutor(
-            max_workers=request.worker_count(),
-            initializer=_worker_init,
-            initargs=(
-                list(request.application_names),
-                request.diode,
-                request.cache is not None,
-                seed_entries,
-                request.triage,
-                request.minimize_witnesses,
-                request.trace_dir,
-                request.events,
-            ),
-        ) as executor:
-            futures = [executor.submit(_worker_run, unit) for unit in request.units]
-            payloads = drain_futures(request.units, futures)
+        with _POOL.lock:
+            try:
+                executor = _POOL.executor_for(request.worker_count())
+                futures = [
+                    executor.submit(_worker_run, token, unit)
+                    for unit in request.units
+                ]
+                payloads = drain_futures(request.units, futures)
+            except BaseException:
+                _POOL.shutdown()
+                raise
 
         results: Dict[Slot, object] = {}
         for unit, (

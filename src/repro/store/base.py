@@ -25,7 +25,8 @@ Durability contract, shared by every store in the system:
 * records are **sharded** by key over ``shard-NN.json`` files, so files
   stay small and a corrupt shard loses its records, never the store;
 * every file is written with an **atomic replace**, so readers racing a
-  writer see complete files (readers take no lock);
+  writer see complete files (readers take no lock), and only when its
+  content changes — a save that adds nothing new rewrites no file;
 * saving is **merge-on-save under an exclusive lock**
   (:class:`~repro.store.locking.DirectoryLock`): the on-disk records are
   re-read, the incoming ones folded in by ``(kind, key)``, and the union
@@ -139,12 +140,7 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     def read_meta(self) -> Optional[dict]:
         """The raw ``meta.json`` dict, or ``None`` when absent/corrupt."""
-        try:
-            with open(self.meta_path(), "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return meta if isinstance(meta, dict) else None
+        return _parse_meta(_read_text(self.meta_path()))
 
     def _meta_matches(self, meta: Optional[dict], fingerprint_wire) -> bool:
         if meta is None or meta.get("version") != self.version:
@@ -161,40 +157,49 @@ class ArtifactStore:
         shard loses its records, never the store; malformed envelopes are
         skipped individually.
         """
+        return self._load_texts(fingerprint_wire)[0]
+
+    def _load_texts(
+        self, fingerprint_wire
+    ) -> Tuple[List[StoreRecord], Dict[str, str]]:
+        """:meth:`load`, plus the text of every file it read, keyed by path."""
         with TRACER.span("store.load", root=self.root):
-            records = self._load(fingerprint_wire)
+            records, texts = self._load(fingerprint_wire)
         METRICS.counter("store.loads").inc()
         METRICS.counter("store.records_loaded").inc(len(records))
-        return records
+        return records, texts
 
-    def _load(self, fingerprint_wire) -> List[StoreRecord]:
-        meta = self.read_meta()
+    def _load(self, fingerprint_wire) -> Tuple[List[StoreRecord], Dict[str, str]]:
+        texts: Dict[str, str] = {}
+        meta_text = _read_text(self.meta_path())
+        meta = _parse_meta(meta_text)
         if not self._meta_matches(meta, fingerprint_wire):
-            return []
+            return [], texts
+        texts[self.meta_path()] = meta_text
         try:
             shard_count = max(1, min(int(meta.get("shards", 1)), 4096))
         except (TypeError, ValueError):
-            return []
+            return [], texts
 
         records: List[StoreRecord] = []
         for index in range(shard_count):
-            try:
-                with open(
-                    self._shard_path(index), "r", encoding="utf-8"
-                ) as handle:
-                    envelopes = json.load(handle)
-            except FileNotFoundError:
+            path = self._shard_path(index)
+            text = _read_text(path)
+            if text is None:
                 continue
-            except (OSError, json.JSONDecodeError):
+            try:
+                envelopes = json.loads(text)
+            except json.JSONDecodeError:
                 # One corrupt shard loses its records, not the store.
                 continue
             if not isinstance(envelopes, list):
                 continue
+            texts[path] = text
             for envelope in envelopes:
                 record = _record_from_envelope(envelope)
                 if record is not None:
                     records.append(record)
-        return records
+        return records, texts
 
     # ------------------------------------------------------------------
     def save(
@@ -238,8 +243,12 @@ class ArtifactStore:
         os.makedirs(self.root, exist_ok=True)
         with self._lock():
             combined: Dict[Tuple[str, str], object] = {}
+            #: Path -> text on disk, for files read under a matching stamp;
+            #: a file whose new text equals it is left alone.
+            on_disk: Dict[str, str] = {}
             if not replace:
-                for record in self.load(fingerprint_wire):
+                loaded, on_disk = self._load_texts(fingerprint_wire)
+                for record in loaded:
                     combined[(record.kind, record.key)] = record.payload
             for record in records:
                 slot = (record.kind, record.key)
@@ -272,8 +281,8 @@ class ArtifactStore:
                     except FileNotFoundError:  # pragma: no cover - raced
                         pass
             for index, envelopes in shards.items():
-                _write_atomic(self._shard_path(index), envelopes)
-            _write_atomic(
+                _write_if_changed(self._shard_path(index), envelopes, on_disk)
+            _write_if_changed(
                 self.meta_path(),
                 {
                     "version": self.version,
@@ -282,6 +291,7 @@ class ArtifactStore:
                     "entries": len(combined),
                     "kinds": kinds,
                 },
+                on_disk,
             )
             return len(combined)
 
@@ -317,8 +327,31 @@ def _json_normalized(value):
     return json.loads(json.dumps(value))
 
 
-def _write_atomic(path: str, payload) -> None:
+def _read_text(path: str) -> Optional[str]:
+    """A file's text, or ``None`` when it is absent or unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+
+
+def _parse_meta(text: Optional[str]) -> Optional[dict]:
+    if text is None:
+        return None
+    try:
+        meta = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    return meta if isinstance(meta, dict) else None
+
+
+def _write_if_changed(path: str, payload, on_disk: Dict[str, str]) -> None:
+    """Atomically replace ``path`` with ``payload`` unless it already holds it."""
+    text = json.dumps(payload, separators=(",", ":"))
+    if on_disk.get(path) == text:
+        return
     tmp_path = path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
+        handle.write(text)
     os.replace(tmp_path, path)

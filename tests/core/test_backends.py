@@ -9,13 +9,29 @@ Two contracts:
 2. **Failure semantics** — the first failing unit cancels its pending
    siblings and surfaces as a :class:`UnitAnalysisError` carrying the
    ⟨application, site⟩ identity with the original exception chained.
+
+The process backend keeps one pool per parent process, so its tests also
+cover the pool's life: workers reused across campaigns, replaced when the
+parent's code is rebound or a worker died, and gone with their parent.
 """
 
 from __future__ import annotations
 
+import glob
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+
 import pytest
 
+import repro.core.engine as engine_module
 from repro.apps import get_application
+from repro.cli import main
 from repro.core import Diode
 from repro.core.campaign import CampaignConfig, run_campaign
 from repro.sched import (
@@ -29,6 +45,8 @@ from repro.sched import (
 )
 from repro.sched.serial import SerialBackend
 from repro.sched.thread import ThreadBackend
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 #: Registry subset used by the parity tests — big enough to exercise both
 #: a multi-site application and cross-application scheduling, small enough
@@ -220,3 +238,227 @@ class TestCampaignBackendSurface:
     def test_backends_registry_is_consistent(self):
         for name, backend in BACKENDS.items():
             assert backend.name == name
+
+
+# ----------------------------------------------------------------------
+# The process pool's life across campaigns
+# ----------------------------------------------------------------------
+#: Patching the parent's code can only reach fork-started workers.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="rebinding reaches workers only under the fork start method",
+)
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="needs /proc to see process states"
+)
+
+
+def _unit_pids(trace_dir):
+    """Pids of the processes that ran units, from their ``events-<pid>.jsonl``."""
+    pids = set()
+    for path in glob.glob(os.path.join(str(trace_dir), "events-*.jsonl")):
+        with open(path, "r", encoding="utf-8") as handle:
+            for line in handle:
+                record = json.loads(line)
+                if record["name"] == "unit.started":
+                    pids.add(record["pid"])
+    return pids
+
+
+def _gone(pid):
+    """Whether ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _wait_gone(pids, timeout=5.0):
+    """The subset of ``pids`` still running after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    alive = set(pids)
+    while alive and time.monotonic() < deadline:
+        alive = {pid for pid in alive if not _gone(pid)}
+        if alive:
+            time.sleep(0.05)
+    return alive
+
+
+def _counters(result):
+    return {
+        name: entry["value"]
+        for name, entry in result.metrics["metrics"].items()
+        if entry["k"] == "c"
+    }
+
+
+class TestPoolLifecycle:
+    def test_consecutive_campaigns_reuse_the_same_workers(
+        self, tmp_path, serial_diode_reference
+    ):
+        pids = set()
+        for run in range(3):
+            trace_dir = tmp_path / f"run-{run}"
+            result = run_campaign(
+                CampaignConfig(
+                    jobs=2,
+                    backend="process",
+                    applications=SUBSET,
+                    trace_dir=str(trace_dir),
+                )
+            )
+            assert result.classifications() == serial_diode_reference
+            ran = _unit_pids(trace_dir)
+            assert ran and os.getpid() not in ran
+            pids |= ran
+        # A pool forked per campaign would show at least one new pid per run.
+        assert len(pids) <= 2
+
+    @needs_fork
+    def test_rebinding_between_campaigns_reaches_the_workers(self, monkeypatch):
+        config = lambda: CampaignConfig(
+            jobs=2, backend="process", applications=["dillo"]
+        )
+        before = run_campaign(config()).classifications()
+
+        def exploding(*args, **kwargs):
+            raise RuntimeError("patched analyze_site")
+
+        monkeypatch.setattr(engine_module, "analyze_site", exploding)
+        with pytest.raises(UnitAnalysisError) as info:
+            run_campaign(config())
+        assert "patched analyze_site" in repr(info.value.__cause__)
+        monkeypatch.undo()
+        assert run_campaign(config()).classifications() == before
+
+    @needs_proc
+    def test_a_worker_killed_between_campaigns_is_replaced(
+        self, tmp_path, serial_diode_reference
+    ):
+        config = lambda trace_dir: CampaignConfig(
+            jobs=2, backend="process", applications=SUBSET, trace_dir=trace_dir
+        )
+        run_campaign(config(str(tmp_path / "first")))
+        victim = min(_unit_pids(tmp_path / "first"))
+        os.kill(victim, signal.SIGKILL)
+        assert not _wait_gone([victim])
+        result = run_campaign(config(str(tmp_path / "second")))
+        assert result.classifications() == serial_diode_reference
+        assert victim not in _unit_pids(tmp_path / "second")
+
+    @pytest.mark.parametrize("store", ["no-store", "warm-cache-dir"])
+    def test_second_process_campaign_counters_equal_serial(self, tmp_path, store):
+        apps = ["dillo", "swfplay"]
+        if store == "no-store":
+            options = dict(use_cache=False)
+        else:
+            options = dict(cache_dir=str(tmp_path / "cache"))
+            warm = run_campaign(
+                CampaignConfig(backend="serial", jobs=1, applications=apps, **options)
+            )
+            assert warm.cache_saved > 0
+        serial = run_campaign(
+            CampaignConfig(backend="serial", jobs=1, applications=apps, **options)
+        )
+        process = [
+            run_campaign(
+                CampaignConfig(backend="process", jobs=2, applications=apps, **options)
+            )
+            for _ in range(2)
+        ]
+        second = process[1]
+        assert second.classifications() == serial.classifications()
+        assert _counters(second) == _counters(serial)
+        if store == "no-store":
+            assert second.events == serial.events
+        else:
+            assert second.cache_loaded == serial.cache_loaded > 0
+
+
+_DIES_WITH_PARENT = textwrap.dedent(
+    """
+    import json, multiprocessing, sys, time
+    from repro.core.campaign import CampaignConfig, run_campaign
+
+    run_campaign(CampaignConfig(backend="process", jobs=2, applications=["dillo"]))
+    print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)
+    if sys.argv[1] == "idle":
+        time.sleep(120)  # between campaigns, until the test kills us
+    """
+)
+
+
+def _start_campaign_process(mode):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    return subprocess.Popen(
+        [sys.executable, "-c", _DIES_WITH_PARENT, mode],
+        stdout=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+
+
+@needs_proc
+class TestWorkersDieWithTheirParent:
+    def test_sigkilled_parent_leaves_no_worker_behind(self):
+        parent = _start_campaign_process("idle")
+        try:
+            workers = json.loads(parent.stdout.readline())
+            assert len(workers) == 2
+            assert not any(_gone(pid) for pid in workers)
+        finally:
+            parent.kill()
+            parent.wait(timeout=30)
+            parent.stdout.close()
+        assert not _wait_gone(workers, timeout=5.0)
+
+    def test_normal_exit_is_prompt_and_leaves_no_child(self):
+        parent = _start_campaign_process("exit")
+        try:
+            workers = json.loads(parent.stdout.readline())
+            assert len(workers) == 2
+            finished = time.monotonic()
+            assert parent.wait(timeout=30) == 0
+            assert time.monotonic() - finished < 10.0
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+            parent.stdout.close()
+        assert not _wait_gone(workers, timeout=5.0)
+
+
+class TestProcessBackendCli:
+    """The process backend through the CLI on dillo+cwebp, ``--jobs 2``.
+
+    A cold-store campaign, its warm rerun and the incremental-session
+    ablation run as consecutive campaigns in one process, so they share
+    one worker pool — as separate CLI runs never could.
+    """
+
+    def test_cold_store_warm_rerun_and_incremental_parity(self, tmp_path, capsys):
+        base = ["campaign", "--backend", "process", "--jobs", "2",
+                "--apps", "dillo", "cwebp"]
+        store = ["--cache-dir", str(tmp_path / "cache")]
+
+        assert main(base + store) == 0
+        out = capsys.readouterr().out
+        assert "on the process backend" in out
+        assert "warm-started 0 entries" in out
+
+        def run_json(*extra):
+            assert main(base + list(extra) + ["--json"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        warm = run_json(*store)
+        incremental = run_json()
+        fresh = run_json("--no-incremental")
+
+        assert warm["backend"] == "process"
+        assert warm["cache_store"]["loaded"] > 0
+        assert incremental["incremental"] and not fresh["incremental"]
+        assert (
+            warm["classifications"]
+            == incremental["classifications"]
+            == fresh["classifications"]
+        )

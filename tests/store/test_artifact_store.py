@@ -188,6 +188,78 @@ class TestOrphanedShards:
         assert _store(tmp_path, shard_count=16).load(FP) == []
 
 
+def _file_stamps(root):
+    """``name -> (inode, mtime_ns)`` of every meta and shard file under ``root``."""
+    return {
+        path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+        for path in sorted(root.glob("*.json"))
+    }
+
+
+class TestWriteOnlyWhatChanged:
+    def test_identical_second_save_rewrites_no_file(self, tmp_path):
+        records = [_record("alpha", i) for i in range(32)]
+        _store(tmp_path, shard_count=4).save(FP, records)
+        before = _file_stamps(tmp_path)
+        assert "meta.json" in before and len(before) > 2
+        # Same records from a fresh store object, as a later run would save.
+        assert _store(tmp_path, shard_count=4).save(FP, records) == len(records)
+        assert _file_stamps(tmp_path) == before
+        assert len(_store(tmp_path, shard_count=4).load(FP)) == len(records)
+
+    def test_one_new_record_rewrites_its_shard_and_meta(self, tmp_path):
+        store = _store(tmp_path, shard_count=4)
+        store.save(FP, [_record("alpha", i) for i in range(32)])
+        before = _file_stamps(tmp_path)
+        extra = _record("alpha", "extra")
+        store.save(FP, [extra])
+        after = _file_stamps(tmp_path)
+        shard = f"shard-{store._shard_of(extra.key):02d}.json"
+        changed = {name for name in after if after[name] != before.get(name)}
+        assert changed == {shard, "meta.json"}
+        assert store.read_meta()["entries"] == 33
+
+    def test_one_changed_payload_rewrites_its_shard_and_meta(self, tmp_path):
+        store = _store(tmp_path, shard_count=4)
+        store.save(FP, [StoreRecord("alpha", f"key-{i}", 1) for i in range(16)])
+        before = _file_stamps(tmp_path)
+        store.save(
+            FP,
+            [StoreRecord("alpha", "key-3", 1)],
+            merge_record=lambda kind, old, new: old + new,
+        )
+        after = _file_stamps(tmp_path)
+        shard = f"shard-{store._shard_of('key-3'):02d}.json"
+        changed = {name for name in after if after[name] != before.get(name)}
+        # The entry count is unchanged, so meta.json's text is too.
+        assert changed == {shard}
+        payloads = {r.key: r.payload for r in store.load(FP)}
+        assert payloads["key-3"] == 2
+
+    def test_shrunk_shard_count_still_compacts(self, tmp_path):
+        records = [_record("alpha", i) for i in range(64)]
+        _store(tmp_path, shard_count=16).save(FP, records)
+        narrow = _store(tmp_path, shard_count=1)
+        narrow.save(FP, records)
+        assert sorted(p.name for p in tmp_path.glob("shard-*.json")) == [
+            "shard-00.json"
+        ]
+        assert narrow.read_meta()["shards"] == 1
+        assert len(narrow.load(FP)) == len(records)
+
+    def test_fingerprint_mismatch_still_overwrites(self, tmp_path):
+        records = [_record("alpha", i) for i in range(8)]
+        _store(tmp_path, shard_count=1).save(["other-config"], records)
+        before = _file_stamps(tmp_path)
+        store = _store(tmp_path, shard_count=1)
+        store.save(FP, records)
+        after = _file_stamps(tmp_path)
+        # Same records, but written under a stale stamp: nothing is kept.
+        assert all(after[name] != before[name] for name in before)
+        assert store.read_meta()["fingerprint"] == FP
+        assert len(store.load(FP)) == len(records)
+
+
 class TestDirectoryLock:
     def test_exclusive_and_context_managed(self, tmp_path):
         path = str(tmp_path / ".lock")
