@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.exec.concolic import input_byte_variable, input_variable_offset
+from repro.exec.concolic import input_byte_name, input_variable_offset
 from repro.formats.fields import Endianness, FieldKind, FieldSpec
 from repro.formats.spec import FormatSpec
 from repro.smt import builder as smt
@@ -92,22 +92,17 @@ class FieldMapper:
         field variable, so constraints phrased in either vocabulary can be
         evaluated against the input.
         """
-        model = Model()
-        offsets = sorted(set(relevant_offsets))
-        seen_fields = set()
-        for offset in offsets:
-            value = data[offset] if offset < len(data) else 0
-            model[input_byte_variable(offset).name] = value
+        assignment: Dict[str, int] = {}
+        for offset in sorted(set(relevant_offsets)):
+            assignment[input_byte_name(offset)] = data[offset] if offset < len(data) else 0
             if self.spec is None:
                 continue
             field = self.spec.field_at_offset(offset)
             if field is None or field.kind is not FieldKind.UINT:
                 continue
-            if field.path in seen_fields:
-                continue
-            seen_fields.add(field.path)
-            model[field.path] = field.read(data)
-        return model
+            if field.path not in assignment:
+                assignment[field.path] = field.read(data)
+        return Model(assignment)
 
     # ------------------------------------------------------------------
     # Reporting

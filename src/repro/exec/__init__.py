@@ -5,8 +5,9 @@ small-step semantics) as executable interpreters, plus the dynamic
 analyses DIODE layers on top of them.  All of them run one execution path:
 
 * :mod:`repro.exec.compiler` — the compile-once executor: each program is
-  translated into nested closures once per annotation domain and word
-  width, and the closures are cached on the shared program.
+  translated into generated Python functions once per annotation domain
+  and word width, compiled in bounded units and cached on the shared
+  program.
 * :mod:`repro.exec.concrete` — plain concrete execution (used to run
   candidate test inputs and observe whether the overflow fires).
 * :mod:`repro.exec.taint` — byte-granular dynamic taint tracking (the

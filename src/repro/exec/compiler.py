@@ -1,41 +1,44 @@
-"""Compile-once executor: a lowered program as nested Python closures.
+"""Compile-once executor: a lowered program as generated Python functions.
 
-Every interpreter in :mod:`repro.exec` runs a program through the closures
-this module builds.  :func:`compiled` translates a program's lowered body
-once per ⟨annotation domain, word width⟩ and caches the result on the
-:class:`~repro.lang.program.Program`, so every later run — of any
-interpreter instance, in any thread, in any fork-started worker that
-inherited the program — reuses it.
+Every interpreter in :mod:`repro.exec` runs a program through the code this
+module generates.  :func:`compiled` turns a program's lowered body into
+Python source once per ⟨annotation domain, word width⟩, compiles it and
+caches it on the :class:`~repro.lang.program.Program`, so every later run —
+any interpreter, any thread, any fork-started worker — reuses it.
 
-Everything that does not depend on the input is resolved at compile time:
-the node kind, the :class:`~repro.exec.values.MachineInt` function of every
-operator, the domain's annotator for every node, literal values and their
-annotations, labels and tags.  A run performs no dispatch on node kinds,
-operators or domains; it only calls closures.
+The code is straight-line Python.  Variable ``x`` lives in the locals
+``v<i>`` (value) and ``a<i>`` (annotation; the concrete domain has none).
+Operators are inlined with the width's mask and sign bit as literals,
+literal divisors and shift amounts fold their guards away, and each
+:class:`AnnotationDomain` emits its own annotation code.  Per-run state is
+read from the running interpreter ``rt`` (``input``, ``env``, ``memory``,
+``blocks``, ``memcheck``, the report's lists).  ``rt.seq`` counts executed
+statements; ``rt.limit`` starts at ``max_steps`` and drops by one per
+``while`` condition test, so the step count is ``seq + max_steps - limit``
+and one comparison per statement, ``seq > limit``, finds the step limit.
 
-An expression closure returns a ``(value, annotation)`` pair, and the
-environment and memory cells hold such pairs; the domain's annotators
-compute the annotation of every operation, branch and allocation.  The
-concrete domain's annotators all return ``None``.
+**Compile units.**  ``compile()`` needs memory in proportion to its input,
+so no input holds more than :data:`UNIT_CHARS` characters.  A block's
+statements are packed greedily into *units*, one function each; an ``if``
+or ``while`` too large for a unit gets a control function that calls a
+*header* unit (its condition test) and its blocks' units.  Only a simple
+statement whose own code exceeds the budget makes a larger unit.
 
-Closures take one argument, the running interpreter ``rt``, which holds the
-per-run state: ``input`` (bytes), ``env`` (name → pair),
-``memory`` and its ``blocks`` table, ``memcheck``, the report's
-``branches`` / ``allocations`` / ``warnings`` lists, and two counters.
-``rt.seq`` is the statement sequence index (one per executed statement);
-``rt.limit`` starts at ``max_steps`` and drops by one per ``while``
-condition test, so the step count is ``seq + max_steps - limit`` and the
-step limit is hit exactly when ``seq > limit`` — one comparison per
-statement instead of two counters.
+**Write-back.**  A unit loads into locals ``rt.seq``, ``rt.limit`` and the
+variables it may read before assigning them.  On every exit — normal,
+:class:`Halt`, a segmentation fault or :class:`StepLimit` — its
+``finally`` block writes the counters back and stores each variable it
+assigned into ``rt.env`` (a flag ``d<i>`` marks those unassigned at unit
+entry), so a name no statement assigned never reaches
+``final_environment``.  Variables cross unit boundaries only there.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+import re
+from typing import Any, Callable, Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.exec.state import AllocationRecord, BranchObservation
-from repro.exec.values import MachineInt
 from repro.lang.ast import (
     AllocStmt,
     AssignStmt,
@@ -50,6 +53,7 @@ from repro.lang.ast import (
     LoadExpr,
     SeqStmt,
     SkipStmt,
+    Stmt,
     StoreStmt,
     UnaryExpr,
     UnaryOp,
@@ -59,8 +63,8 @@ from repro.lang.ast import (
 )
 from repro.lang.program import Program
 
-#: A compiled statement or block: runs against the interpreter ``rt``.
-Executable = Callable[[Any], None]
+#: The most characters one ``compile()`` input may hold.
+UNIT_CHARS = 8000
 
 #: Value and annotation of an undefined variable or uninitialised cell.
 UNSET: Tuple[int, Any] = (0, None)
@@ -78,353 +82,525 @@ class StepLimit(Exception):
     """Control-flow signal for runaway executions."""
 
 
-class AnnotationDomain(ABC):
-    """How one analysis annotates values, declared as compile-time factories.
+class Val:
+    """An emitted expression: source of its value and annotation, each an atom
+    (a name or integer literal) or a parenthesised pure expression.  ``sure``:
+    the annotation is never ``None``; ``test``: a cheaper source of the bool
+    ``value != 0``, if any."""
 
-    The compiler calls each factory once per program node (operator
-    factories once per operator) and closes the annotator it returns into
-    the node's closure.  Annotators are plain functions; the ones that need
-    per-run state (a report, the relevant bytes) receive the running
-    interpreter ``rt`` first.
+    __slots__ = ("value", "annotation", "sure", "test")
 
-    To add a domain: subclass this, set :attr:`key` so it captures every
-    option the annotators close over (the key selects the program's cached
-    closures), set :attr:`constant`, implement the five factories, and
-    point an interpreter's ``domain`` at an instance.  The interpreter
-    creates the domain's per-run report in ``_setup_analysis``; annotators
-    reach it through ``rt``.
+    def __init__(self, value: str, annotation: str, sure: bool, test: str = "") -> None:
+        self.value, self.annotation, self.sure, self.test = value, annotation, sure, test
+
+
+class AnnotationDomain:
+    """How one analysis annotates values, as code emitted into the program.
+
+    The generator calls an ``emit_*`` method per node, passing itself (to
+    emit lines, bind helpers and per-run locals) and the operands as
+    :class:`Val`.  Each returns the source of the node's annotation (and,
+    for operations and input bytes, whether it is ``sure``), which runs
+    after the operands' code and before the node's value is stored.  ``C``
+    in the code is :attr:`constant`, the annotation of literals,
+    ``input_size`` and ``alloc`` addresses; a domain emits nothing for an
+    annotation it knows to be that.  The defaults annotate nothing.
+
+    A new domain sets :attr:`key` to capture every option its code depends
+    on (it selects the program's cached code), sets :attr:`constant`,
+    implements the ``emit_*`` methods and is some interpreter's ``domain``;
+    the interpreter's ``_setup_analysis`` creates the report it writes to.
     """
 
     #: Identity in a program's compile cache.
     key: Hashable
-
-    #: Annotation of literals, of ``input_size`` and of ``alloc`` addresses.
     constant: Any = None
+    #: ``False``: no annotation locals or code at all (the concrete domain).
+    annotated = True
+    #: Annotation code has no side effects, so the generator may defer it
+    #: and drop what nothing reads.  Otherwise it runs in evaluation order.
+    pure = False
 
-    @abstractmethod
-    def input_byte(self, width: int) -> Callable[[Any, int, Any], Any]:
-        """``(rt, offset, offset_annotation) -> annotation``."""
+    def bind(self, width: int) -> Dict[str, Any]:
+        """Helpers the domain's code refers to, by global name."""
+        return {}
 
-    @abstractmethod
-    def unary(self, op: UnaryOp, width: int) -> Callable[[Any], Any]:
-        """``(operand_annotation) -> annotation``."""
+    def emit_input_byte(self, gen: "Generator", offset: Val) -> Tuple[str, bool]:
+        return "None", True
 
-    @abstractmethod
-    def binary(self, op: BinaryOp, width: int) -> Callable[[int, Any, int, Any], Any]:
-        """``(left, left_annotation, right, right_annotation) -> annotation``."""
+    def emit_unary(self, gen: "Generator", op: UnaryOp, operand: Val) -> Tuple[str, bool]:
+        return "None", True
 
-    @abstractmethod
-    def branch(self, label: int, width: int) -> Callable[[Any, Any, bool, int], Any]:
-        """``(rt, annotation, taken, sequence_index) -> recorded condition``."""
+    def emit_binary(self, gen: "Generator", op: BinaryOp, left: Val, right: Val) -> Tuple[str, bool]:
+        return "None", True
 
-    @abstractmethod
-    def allocation(
-        self, label: int, tag: Optional[str]
-    ) -> Callable[[Any, int, Any, int], Any]:
-        """``(rt, size, size_annotation, sequence_index) -> recorded size annotation``."""
+    def emit_branch(self, gen: "Generator", label: int, condition: Val) -> str:
+        """The recorded condition; ``k`` holds the direction taken."""
+        return "None"
+
+    def emit_allocation(self, gen: "Generator", label: int, tag: Optional[str], size: Val) -> str:
+        """The recorded size annotation (``size.value`` is an atom)."""
+        return "None"
 
 
-def compiled(program: Program, domain: AnnotationDomain, width: int) -> Executable:
+class CompiledProgram(NamedTuple):
+    """A program's generated code for one domain and width."""
+
+    #: Runs the program against the interpreter passed to it.
+    run: Callable[[Any], None]
+    #: Length of every source text handed to ``compile()``.
+    unit_sizes: Tuple[int, ...]
+
+
+def compiled(program: Program, domain: AnnotationDomain, width: int) -> CompiledProgram:
     """The program body compiled for ``domain`` at ``width`` (cached on the program)."""
     return program.compiled(
-        (domain.key, width), lambda: _Compiler(width, domain).block(program.body)
+        (domain.key, width), lambda: Generator(program.name, domain, width).build(program.body)
     )
 
 
-def _noop(rt: Any) -> None:
-    return None
+_ATOM = re.compile(r"-?\w+\Z")
 
-
-def _sequence(steps: Tuple[Executable, ...]) -> Executable:
-    if not steps:
-        return _noop
-    if len(steps) == 1:
-        return steps[0]
-
-    def block(rt: Any) -> None:
-        for step in steps:
-            step(rt)
-
-    return block
-
-
-class _Compiler:
-    """Translates one program body into closures for one domain and width."""
-
-    def __init__(self, width: int, domain: AnnotationDomain) -> None:
-        self.machine = MachineInt(width)
-        self.width = width
-        self.mask = self.machine.mask
-        self.sign = self.machine.sign_bit
-        self.domain = domain
-        # Operator annotators depend on the operator only: one per program.
-        self.unary_annotators = {op: domain.unary(op, width) for op in UnaryOp}
-        self.binary_annotators = {op: domain.binary(op, width) for op in BinaryOp}
-        self.input_byte_annotator = domain.input_byte(width)
-        self._leaves: Dict[Expr, Callable[[Any], Any]] = {}
-
-    def block(self, sequence: SeqStmt) -> Executable:
-        return _sequence(tuple(self._compile(s) for s in sequence.statements))
-
-    def expression(self, expr: Expr) -> Callable[[Any], Any]:
-        if type(expr) not in (ConstExpr, VarExpr):
-            return self._compile(expr)
-        # Equal leaves (one literal, one variable) share a closure: it
-        # keeps a compiled program small.
-        leaf = self._leaves.get(expr)
-        if leaf is None:
-            leaf = self._leaves[expr] = self._compile(expr)
-        return leaf
-
-    def _compile(self, node: Any) -> Callable[[Any], Any]:
-        method = _COMPILE_METHODS.get(type(node))
-        if method is None:
-            raise TypeError(f"cannot compile a {type(node).__name__} node")
-        return getattr(self, method)(node)
-
-    # -- statements that never unpack a pair ----------------------------
-    def _assign(self, statement: AssignStmt) -> Executable:
-        target, value_of = statement.target, self.expression(statement.value)
-
-        def assign(rt: Any) -> None:
-            seq = rt.seq + 1
-            rt.seq = seq
-            if seq > rt.limit:
-                raise StepLimit()
-            rt.env[target] = value_of(rt)
-
-        return assign
-
-    def _skip(self, statement: SkipStmt) -> Executable:
-        def skip(rt: Any) -> None:
-            seq = rt.seq + 1
-            rt.seq = seq
-            if seq > rt.limit:
-                raise StepLimit()
-
-        return skip
-
-    def _warn(self, statement: WarnStmt) -> Executable:
-        message = statement.message
-
-        def warn(rt: Any) -> None:
-            seq = rt.seq + 1
-            rt.seq = seq
-            if seq > rt.limit:
-                raise StepLimit()
-            rt.warnings.append(message)
-
-        return warn
-
-    def _halt(self, statement: HaltStmt) -> Executable:
-        message = statement.message
-
-        def halt(rt: Any) -> None:
-            seq = rt.seq + 1
-            rt.seq = seq
-            if seq > rt.limit:
-                raise StepLimit()
-            raise Halt(message)
-
-        return halt
-
-    def _nested(self, statement: SeqStmt) -> Executable:
-        body = self.block(statement)
-
-        def nested(rt: Any) -> None:
-            seq = rt.seq + 1
-            rt.seq = seq
-            if seq > rt.limit:
-                raise StepLimit()
-            body(rt)
-
-        return nested
-
-    # -- expressions ----------------------------------------------------
-    def _const(self, expr: ConstExpr) -> Callable[[Any], Tuple[int, Any]]:
-        pair = (expr.value & self.mask, self.domain.constant)
-        return lambda rt: pair
-
-    def _var(self, expr: VarExpr) -> Callable[[Any], Tuple[int, Any]]:
-        name = expr.name
-        return lambda rt: rt.env.get(name, UNSET)
-
-    def _input_size(self, expr: InputSizeExpr) -> Callable[[Any], Tuple[int, Any]]:
-        mask, constant = self.mask, self.domain.constant
-        return lambda rt: (len(rt.input) & mask, constant)
-
-    def _input_byte(self, expr: InputByteExpr) -> Callable[[Any], Tuple[int, Any]]:
-        offset_of = self.expression(expr.offset)
-        annotate = self.input_byte_annotator
-
-        def input_byte(rt: Any) -> Tuple[int, Any]:
-            offset, offset_annotation = offset_of(rt)
-            data = rt.input
-            value = data[offset] if offset < len(data) else 0
-            return value, annotate(rt, offset, offset_annotation)
-
-        return input_byte
-
-    def _load(self, expr: LoadExpr) -> Callable[[Any], Tuple[int, Any]]:
-        offset_of = self.expression(expr.offset)
-        base_name, mask, sign = expr.base, self.mask, self.sign
-
-        def load(rt: Any) -> Tuple[int, Any]:
-            offset = ((offset_of(rt)[0] & mask) ^ sign) - sign
-            base = rt.env.get(base_name, UNSET)[0]
-            block = rt.blocks.get(base)
-            if block is None or not 0 <= offset < block.size:
-                rt.memcheck.check_access(rt.memory, base, offset, False, -1, rt.seq)
-            return block.cells.get(offset, UNSET)
-
-        return load
-
-    def _unary(self, expr: UnaryExpr) -> Callable[[Any], Tuple[int, Any]]:
-        operand_of = self.expression(expr.operand)
-        apply = self.machine.unary_op(expr.op)
-        annotate = self.unary_annotators[expr.op]
-
-        def unary(rt: Any) -> Tuple[int, Any]:
-            operand, annotation = operand_of(rt)
-            return apply(operand), annotate(annotation)
-
-        return unary
-
-    def _binary(self, expr: BinaryExpr) -> Callable[[Any], Tuple[int, Any]]:
-        # Boolean operators evaluate both sides too: core-language
-        # expressions have no side effects, so eager evaluation is
-        # equivalent and keeps the annotations complete.
-        left_of = self.expression(expr.left)
-        right_of = self.expression(expr.right)
-        apply = self.machine.binary_op(expr.op)
-        annotate = self.binary_annotators[expr.op]
-
-        def binary(rt: Any) -> Tuple[int, Any]:
-            left, left_annotation = left_of(rt)
-            right, right_annotation = right_of(rt)
-            return apply(left, right), annotate(
-                left, left_annotation, right, right_annotation
-            )
-
-        return binary
-
-    # -- statements that unpack pairs -----------------------------------
-    def _alloc(self, statement: AllocStmt) -> Executable:
-        target, size_of = statement.target, self.expression(statement.size)
-        label, tag = statement.label, statement.tag
-        observe = self.domain.allocation(label, tag)
-        address_annotation = self.domain.constant
-
-        def alloc(rt: Any) -> None:
-            seq = rt.seq + 1
-            rt.seq = seq
-            if seq > rt.limit:
-                raise StepLimit()
-            size, annotation = size_of(rt)
-            address = rt.memory.allocate(size, label, tag).address
-            rt.allocations.append(
-                AllocationRecord(
-                    label, tag, size, observe(rt, size, annotation, seq), address, seq
-                )
-            )
-            rt.env[target] = (address, address_annotation)
-
-        return alloc
-
-    def _store(self, statement: StoreStmt) -> Executable:
-        offset_of = self.expression(statement.offset)
-        value_of = self.expression(statement.value)
-        base_name, label, mask, sign = statement.base, statement.label, self.mask, self.sign
-
-        def store(rt: Any) -> None:
-            seq = rt.seq + 1
-            rt.seq = seq
-            if seq > rt.limit:
-                raise StepLimit()
-            offset = ((offset_of(rt)[0] & mask) ^ sign) - sign
-            pair = value_of(rt)
-            base = rt.env.get(base_name, UNSET)[0]
-            block = rt.blocks.get(base)
-            if block is None or not 0 <= offset < block.size:
-                rt.memcheck.check_access(rt.memory, base, offset, True, label, seq)
-            block.cells[offset] = pair
-
-        return store
-
-    def _if(self, statement: IfStmt) -> Executable:
-        condition = self.expression(statement.condition)
-        then_body = self.block(statement.then_body)
-        else_body = self.block(statement.else_body)
-        label = statement.label
-        observe = self.domain.branch(label, self.width)
-
-        def if_(rt: Any) -> None:
-            seq = rt.seq + 1
-            rt.seq = seq
-            if seq > rt.limit:
-                raise StepLimit()
-            value, annotation = condition(rt)
-            taken = value != 0
-            rt.branches.append(
-                BranchObservation(
-                    label, taken, observe(rt, annotation, taken, seq), seq
-                )
-            )
-            if taken:
-                then_body(rt)
-            else:
-                else_body(rt)
-
-        return if_
-
-    def _while(self, statement: WhileStmt) -> Executable:
-        condition = self.expression(statement.condition)
-        body = self.block(statement.body)
-        label = statement.label
-        observe = self.domain.branch(label, self.width)
-
-        def while_(rt: Any) -> None:
-            seq = rt.seq + 1
-            rt.seq = seq
-            if seq > rt.limit:
-                raise StepLimit()
-            branches = rt.branches
-            while True:
-                limit = rt.limit - 1
-                rt.limit = limit
-                seq = rt.seq
-                if seq > limit:
-                    raise StepLimit()
-                value, annotation = condition(rt)
-                taken = value != 0
-                branches.append(
-                    BranchObservation(
-                        label, taken, observe(rt, annotation, taken, seq), seq
-                    )
-                )
-                if not taken:
-                    return
-                body(rt)
-
-        return while_
-
-
-#: Node type → the compiler method that translates it.
-_COMPILE_METHODS = {
-    ConstExpr: "_const",
-    VarExpr: "_var",
-    InputSizeExpr: "_input_size",
-    InputByteExpr: "_input_byte",
-    LoadExpr: "_load",
-    UnaryExpr: "_unary",
-    BinaryExpr: "_binary",
-    SkipStmt: "_skip",
-    WarnStmt: "_warn",
-    HaltStmt: "_halt",
-    SeqStmt: "_nested",
-    AssignStmt: "_assign",
-    AllocStmt: "_alloc",
-    StoreStmt: "_store",
-    IfStmt: "_if",
-    WhileStmt: "_while",
+#: Bool sources of ``value != 0`` for the operators yielding 0 or 1: ``l``/``r``
+#: are the operands, ``tl``/``tr`` their own tests, ``bl``/``br`` them biased
+#: so that unsigned order is two's-complement order.
+_TESTS = {
+    BinaryOp.EQ: "{l}=={r}",
+    BinaryOp.NE: "{l}!={r}",
+    BinaryOp.LT: "{l}<{r}",
+    BinaryOp.LE: "{l}<={r}",
+    BinaryOp.GT: "{l}>{r}",
+    BinaryOp.GE: "{l}>={r}",
+    BinaryOp.SLT: "{bl}<{br}",
+    BinaryOp.SLE: "{bl}<={br}",
+    BinaryOp.SGT: "{bl}>{br}",
+    BinaryOp.SGE: "{bl}>={br}",
+    BinaryOp.AND: "{tl} and {tr}",
+    BinaryOp.OR: "{tl} or {tr}",
 }
+_ARITHMETIC = {
+    BinaryOp.ADD: "({l}+{r}&{M})",
+    BinaryOp.SUB: "({l}-{r}&{M})",
+    BinaryOp.MUL: "({l}*{r}&{M})",
+    BinaryOp.BITAND: "({l}&{r})",
+    BinaryOp.BITOR: "({l}|{r})",
+    BinaryOp.BITXOR: "({l}^{r})",
+}
+#: ``(guard, value when it holds, value otherwise)``.
+_GUARDED = {
+    BinaryOp.DIV: ("{r}==0", "{M}", "{l}//{r}&{M}"),
+    BinaryOp.MOD: ("{r}==0", "{l}", "{l}%{r}&{M}"),
+    BinaryOp.SHL: ("{r}>={W}", "0", "{l}<<{r}&{M}"),
+    BinaryOp.SHR: ("{r}>={W}", "0", "{l}>>{r}"),
+}
+_UNARY = {
+    UnaryOp.NEG: "(-{a}&{M})",
+    UnaryOp.BITNOT: "(~{a}&{M})",
+    UnaryOp.NOT: "(0 if {a} else 1)",
+    UnaryOp.ABS: "(-{a}&{M} if {a}&{S} else {a}&{M})",
+}
+
+
+class _Fragment:
+    """Code of statements (or a header) and what its unit must provide.
+
+    ``reads``: variables read, ``unsafe`` those possibly read before an
+    assignment; ``uses``: per-run locals, name → source; ``limit``: the code
+    moves ``rt.limit``.
+    """
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self.size, self.limit = 0, False
+        self.reads: Set[int] = set()
+        self.unsafe: Set[int] = set()
+        self.assigned: Set[int] = set()
+        self.uses: Dict[str, str] = {}
+
+    def __add__(self, other: "_Fragment") -> "_Fragment":
+        merged = _Fragment()
+        merged.lines, merged.size = self.lines + other.lines, self.size + other.size
+        merged.reads, merged.unsafe = self.reads | other.reads, self.unsafe | other.unsafe
+        merged.assigned, merged.uses = self.assigned | other.assigned, {**self.uses, **other.uses}
+        merged.limit = self.limit or other.limit
+        return merged
+
+
+class Generator:
+    """Generates and compiles one program body for one domain and width.
+
+    While a statement is emitted, :attr:`defs` holds the variables
+    definitely assigned at that point: reads of others must be loaded from
+    ``rt.env`` at unit entry, and assigning one sets its flag ``d<i>``.
+    """
+
+    def __init__(self, name: str, domain: AnnotationDomain, width: int) -> None:
+        self.domain, self.annotated = domain, domain.annotated
+        self.width, self.mask, self.sign = width, (1 << width) - 1, 1 << (width - 1)
+        self.constant = "None" if domain.constant is None else "C"
+        self.filename = f"<{name}:{domain.key}:{width}>"
+        self.namespace: Dict[str, Any] = {
+            "SL": StepLimit, "HALT": Halt, "BO": BranchObservation, "AR": AllocationRecord,
+            "U": UNSET, "C": domain.constant, **domain.bind(width),
+        }
+        self.variables: Dict[str, int] = {}
+        #: Per variable, an upper bound on its share of a unit's frame.
+        self.frame_cost: List[int] = []
+        self.defs: Set[int] = set()
+        self.sizes: List[int] = []
+        self.fragment, self.indent, self.temps = _Fragment(), "", 0
+
+    def build(self, body: SeqStmt) -> CompiledProgram:
+        names = self._pack(body.statements, frozenset())
+        if len(names) != 1:
+            names = [self._control("r", [f"{name}(rt)" for name in names] or ["pass"])]
+        return CompiledProgram(self.namespace[names[0]], tuple(self.sizes))
+
+    # -- emission primitives, also used by the domains ---------------------
+    def line(self, code: str) -> None:
+        """Emit one line at the current indentation."""
+        text = f"{self.indent}{code}\n"
+        self.fragment.lines.append(text)
+        self.fragment.size += len(text)
+
+    def use(self, name: str, source: str) -> str:
+        """Bind the per-run local ``name = source`` at the unit's entry."""
+        self.fragment.uses.setdefault(name, source)
+        return name
+
+    def helper(self, name: str, build: Callable[[], Any]) -> str:
+        """The global ``name``, bound to ``build()`` on first use."""
+        if name not in self.namespace:
+            self.namespace[name] = build()
+        return name
+
+    def temp(self, code: str) -> str:
+        """Store ``code`` in a fresh temporary; its name."""
+        name = f"t{self.temps}"
+        self.temps += 1
+        self.line(f"{name}={code}")
+        return name
+
+    def atom(self, val: Val) -> str:
+        """``val``'s value as an atom (emitting a temporary if needed)."""
+        if not _ATOM.match(val.value):
+            val.value = self.temp(val.value)
+        return val.value
+
+    def annotation(self, val: Val) -> str:
+        """``val``'s annotation as an atom (emitting a temporary if needed)."""
+        if not _ATOM.match(val.annotation):
+            val.annotation = self.temp(val.annotation)
+        return val.annotation
+
+    # -- packing statements into units -------------------------------------
+    def _pack(self, statements: List[Stmt], entry: FrozenSet[int]) -> List[str]:
+        """Compile a block into units; their function names, in order."""
+        self.defs = set(entry)
+        names: List[str] = []
+        unit, unit_entry = None, entry
+        pending = list(reversed(statements))
+        while pending:
+            statement = pending.pop()
+            before = frozenset(self.defs)
+            fragment = self._emit(self._statement, statement)
+            if unit is not None:
+                merged = unit + fragment
+                if self._fits(merged):
+                    unit = merged
+                    continue
+                names.append(self._unit("u", unit, unit_entry))
+            unit, unit_entry = fragment, before
+            if self._fits(unit) or not isinstance(statement, (SeqStmt, IfStmt, WhileStmt)):
+                continue
+            # Too large for any unit: split the statement itself.
+            unit, self.defs = None, set(before)
+            if type(statement) is SeqStmt:
+                # A nested block is its own step followed by its statements.
+                pending.extend(reversed([SkipStmt(), *statement.statements]))
+            else:
+                names.append(self._split(statement))
+        if unit is not None:
+            names.append(self._unit("u", unit, unit_entry))
+        return names
+
+    def _split(self, statement: Any) -> str:
+        """A control function for an ``if`` or ``while`` too large for one unit."""
+        entry = frozenset(self.defs)
+        header = self._unit("h", self._emit(lambda s: self._branch(s, "return k"), statement), entry)
+
+        def calls(block: SeqStmt) -> List[str]:
+            return [f" {name}(rt)" for name in self._pack(block.statements, entry)] or [" pass"]
+
+        if type(statement) is WhileStmt:
+            lines = ["q=rt.seq+1", "rt.seq=q", "if q>rt.limit:raise SL", f"while {header}(rt):"]
+            lines += calls(statement.body)
+            self.defs = set(entry)
+        else:
+            lines = [f"if {header}(rt):", *calls(statement.then_body)]
+            then_defs = self.defs
+            lines += ["else:", *calls(statement.else_body)]
+            self.defs &= then_defs
+        return self._control("c", lines)
+
+    def _emit(self, emit: Callable[[Stmt], None], statement: Stmt) -> _Fragment:
+        self.fragment, self.indent, self.temps = _Fragment(), "  ", 0
+        emit(statement)
+        return self.fragment
+
+    def _fits(self, unit: _Fragment) -> bool:
+        """Whether an upper bound on the unit's source is within the budget.
+
+        The bound counts the frame as a load, a flag and a store for every
+        variable, so packing never renders a frame.
+        """
+        bound = 120 + sum(len(local) + len(source) + 3 for local, source in unit.uses.items())
+        bound += sum(self.frame_cost[i] for i in unit.reads | unit.assigned | unit.unsafe)
+        return unit.size + bound <= UNIT_CHARS
+
+    def _frame(self, name: str, unit: _Fragment, entry: FrozenSet[int]) -> Tuple[str, str]:
+        """A unit's entry (bindings, loads) and its ``finally`` write-back."""
+        names = list(self.variables)
+        # Variables assigned before the unit are loaded even when the unit
+        # assigns them first: the write-back stores them unconditionally.
+        loads = sorted((unit.reads | unit.assigned) & entry | unit.unsafe)
+        head = [f"def {name}(rt):"]
+        if loads or unit.assigned:
+            head.append(" E=rt.env")
+        head += [f" {local}={source}" for local, source in unit.uses.items()]
+        head.append(" q=rt.seq;m=rt.limit")
+        for i in loads:
+            get = f"E[{names[i]!r}]" if i in entry else f"E.get({names[i]!r},U)"
+            head.append(f" v{i},a{i}={get}" if self.annotated else f" v{i}={get}[0]")
+        flags = sorted(unit.assigned - entry)
+        if flags:
+            head.append(" " + "=".join(f"d{i}" for i in flags) + "=0")
+        head.append(" try:")
+        foot = [" finally:", "  rt.seq=q"]
+        if unit.limit:
+            foot.append("  rt.limit=m")
+        for i in sorted(unit.assigned):
+            store = f"E[{names[i]!r}]=(v{i},{f'a{i}' if self.annotated else 'None'})"
+            foot.append(f"  {store}" if i in entry else f"  if d{i}:{store}")
+        return "\n".join(head) + "\n", "\n".join(foot) + "\n"
+
+    def _unit(self, prefix: str, unit: _Fragment, entry: FrozenSet[int]) -> str:
+        name = f"{prefix}{len(self.sizes)}"
+        head, foot = self._frame(name, unit, entry)
+        return self._compile(name, head + "".join(unit.lines) + foot)
+
+    def _control(self, prefix: str, lines: List[str]) -> str:
+        name = f"{prefix}{len(self.sizes)}"
+        return self._compile(name, f"def {name}(rt):\n" + "".join(f" {line}\n" for line in lines))
+
+    def _compile(self, name: str, source: str) -> str:
+        self.sizes.append(len(source))
+        exec(compile(source, self.filename, "exec"), self.namespace)
+        return name
+
+    # -- statements ----------------------------------------------------------
+    def _variable(self, name: str) -> int:
+        index = self.variables.get(name)
+        if index is None:
+            index = self.variables[name] = len(self.variables)
+            self.frame_cost.append(48 + 6 * len(str(index)) + 2 * len(repr(name)))
+        return index
+
+    def _read(self, name: str) -> str:
+        index = self._variable(name)
+        self.fragment.reads.add(index)
+        if index not in self.defs:
+            self.fragment.unsafe.add(index)
+        return f"v{index}"
+
+    def _assigned(self, index: int) -> None:
+        if index not in self.defs:
+            self.line(f"d{index}=1")
+            self.defs.add(index)
+        self.fragment.assigned.add(index)
+
+    def _block(self, opener: Optional[str], statements: List[Stmt], defs: Set[int]) -> Set[int]:
+        """Emit ``opener`` and the indented statements; the definite assignments after."""
+        if opener:
+            self.line(opener)
+        self.indent += " "
+        self.defs = set(defs)
+        for statement in statements:
+            self._statement(statement)
+        if not statements:
+            self.line("pass")
+        self.indent = self.indent[:-1]
+        return self.defs
+
+    def _statement(self, statement: Any) -> None:
+        kind = type(statement)
+        if kind is IfStmt:
+            self._branch(statement, "")
+            before = self.defs
+            then = self._block("if k:", statement.then_body.statements, before)
+            other = statement.else_body.statements
+            self.defs = then & (self._block("else:", other, before) if other else before)
+            return
+        if kind is WhileStmt:
+            before = self.defs
+            self.line("if(q:=q+1)>m:raise SL")
+            self.line("while 1:")
+            self.indent += " "
+            self._branch(statement, "if not k:break")
+            self.indent = self.indent[:-1]
+            self._block(None, statement.body.statements, before)
+            self.defs = set(before)
+            return
+        self.line("if(q:=q+1)>m:raise SL")
+        if kind is AssignStmt:
+            index = self._variable(statement.target)
+            if type(statement.value) is LoadExpr:
+                self._load(statement.value, f"v{index}", f"a{index}")
+            else:
+                val = self._node(statement.value)
+                if self.annotated:
+                    self.line(f"a{index}={val.annotation}")
+                self.line(f"v{index}={val.value}")
+            self._assigned(index)
+        elif kind is SeqStmt:
+            for child in statement.statements:
+                self._statement(child)
+        elif kind is StoreStmt:
+            offset = self._signed(self._expr(statement.offset))
+            val = self._expr(statement.value)
+            self._check(self._read(statement.base), offset, True, statement.label)
+            self.line(f"b.cells[{offset}]=({val.value},{val.annotation})")
+        elif kind is AllocStmt:
+            size, index = self._expr(statement.size), self._variable(statement.target)
+            if self.atom(size) == f"v{index}":
+                size.value = self.temp(size.value)
+            recorded = self.domain.emit_allocation(self, statement.label, statement.tag, size)
+            site = f"{statement.label},{statement.tag!r}"
+            self.line(f"v{index}={self.use('A', 'rt.memory.allocate')}({size.value},{site}).address")
+            self.line(f"{self.use('AL', 'rt.allocations.append')}(AR({site},{size.value},{recorded},v{index},q))")
+            if self.annotated:
+                self.line(f"a{index}={self.constant}")
+            self._assigned(index)
+        elif kind is WarnStmt:
+            self.line(f"{self.use('W', 'rt.warnings.append')}({statement.message!r})")
+        elif kind is HaltStmt:
+            self.line(f"raise HALT({statement.message!r})")
+        elif kind is not SkipStmt:
+            raise TypeError(f"cannot compile a {kind.__name__} node")
+
+    def _branch(self, statement: Any, ending: str) -> None:
+        """A condition test: its step accounting, ``k`` and branch record, then ``ending``.
+
+        An ``if`` test is its statement's step; a ``while`` test lowers the
+        limit instead.
+        """
+        if type(statement) is WhileStmt:
+            self.fragment.limit = True
+            self.line("if q>(m:=m-1):raise SL")
+        else:
+            self.line("if(q:=q+1)>m:raise SL")
+        val = self._expr(statement.condition)
+        self.line(f"k={self._test(val)}")
+        recorded = self.domain.emit_branch(self, statement.label, val)
+        self.line(f"{self.use('BR', 'rt.branches.append')}(BO({statement.label},k,{recorded},q))")
+        if ending:
+            self.line(ending)
+
+    # -- expressions ---------------------------------------------------------
+    def _expr(self, expr: Expr) -> Val:
+        """An operand.  Its annotation code runs now, unless the domain is pure."""
+        val = self._node(expr)
+        if self.annotated and not self.domain.pure:
+            self.annotation(val)
+        return val
+
+    def _node(self, expr: Any) -> Val:
+        kind = type(expr)
+        if kind is ConstExpr:
+            return Val(str(expr.value & self.mask), self.constant, True)
+        if kind is VarExpr:
+            value = self._read(expr.name)
+            return Val(value, f"a{value[1:]}" if self.annotated else "None", False)
+        if kind is InputSizeExpr:
+            return Val(self.use("Z", f"len(rt.input)&{self.mask}"), self.constant, True)
+        if kind is InputByteExpr:
+            offset = self._expr(expr.offset)
+            at = self.atom(offset)
+            self.use("D", "rt.input")
+            self.use("N", "len(rt.input)")
+            return Val(f"(D[{at}] if {at}<N else 0)", *self.domain.emit_input_byte(self, offset))
+        if kind is LoadExpr:
+            value, annotation = f"t{self.temps}", f"t{self.temps + 1}"
+            self.temps += 2
+            self._load(expr, value, annotation)
+            return Val(value, annotation if self.annotated else "None", not self.annotated)
+        if kind is UnaryExpr:
+            operand = self._expr(expr.operand)
+            annotation, sure = self.domain.emit_unary(self, expr.op, operand)
+            value = self.atom(operand) if expr.op is UnaryOp.ABS else operand.value
+            val = Val(_UNARY[expr.op].format(a=value, M=self.mask, S=self.sign), annotation, sure)
+            val.test = f"{value}==0" if expr.op is UnaryOp.NOT else ""
+            return val
+        if kind is BinaryExpr:
+            left, right = self._expr(expr.left), self._expr(expr.right)
+            annotation, sure = self.domain.emit_binary(self, expr.op, left, right)
+            value, test = self._binary(expr.op, left, right)
+            return Val(value, annotation, sure, test)
+        raise TypeError(f"cannot compile a {kind.__name__} node")
+
+    def _binary(self, op: BinaryOp, left: Val, right: Val) -> Tuple[str, str]:
+        """The value source of a binary node, and its ``test`` (or ``""``)."""
+        l, r = left.value, right.value
+        if op in _TESTS:
+            test = _TESTS[op].format(
+                l=l, r=r, tl=self._test(left), tr=self._test(right),
+                bl=self._biased(left), br=self._biased(right),
+            )
+            return f"(1 if {test} else 0)", test
+        if op in _GUARDED:
+            # Division by zero yields all-ones, modulo by zero the dividend
+            # (the SMT substrate's convention), and shifts by the width or
+            # more zero.  A literal right operand folds the guard away.
+            guard, fallback, value = _GUARDED[op]
+            if r.isdigit():
+                hit = int(r) >= self.width if "W" in guard else int(r) == 0
+                template = fallback if hit else f"({value})"
+            else:
+                r = self.atom(right)
+                template = f"({fallback} if {guard} else {value})"
+        else:
+            template = _ARITHMETIC[op]
+        return template.format(l=l, r=r, M=self.mask, W=self.width), ""
+
+    def _test(self, val: Val) -> str:
+        """Source of the bool ``value != 0``."""
+        if val.test:
+            return val.test
+        return str(int(val.value) != 0) if val.value.isdigit() else f"{val.value}!=0"
+
+    def _biased(self, val: Val) -> str:
+        # Flipping the sign bit maps two's-complement order onto unsigned order.
+        if val.value.isdigit():
+            return str(int(val.value) & self.mask ^ self.sign)
+        return f"({val.value}&{self.mask}^{self.sign})"
+
+    def _signed(self, val: Val) -> str:
+        """A memory offset: the value reinterpreted as two's complement."""
+        if val.value.isdigit():
+            return str((int(val.value) & self.mask ^ self.sign) - self.sign)
+        return self.temp(f"({val.value}&{self.mask}^{self.sign})-{self.sign}")
+
+    def _check(self, base: str, offset: str, write: bool, label: int) -> None:
+        self.use("B", "rt.blocks")
+        self.use("K", "rt.memcheck.check_access")
+        self.use("Mm", "rt.memory")
+        self.line(f"b=B.get({base})")
+        self.line(f"if b is None or not 0<={offset}<b.size:K(Mm,{base},{offset},{write},{label},q)")
+
+    def _load(self, expr: LoadExpr, value: str, annotation: str) -> None:
+        offset = self._signed(self._expr(expr.offset))
+        self._check(self._read(expr.base), offset, False, -1)
+        if self.annotated:
+            self.line(f"{value},{annotation}=b.cells.get({offset},U)")
+        else:
+            self.line(f"{value}=b.cells.get({offset},U)[0]")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.exec.compiler import AnnotationDomain
+from repro.exec.compiler import AnnotationDomain, Generator, Val
 from repro.exec.concrete import ConcreteInterpreter
 from repro.exec.trace import ExecutionReport
 from repro.lang.ast import BinaryOp, UnaryOp
@@ -35,13 +35,18 @@ from repro.smt.simplify import simplify
 from repro.smt.terms import Term
 
 
+def input_byte_name(offset: int) -> str:
+    """The name of the symbolic variable for the input byte at ``offset``."""
+    return f"inp[{offset}]"
+
+
 def input_byte_variable(offset: int) -> Term:
     """The 8-bit symbolic variable for the input byte at ``offset``."""
-    return smt.bv_var(f"inp[{offset}]", 8)
+    return smt.bv_var(input_byte_name(offset), 8)
 
 
 def input_variable_offset(name: str) -> Optional[int]:
-    """Inverse of :func:`input_byte_variable` (``None`` if not an input var)."""
+    """Inverse of :func:`input_byte_name` (``None`` if not an input var)."""
     if name.startswith("inp[") and name.endswith("]"):
         try:
             return int(name[4:-1])
@@ -155,28 +160,65 @@ def _keep(term: Term) -> Term:
     return term
 
 
+def _guard(call: str, *terms: str) -> str:
+    """Code for ``call``, or ``None`` where each of ``terms`` is ``None``."""
+    live = " and ".join(f"{term} is None" for term in terms if term != "None")
+    return f"(None if {live} else {call})" if live else "None"
+
+
 class ConcolicDomain(AnnotationDomain):
     """Annotations are symbolic terms (``None`` for values no relevant byte reaches).
 
+    Generated code calls the annotators the factories below build once per
+    compiled program, and skips the call where no operand has a term.
     Every result term goes through :func:`repro.smt.simplify.simplify` when
     ``simplify_online`` is set.  The relevant bytes and the field map vary
     per run and are read from the running interpreter.
 
     Each annotator keeps a *computed table*: a dict from its interned
-    operands to the finished term, local to the closure the factory
-    returns.  Terms are hash-consed and never freed, so the same operands
-    always build the same term; a repeated operation — the same seed run
-    re-executed for a sibling target site — is one dict lookup and builds
-    nothing.  A miss runs the builder and ``simplify`` exactly as an
-    unmemoised annotator would, so terms are created in the same order.
-    The tables live as long as the compiled closures that hold them (the
-    program's compile cache).
+    operands to the finished term.  Terms are hash-consed and never freed,
+    so the same operands always build the same term; a repeated operation —
+    the same seed run re-executed for a sibling target site — is one dict
+    lookup and builds nothing.  A miss runs the builder and ``simplify``
+    exactly as an unmemoised annotator would, so terms are created in the
+    same order.  The tables live as long as the program's compiled code.
     """
 
     def __init__(self, simplify_online: bool = True) -> None:
         self.simplify_online = simplify_online
         self.key = ("concolic", simplify_online)
 
+    def bind(self, width: int) -> Dict[str, Any]:
+        helpers = {f"n_{op.name.lower()}": self.unary(op, width) for op in UnaryOp}
+        helpers.update({f"b_{op.name.lower()}": self.binary(op, width) for op in BinaryOp})
+        return {**helpers, "ti": self.input_byte(width), "SA": SymbolicAllocation}
+
+    def emit_input_byte(self, gen: Generator, offset: Val) -> Tuple[str, bool]:
+        return f"ti(rt,{offset.value},{offset.annotation})", False
+
+    def emit_unary(self, gen: Generator, op: UnaryOp, operand: Val) -> Tuple[str, bool]:
+        return _guard(f"n_{op.name.lower()}({operand.annotation})", operand.annotation), False
+
+    def emit_binary(
+        self, gen: Generator, op: BinaryOp, left: Val, right: Val
+    ) -> Tuple[str, bool]:
+        a, b = left.annotation, right.annotation
+        if a == b == "None":
+            return "None", False
+        return _guard(f"b_{op.name.lower()}({gen.atom(left)},{a},{gen.atom(right)},{b})", a, b), False
+
+    def emit_branch(self, gen: Generator, label: int, condition: Val) -> str:
+        observe = gen.helper(f"ob{label}", lambda: self.branch(label, gen.width))
+        return _guard(f"{observe}(rt,{condition.annotation},k,q)", condition.annotation)
+
+    def emit_allocation(
+        self, gen: Generator, label: int, tag: Optional[str], size: Val
+    ) -> str:
+        gen.use("CA", "rt.concolic_report.allocations.append")
+        gen.line(f"CA(SA({label},{tag!r},{size.value},{size.annotation},q))")
+        return size.annotation
+
+    # -- annotators -------------------------------------------------------
     def _finish(self) -> Callable[[Term], Term]:
         # ``simplify`` is looked up at call time, never bound here, so a
         # wrapper installed on this module's ``simplify`` sees every call
@@ -261,15 +303,6 @@ class ConcolicDomain(AnnotationDomain):
                 SymbolicBranch(label, taken, oriented, seq)
             )
             return oriented
-
-        return observe
-
-    def allocation(self, label: int, tag: Optional[str]) -> Callable[..., Optional[Term]]:
-        def observe(rt: Any, size: int, term: Any, seq: int) -> Optional[Term]:
-            rt.concolic_report.allocations.append(
-                SymbolicAllocation(label, tag, size, term, seq)
-            )
-            return term
 
         return observe
 

@@ -1,12 +1,14 @@
 """Concrete interpreter for the core language (Figures 4–6 of the paper).
 
-The interpreter runs a program through the closures
-:mod:`repro.exec.compiler` builds once per program and annotation domain;
-its own :class:`ConcreteDomain` annotates nothing.  It is the base class for the taint, overflow-witness and concolic
-interpreters: the concrete value flow is identical in all of them;
-subclasses name an :class:`~repro.exec.compiler.AnnotationDomain` that
-tracks input-byte taint sets, wrapped-operation provenance or symbolic
-expressions alongside the concrete values.
+The interpreter runs a program through the Python code
+:mod:`repro.exec.compiler` generates once per program, annotation domain
+and word width; its own :class:`ConcreteDomain` annotates nothing, so its
+generated code carries values only.  It is the base class for the taint,
+overflow-witness and concolic interpreters: the concrete value flow is
+identical in all of them; subclasses name an
+:class:`~repro.exec.compiler.AnnotationDomain` whose code tracks input-byte
+taint sets, wrapped-operation provenance or symbolic expressions alongside
+the concrete values.
 
 The interpreter also drives the :class:`repro.exec.memcheck.MemcheckMonitor`
 so every run — seed, candidate, or fuzzed — produces the memory-error
@@ -16,14 +18,13 @@ evidence DIODE's error detection stage consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.exec.compiler import AnnotationDomain, Halt, StepLimit, compiled
 from repro.exec.memcheck import MemcheckMonitor, SegmentationFault
 from repro.exec.state import Memory
 from repro.exec.trace import ExecutionOutcome, ExecutionReport
 from repro.exec.values import MachineInt, WORD_WIDTH
-from repro.lang.ast import BinaryOp, UnaryOp
 from repro.lang.program import Program
 
 
@@ -35,35 +36,17 @@ class ExecutionLimits:
     page_size: int = 4096
 
 
-def _none(*args: Any) -> None:
-    return None
-
-
 class ConcreteDomain(AnnotationDomain):
-    """Plain execution: every annotation is ``None``."""
+    """Plain execution: no annotation code; every annotation is ``None``."""
 
     key = "concrete"
-
-    def input_byte(self, width: int) -> Callable[..., None]:
-        return _none
-
-    def unary(self, op: UnaryOp, width: int) -> Callable[..., None]:
-        return _none
-
-    def binary(self, op: BinaryOp, width: int) -> Callable[..., None]:
-        return _none
-
-    def branch(self, label: int, width: int) -> Callable[..., None]:
-        return _none
-
-    def allocation(self, label: int, tag: Optional[str]) -> Callable[..., None]:
-        return _none
+    annotated = False
 
 
 class ConcreteInterpreter:
     """Execute a :class:`repro.lang.program.Program` on an input byte string."""
 
-    #: The annotation domain the program's closures are compiled for.
+    #: The annotation domain the program's code is generated for.
     domain: AnnotationDomain = ConcreteDomain()
 
     def __init__(
@@ -81,7 +64,7 @@ class ConcreteInterpreter:
     # ------------------------------------------------------------------
     def run(self, input_bytes: bytes) -> ExecutionReport:
         """Execute the program on ``input_bytes`` and return the report."""
-        execute = compiled(self.program, self.domain, self.machine.width)
+        execute = compiled(self.program, self.domain, self.machine.width).run
         max_steps = self.limits.max_steps
         self.input = bytes(input_bytes)
         self.env: dict = {}

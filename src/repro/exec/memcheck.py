@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.exec.state import Memory, MemoryBlock
+from repro.exec.state import Memory
 from repro.exec.trace import MemoryError, MemoryErrorKind
 
 
@@ -52,32 +52,18 @@ class MemcheckMonitor:
         of bounds to be classified as a crash.
         """
         block = memory.block_at(address)
-        if block is None:
-            # Access through a value that is not a live allocation base:
-            # treat as a wild access (always a fault).
-            error = MemoryError(
-                kind=MemoryErrorKind.SEGFAULT_WRITE if is_write else MemoryErrorKind.SEGFAULT_READ,
-                block_address=address,
-                block_size=0,
-                offset=offset,
-                allocation_site_label=-1,
-                allocation_site_tag=None,
-                access_label=access_label,
-                sequence_index=sequence_index,
-            )
-            self._record(error)
-            raise SegmentationFault(error)
-        if block.in_bounds(offset):
+        if block is not None and block.in_bounds(offset):
             return None
-        crash = offset >= block.size + self.page_size or offset < -self.page_size
-        kind = self._classify(is_write, crash)
+        # An access through a value that is not a live allocation base is a
+        # wild access: always a fault.
+        crash = block is None or not -self.page_size <= offset < block.size + self.page_size
         error = MemoryError(
-            kind=kind,
-            block_address=block.address,
-            block_size=block.size,
+            kind=self._classify(is_write, crash),
+            block_address=address,
+            block_size=0 if block is None else block.size,
             offset=offset,
-            allocation_site_label=block.site_label,
-            allocation_site_tag=block.site_tag,
+            allocation_site_label=-1 if block is None else block.site_label,
+            allocation_site_tag=None if block is None else block.site_tag,
             access_label=access_label,
             sequence_index=sequence_index,
         )

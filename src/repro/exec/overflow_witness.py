@@ -21,9 +21,9 @@ different their triggering field values are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.exec.compiler import AnnotationDomain
+from repro.exec.compiler import AnnotationDomain, Generator, Val
 from repro.exec.concrete import ConcreteInterpreter
 from repro.exec.trace import ExecutionReport
 from repro.lang.ast import BinaryOp, UnaryOp
@@ -78,71 +78,81 @@ class OverflowWitnessReport:
         return tuple(sorted(merged))
 
 
-def _wrapped(op: BinaryOp, width: int) -> Callable[[int, int], bool]:
-    """Whether ``op`` on these operands left the unsigned range of ``width``.
+def _or_clean(val: Val) -> str:
+    """``annotation or _CLEAN``, as code."""
+    return val.annotation if val.annotation == "C" or val.sure else f"({val.annotation} or C)"
 
-    A shift by ``width`` or more wraps whenever the shifted value is
-    non-zero: every set bit is shifted out, exactly as for shorter shifts
-    that overflow (and the ideal result is never built for huge amounts).
-    """
-    mask = (1 << width) - 1
-    if op is BinaryOp.ADD:
-        return lambda a, b: (a + b) & mask != a + b
-    if op is BinaryOp.SUB:
-        return lambda a, b: (a - b) & mask != a - b
-    if op is BinaryOp.MUL:
-        return lambda a, b: (a * b) & mask != a * b
-    if op is BinaryOp.SHL:
-        return lambda a, b: a != 0 if b >= width else (a << b) & mask != a << b
-    raise ValueError(f"{op} cannot wrap")
+
+#: Whether ``l op r`` left the unsigned range (operands are non-negative).  A
+#: shift by the width or more wraps whenever the shifted value is non-zero:
+#: every set bit is shifted out, as for shorter shifts that overflow.
+_WRAP_TESTS = {
+    BinaryOp.ADD: "{l}+{r}>{M}",
+    BinaryOp.SUB: "not 0<={l}-{r}<={M}",
+    BinaryOp.MUL: "{l}*{r}>{M}",
+    BinaryOp.SHL: "({l}!=0 if {r}>={W} else {l}<<{r}>{M})",
+}
 
 
 class OverflowWitnessDomain(AnnotationDomain):
-    """Annotations are the names of the operators that wrapped upstream."""
+    """Annotations are the names of the operators that wrapped upstream.
+
+    All of it is inlined: input bytes are clean, unions skip empty sides and
+    each wrapping operator tests its ideal result against the mask.
+    """
 
     key = "witness"
     constant = _CLEAN
+    pure = True
 
-    def input_byte(self, width: int) -> Callable[..., FrozenSet[str]]:
-        return lambda rt, offset, offset_ops: _CLEAN
+    def bind(self, width: int) -> Dict[str, Any]:
+        helpers: Dict[str, Any] = {"OA": OverflowedAllocation}
+        for op in _WRAPPING_OPS:
+            helpers[f"w_{op.name.lower()}"] = frozenset((op.name.lower(),))
+        return helpers
 
-    def unary(self, op: UnaryOp, width: int) -> Callable[[Any], FrozenSet[str]]:
+    def emit_input_byte(self, gen: Generator, offset: Val) -> Tuple[str, bool]:
+        return "C", True
+
+    def emit_unary(self, gen: Generator, op: UnaryOp, operand: Val) -> Tuple[str, bool]:
         # Negation of a non-zero unsigned value always wraps; treat it as
         # benign (it is how two's-complement code is written) unless the
         # operand already carried a wrap.
-        return lambda provenance: provenance or _CLEAN
+        return _or_clean(operand), True
 
-    def binary(
-        self, op: BinaryOp, width: int
-    ) -> Callable[[int, Any, int, Any], FrozenSet[str]]:
+    def emit_binary(
+        self, gen: Generator, op: BinaryOp, left: Val, right: Val
+    ) -> Tuple[str, bool]:
+        if left.annotation == "C" or right.annotation == "C":
+            carried = _or_clean(right if left.annotation == "C" else left)
+        else:
+            a, b = gen.annotation(left), gen.annotation(right)
+            carried = f"({a}|{b} if {a} and {b} else {a} or {b} or C)"
         if op not in _WRAPPING_OPS:
-            return lambda left, left_ops, right, right_ops: (
-                (left_ops or _CLEAN) | (right_ops or _CLEAN)
-            )
-        wrapped = _wrapped(op, width)
-        this_op = frozenset((op.name.lower(),))
+            return carried, True
+        l, r = gen.atom(left), gen.atom(right)
+        if op is BinaryOp.SHL and r.isdigit():
+            test = f"{l}!=0" if int(r) >= gen.width else f"{l}<<{r}>{gen.mask}"
+        else:
+            test = _WRAP_TESTS[op].format(l=l, r=r, M=gen.mask, W=gen.width)
+        if carried == "C":
+            return f"(w_{op.name.lower()} if {test} else C)", True
+        if not carried.isidentifier():
+            carried = gen.temp(carried)
+        return f"({carried}|w_{op.name.lower()} if {test} else {carried})", True
 
-        def annotate(left: int, left_ops: Any, right: int, right_ops: Any) -> FrozenSet[str]:
-            carried = (left_ops or _CLEAN) | (right_ops or _CLEAN)
-            return carried | this_op if wrapped(left, right) else carried
+    def emit_branch(self, gen: Generator, label: int, condition: Val) -> str:
+        return _or_clean(condition)
 
-        return annotate
-
-    def branch(self, label: int, width: int) -> Callable[..., FrozenSet[str]]:
-        return lambda rt, provenance, taken, seq: provenance or _CLEAN
-
-    def allocation(self, label: int, tag: Optional[str]) -> Callable[..., FrozenSet[str]]:
-        def observe(rt: Any, size: int, provenance: Any, seq: int) -> FrozenSet[str]:
-            provenance = provenance or _CLEAN
-            if provenance:
-                rt.witness_report.overflowed_allocations.append(
-                    OverflowedAllocation(
-                        label, tag, size, seq, tuple(sorted(provenance))
-                    )
-                )
-            return provenance
-
-        return observe
+    def emit_allocation(
+        self, gen: Generator, label: int, tag: Optional[str], size: Val
+    ) -> str:
+        if size.annotation == "C":
+            return "C"
+        provenance = gen.annotation(size)
+        gen.use("WA", "rt.witness_report.overflowed_allocations.append")
+        gen.line(f"if {provenance}:WA(OA({label},{tag!r},{size.value},q,tuple(sorted({provenance}))))")
+        return _or_clean(size)
 
 
 class OverflowWitnessInterpreter(ConcreteInterpreter):

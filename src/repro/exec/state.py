@@ -15,7 +15,7 @@ of influencing input-byte offsets, and the concolic interpreter stores an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 
 #: A runtime value paired with its analysis annotation.
@@ -71,10 +71,6 @@ class Memory:
     def block_at(self, address: int) -> Optional[MemoryBlock]:
         """The block whose base address is ``address`` (or ``None``)."""
         return self.by_address.get(address)
-
-    def blocks(self) -> List[MemoryBlock]:
-        """All allocated blocks in allocation order."""
-        return list(self.by_address.values())
 
     def __len__(self) -> int:
         return len(self.by_address)

@@ -11,9 +11,9 @@ the size is the set of *relevant input bytes* for that site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.exec.compiler import AnnotationDomain
+from repro.exec.compiler import AnnotationDomain, Generator, Val
 from repro.exec.concrete import ConcreteInterpreter
 from repro.exec.trace import ExecutionReport
 from repro.lang.ast import BinaryOp, UnaryOp
@@ -61,47 +61,69 @@ class TaintReport:
         return result
 
 
+def _input_byte(rt: Any, offset: int, offset_taint: Any) -> TaintSet:
+    taint = frozenset((offset,))
+    return taint | offset_taint if offset_taint else taint
+
+
+def _unary(taint: Any) -> TaintSet:
+    return taint or EMPTY_TAINT
+
+
+def _binary(left_taint: Any, right_taint: Any) -> TaintSet:
+    return (left_taint or EMPTY_TAINT) | (right_taint or EMPTY_TAINT)
+
+
+def _branch(rt: Any, label: int, taint: Any) -> TaintSet:
+    taint = taint or EMPTY_TAINT
+    if taint:
+        labels = rt.taint_report.tainted_branch_labels
+        labels[label] = labels.get(label, EMPTY_TAINT) | taint
+    return taint
+
+
+def _allocation(rt: Any, label: int, tag: Optional[str], size: int, taint: Any, seq: int) -> TaintSet:
+    taint = taint or EMPTY_TAINT
+    if taint:
+        rt.taint_report.tainted_allocations.append(TaintedAllocation(label, tag, size, taint, seq))
+    return taint
+
+
 class TaintDomain(AnnotationDomain):
-    """Annotations are taint sets; every operation unions its operands' taint."""
+    """Annotations are taint sets; every operation unions its operands' taint.
+
+    Generated code calls the annotators above; an operation on untainted
+    operands calls nothing.
+    """
 
     key = "taint"
     constant = EMPTY_TAINT
 
-    def input_byte(self, width: int) -> Callable[[Any, int, Any], TaintSet]:
-        def annotate(rt: Any, offset: int, offset_taint: Any) -> TaintSet:
-            taint = frozenset((offset,))
-            return taint | offset_taint if offset_taint else taint
+    def bind(self, width: int) -> Dict[str, Any]:
+        return {"ti": _input_byte, "tu": _unary, "tb": _binary, "tr": _branch, "ta": _allocation}
 
-        return annotate
+    def emit_input_byte(self, gen: Generator, offset: Val) -> Tuple[str, bool]:
+        return f"ti(rt,{offset.value},{offset.annotation})", True
 
-    def unary(self, op: UnaryOp, width: int) -> Callable[[Any], TaintSet]:
-        return lambda taint: taint or EMPTY_TAINT
+    def emit_unary(self, gen: Generator, op: UnaryOp, operand: Val) -> Tuple[str, bool]:
+        return ("C" if operand.annotation == "C" else f"tu({operand.annotation})"), True
 
-    def binary(self, op: BinaryOp, width: int) -> Callable[[int, Any, int, Any], TaintSet]:
-        return lambda left, left_taint, right, right_taint: (
-            (left_taint or EMPTY_TAINT) | (right_taint or EMPTY_TAINT)
-        )
+    def emit_binary(
+        self, gen: Generator, op: BinaryOp, left: Val, right: Val
+    ) -> Tuple[str, bool]:
+        if left.annotation == right.annotation == "C":
+            return "C", True
+        return f"tb({left.annotation},{right.annotation})", True
 
-    def branch(self, label: int, width: int) -> Callable[..., TaintSet]:
-        def observe(rt: Any, taint: Any, taken: bool, seq: int) -> TaintSet:
-            taint = taint or EMPTY_TAINT
-            if taint:
-                labels = rt.taint_report.tainted_branch_labels
-                labels[label] = labels.get(label, EMPTY_TAINT) | taint
-            return taint
+    def emit_branch(self, gen: Generator, label: int, condition: Val) -> str:
+        return "C" if condition.annotation == "C" else f"tr(rt,{label},{condition.annotation})"
 
-        return observe
-
-    def allocation(self, label: int, tag: Optional[str]) -> Callable[..., TaintSet]:
-        def observe(rt: Any, size: int, taint: Any, seq: int) -> TaintSet:
-            taint = taint or EMPTY_TAINT
-            if taint:
-                rt.taint_report.tainted_allocations.append(
-                    TaintedAllocation(label, tag, size, taint, seq)
-                )
-            return taint
-
-        return observe
+    def emit_allocation(
+        self, gen: Generator, label: int, tag: Optional[str], size: Val
+    ) -> str:
+        if size.annotation == "C":
+            return "C"
+        return f"ta(rt,{label},{tag!r},{size.value},{size.annotation},q)"
 
 
 class TaintInterpreter(ConcreteInterpreter):

@@ -6,9 +6,10 @@ interpreters in :mod:`repro.exec` execute and the unit DIODE analyses.
 
 Programs are immutable once built, which makes them safe to share:
 :meth:`Program.from_source` returns one process-wide instance per
-``(source, name, entry)``, and the executor caches its compiled closures on
-that instance (:meth:`Program.compiled`), so a program is parsed, lowered
-and compiled once per process — fork-started workers inherit all three.
+``(source, name, entry)``, and the executor caches the code it generates
+for it on that instance (:meth:`Program.compiled`), so a program is parsed,
+lowered and compiled once per process — fork-started workers inherit all
+three.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class Program:
 
     Attributes cannot be rebound after construction, and nothing may mutate
     :attr:`body`: one instance is shared by every user of the same source
-    and carries compiled closures derived from the body.
+    and carries generated code derived from the body.
     """
 
     def __init__(self, name: str, body: SeqStmt) -> None:

@@ -162,8 +162,9 @@ class Term:
     )
 
     _intern_lock = threading.Lock()
-    #: Never cleared: terms hoisted into compiled closures (the concolic
-    #: domain's width constants) must stay the interned copies.
+    #: Never cleared: terms held by compiled programs (the concolic
+    #: annotators' width constants and computed tables) must stay the
+    #: interned copies.
     _intern: Dict[tuple, "Term"] = {}
     _next_id = 0
 

@@ -607,3 +607,32 @@ class TestBenchDiffCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["regressions"][0]["metric"] == "overhead"
+
+
+class TestCorpusWarmStart:
+    def test_full_registry_save_replay_and_skip_known(self, capsys, tmp_path):
+        """Cold campaign → strict replay → warm ``--skip-known`` rerun.
+
+        Exercises the witness interpreter's replay path end to end: every
+        distinct witness the cold run saves still triggers on replay, and
+        the warm start answers those sites from the corpus without
+        changing a classification.
+        """
+        corpus_dir = str(tmp_path / "corpus")
+        campaign = ["campaign", "--jobs", "2", "--corpus-dir", corpus_dir, "--json"]
+        assert main(campaign) == 0
+        cold = json.loads(capsys.readouterr().out)
+        distinct = cold["triage"]["distinct"]
+        assert distinct == 14
+        assert cold["corpus"]["saved"] == distinct
+
+        assert main(["replay", "--corpus-dir", corpus_dir, "--strict", "--json"]) == 0
+        replay = json.loads(capsys.readouterr().out)
+        assert replay["records"] == distinct
+        assert replay["counts"] == {"still-triggers": distinct}
+
+        assert main(campaign + ["--skip-known"]) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["corpus"]["loaded"] == distinct
+        assert warm["corpus"]["skipped_known"] == distinct
+        assert warm["classifications"] == cold["classifications"]

@@ -1,7 +1,7 @@
 """Reference tree-walking interpreters: the differential oracle for the executor.
 
 This is the ``isinstance``-dispatch walker that :mod:`repro.exec` ran before
-programs were compiled into closures, with its per-node annotation hooks for
+programs were compiled, with its per-node annotation hooks for
 the four domains (concrete, taint, overflow witness, concolic).  It is kept
 here, outside the package, only so the compiled executor can be checked
 against an implementation that shares none of its dispatch, operator

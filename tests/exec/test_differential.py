@@ -27,6 +27,7 @@ from reference_walker import (
     ReferenceTaint,
     ReferenceWitness,
 )
+import repro.exec.compiler as compiler
 from repro.exec.concolic import ConcolicInterpreter
 from repro.exec.concrete import ConcreteInterpreter, ExecutionLimits
 from repro.exec.overflow_witness import OverflowWitnessInterpreter
@@ -54,6 +55,7 @@ from repro.lang.ast import (
     WhileStmt,
     walk_statements,
 )
+from repro.lang.parser import parse_program
 from repro.lang.program import Program
 
 #: Variables the generated statements assign; ``u`` is never assigned.
@@ -218,6 +220,64 @@ def test_concolic_domain_matches_reference(
     reference = ReferenceConcolic(program, **options).run_concolic(data)
     # Dataclass equality compares terms with ``Term.__eq__``: identity.
     assert compiled == reference
+
+
+def _assert_split_runs_match(program, data, limits, budget):
+    """Every domain, compiled into units of at most ``budget`` characters."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiler, "UNIT_CHARS", budget)
+        pairs = [
+            (ConcreteInterpreter(program, limits=limits).run, ReferenceInterpreter),
+            (TaintInterpreter(program, limits=limits).run_taint, ReferenceTaint),
+            (OverflowWitnessInterpreter(program, limits=limits).run_witness, ReferenceWitness),
+            (
+                ConcolicInterpreter(program, limits=limits, field_map=FIELD_MAP).run_concolic,
+                ReferenceConcolic,
+            ),
+        ]
+        for run, reference_class in pairs:
+            options = {"field_map": FIELD_MAP} if reference_class is ReferenceConcolic else {}
+            reference = reference_class(program, limits=limits, **options)
+            expected = getattr(reference, run.__name__)(data)
+            assert run(data) == expected, reference_class.__name__
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(PROGRAMS, INPUTS, LIMITS, st.sampled_from([150, 400]))
+def test_split_units_match_reference(program, data, limits, budget):
+    """Tiny compile units: blocks, ``if`` and ``while`` statements split too."""
+    _assert_split_runs_match(program, data, limits, budget)
+
+
+#: Split statements whose definite assignments, loop state, halts and step
+#: limits cross the units of their blocks and headers.
+SPLIT_PROGRAMS = {
+    "one-branch assignment": (
+        "if (input(0) > 3) { a = input(1) * 2; c = a + 1; } else { warn \"small\"; }"
+        " b = a + 1; p = alloc(b);"
+    ),
+    "loop state": (
+        "i = 0; s = 0; while (i < input(0)) { s = s + i * 3; i = i + 1;"
+        " if (s > 10) { t = s; } } u = t + s;"
+    ),
+    "halt in a split body": (
+        "n = input(0); if (n > 2) { m = n * 4; q = alloc(m); q[m] = 1; halt \"big\"; } r = n;"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_PROGRAMS))
+@pytest.mark.parametrize("data", [b"\x01\x05", b"\x09\x05"])
+@pytest.mark.parametrize("max_steps", [3, 9, 1000])
+def test_split_statements_match_reference(name, data, max_steps):
+    source = "proc main() { " + SPLIT_PROGRAMS[name] + " }"
+    program = Program.from_unit(parse_program(source))
+    limits = ExecutionLimits(max_steps=max_steps, page_size=64)
+    _assert_split_runs_match(program, data, limits, 150)
 
 
 def _edge_operands(width: int):

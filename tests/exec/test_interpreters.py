@@ -8,7 +8,6 @@ from repro.exec.overflow_witness import OverflowWitnessInterpreter
 from repro.exec.taint import TaintInterpreter
 from repro.exec.trace import ExecutionOutcome, MemoryErrorKind
 from repro.exec.values import MachineInt
-from repro.lang.ast import BinaryOp, UnaryOp
 from repro.lang.program import Program
 from repro.smt.evalmodel import evaluate
 
@@ -25,38 +24,6 @@ class TestMachineInt:
 
     def test_signed(self):
         assert self.machine.to_signed(0xFF) == -1
-
-    def test_add_wraps(self):
-        assert self.machine.binary(BinaryOp.ADD, 200, 100) == 44
-
-    def test_mul_wraps(self):
-        assert self.machine.binary(BinaryOp.MUL, 16, 16) == 0
-
-    def test_div_by_zero(self):
-        assert self.machine.binary(BinaryOp.DIV, 10, 0) == 0xFF
-
-    def test_mod_by_zero(self):
-        assert self.machine.binary(BinaryOp.MOD, 10, 0) == 10
-
-    def test_shift_beyond_width(self):
-        assert self.machine.binary(BinaryOp.SHL, 1, 9) == 0
-        assert self.machine.binary(BinaryOp.SHR, 255, 9) == 0
-
-    def test_signed_comparison(self):
-        assert self.machine.binary(BinaryOp.SLT, 0xFF, 0) == 1
-        assert self.machine.binary(BinaryOp.LT, 0xFF, 0) == 0
-
-    def test_logical_operators(self):
-        assert self.machine.binary(BinaryOp.AND, 3, 0) == 0
-        assert self.machine.binary(BinaryOp.OR, 0, 7) == 1
-
-    def test_abs(self):
-        assert self.machine.unary(UnaryOp.ABS, 0xFF) == 1
-        assert self.machine.unary(UnaryOp.ABS, 5) == 5
-
-    def test_not(self):
-        assert self.machine.unary(UnaryOp.NOT, 0) == 1
-        assert self.machine.unary(UnaryOp.NOT, 9) == 0
 
 
 class TestConcreteInterpreter:

@@ -1,7 +1,7 @@
-"""Process-wide sharing of programs and their compiled closures.
+"""Process-wide sharing of programs and their generated code.
 
 ``Program.from_source`` hands out one immutable program per
-``(source, name, entry)`` and the executor caches its compiled closures on
+``(source, name, entry)`` and the executor caches the code it generates on
 that program, so the registry's programs are parsed, lowered and compiled
 once per process.  Sharing must never show in results: racing first
 compiles are benign and every backend classifies identically.
@@ -59,7 +59,7 @@ class TestProgramSharing:
         with pytest.raises(AttributeError):
             program.body = program.body
 
-    def test_compiled_closures_are_cached_per_domain_and_width(self):
+    def test_compiled_code_is_cached_per_domain_and_width(self):
         program = _fresh_vlc()
         domain = TaintInterpreter.domain
         first = compiled(program, domain, 32)
@@ -91,7 +91,7 @@ class TestCompileOnce:
             program_module, "lower_program", counting("lower", program_module.lower_program)
         )
         monkeypatch.setattr(
-            compiler._Compiler, "__init__", counting("compile", compiler._Compiler.__init__)
+            compiler.Generator, "__init__", counting("compile", compiler.Generator.__init__)
         )
         assert _classifications(config()) == first
         assert calls == Counter()
