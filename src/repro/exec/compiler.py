@@ -175,8 +175,8 @@ _TESTS = {
     BinaryOp.SLE: "{bl}<={br}",
     BinaryOp.SGT: "{bl}>{br}",
     BinaryOp.SGE: "{bl}>={br}",
-    BinaryOp.AND: "{tl} and {tr}",
-    BinaryOp.OR: "{tl} or {tr}",
+    BinaryOp.AND: "({tl} and {tr})",
+    BinaryOp.OR: "({tl} or {tr})",
 }
 _ARITHMETIC = {
     BinaryOp.ADD: "({l}+{r}&{M})",
@@ -535,18 +535,26 @@ class Generator:
             self._load(expr, value, annotation)
             return Val(value, annotation if self.annotated else "None", not self.annotated)
         if kind is UnaryExpr:
-            operand = self._expr(expr.operand)
+            operand = self._bounded(self._expr(expr.operand))
             annotation, sure = self.domain.emit_unary(self, expr.op, operand)
             value = self.atom(operand) if expr.op is UnaryOp.ABS else operand.value
             val = Val(_UNARY[expr.op].format(a=value, M=self.mask, S=self.sign), annotation, sure)
             val.test = f"{value}==0" if expr.op is UnaryOp.NOT else ""
             return val
         if kind is BinaryExpr:
-            left, right = self._expr(expr.left), self._expr(expr.right)
+            left, right = self._bounded(self._expr(expr.left)), self._bounded(self._expr(expr.right))
             annotation, sure = self.domain.emit_binary(self, expr.op, left, right)
             value, test = self._binary(expr.op, left, right)
             return Val(value, annotation, sure, test)
         raise TypeError(f"cannot compile a {kind.__name__} node")
+
+    def _bounded(self, val: Val) -> Val:
+        # CPython's parser refuses more than 200 nested parentheses, and
+        # each operator adds at least one pair: a long operand value goes
+        # into a temporary before it nests any deeper.
+        if len(val.value) > 200:
+            self.atom(val)
+        return val
 
     def _binary(self, op: BinaryOp, left: Val, right: Val) -> Tuple[str, str]:
         """The value source of a binary node, and its ``test`` (or ``""``)."""

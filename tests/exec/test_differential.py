@@ -222,7 +222,7 @@ def test_concolic_domain_matches_reference(
     assert compiled == reference
 
 
-def _assert_split_runs_match(program, data, limits, budget):
+def _assert_runs_match(program, data, limits, budget=compiler.UNIT_CHARS):
     """Every domain, compiled into units of at most ``budget`` characters."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(compiler, "UNIT_CHARS", budget)
@@ -250,7 +250,7 @@ def _assert_split_runs_match(program, data, limits, budget):
 @given(PROGRAMS, INPUTS, LIMITS, st.sampled_from([150, 400]))
 def test_split_units_match_reference(program, data, limits, budget):
     """Tiny compile units: blocks, ``if`` and ``while`` statements split too."""
-    _assert_split_runs_match(program, data, limits, budget)
+    _assert_runs_match(program, data, limits, budget)
 
 
 #: Split statements whose definite assignments, loop state, halts and step
@@ -277,7 +277,31 @@ def test_split_statements_match_reference(name, data, max_steps):
     source = "proc main() { " + SPLIT_PROGRAMS[name] + " }"
     program = Program.from_unit(parse_program(source))
     limits = ExecutionLimits(max_steps=max_steps, page_size=64)
-    _assert_split_runs_match(program, data, limits, 150)
+    _assert_runs_match(program, data, limits, 150)
+
+
+@pytest.mark.parametrize(
+    "condition",
+    ["(a || b) && c", "a || (b && c)", "!(a && b) || c", "(a && b) == (b || c)", "(a <s b) && !c"],
+)
+def test_nested_boolean_operators_match_reference(condition):
+    """Tests of ``&&`` and ``||`` operands nest as the operators do."""
+    source = (
+        f"proc main() {{ a = input(0); b = input(1); c = input(2); x = {condition};"
+        f" if ({condition}) {{ y = 1; }} }}"
+    )
+    program = Program.from_unit(parse_program(source))
+    for bits in range(8):
+        data = bytes(0xFF * (bits >> shift & 1) for shift in range(3))
+        _assert_runs_match(program, data, ExecutionLimits())
+
+
+def test_long_expression_matches_reference():
+    """More operators in one expression than CPython nests parentheses."""
+    terms = " + ".join(f"input({k % 4}) * {k + 1}" for k in range(300))
+    source = f"proc main() {{ x = {terms}; p = alloc(x & 255); y = -(~(!(x < 7))); }}"
+    program = Program.from_unit(parse_program(source))
+    _assert_runs_match(program, b"\x01\x02\x03\x04", ExecutionLimits())
 
 
 def _edge_operands(width: int):
