@@ -11,8 +11,8 @@ masks and width constants folded into integer literals.  Evaluating a term
 then costs one function call and a handful of arithmetic bytecodes.
 
 The generated code uses the same wrap-around machine semantics as the
-concrete interpreter in :mod:`repro.exec.values`, including its division
-and shift edge cases.  Brute-force oracles in
+interpreter code :mod:`repro.exec.compiler` generates, including its
+division and shift edge cases.  Brute-force oracles in
 ``tests/smt/test_solver_oracles.py`` pin it to the simplifier's independent
 constant folder; classification parity across the campaign depends on the
 two never diverging.

@@ -3,7 +3,7 @@
 A :class:`Model` assigns integer values to bitvector variables (and booleans
 to boolean variables).  :func:`evaluate` computes the concrete value of any
 term under such an assignment, using the same wrap-around machine semantics
-as the concrete interpreter in :mod:`repro.exec.values`.
+as the interpreter code :mod:`repro.exec.compiler` generates.
 """
 
 from __future__ import annotations
