@@ -131,7 +131,9 @@ class AnnotationDomain:
     def emit_unary(self, gen: "Generator", op: UnaryOp, operand: Val) -> Tuple[str, bool]:
         return "None", True
 
-    def emit_binary(self, gen: "Generator", op: BinaryOp, left: Val, right: Val) -> Tuple[str, bool]:
+    def emit_binary(
+        self, gen: "Generator", op: BinaryOp, left: Val, right: Val
+    ) -> Tuple[str, bool]:
         return "None", True
 
     def emit_branch(self, gen: "Generator", label: int, condition: Val) -> str:
@@ -327,7 +329,8 @@ class Generator:
     def _split(self, statement: Any) -> str:
         """A control function for an ``if`` or ``while`` too large for one unit."""
         entry = frozenset(self.defs)
-        header = self._unit("h", self._emit(lambda s: self._branch(s, "return k"), statement), entry)
+        fragment = self._emit(lambda s: self._branch(s, "return k"), statement)
+        header = self._unit("h", fragment, entry)
 
         def calls(block: SeqStmt) -> List[str]:
             return [f" {name}(rt)" for name in self._pack(block.statements, entry)] or [" pass"]
@@ -476,8 +479,10 @@ class Generator:
                 size.value = self.temp(size.value)
             recorded = self.domain.emit_allocation(self, statement.label, statement.tag, size)
             site = f"{statement.label},{statement.tag!r}"
-            self.line(f"v{index}={self.use('A', 'rt.memory.allocate')}({size.value},{site}).address")
-            self.line(f"{self.use('AL', 'rt.allocations.append')}(AR({site},{size.value},{recorded},v{index},q))")
+            self.use("A", "rt.memory.allocate")
+            self.use("AL", "rt.allocations.append")
+            self.line(f"v{index}=A({size.value},{site}).address")
+            self.line(f"AL(AR({site},{size.value},{recorded},v{index},q))")
             if self.annotated:
                 self.line(f"a{index}={self.constant}")
             self._assigned(index)
@@ -542,7 +547,8 @@ class Generator:
             val.test = f"{value}==0" if expr.op is UnaryOp.NOT else ""
             return val
         if kind is BinaryExpr:
-            left, right = self._bounded(self._expr(expr.left)), self._bounded(self._expr(expr.right))
+            left = self._bounded(self._expr(expr.left))
+            right = self._bounded(self._expr(expr.right))
             annotation, sure = self.domain.emit_binary(self, expr.op, left, right)
             value, test = self._binary(expr.op, left, right)
             return Val(value, annotation, sure, test)

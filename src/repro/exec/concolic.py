@@ -205,7 +205,8 @@ class ConcolicDomain(AnnotationDomain):
         a, b = left.annotation, right.annotation
         if a == b == "None":
             return "None", False
-        return _guard(f"b_{op.name.lower()}({gen.atom(left)},{a},{gen.atom(right)},{b})", a, b), False
+        call = f"b_{op.name.lower()}({gen.atom(left)},{a},{gen.atom(right)},{b})"
+        return _guard(call, a, b), False
 
     def emit_branch(self, gen: Generator, label: int, condition: Val) -> str:
         observe = gen.helper(f"ob{label}", lambda: self.branch(label, gen.width))

@@ -151,7 +151,8 @@ class OverflowWitnessDomain(AnnotationDomain):
             return "C"
         provenance = gen.annotation(size)
         gen.use("WA", "rt.witness_report.overflowed_allocations.append")
-        gen.line(f"if {provenance}:WA(OA({label},{tag!r},{size.value},q,tuple(sorted({provenance}))))")
+        record = f"OA({label},{tag!r},{size.value},q,tuple(sorted({provenance})))"
+        gen.line(f"if {provenance}:WA({record})")
         return _or_clean(size)
 
 

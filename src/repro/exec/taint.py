@@ -82,10 +82,14 @@ def _branch(rt: Any, label: int, taint: Any) -> TaintSet:
     return taint
 
 
-def _allocation(rt: Any, label: int, tag: Optional[str], size: int, taint: Any, seq: int) -> TaintSet:
+def _allocation(
+    rt: Any, label: int, tag: Optional[str], size: int, taint: Any, seq: int
+) -> TaintSet:
     taint = taint or EMPTY_TAINT
     if taint:
-        rt.taint_report.tainted_allocations.append(TaintedAllocation(label, tag, size, taint, seq))
+        rt.taint_report.tainted_allocations.append(
+            TaintedAllocation(label, tag, size, taint, seq)
+        )
     return taint
 
 
