@@ -5,19 +5,19 @@ stage of every campaign unit must not meaningfully slow the campaign down
 or change anything it computes.  This harness measures and gates:
 
 1. **Overhead** — a registry campaign with a ``trace_dir`` (full JSONL
-   span emission *plus* the event stream with its JSONL event sink)
-   must finish within ``MAX_OVERHEAD`` of the same
-   campaign with all instrumentation off (``events=False``, no trace),
-   and classifications must be identical.
+   emission of every span and event record) must finish within
+   ``MAX_OVERHEAD`` of the same campaign with no trace dir, and
+   classifications must be identical.
 2. **Coverage** — for every traced unit, the durations of its direct
    child stage spans (concolic, enforce, triage, ...) must sum to a
    meaningful fraction of the unit span's own wall time
    (``MIN_STAGE_COVERAGE``) and never exceed it beyond timer jitter —
    i.e. the span taxonomy actually explains where unit time goes, and
    nesting accounting is sound.
-3. **Event integrity** — every persisted event record passes schema
-   validation, and the unit-lifecycle counts close: one queued, one
-   started and one finished event per campaign unit, zero failed.
+3. **Event integrity** — every persisted record, events included,
+   passes schema validation (``invalid_records``), and the
+   unit-lifecycle counts close: one queued, one started and one
+   finished event record per campaign unit, zero failed.
 
 Every standalone run emits ``BENCH_observability.json``.  Runs under
 pytest inside the suite and standalone for CI::
@@ -37,7 +37,7 @@ from bench_campaign import write_artifact
 
 from repro import __version__
 from repro.core.campaign import CampaignConfig, CampaignEngine
-from repro.obs.report import load_events_dir, load_trace_dir, unit_summaries
+from repro.obs.report import load_trace_dir, unit_summaries
 
 #: Traced wall time may exceed the best untraced wall time by at most this
 #: factor...
@@ -63,10 +63,9 @@ UNTRACED_RUNS = 2
 ARTIFACT_NAME = "BENCH_observability.json"
 
 
-def _config(trace_dir: Optional[str], events: bool) -> CampaignConfig:
+def _config(trace_dir: Optional[str]) -> CampaignConfig:
     return CampaignConfig(
-        jobs=1, backend="serial", use_cache=True, trace_dir=trace_dir,
-        events=events,
+        jobs=1, backend="serial", use_cache=True, trace_dir=trace_dir
     )
 
 
@@ -82,8 +81,6 @@ class Measurement:
     weighted_coverage: float
     worst_unit_coverage: float
     invalid_records: int
-    event_records: int
-    invalid_event_records: int
     lifecycle_counts: Dict[str, int]
 
     @property
@@ -102,20 +99,19 @@ def measure() -> Measurement:
     reference = None
     for _ in range(UNTRACED_RUNS):
         started = time.perf_counter()
-        result = CampaignEngine(_config(None, events=False)).run()
+        result = CampaignEngine(_config(None)).run()
         untraced.append(time.perf_counter() - started)
         reference = result
 
     with tempfile.TemporaryDirectory() as trace_dir:
         started = time.perf_counter()
-        traced_result = CampaignEngine(_config(trace_dir, events=True)).run()
+        traced_result = CampaignEngine(_config(trace_dir)).run()
         traced_seconds = time.perf_counter() - started
         data = load_trace_dir(trace_dir)
         units = unit_summaries(data)
-        event_data = load_events_dir(trace_dir)
 
     lifecycle_counts: Dict[str, int] = {}
-    for record in event_data.records:
+    for record in data.events:
         name = record["name"]
         if name.startswith("unit."):
             lifecycle_counts[name] = lifecycle_counts.get(name, 0) + 1
@@ -135,8 +131,6 @@ def measure() -> Measurement:
             (u.coverage() for u in units), default=0.0
         ),
         invalid_records=data.invalid_records,
-        event_records=len(event_data.records),
-        invalid_event_records=event_data.invalid_records,
         lifecycle_counts=lifecycle_counts,
     )
 
@@ -168,8 +162,6 @@ def gate_failures(m: Measurement) -> List[str]:
             f"a unit's stage sum is {m.worst_unit_coverage:.2f}x its unit "
             f"span (cap {MAX_UNIT_COVERAGE:.2f}x) — nesting accounting broke"
         )
-    if m.invalid_event_records:
-        failures.append(f"{m.invalid_event_records} invalid event record(s)")
     for name in ("unit.queued", "unit.started", "unit.finished"):
         if m.lifecycle_counts.get(name, 0) != m.unit_count:
             failures.append(
@@ -200,8 +192,6 @@ def artifact_payload(m: Measurement) -> Dict[str, object]:
         "min_stage_coverage": MIN_STAGE_COVERAGE,
         "worst_unit_coverage": round(m.worst_unit_coverage, 4),
         "invalid_records": m.invalid_records,
-        "event_records": m.event_records,
-        "invalid_event_records": m.invalid_event_records,
         "lifecycle_counts": dict(sorted(m.lifecycle_counts.items())),
         "classifications_match": m.classifications_match,
     }
@@ -239,8 +229,7 @@ def main() -> int:
         f"(worst unit {m.worst_unit_coverage:.2f}x)"
     )
     print(
-        f"events:   {m.event_records} records "
-        f"({m.invalid_event_records} invalid), lifecycle "
+        f"records:  {m.invalid_records} invalid, lifecycle "
         + ", ".join(f"{k}={v}" for k, v in sorted(m.lifecycle_counts.items()))
     )
     path = write_artifact(artifact_payload(m), name=ARTIFACT_NAME)

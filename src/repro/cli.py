@@ -11,7 +11,7 @@ Six subcommands cover the common workflows::
     python -m repro.cli campaign --trace-dir .diode-trace  # structured run trace
     python -m repro.cli replay --corpus-dir .diode-corpus  # regression replay
     python -m repro.cli trace --trace-dir .diode-trace     # render the trace
-    python -m repro.cli events --trace-dir .diode-trace    # event-log summary
+    python -m repro.cli events --trace-dir .diode-trace    # event summary
     python -m repro.cli bench-diff --baseline benchmarks/baselines/BENCH_observability.json \
         --current BENCH_observability.json                 # perf-regression gate
 
@@ -194,8 +194,8 @@ def _store_block(metrics: Optional[dict]) -> dict:
         "saves": counter_value(metrics or {}, "store.saves"),
         "records_loaded": counter_value(metrics or {}, "store.records_loaded"),
         "records_saved": counter_value(metrics or {}, "store.records_saved"),
-        "lock_acquires": counter_value(metrics or {}, "store.lock_acquires"),
-        "lock_breaks": counter_value(metrics or {}, "store.lock_breaks"),
+        "lock_acquires": counter_value(metrics or {}, "events.store.lock_wait"),
+        "lock_breaks": counter_value(metrics or {}, "events.store.lock_break"),
         "lock_wait_seconds": round(lock_wait, 6),
     }
 
@@ -227,7 +227,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         minimize_witnesses=not args.no_minimize,
         skip_known=args.skip_known,
         trace_dir=args.trace_dir,
-        events=not args.no_events,
     )
     if args.no_incremental:
         config.diode.solver.enable_sessions = False
@@ -253,7 +252,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 result.cache_stats.as_dict() if result.cache_stats else None
             ),
             "metrics": result.metrics,
-            "events": result.events,
             "store": _store_block(result.metrics),
             "trace_dir": args.trace_dir,
             "cache_store": (
@@ -329,18 +327,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     else:
         line += "; solver cache: disabled"
     print(line)
-    if result.metrics is not None:
-        from repro.obs.metrics import counter_value
+    from repro.obs.metrics import counter_value
 
-        def solver(name: str) -> int:
-            return counter_value(result.metrics, f"solver.{name}")
+    def solver(name: str) -> int:
+        return counter_value(result.metrics, f"solver.{name}")
 
-        print(
-            f"solver sessions: {solver('session_checks')} checks, "
-            f"{solver('sessions_reused')} reused across observations; "
-            f"unsat cores: {solver('cores_extracted')} accumulated, "
-            f"{solver('core_pruned_candidates')} candidate queries pruned"
-        )
+    print(
+        f"solver sessions: {solver('session_checks')} checks, "
+        f"{solver('sessions_reused')} reused across observations; "
+        f"unsat cores: {solver('cores_extracted')} accumulated, "
+        f"{solver('core_pruned_candidates')} candidate queries pruned"
+    )
     if args.cache_dir:
         print(
             f"cache store {args.cache_dir}: warm-started {result.cache_loaded} "
@@ -353,15 +350,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"({store['lock_wait_seconds']:.3f}s total wait), "
             f"{store['lock_breaks']} stale broken"
         )
-    if result.events is not None:
-        from repro.obs.events import event_count
-
-        event_counts = result.events.get("events") or {}
-        print(
-            f"event stream: {sum(event_counts.values())} events "
-            f"({event_count(result.events, 'unit.finished')} units finished, "
-            f"{event_count(result.events, 'unit.failed')} failed)"
-        )
+    event_total = sum(
+        entry["value"]
+        for name, entry in result.metrics["metrics"].items()
+        if name.startswith("events.")
+    )
+    print(
+        f"event stream: {event_total} events "
+        f"({counter_value(result.metrics, 'events.unit.finished')} units "
+        f"finished, {counter_value(result.metrics, 'events.unit.failed')} "
+        "failed)"
+    )
     if args.trace_dir:
         print(
             f"trace written to {args.trace_dir} "
@@ -559,19 +558,19 @@ def _format_event_line(record: dict) -> str:
 def _cmd_events(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro.obs.report import event_summaries, load_events_dir
+    from repro.obs.report import event_summaries, load_trace_dir
 
     if args.follow:
         # Tail mode: poll the directory and print records not yet seen,
         # until --duration expires (or forever without one).  Records are
-        # unique by (pid, seq) — each process numbers its own.
+        # unique by (pid, id) — each process numbers its own.
         deadline = (
             None if args.duration is None else _time.monotonic() + args.duration
         )
         seen: set = set()
         printed_error = False
         while True:
-            data = load_events_dir(args.trace_dir)
+            data = load_trace_dir(args.trace_dir)
             if data.error:
                 # The campaign may not have created the directory yet;
                 # keep waiting inside the duration window.
@@ -579,8 +578,8 @@ def _cmd_events(args: argparse.Namespace) -> int:
                     print(f"waiting: {data.error}", file=sys.stderr)
                     printed_error = True
             else:
-                for record in data.records:
-                    key = (record.get("pid"), record.get("seq"))
+                for record in data.events:
+                    key = (record.get("pid"), record.get("id"))
                     if key in seen:
                         continue
                     seen.add(key)
@@ -589,14 +588,15 @@ def _cmd_events(args: argparse.Namespace) -> int:
                 return 0
             _time.sleep(args.poll)
 
-    data = load_events_dir(args.trace_dir)
+    data = load_trace_dir(args.trace_dir)
     if data.error:
         print(data.error, file=sys.stderr)
         return 2
-    if not data.records:
+    events = data.events
+    if not events:
         print(
-            f"no event records under {args.trace_dir!r} (campaign ran with "
-            "--no-events, wrote nothing, or every record was invalid)",
+            f"no event records under {args.trace_dir!r} (the campaign wrote "
+            "nothing, or every record was invalid)",
             file=sys.stderr,
         )
         return 2
@@ -607,7 +607,7 @@ def _cmd_events(args: argparse.Namespace) -> int:
             "version": __version__,
             "trace_dir": data.trace_dir,
             "files": data.files,
-            "records": len(data.records),
+            "records": len(events),
             "invalid_records": data.invalid_records,
             "events": [summary.as_dict() for summary in summaries],
             "counts": {summary.name: summary.count for summary in summaries},
@@ -616,12 +616,12 @@ def _cmd_events(args: argparse.Namespace) -> int:
         return 0
 
     if args.tail:
-        for record in data.records[-args.tail :]:
+        for record in events[-args.tail :]:
             print(_format_event_line(record))
         return 0
 
     line = (
-        f"events {data.trace_dir}: {len(data.records)} records "
+        f"events {data.trace_dir}: {len(events)} records "
         f"from {data.files} file(s)"
     )
     if data.invalid_records:
@@ -889,15 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
             "workers); render afterwards with the trace subcommand"
         ),
     )
-    campaign.add_argument(
-        "--no-events",
-        action="store_true",
-        help=(
-            "disable the event stream (unit lifecycle, cache hit/miss, "
-            "store lock waits; the ablation arm — classifications are "
-            "identical either way)"
-        ),
-    )
     campaign.add_argument("--json", action="store_true", help="emit JSON")
     campaign.set_defaults(func=_cmd_campaign)
 
@@ -969,8 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
     events = subparsers.add_parser(
         "events",
         help=(
-            "summarize or tail a campaign's event log (the events-*.jsonl "
-            "files written beside the spans under --trace-dir)"
+            "summarize or tail a campaign's events (the event records of "
+            "the spans-*.jsonl files under --trace-dir)"
         ),
     )
     events.add_argument(

@@ -70,7 +70,6 @@ from repro.core.report import (
     SiteClassification,
     SiteResult,
 )
-from repro.obs import events as ev
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER, JsonlSink, ensure_trace_dir
 from repro.sched import (
@@ -143,12 +142,6 @@ class CampaignConfig:
     #: duration histograms in :data:`repro.obs.metrics.METRICS` are
     #: recorded either way.  Rendered afterwards by ``repro trace``.
     trace_dir: Optional[str] = None
-    #: Enable the campaign event stream (:mod:`repro.obs.events`): unit
-    #: lifecycle, cache hit/miss and store lock waits.  ``False`` is the
-    #: ablation arm (``campaign --no-events``) the classification-parity
-    #: tests hold the stream against.  With a ``trace_dir`` the events are
-    #: also persisted as ``events-<pid>.jsonl`` beside the spans.
-    events: bool = True
 
     def resolved_jobs(self) -> int:
         if self.jobs is None:
@@ -203,18 +196,13 @@ class CampaignResult:
     skipped_known: int = 0
     #: Wire-form delta of the campaign-wide metrics registry
     #: (:data:`repro.obs.metrics.METRICS`) across the run — stage timers,
-    #: store/lock activity, the ``solver.*`` counters.  Process-backend
+    #: store activity, the ``solver.*`` counters and the ``events.*``
+    #: counts (unit lifecycle, store lock waits).  Process-backend
     #: workers are included: each unit ships its registry delta back beside
     #: its cache delta and the parent merges them, so counter totals are
     #: identical for any backend and worker count on schedule-independent
     #: workloads.
     metrics: Optional[dict] = None
-    #: Wire-form per-name event-count delta of the campaign event stream
-    #: (:data:`repro.obs.events.EVENTS`) across the run.  Includes
-    #: process-backend workers the same way ``metrics`` does — each unit
-    #: ships its event-count delta back and the parent merges.  ``None``
-    #: when the stream was disabled (``events=False``).
-    events: Optional[dict] = None
 
     # ------------------------------------------------------------------
     def table1_rows(self) -> List[Dict[str, int]]:
@@ -268,21 +256,14 @@ class CampaignEngine:
 
         With a ``trace_dir`` the run attaches a JSONL trace sink for its
         duration (the process backend additionally configures one per
-        worker), and — when the event stream is enabled — a JSONL event
-        sink beside it.  Observability is passive: the report is
-        byte-identical with tracing and events on or off.
+        worker).  Observability is passive: the report is byte-identical
+        with tracing on or off.
         """
         sink: Optional[JsonlSink] = None
-        event_sink: Optional[ev.JsonlEventSink] = None
-        prior_events_enabled = ev.EVENTS.enabled
-        ev.EVENTS.enabled = self.config.events
         if self.config.trace_dir:
             ensure_trace_dir(self.config.trace_dir)
             sink = JsonlSink(self.config.trace_dir)
             TRACER.add_sink(sink)
-            if self.config.events:
-                event_sink = ev.JsonlEventSink(self.config.trace_dir)
-                ev.EVENTS.add_sink(event_sink)
         try:
             with TRACER.span(
                 "campaign", backend=self.config.backend
@@ -292,10 +273,6 @@ class CampaignEngine:
             if sink is not None:
                 TRACER.remove_sink(sink)
                 sink.close()
-            if event_sink is not None:
-                ev.EVENTS.remove_sink(event_sink)
-                event_sink.close()
-            ev.EVENTS.enabled = prior_events_enabled
 
     def _run(self) -> CampaignResult:
         started = time.perf_counter()
@@ -323,7 +300,6 @@ class CampaignEngine:
             corpus_records = corpus_store.load()
 
         metrics_mark = METRICS.snapshot()
-        events_mark = ev.EVENTS.snapshot()
         contexts = self._build_contexts()
         skipped: Dict["Slot", SiteResult] = {}
         adopted: Dict["Slot", "WitnessRecord"] = {}
@@ -350,16 +326,14 @@ class CampaignEngine:
             triage=self.config.triage,
             minimize_witnesses=self.config.minimize_witnesses,
             trace_dir=self.config.trace_dir,
-            events=self.config.events,
         )
-        if self.config.events:
-            for unit in units:
-                ev.EVENTS.emit(
-                    ev.UNIT_QUEUED,
-                    application=unit.application_name,
-                    site=unit.site_name,
-                    backend=backend_name,
-                )
+        for unit in units:
+            TRACER.event(
+                "unit.queued",
+                application=unit.application_name,
+                site=unit.site_name,
+                backend=backend_name,
+            )
         site_results = get_backend(backend_name).run_units(request)
         site_results.update(skipped)
 
@@ -405,9 +379,6 @@ class CampaignEngine:
             corpus_saved=corpus_saved,
             skipped_known=len(skipped),
             metrics=METRICS.delta(metrics_mark),
-            events=(
-                ev.EVENTS.delta(events_mark) if self.config.events else None
-            ),
         )
 
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Campaign-wide observability: metrics, spans, events, reporting.
 
-Six modules.  The first three are layered bottom-up and import nothing
+Five modules.  The first two are layered bottom-up and import nothing
 from :mod:`repro` outside this package, so every other layer — solver,
 store, scheduler, campaign — may instrument itself freely without import
 cycles:
@@ -9,25 +9,23 @@ cycles:
   registry (counters, gauges, fixed-bucket duration histograms) whose
   snapshots delta and merge losslessly across process-backend workers;
 * :mod:`repro.obs.trace` — the process-global :data:`~repro.obs.trace.TRACER`
-  (nestable stage spans, point events) over pluggable sinks (in-memory collector,
-  schema-versioned JSONL trace directory);
-* :mod:`repro.obs.events` — the process-global
-  :data:`~repro.obs.events.EVENTS` stream (unit lifecycle, cache hit/miss,
-  store lock waits) with mergeable per-name counts and an
-  ``events-<pid>.jsonl`` sink beside the spans;
+  (nestable stage spans, point events) over pluggable sinks (in-memory
+  collector, schema-versioned JSONL trace directory); every span feeds a
+  ``stage.<name>.seconds`` histogram and every event an ``events.<name>``
+  counter in ``METRICS``, sink or not;
 * :mod:`repro.obs.report` — the re-runnable report step behind the
   ``repro trace`` and ``repro events`` CLI subcommands (per-stage summary,
-  straggler top-N, Chrome trace-event export, event-log summaries);
+  straggler top-N, Chrome trace-event export, per-event-name summaries);
 * :mod:`repro.obs.attribution` — the code-version stamp (package version,
   ``git describe``) persisted artifacts carry;
 * :mod:`repro.obs.benchhist` — bench-run history and the regression
   comparison behind ``repro bench-diff``.
 
 The contract every instrumented layer relies on: **observability is
-passive** — identical site classifications with tracing and events on or
-off, and deterministic metric and event totals regardless of backend
-worker count for schedule-independent workloads (gated by the tests and
-``benchmarks/bench_observability.py``).
+passive** — identical site classifications with tracing on or off, and
+deterministic metric totals (the ``events.*`` counters included)
+regardless of backend worker count for schedule-independent workloads
+(gated by the tests and ``benchmarks/bench_observability.py``).
 """
 
 from __future__ import annotations

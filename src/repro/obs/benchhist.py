@@ -100,9 +100,6 @@ DEFAULT_THRESHOLDS: Dict[str, Dict[str, Threshold]] = {
         "weighted_stage_coverage": Threshold(direction="higher", ratio=0.85),
         "worst_unit_coverage": Threshold(direction="lower", ratio=1.0, absolute=0.05),
         "invalid_records": Threshold(direction="lower", ratio=1.0, absolute=0.0),
-        "invalid_event_records": Threshold(
-            direction="lower", ratio=1.0, absolute=0.0
-        ),
     },
     "campaign": {
         "speedup": Threshold(direction="higher", ratio=0.75),

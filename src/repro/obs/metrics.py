@@ -3,11 +3,12 @@
 Every layer of the pipeline records into one process-global
 :class:`MetricsRegistry` (:data:`METRICS`): the solver's query, session,
 core-guidance and complete-backend counters (``solver.*``), the store
-layer's load/save/lock activity, the scheduler's per-unit dispatch
-and the stage timers the tracer derives from spans.  The registry is the
-*aggregation* half of the observability subsystem; spans and their JSONL
-sink live in :mod:`repro.obs.trace`, structured events and their per-name
-counts in :mod:`repro.obs.events`.
+layer's load/save activity, the scheduler's queue waits, and what the
+tracer derives from its records: a ``stage.<name>.seconds`` timer per
+span name and an ``events.<name>`` counter per event name (unit
+lifecycle, store lock waits and breaks).  The registry is the
+*aggregation* half of the observability subsystem; spans, events and
+their JSONL sink live in :mod:`repro.obs.trace`.
 
 Design constraints, in decreasing order of importance:
 

@@ -1,4 +1,5 @@
-"""Trace-directory loading and reporting — the ``repro trace`` engine.
+"""Trace-directory loading and reporting — the ``repro trace`` and
+``repro events`` engine.
 
 Follows the repo's generate-data → render-report idiom: a campaign run
 with ``--trace-dir`` is the data-generation step, and this module is the
@@ -12,7 +13,9 @@ directory and of every record), and renders:
   visibility view: unit runtimes are highly irregular, and the stragglers
   are what a fleet scheduler will need to re-dispatch);
 * a **Chrome trace-event export** — the ``chrome://tracing`` /
-  Perfetto-compatible JSON array, wall-clock aligned across processes.
+  Perfetto-compatible JSON array, wall-clock aligned across processes;
+* a **per-event-name summary** of the trace's event records (unit
+  lifecycle, store lock waits and breaks).
 """
 
 from __future__ import annotations
@@ -22,18 +25,15 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.events import validate_event_record
 from repro.obs.trace import TRACE_META_NAME, TRACE_SCHEMA_VERSION, validate_record
 
 __all__ = [
-    "EventData",
     "EventSummary",
     "StageSummary",
     "TraceData",
     "UnitSummary",
     "chrome_trace_events",
     "event_summaries",
-    "load_events_dir",
     "load_trace_dir",
     "stage_summaries",
     "unit_summaries",
@@ -123,19 +123,8 @@ class UnitSummary:
 
 
 @dataclass
-class EventData:
-    """Everything loaded from a trace directory's event logs."""
-
-    trace_dir: str
-    records: List[dict] = field(default_factory=list)
-    files: int = 0
-    invalid_records: int = 0
-    error: Optional[str] = None
-
-
-@dataclass
 class EventSummary:
-    """Aggregate of one event name across the log."""
+    """Aggregate of one event name across the trace."""
 
     name: str
     count: int = 0
@@ -153,23 +142,6 @@ class EventSummary:
 # ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
-def _check_meta(trace_dir: str) -> Optional[str]:
-    """The meta.json validation shared by the span and event loaders."""
-    meta_path = os.path.join(trace_dir, TRACE_META_NAME)
-    try:
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return f"no readable {TRACE_META_NAME} under {trace_dir!r}"
-    if not isinstance(meta, dict) or meta.get("version") != TRACE_SCHEMA_VERSION:
-        return (
-            f"unsupported trace format version "
-            f"{meta.get('version') if isinstance(meta, dict) else meta!r} "
-            f"(this reader understands {TRACE_SCHEMA_VERSION})"
-        )
-    return None
-
-
 def load_trace_dir(trace_dir: str) -> TraceData:
     """Load and validate every trace record under ``trace_dir``.
 
@@ -180,8 +152,19 @@ def load_trace_dir(trace_dir: str) -> TraceData:
     the trace.
     """
     data = TraceData(trace_dir=str(trace_dir))
-    data.error = _check_meta(trace_dir)
-    if data.error:
+    meta_path = os.path.join(trace_dir, TRACE_META_NAME)
+    try:
+        with open(meta_path, "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+    except (OSError, json.JSONDecodeError):
+        data.error = f"no readable {TRACE_META_NAME} under {trace_dir!r}"
+        return data
+    if not isinstance(meta, dict) or meta.get("version") != TRACE_SCHEMA_VERSION:
+        data.error = (
+            f"unsupported trace format version "
+            f"{meta.get('version') if isinstance(meta, dict) else meta!r} "
+            f"(this reader understands {TRACE_SCHEMA_VERSION})"
+        )
         return data
 
     try:
@@ -218,58 +201,10 @@ def load_trace_dir(trace_dir: str) -> TraceData:
     return data
 
 
-def load_events_dir(trace_dir: str) -> EventData:
-    """Load and validate every event record under ``trace_dir``.
-
-    The event half of :func:`load_trace_dir`, over the ``events-*.jsonl``
-    files a campaign's event stream writes beside the spans.  Same error
-    discipline: directory-level problems set ``error``; individually
-    malformed lines are counted and skipped.
-    """
-    data = EventData(trace_dir=str(trace_dir))
-    data.error = _check_meta(trace_dir)
-    if data.error:
-        return data
-
-    try:
-        names = sorted(os.listdir(trace_dir))
-    except OSError:
-        data.error = f"cannot list {trace_dir!r}"
-        return data
-    for name in names:
-        if not (name.startswith("events-") and name.endswith(".jsonl")):
-            continue
-        data.files += 1
-        try:
-            with open(
-                os.path.join(trace_dir, name), "r", encoding="utf-8"
-            ) as handle:
-                lines = handle.readlines()
-        except OSError:
-            continue
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                data.invalid_records += 1
-                continue
-            if validate_event_record(record):
-                data.invalid_records += 1
-                continue
-            data.records.append(record)
-    data.records.sort(
-        key=lambda r: (r.get("wall", 0.0), r.get("pid", 0), r.get("seq", 0))
-    )
-    return data
-
-
-def event_summaries(data: EventData) -> List[EventSummary]:
+def event_summaries(data: TraceData) -> List[EventSummary]:
     """Per-event-name aggregates, sorted by descending count."""
     by_name: Dict[str, EventSummary] = {}
-    for record in data.records:
+    for record in data.events:
         name = record["name"]
         wall = float(record.get("wall", 0.0))
         summary = by_name.get(name)

@@ -1,19 +1,22 @@
 """Spans, structured events, and trace sinks.
 
-The :class:`Tracer` is the event half of the observability subsystem: the
-pipeline wraps each stage of a campaign unit (taint, concolic, screening,
-solve, enforcement, triage) plus the store layer's load/merge/save in a
-*span* — a named, nestable interval with monotonic duration, a wall-clock
-anchor and JSON-able attributes.  Point-in-time occurrences (a stale lock
-broken, a cache store reborn) are *events*.
+The :class:`Tracer` is the one record path of the observability
+subsystem: the pipeline wraps each stage of a campaign unit (taint,
+concolic, screening, solve, enforcement, triage) plus the store layer's
+load/merge/save in a *span* — a named, nestable interval with monotonic
+duration, a wall-clock anchor and JSON-able attributes.  Point-in-time
+occurrences (a unit queued, started, finished or failed; a store lock
+waited on or broken) are *events*.
 
 Two consumers exist:
 
-* **Stage timers** — every finished span feeds the duration histogram
-  ``stage.<name>.seconds`` in :data:`repro.obs.metrics.METRICS`,
-  unconditionally.  This is cheap (two ``perf_counter`` calls and one
-  locked dict update) and gives every run a per-stage breakdown even with
-  no trace sink attached.
+* **Counts** — every finished span feeds the duration histogram
+  ``stage.<name>.seconds`` and every event the counter
+  ``events.<name>`` in :data:`repro.obs.metrics.METRICS`,
+  unconditionally.  This is cheap (one locked dict update) and gives
+  every run a per-stage breakdown and exact event counts even with no
+  trace sink attached; process-backend workers ship both home in their
+  per-unit metrics delta.
 * **Sinks** — when a sink is attached (a campaign run with
   ``--trace-dir``, or an in-memory collector in tests), finished spans
   and events are emitted as structured records.  With no sink attached
@@ -21,7 +24,8 @@ Two consumers exist:
 
 Observability is passive: spans never alter control flow, sink failures
 are swallowed after disabling the sink, and tracing on/off is gated for
-classification parity by CI and ``benchmarks/bench_observability.py``.
+classification parity by ``tests/obs/test_campaign_obs.py``,
+``tests/core/test_cli.py`` and ``benchmarks/bench_observability.py``.
 
 Trace directory layout (schema version :data:`TRACE_SCHEMA_VERSION`)::
 
@@ -156,7 +160,7 @@ def validate_record(record: object) -> List[str]:
     """Schema errors for one trace record (empty list = valid).
 
     Used by the loader (invalid records are counted and skipped, never
-    trusted) and by the CI observability smoke job, which asserts that a
+    trusted) and by the observability smoke tests, which assert that a
     real campaign trace contains zero invalid records.
     """
     errors: List[str] = []
@@ -291,7 +295,8 @@ class Tracer:
         return _SpanHandle(self, name, attrs)
 
     def event(self, name: str, **attrs) -> None:
-        """Emit one point-in-time structured event (sinks only)."""
+        """Count one point-in-time event and record it to any sinks."""
+        METRICS.counter(f"events.{name}").inc()
         if not self._sinks:
             return
         stack = self._stack()

@@ -7,6 +7,10 @@ SiteResult`` mapping.  How the units run (inline, worker threads, worker
 processes) is entirely the backend's business; everything observable about
 the *results* must be schedule-independent.
 
+Every backend runs a unit through :func:`analyze_unit`, which wraps it in
+its ``unit`` span and its ``unit.started`` / ``unit.finished`` /
+``unit.failed`` lifecycle events.
+
 Error contract (shared by every backend through :func:`drain_futures`): the
 first unit failure cancels all still-pending sibling units, and the failure
 is re-raised as a :class:`UnitAnalysisError` carrying the failing unit's
@@ -21,6 +25,7 @@ matter which side is imported first.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_EXCEPTION, Future, wait
 from dataclasses import dataclass, field
@@ -95,44 +100,67 @@ class UnitRunRequest:
     #: starting on a new campaign re-attaches its own ``spans-<pid>.jsonl``
     #: sink for it.
     trace_dir: Optional[str] = None
-    #: Whether the event stream is enabled for this run (``campaign
-    #: --no-events`` is the ablation).  In-process backends inherit the
-    #: parent's already-toggled stream; the process backend ships the flag
-    #: in each unit's campaign token.
-    events: bool = True
 
     def run_unit(self, unit: CampaignUnit, backend: str = "") -> "SiteResult":
         """Execute one unit in-process against the shared contexts."""
-        from repro.core.engine import analyze_site
-        from repro.obs.events import unit_lifecycle
-        from repro.obs.metrics import METRICS
-        from repro.obs.trace import TRACER
-
-        context = self.contexts[unit.app_index]
-        with unit_lifecycle(
-            unit.application_name, unit.site_name, backend
-        ) as finish_attrs:
-            with TRACER.span(
-                "unit",
-                application=unit.application_name,
-                site=unit.site_name,
-                backend=backend,
-            ):
-                result = analyze_site(
-                    context.application,
-                    context.sites[unit.site_index],
-                    self.diode,
-                    solver_cache=self.cache,
-                    detector=context.detector,
-                    field_mapper=context.mapper,
-                )
-            finish_attrs["classification"] = result.classification.value
-        METRICS.counter("campaign.units_completed").inc()
-        return result
+        return analyze_unit(
+            unit, self.contexts[unit.app_index], self.diode, self.cache, backend
+        )
 
     def worker_count(self) -> int:
         """Workers actually worth spawning for this unit list."""
         return max(1, min(self.jobs, len(self.units) or 1))
+
+
+def analyze_unit(
+    unit: CampaignUnit,
+    context: "ApplicationContext",
+    diode: "DiodeConfig",
+    cache: Optional["SolverCache"],
+    backend: str,
+) -> "SiteResult":
+    """Analyze one unit inside its ``unit`` span and lifecycle events.
+
+    Emits ``unit.started``, then ``unit.finished`` with the unit's
+    seconds and classification, or ``unit.failed`` with its seconds and
+    the exception type before the exception propagates.  Every event
+    carries the unit's ``application``, ``site`` and ``backend``.
+    """
+    from repro.core.engine import analyze_site
+    from repro.obs.trace import TRACER
+
+    identity = {
+        "application": unit.application_name,
+        "site": unit.site_name,
+        "backend": backend,
+    }
+    TRACER.event("unit.started", **identity)
+    started = time.perf_counter()
+    try:
+        with TRACER.span("unit", **identity):
+            result = analyze_site(
+                context.application,
+                context.sites[unit.site_index],
+                diode,
+                solver_cache=cache,
+                detector=context.detector,
+                field_mapper=context.mapper,
+            )
+    except BaseException as exc:
+        TRACER.event(
+            "unit.failed",
+            seconds=round(time.perf_counter() - started, 6),
+            error=type(exc).__name__,
+            **identity,
+        )
+        raise
+    TRACER.event(
+        "unit.finished",
+        seconds=round(time.perf_counter() - started, 6),
+        classification=result.classification.value,
+        **identity,
+    )
+    return result
 
 
 class Backend(ABC):

@@ -22,11 +22,12 @@ term would rebuild as a distinct, non-interned object and silently break
   signed *in the worker*, which parallelizes minimization's concrete
   re-validation runs); the parent collects them into
   ``request.witness_results`` for the campaign's corpus merge.  Each
-  result also carries the worker's metric and event-count deltas since
-  its previous unit; the parent merges them, so without a shared cache
-  the campaign totals equal the serial schedule's.  Nothing else crosses
+  result also carries the worker's metrics delta since its previous
+  unit — stage timers, ``solver.*`` and the ``events.*`` lifecycle
+  counts among them; the parent merges it, so without a shared cache the
+  campaign totals equal the serial schedule's.  Nothing else crosses
   back: workers persist their own span and event records to
-  ``<trace_dir>/*-<pid>.jsonl``.
+  ``<trace_dir>/spans-<pid>.jsonl``.
 
 **One pool per parent process.**  The pool outlives a single
 :meth:`ProcessBackend.run_units` call, so its workers keep their
@@ -45,13 +46,13 @@ is replaced.  A campaign that raises — a unit exception or a dead worker
 once its parent is gone, so no worker outlives the parent.
 
 A worker that sees a new campaign token resets its per-campaign state
-before taking its metric and event marks: a fresh
+before taking its metrics mark: a fresh
 :class:`~repro.smt.cache.SolverCache` primed with the parent cache's
 contents at campaign start (the warm-start path when a ``--cache-dir``
 store was loaded), a fresh exported-key set and stats mark, and its own
-trace and event sinks for the campaign's ``trace_dir``.  Per-unit
-hit/miss counter deltas keep the campaign's aggregate cache statistics
-covering worker-side lookups.
+trace sink for the campaign's ``trace_dir``.  Per-unit cache-stats
+deltas keep the campaign's aggregate cache statistics covering
+worker-side lookups.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from repro.sched.base import (
     CampaignUnit,
     Slot,
     UnitRunRequest,
+    analyze_unit,
     drain_futures,
 )
 
@@ -81,11 +83,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.report import OverflowBugReport, SiteResult
     from repro.core.sites import TargetSite
     from repro.sched.context import ApplicationContext
-
-#: Width of :meth:`SolverCache.stats_snapshot` tuples (imported lazily in
-#: workers, so the width is mirrored here; asserted against the class when
-#: a worker starts a campaign).
-_STATS_FIELDS = 11
 
 #: How often an idle or busy worker checks that its parent is still alive.
 _PARENT_POLL_SECONDS = 0.5
@@ -139,7 +136,6 @@ class _CampaignToken:
     triage: bool
     minimize_witnesses: bool
     trace_dir: Optional[str]
-    events: bool
 
 
 class _WorkerState:
@@ -156,16 +152,14 @@ class _WorkerState:
         #: artifact kinds (whole-query, component, UNSAT core, CNF
         #: skeleton) travel through the same delta stream.
         self.exported_keys: set = set()
-        self.stats_mark: Tuple[int, ...] = (0,) * _STATS_FIELDS
-        #: Registry wire marks for per-unit metric and event deltas.
+        self.stats_mark: Dict[str, int] = {}
+        #: Registry wire mark for per-unit metrics deltas.
         self.metrics_mark: dict = {}
-        self.events_mark: dict = {}
-        #: Trace and event sinks this worker attached for its campaign.
-        self.sinks: List[object] = []
+        #: The trace sink this worker attached for its campaign.
+        self.sink: Optional[object] = None
 
     def begin(self, token: _CampaignToken) -> None:
         """Reset the per-campaign state for ``token``'s campaign."""
-        from repro.obs import events as ev
         from repro.obs.metrics import METRICS
         from repro.obs.trace import TRACER, JsonlSink
         from repro.smt.cache import SolverCache
@@ -173,38 +167,27 @@ class _WorkerState:
         self.generation = token.generation
         self.cache = SolverCache() if token.use_cache else None
         self.exported_keys = set()
-        assert SolverCache.STATS_FIELDS == _STATS_FIELDS
-        self.stats_mark = (0,) * _STATS_FIELDS
+        self.stats_mark = {}
         if self.cache is not None and token.seed_entries:
             from repro.smt.cachestore import merge_wire_entries
 
             seed = pickle.loads(token.seed_entries)
             self.exported_keys.update(merge_wire_entries(self.cache, seed))
 
-        # A fork-started worker inherits the parent's sink lists, whose
-        # already-open JSONL handles point at the *parent's* files —
-        # emitting through them would write every worker record into the
+        # A fork-started worker inherits the parent's sink list, whose
+        # already-open JSONL handle points at the *parent's* file —
+        # emitting through it would write every worker record into the
         # parent's file as well as the worker's own.  Drop whatever is
         # attached (the parent owns inherited handles; the worker closes
         # its own from the previous campaign) before attaching this
-        # campaign's per-process sinks.
+        # campaign's per-process sink.
         TRACER.clear_sinks()
-        ev.EVENTS.clear_sinks()
-        for sink in self.sinks:
-            sink.close()
-        self.sinks = []
-        if token.trace_dir:
-            self.sinks.append(JsonlSink(token.trace_dir))
-            TRACER.add_sink(self.sinks[-1])
-        # The event stream mirrors the parent's configuration: the worker
-        # persists its own events-<pid>.jsonl, and its counts reach the
-        # parent as per-unit deltas.
-        ev.EVENTS.enabled = token.events
-        if token.events and token.trace_dir:
-            self.sinks.append(ev.JsonlEventSink(token.trace_dir))
-            ev.EVENTS.add_sink(self.sinks[-1])
+        if self.sink is not None:
+            self.sink.close()
+        self.sink = JsonlSink(token.trace_dir) if token.trace_dir else None
+        if self.sink is not None:
+            TRACER.add_sink(self.sink)
         self.metrics_mark = METRICS.snapshot()
-        self.events_mark = ev.EVENTS.snapshot()
 
     def context_for(self, name: str, app_index: int) -> "ApplicationContext":
         """Lazy per-⟨worker, application⟩ context.
@@ -263,16 +246,16 @@ def _watch_parent(parent_pid: int) -> None:
     os._exit(1)
 
 
-def _worker_run(
-    token: _CampaignToken, unit: CampaignUnit
-) -> Tuple[
-    SiteResultPayload, List[dict], Tuple[int, ...], Optional[dict], dict, dict
-]:
-    """Analyze one unit in the worker; return payload + cache/witness/metric/event deltas."""
-    from repro.core.engine import analyze_site
-    from repro.obs.events import EVENTS, diff_event_wires, unit_lifecycle
+def _worker_run(token: _CampaignToken, unit: CampaignUnit) -> dict:
+    """Analyze one unit in the worker and return what crosses back.
+
+    One dict: ``payload`` (the term-free result), ``cache_entries`` (new
+    wire-format cache artifacts), ``cache_stats`` (the cache counters'
+    delta by name), ``witness`` (the wire-form witness record, or
+    ``None``) and ``metrics`` (the registry delta since the previous
+    unit).
+    """
     from repro.obs.metrics import METRICS, diff_snapshots
-    from repro.obs.trace import TRACER
 
     state = _STATE
     if state is None:  # pragma: no cover - initializer always runs first
@@ -281,65 +264,44 @@ def _worker_run(
         state.begin(token)
     name = token.application_names[unit.app_index]
     context = state.context_for(name, unit.app_index)
-    with unit_lifecycle(
-        unit.application_name, unit.site_name, "process"
-    ) as finish_attrs:
-        with TRACER.span(
-            "unit",
-            application=unit.application_name,
-            site=unit.site_name,
-            backend="process",
-        ):
-            result = analyze_site(
-                context.application,
-                context.sites[unit.site_index],
-                token.diode,
-                solver_cache=state.cache,
-                detector=context.detector,
-                field_mapper=context.mapper,
-            )
-        finish_attrs["classification"] = result.classification.value
-    METRICS.counter("campaign.units_completed").inc()
+    result = analyze_unit(unit, context, token.diode, state.cache, "process")
 
-    delta: List[dict] = []
-    stats_delta: Tuple[int, ...] = (0,) * _STATS_FIELDS
+    cache_entries: List[dict] = []
+    cache_stats: Dict[str, int] = {}
     if state.cache is not None:
         from repro.smt.cachestore import export_wire_entries
 
-        delta, keys = export_wire_entries(state.cache, exclude=state.exported_keys)
+        cache_entries, keys = export_wire_entries(
+            state.cache, exclude=state.exported_keys
+        )
         state.exported_keys.update(keys)
         mark = state.cache.stats_snapshot()
-        stats_delta = tuple(
-            now - before for now, before in zip(mark, state.stats_mark)
-        )
+        cache_stats = {
+            field: value - state.stats_mark.get(field, 0)
+            for field, value in mark.items()
+        }
         state.stats_mark = mark
 
-    witness_wire: Optional[dict] = None
+    witness: Optional[dict] = None
     if token.triage and result.bug_report is not None:
         record = state.triager_for(
             name, context, token.minimize_witnesses
         ).triage(
             context.sites[unit.site_index], result.bug_report, result.enforcement
         )
-        witness_wire = None if record is None else record.to_wire()
+        witness = None if record is None else record.to_wire()
 
-    # Last, so the deltas also cover triage/cache work done above.  The
-    # event delta carries exact counts for everything this worker emitted
-    # since the previous unit.
+    # Last, so the delta also covers triage/cache work done above.
     snapshot = METRICS.snapshot()
-    metrics_wire = diff_snapshots(state.metrics_mark, snapshot)
+    metrics = diff_snapshots(state.metrics_mark, snapshot)
     state.metrics_mark = snapshot
-    events_snapshot = EVENTS.snapshot()
-    events_wire = diff_event_wires(state.events_mark, events_snapshot)
-    state.events_mark = events_snapshot
-    return (
-        SiteResultPayload.from_site_result(result),
-        delta,
-        stats_delta,
-        witness_wire,
-        metrics_wire,
-        events_wire,
-    )
+    return {
+        "payload": SiteResultPayload.from_site_result(result),
+        "cache_entries": cache_entries,
+        "cache_stats": cache_stats,
+        "witness": witness,
+        "metrics": metrics,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +412,6 @@ class ProcessBackend(Backend):
     name = "process"
 
     def run_units(self, request: UnitRunRequest) -> Dict[Slot, object]:
-        from repro.obs.events import EVENTS
         from repro.obs.metrics import METRICS
 
         if not request.units:
@@ -471,7 +432,6 @@ class ProcessBackend(Backend):
             triage=request.triage,
             minimize_witnesses=request.minimize_witnesses,
             trace_dir=request.trace_dir,
-            events=request.events,
         )
 
         with _POOL.lock:
@@ -481,34 +441,26 @@ class ProcessBackend(Backend):
                     executor.submit(_worker_run, token, unit)
                     for unit in request.units
                 ]
-                payloads = drain_futures(request.units, futures)
+                deltas = drain_futures(request.units, futures)
             except BaseException:
                 _POOL.shutdown()
                 raise
 
         results: Dict[Slot, object] = {}
-        for unit, (
-            payload,
-            delta,
-            stats_delta,
-            witness_wire,
-            metrics_wire,
-            events_wire,
-        ) in zip(request.units, payloads):
+        for unit, delta in zip(request.units, deltas):
             slot = (unit.app_index, unit.site_index)
             site = request.contexts[unit.app_index].sites[unit.site_index]
+            payload = delta["payload"]
             results[slot] = payload.to_site_result(site)
             if request.cache is not None:
-                if delta:
+                if delta["cache_entries"]:
                     from repro.smt.cachestore import merge_wire_entries
 
-                    merge_wire_entries(request.cache, delta)
-                request.cache.add_external_stats(*stats_delta)
+                    merge_wire_entries(request.cache, delta["cache_entries"])
+                request.cache.add_external_stats(delta["cache_stats"])
             if request.triage and payload.bug_report is not None:
-                request.witness_results[slot] = witness_wire
+                request.witness_results[slot] = delta["witness"]
             # Merge order cannot matter: counters/histogram buckets are
-            # integers and add, gauges take max (see repro.obs.metrics);
-            # event counts are integers and add (see repro.obs.events).
-            METRICS.merge(metrics_wire)
-            EVENTS.merge(events_wire)
+            # integers and add, gauges take max (see repro.obs.metrics).
+            METRICS.merge(delta["metrics"])
         return results

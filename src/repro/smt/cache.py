@@ -144,6 +144,23 @@ class SolverCacheStats:
         }
 
 
+#: The :class:`SolverCacheStats` fields a worker-local cache's delta
+#: carries back to the campaign cache (see :meth:`SolverCache.stats_snapshot`).
+_TRANSFERABLE_STATS = (
+    "hits",
+    "misses",
+    "stores",
+    "invalid_hits",
+    "component_hits",
+    "component_misses",
+    "component_stores",
+    "core_hits",
+    "core_stores",
+    "cnf_hits",
+    "cnf_stores",
+)
+
+
 class SolverCache:
     """Thread-safe store of solver verdicts keyed by canonical systems.
 
@@ -250,18 +267,12 @@ class SolverCache:
 
     def lookup(self, system: CanonicalSystem) -> Optional[CachedVerdict]:
         """Return the stored verdict for ``system``, counting hit/miss."""
-        from repro.obs.events import CACHE_HIT, CACHE_MISS, EVENTS
-
         with self._lock:
             entry = self._entries.get(system.key)
             if entry is None:
                 self.stats.misses += 1
             else:
                 self.stats.hits += 1
-        # Whole-query granularity only: component lookups run orders of
-        # magnitude hotter and stay out of the event stream by design
-        # (their totals live in the stats tuple / metrics registry).
-        EVENTS.emit(CACHE_HIT if entry is not None else CACHE_MISS)
         return entry
 
     def store(self, system: CanonicalSystem, verdict: CachedVerdict) -> None:
@@ -500,62 +511,26 @@ class SolverCache:
                 self.stats.merged += 1
         return key
 
-    #: Width of the :meth:`stats_snapshot` tuple (the process backend's
-    #: per-worker counter delta).
-    STATS_FIELDS = 11
+    def stats_snapshot(self) -> Dict[str, int]:
+        """Atomic reading of the transferable counters, by field name.
 
-    def stats_snapshot(self) -> Tuple[int, ...]:
-        """Atomic reading of the transferable counters.
-
-        ``(hits, misses, stores, invalid_hits, component_hits,
-        component_misses, component_stores, core_hits, core_stores,
-        cnf_hits, cnf_stores)`` — the tuple the process backend ships from
-        workers and folds back into the campaign cache via
-        :meth:`add_external_stats`.
+        What the process backend ships from workers, as per-unit
+        differences, and folds back into the campaign cache via
+        :meth:`add_external_stats`.  ``merged``, ``evictions`` and
+        ``component_evictions`` describe one cache's own table and do not
+        travel.
         """
         with self._lock:
-            stats = self.stats
-            return (
-                stats.hits,
-                stats.misses,
-                stats.stores,
-                stats.invalid_hits,
-                stats.component_hits,
-                stats.component_misses,
-                stats.component_stores,
-                stats.core_hits,
-                stats.core_stores,
-                stats.cnf_hits,
-                stats.cnf_stores,
-            )
+            return {
+                name: getattr(self.stats, name) for name in _TRANSFERABLE_STATS
+            }
 
-    def add_external_stats(
-        self,
-        hits: int,
-        misses: int,
-        stores: int,
-        invalid_hits: int,
-        component_hits: int = 0,
-        component_misses: int = 0,
-        component_stores: int = 0,
-        core_hits: int = 0,
-        core_stores: int = 0,
-        cnf_hits: int = 0,
-        cnf_stores: int = 0,
-    ) -> None:
-        """Fold counter deltas from a worker-local cache into this one."""
+    def add_external_stats(self, delta: Dict[str, int]) -> None:
+        """Fold a worker-local cache's counter delta into this one."""
         with self._lock:
-            self.stats.hits += hits
-            self.stats.misses += misses
-            self.stats.stores += stores
-            self.stats.invalid_hits += invalid_hits
-            self.stats.component_hits += component_hits
-            self.stats.component_misses += component_misses
-            self.stats.component_stores += component_stores
-            self.stats.core_hits += core_hits
-            self.stats.core_stores += core_stores
-            self.stats.cnf_hits += cnf_hits
-            self.stats.cnf_stores += cnf_stores
+            for name in _TRANSFERABLE_STATS:
+                value = getattr(self.stats, name) + delta.get(name, 0)
+                setattr(self.stats, name, value)
 
 
 # ----------------------------------------------------------------------

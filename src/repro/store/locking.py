@@ -93,12 +93,9 @@ class DirectoryLock:
                 os.write(fd, str(os.getpid()).encode("ascii"))
                 self._fd = fd
                 waited = time.perf_counter() - waited_from
-                METRICS.counter("store.lock_acquires").inc()
                 METRICS.histogram("store.lock_wait_seconds").observe(waited)
-                from repro.obs.events import EVENTS, STORE_LOCK_WAIT
-
-                EVENTS.emit(
-                    STORE_LOCK_WAIT, seconds=round(waited, 6), path=self.path
+                TRACER.event(
+                    "store.lock_wait", seconds=round(waited, 6), path=self.path
                 )
                 return
             try:
@@ -145,7 +142,6 @@ class DirectoryLock:
             os.rename(self.path, aside)
         except OSError:
             return
-        METRICS.counter("store.lock_breaks").inc()
         TRACER.event("store.lock_break", path=self.path)
         try:
             os.remove(aside)

@@ -254,9 +254,9 @@ needs_proc = pytest.mark.skipif(
 
 
 def _unit_pids(trace_dir):
-    """Pids of the processes that ran units, from their ``events-<pid>.jsonl``."""
+    """Pids of the processes that ran units, from their ``spans-<pid>.jsonl``."""
     pids = set()
-    for path in glob.glob(os.path.join(str(trace_dir), "events-*.jsonl")):
+    for path in glob.glob(os.path.join(str(trace_dir), "spans-*.jsonl")):
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
                 record = json.loads(line)
@@ -270,7 +270,8 @@ def _gone(pid):
     try:
         with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as handle:
             return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
-    except FileNotFoundError:
+    except (FileNotFoundError, ProcessLookupError):
+        # ProcessLookupError: reaped between the open and the read.
         return True
 
 
@@ -369,10 +370,9 @@ class TestPoolLifecycle:
         ]
         second = process[1]
         assert second.classifications() == serial.classifications()
+        # The events.* lifecycle and lock counts are among the counters.
         assert _counters(second) == _counters(serial)
-        if store == "no-store":
-            assert second.events == serial.events
-        else:
+        if store != "no-store":
             assert second.cache_loaded == serial.cache_loaded > 0
 
 

@@ -382,7 +382,7 @@ class TestVersionFlag:
 
 
 class TestEventFlags:
-    @pytest.mark.parametrize("flag", ["--progress", "--watchdog"])
+    @pytest.mark.parametrize("flag", ["--progress", "--watchdog", "--no-events"])
     def test_live_telemetry_flag_is_gone(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--apps", "dillo", flag])
@@ -394,22 +394,15 @@ class TestEventFlags:
         assert "event stream:" in capsys.readouterr().out
 
     def test_campaign_json_carries_event_counts(self, capsys):
+        from repro.obs.metrics import counter_value
+
         assert main(["campaign", "--jobs", "1", "--apps", "dillo", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        events = payload["events"]["events"]
-        assert events["unit.queued"] == payload["unit_count"]
-        assert events["unit.finished"] == payload["unit_count"]
-        assert events.get("unit.failed", 0) == 0
-
-    def test_no_events_json_reports_null_block(self, capsys):
-        assert (
-            main(
-                ["campaign", "--jobs", "1", "--apps", "dillo", "--no-events",
-                 "--json"]
-            )
-            == 0
-        )
-        assert json.loads(capsys.readouterr().out)["events"] is None
+        assert "events" not in payload
+        metrics = payload["metrics"]
+        assert counter_value(metrics, "events.unit.queued") == payload["unit_count"]
+        assert counter_value(metrics, "events.unit.finished") == payload["unit_count"]
+        assert counter_value(metrics, "events.unit.failed") == 0
 
 
 class TestTraceCommandErrors:
@@ -513,16 +506,16 @@ class TestEventsCommand:
         err = capsys.readouterr().err
         assert err.strip() and "Traceback" not in err
 
-    def test_no_events_campaign_leaves_nothing_to_report(self, capsys, tmp_path):
+    def test_trace_without_events_leaves_nothing_to_report(self, capsys, tmp_path):
+        from repro.obs.trace import JsonlSink, Tracer
+
         trace_dir = str(tmp_path / "trace")
-        assert (
-            main(
-                ["campaign", "--jobs", "1", "--apps", "dillo", "--no-events",
-                 "--trace-dir", trace_dir]
-            )
-            == 0
-        )
-        capsys.readouterr()
+        tracer = Tracer()
+        sink = JsonlSink(trace_dir)
+        tracer.add_sink(sink)
+        with tracer.span("unit"):
+            pass
+        sink.close()
         assert main(["events", "--trace-dir", trace_dir]) == 2
         assert "no event records" in capsys.readouterr().err
 
@@ -530,8 +523,7 @@ class TestEventsCommand:
 class TestBenchDiffCommand:
     _BASE = {"benchmark": "observability", "version": "1.7.0",
              "overhead": 1.05, "weighted_stage_coverage": 0.95,
-             "worst_unit_coverage": 1.0, "invalid_records": 0,
-             "invalid_event_records": 0}
+             "worst_unit_coverage": 1.0, "invalid_records": 0}
 
     def _write(self, tmp_path, name, payload):
         path = tmp_path / name
@@ -548,7 +540,7 @@ class TestBenchDiffCommand:
         baseline = self._write(tmp_path, "base.json", self._BASE)
         current = self._write(
             tmp_path, "cur.json",
-            dict(self._BASE, overhead=1.9, invalid_event_records=3),
+            dict(self._BASE, overhead=1.9, invalid_records=3),
         )
         assert main(["bench-diff", "--baseline", baseline, "--current", current]) == 1
         out = capsys.readouterr().out
@@ -636,3 +628,66 @@ class TestCorpusWarmStart:
         assert warm["corpus"]["loaded"] == distinct
         assert warm["corpus"]["skipped_known"] == distinct
         assert warm["classifications"] == cold["classifications"]
+
+
+class TestObservabilitySmoke:
+    def test_tracing_is_passive_and_the_trace_renders(self, capsys, tmp_path):
+        """Serial and process campaigns, each plain and traced.
+
+        Without the shared cache the workload is schedule-independent, so
+        the process backend's wire-merged counters must equal serial's;
+        every persisted record validates, and the rendered report covers
+        the pipeline's stages.
+        """
+        from repro.obs.trace import validate_record
+
+        base = ["campaign", "--apps", "dillo", "swfplay", "--no-cache", "--json"]
+        backends = {"serial": [], "process": ["--backend", "process", "--jobs", "2"]}
+        runs = {}
+        for backend, options in backends.items():
+            for traced in (False, True):
+                trace_dir = str(tmp_path / f"trace-{backend}")
+                argv = base + options + (["--trace-dir", trace_dir] if traced else [])
+                assert main(argv) == 0
+                runs[(backend, traced)] = json.loads(capsys.readouterr().out)
+
+        reference = runs[("serial", False)]["classifications"]
+        for key, run in runs.items():
+            assert run["classifications"] == reference, key
+
+        def counters(run):
+            return {
+                name: entry["value"]
+                for name, entry in run["metrics"]["metrics"].items()
+                if entry["k"] == "c"
+            }
+
+        assert counters(runs[("process", True)]) == counters(runs[("serial", True)])
+        assert counters(runs[("process", False)]) == counters(runs[("serial", False)])
+
+        total = 0
+        for backend in backends:
+            trace_dir = tmp_path / f"trace-{backend}"
+            meta = json.loads((trace_dir / "meta.json").read_text())
+            assert meta["format"] == "repro-trace", meta
+            for path in sorted(trace_dir.glob("spans-*.jsonl")):
+                for line in path.read_text().splitlines():
+                    assert not validate_record(json.loads(line)), (path.name, line)
+                    total += 1
+        assert total > 0
+
+        chrome = tmp_path / "chrome-trace.json"
+        trace_dir = str(tmp_path / "trace-process")
+        assert main(["trace", "--trace-dir", trace_dir]) == 0
+        capsys.readouterr()
+        assert (
+            main(["trace", "--trace-dir", trace_dir, "--chrome", str(chrome), "--json"])
+            == 0
+        )
+        report = json.loads(capsys.readouterr().out)
+        assert report["invalid_records"] == 0
+        assert report["units"] > 0 and report["spans"] > 0
+        stages = {stage["name"] for stage in report["stages"]}
+        assert {"campaign", "unit", "concolic", "enforce", "solve"} <= stages
+        events = json.loads(chrome.read_text())
+        assert isinstance(events, list) and events

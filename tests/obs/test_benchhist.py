@@ -69,16 +69,16 @@ class TestMetricValue:
 
 class TestCompareRuns:
     _BASE = {"benchmark": "observability", "overhead": 1.0,
-             "weighted_stage_coverage": 0.95, "invalid_event_records": 0}
+             "weighted_stage_coverage": 0.95, "invalid_records": 0}
 
     def test_identical_payloads_show_no_regression(self):
         assert compare_runs(self._BASE, dict(self._BASE)) == []
 
     def test_regressions_are_reported_with_bounds(self):
-        current = dict(self._BASE, overhead=1.9, invalid_event_records=3)
+        current = dict(self._BASE, overhead=1.9, invalid_records=3)
         regressions = compare_runs(self._BASE, current)
         by_metric = {r.metric: r for r in regressions}
-        assert set(by_metric) == {"overhead", "invalid_event_records"}
+        assert set(by_metric) == {"overhead", "invalid_records"}
         assert by_metric["overhead"].baseline == 1.0
         assert by_metric["overhead"].current == 1.9
         assert "rose" in by_metric["overhead"].describe()

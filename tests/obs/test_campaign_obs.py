@@ -81,8 +81,8 @@ class TestMetricsAggregation:
         first = _run()
         second = _run()
         assert (
-            counter_value(first.metrics, "campaign.units_completed")
-            == counter_value(second.metrics, "campaign.units_completed")
+            counter_value(first.metrics, "events.unit.finished")
+            == counter_value(second.metrics, "events.unit.finished")
             == first.unit_count
         )
 

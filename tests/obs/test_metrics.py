@@ -5,7 +5,9 @@ and associative — the process backend's parent folds worker deltas in
 arrival order, and the totals must not depend on which worker finished
 first.  Hypothesis drives that over generated wire dicts; everything is
 stored as integers (counts, nanoseconds, bucket indices) precisely so the
-property holds exactly rather than approximately.
+property holds exactly rather than approximately.  The ``events.<name>``
+counters the tracer keeps travel on this wire too, so the name pool mixes
+them in.
 """
 
 from __future__ import annotations
@@ -31,7 +33,15 @@ from repro.obs.metrics import (
 # Wire-dict strategies
 # ----------------------------------------------------------------------
 _NAMES = st.sampled_from(
-    ["solver.queries", "store.loads", "stage.solve.seconds", "sched.wait", "x"]
+    [
+        "solver.queries",
+        "store.loads",
+        "stage.solve.seconds",
+        "sched.wait",
+        "events.unit.started",
+        "events.store.lock_wait",
+        "x",
+    ]
 )
 
 _COUNTER = st.fixed_dictionaries(
@@ -119,11 +129,33 @@ class TestMergeProperties:
             if entry["k"] == "c":
                 assert counter_value(recovered, name) == entry["value"]
 
+    @settings(max_examples=100, deadline=None)
+    @given(a=_WIRE, b=_WIRE)
+    def test_registry_merge_equals_pure_merge(self, a, b):
+        """Folding deltas into a live registry is the pure merge."""
+        for name in set(a["metrics"]) & set(b["metrics"]):
+            if a["metrics"][name]["k"] != b["metrics"][name]["k"]:
+                del b["metrics"][name]
+        registry = MetricsRegistry()
+        registry.merge(a)
+        registry.merge(b)
+        assert _normalized(registry.snapshot()) == _normalized(
+            merge_snapshots(a, b)
+        )
+
     def test_unknown_wire_version_is_dropped(self):
         good = {"v": METRICS_WIRE_VERSION, "metrics": {"a": {"k": "c", "value": 3}}}
         bad = {"v": 999, "metrics": {"a": {"k": "c", "value": 5}}}
         merged = merge_snapshots(good, bad)
         assert counter_value(merged, "a") == 3
+        registry = MetricsRegistry()
+        assert registry.merge(bad) == 0
+        assert registry.merge(good) == 1
+
+    def test_counter_value_tolerates_junk(self):
+        assert counter_value(None, "a") == 0
+        assert counter_value({}, "a") == 0
+        assert counter_value({"v": 1, "metrics": {"a": {"value": "nope"}}}, "a") == 0
 
 
 class TestBuckets:

@@ -341,14 +341,38 @@ class TestCacheStore:
         """The process backend folds worker-side counter deltas into the
         campaign cache so aggregate hit rates reflect worker lookups."""
         cache = SolverCache()
-        cache.add_external_stats(7, 3, 2, 1)
-        cache.add_external_stats(3, 2, 1, 0)
+        cache.add_external_stats(
+            {"hits": 7, "misses": 3, "stores": 2, "invalid_hits": 1}
+        )
+        cache.add_external_stats(
+            {"hits": 3, "misses": 2, "stores": 1, "invalid_hits": 0}
+        )
         assert cache.stats.hits == 10
         assert cache.stats.misses == 5
         assert cache.stats.stores == 3
         assert cache.stats.invalid_hits == 1
         assert cache.stats.lookups == 15
         assert cache.stats.hit_rate() == pytest.approx(10 / 15)
+
+    def test_stats_snapshot_round_trips_through_external_stats(self):
+        """A worker's snapshot names the eleven counters that travel; the
+        table-local ones (merged, evictions) stay behind."""
+        worker = SolverCache()
+        for offset, name in enumerate(
+            ("hits", "misses", "stores", "invalid_hits", "component_hits",
+             "component_misses", "component_stores", "core_hits",
+             "core_stores", "cnf_hits", "cnf_stores", "merged", "evictions",
+             "component_evictions")
+        ):
+            setattr(worker.stats, name, offset + 1)
+        snapshot = worker.stats_snapshot()
+        assert len(snapshot) == 11
+        assert not {"merged", "evictions", "component_evictions"} & set(snapshot)
+        parent = SolverCache()
+        parent.add_external_stats(snapshot)
+        for name, value in snapshot.items():
+            assert getattr(parent.stats, name) == value
+        assert parent.stats.merged == parent.stats.evictions == 0
 
     def test_concurrent_queries_are_consistent(self):
         cache = SolverCache()
