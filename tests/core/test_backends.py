@@ -120,6 +120,51 @@ class TestBackendParity:
         # Worker verdicts were merged back into the parent cache.
         assert stats.merged > 0
 
+    def test_worker_unit_delta_is_one_dict_with_named_fields(self, monkeypatch):
+        """What a process unit sends home, run in this process.
+
+        One dict with named fields; ``cache_stats`` names exactly the
+        counters the parent cache folds in, and ``metrics`` is this unit's
+        delta only.
+        """
+        from repro.obs.metrics import counter_value
+        from repro.obs.trace import TRACER
+        from repro.sched import process
+        from repro.smt.cache import SolverCache
+
+        # ``begin`` detaches inherited sinks; keep this process's own.
+        monkeypatch.setattr(TRACER, "_sinks", list(TRACER._sinks))
+        monkeypatch.setattr(process, "_STATE", process._WorkerState())
+        token = process._CampaignToken(
+            generation=-1,
+            application_names=("vlc",),
+            diode=CampaignConfig().diode,
+            use_cache=True,
+            seed_entries=b"",
+            triage=False,
+            minimize_witnesses=False,
+            trace_dir=None,
+        )
+        context = build_application_context(0, get_application("vlc"))
+        for index, site in enumerate(context.sites[:2]):
+            unit = CampaignUnit(
+                app_index=0,
+                site_index=index,
+                application_name="vlc",
+                site_name=site.name,
+            )
+            delta = process._worker_run(token, unit)
+            assert set(delta) == {
+                "payload", "cache_entries", "cache_stats", "witness", "metrics",
+            }
+            assert set(delta["cache_stats"]) == set(
+                SolverCache().stats_snapshot()
+            )
+            assert delta["witness"] is None
+            assert isinstance(delta["payload"], process.SiteResultPayload)
+            assert counter_value(delta["metrics"], "events.unit.started") == 1
+            assert counter_value(delta["metrics"], "events.unit.finished") == 1
+
     def test_process_backend_bug_reports_survive_the_pickle_boundary(
         self, serial_diode_reference
     ):

@@ -228,6 +228,27 @@ class TestCampaignCommand:
         )
         assert warm["classifications"] == cold["classifications"]
 
+    def test_campaign_json_store_block_counts_lock_events(self, capsys, tmp_path):
+        from repro.obs.metrics import counter_value
+
+        cache_dir = str(tmp_path / "store")
+        args = ["campaign", "--jobs", "1", "--apps", "vlc", "--cache-dir", cache_dir]
+        assert main(args + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        store, metrics = payload["store"], payload["metrics"]
+        assert set(store) == {
+            "loads", "saves", "records_loaded", "records_saved",
+            "lock_acquires", "lock_breaks", "lock_wait_seconds",
+        }
+        # Each save takes the directory lock once; loads read unlocked.
+        assert store["lock_acquires"] == counter_value(
+            metrics, "events.store.lock_wait"
+        )
+        assert store["lock_acquires"] == store["saves"] > 0
+        assert store["lock_breaks"] == counter_value(
+            metrics, "events.store.lock_break"
+        ) == 0
+
     def test_campaign_text_output_names_backend_and_store(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "store")
         assert (
@@ -476,6 +497,22 @@ class TestEventsCommand:
         )
         out = capsys.readouterr().out
         assert "unit.started" in out
+
+    def test_follow_prints_each_record_once(self, capsys, tmp_path):
+        """Every poll reloads the whole directory; ``(pid, id)`` keys keep
+        a record from printing twice."""
+        from repro.obs.report import load_trace_dir
+
+        trace_dir = self._traced_campaign(tmp_path, capsys)
+        assert (
+            main(
+                ["events", "--trace-dir", trace_dir, "--follow",
+                 "--duration", "0.3", "--poll", "0.05"]
+            )
+            == 0
+        )
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == len(load_trace_dir(trace_dir).events)
 
     def _assert_poll_rejected(self, capsys, tmp_path, poll):
         with pytest.raises(SystemExit) as excinfo:

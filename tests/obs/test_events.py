@@ -18,15 +18,23 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
 from repro.apps.registry import get_application
 from repro.core import engine as engine_module
 from repro.core.campaign import CampaignConfig, run_campaign
-from repro.obs.metrics import METRICS, counter_value
+from repro.obs.metrics import METRICS, METRICS_WIRE_VERSION, counter_value
 from repro.obs.report import load_trace_dir
-from repro.obs.trace import TRACER, InMemorySink, Tracer, validate_record
+from repro.obs.trace import (
+    TRACER,
+    InMemorySink,
+    JsonlSink,
+    Tracer,
+    ensure_trace_dir,
+    validate_record,
+)
 from repro.sched.base import CampaignUnit, analyze_unit
 from repro.sched.context import build_application_context
 
@@ -53,6 +61,148 @@ class TestTracerEvents:
         assert all(r["kind"] == "event" for r in sink.records)
         assert all(validate_record(r) == [] for r in sink.records)
         assert sink.records[0]["attrs"] == {"application": "dillo", "site": "s"}
+
+    def test_broken_sink_is_detached_and_the_event_still_counts(self):
+        class Exploding:
+            def emit(self, record):
+                raise OSError("disk full")
+
+        tracer = Tracer()
+        good = InMemorySink()
+        tracer.add_sink(Exploding())
+        tracer.add_sink(good)
+        before = METRICS.counter("events.test.broken_sink").value
+        tracer.event("test.broken_sink")
+        tracer.event("test.broken_sink")
+        assert METRICS.counter("events.test.broken_sink").value == before + 2
+        assert [r["name"] for r in good.records] == ["test.broken_sink"] * 2
+        assert len(tracer._sinks) == 1  # the exploding sink was dropped
+
+    def test_event_parent_is_the_enclosing_span_of_its_own_thread(self):
+        """Thread-backend units trace concurrently; an event emitted on one
+        thread must not adopt a span that is open on another."""
+        tracer = Tracer()
+        sink = InMemorySink()
+        tracer.add_sink(sink)
+        with tracer.span("unit") as outer:
+            worker = threading.Thread(
+                target=lambda: tracer.event("test.other_thread")
+            )
+            worker.start()
+            worker.join()
+            tracer.event("test.same_thread")
+        parents = {
+            r["name"]: r["parent"] for r in sink.records if r["kind"] == "event"
+        }
+        assert parents == {
+            "test.other_thread": None,
+            "test.same_thread": outer.span_id,
+        }
+
+    def test_registry_delta_counts_this_run_only(self):
+        tracer = Tracer()
+        tracer.event("test.delta")
+        mark = METRICS.snapshot()
+        tracer.event("test.delta")
+        tracer.event("test.delta_other")
+        delta = METRICS.delta(mark)
+        assert counter_value(delta, "events.test.delta") == 1
+        assert counter_value(delta, "events.test.delta_other") == 1
+
+    def test_merging_a_worker_delta_counts_without_recording(self):
+        """Worker counts come home in the metrics delta; the worker already
+        wrote its own records, so the parent must not record them again."""
+        sink = InMemorySink()
+        TRACER.add_sink(sink)
+        try:
+            before = METRICS.counter("events.test.merged").value
+            METRICS.merge(
+                {
+                    "v": METRICS_WIRE_VERSION,
+                    "metrics": {"events.test.merged": {"k": "c", "value": 7}},
+                }
+            )
+        finally:
+            TRACER.remove_sink(sink)
+        assert METRICS.counter("events.test.merged").value == before + 7
+        assert sink.records == []
+
+    def test_event_records_round_trip_through_the_loader(self, tmp_path):
+        trace_dir = str(tmp_path / "trace")
+        tracer = Tracer()
+        sink = JsonlSink(trace_dir)
+        tracer.add_sink(sink)
+        tracer.event("unit.started", application="dillo", site="s")
+        with tracer.span("unit", application="dillo", site="s"):
+            pass
+        tracer.event("unit.finished", application="dillo", site="s", seconds=0.5)
+        tracer.remove_sink(sink)
+        sink.close()
+        data = load_trace_dir(trace_dir)
+        assert data.error is None
+        assert data.invalid_records == 0
+        # ``events`` holds the event records only, spans stay in ``spans``.
+        assert [(r["name"], r["attrs"]) for r in data.events] == [
+            ("unit.started", {"application": "dillo", "site": "s"}),
+            (
+                "unit.finished",
+                {"application": "dillo", "site": "s", "seconds": 0.5},
+            ),
+        ]
+        assert [r["name"] for r in data.spans] == ["unit"]
+
+
+class TestEventRecords:
+    def _record(self, **overrides):
+        tracer = Tracer()
+        sink = InMemorySink()
+        tracer.add_sink(sink)
+        tracer.event(
+            "unit.finished",
+            application="dillo",
+            seconds=0.5,
+            count=3,
+            exposed=True,
+            error=None,
+        )
+        [record] = sink.records
+        record.update(overrides)
+        return record
+
+    def test_accepts_well_formed_event_records(self):
+        record = self._record()
+        assert "dur" not in record  # an event is a point, not an interval
+        assert validate_record(record) == []
+        assert validate_record(self._record(parent=7)) == []
+        assert validate_record(self._record(attrs={})) == []
+
+    def test_rejects_malformed_event_records(self):
+        assert validate_record(self._record(v=999))
+        assert validate_record(self._record(kind="point"))
+        assert validate_record(self._record(name=""))
+        assert validate_record(self._record(id="one"))
+        assert validate_record(self._record(pid=None))
+        assert validate_record(self._record(parent="outer"))
+        assert validate_record(self._record(wall="now"))
+        assert validate_record(self._record(attrs=[1]))
+        assert validate_record(self._record(attrs={"x": [1]}))
+
+    def test_loader_counts_malformed_event_lines_as_invalid(self, tmp_path):
+        trace_dir = str(tmp_path / "trace")
+        ensure_trace_dir(trace_dir)
+        lines = [
+            self._record(),
+            self._record(name=""),
+            self._record(attrs={"x": {"nested": 1}}),
+        ]
+        with open(os.path.join(trace_dir, "spans-1.jsonl"), "w") as handle:
+            for record in lines:
+                handle.write(json.dumps(record) + "\n")
+            handle.write("{not json\n")
+        data = load_trace_dir(trace_dir)
+        assert data.error is None
+        assert [r["name"] for r in data.events] == ["unit.finished"]
+        assert data.invalid_records == 3
 
 
 class TestUnitLifecycle:
@@ -243,6 +393,27 @@ class TestCampaignEvents:
                 attrs["classification"]
             )
         assert persisted == result.classifications()
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_lifecycle_events_bracket_the_unit_span(self, backend_runs, backend):
+        """Each unit's events land in the file of the process that ran it,
+        beside its ``unit`` span: started before the span, finished after."""
+        result, trace_dir, _ = backend_runs[backend]
+        data = load_trace_dir(trace_dir)
+        by_unit = {}
+        for record in data.records:
+            if record["name"] in ("unit", "unit.started", "unit.finished"):
+                attrs = record["attrs"]
+                key = (attrs["application"], attrs["site"])
+                by_unit.setdefault(key, {})[record["name"]] = record
+        assert len(by_unit) == result.unit_count
+        for key, records in by_unit.items():
+            started = records["unit.started"]
+            span = records["unit"]
+            finished = records["unit.finished"]
+            assert started["pid"] == span["pid"] == finished["pid"], key
+            assert started["id"] < span["id"] < finished["id"], key
+            assert span["attrs"]["backend"] == backend
 
     @pytest.mark.parametrize("backend", _BACKENDS)
     def test_each_unit_starts_once_before_it_finishes(self, backend_runs, backend):

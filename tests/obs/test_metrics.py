@@ -143,6 +143,22 @@ class TestMergeProperties:
             merge_snapshots(a, b)
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(mark=_WIRE, current=_WIRE)
+    def test_diff_reports_union_of_key_sets(self, mark, current):
+        """A name in only one side is never silently dropped: one only in
+        ``mark`` comes back zeroed, one only in ``current`` whole."""
+        delta = diff_snapshots(mark, current)
+        assert set(delta["metrics"]) == set(mark["metrics"]) | set(
+            current["metrics"]
+        )
+        for name, entry in mark["metrics"].items():
+            if name not in current["metrics"] and entry["k"] == "c":
+                assert counter_value(delta, name) == 0
+        for name, entry in current["metrics"].items():
+            if name not in mark["metrics"] and entry["k"] == "c":
+                assert counter_value(delta, name) == entry["value"]
+
     def test_unknown_wire_version_is_dropped(self):
         good = {"v": METRICS_WIRE_VERSION, "metrics": {"a": {"k": "c", "value": 3}}}
         bad = {"v": 999, "metrics": {"a": {"k": "c", "value": 5}}}
