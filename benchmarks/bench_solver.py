@@ -23,10 +23,9 @@ cache):
    incremental arm must answer some components from the component cache
    (``component hits > 0``) while returning identical statuses.
 
-Two later workloads ride the same harness: **warm skeletons** (persisted
-blasted-CNF replay vs fresh Tseitin translation) and the **encoder size**
-count gate — the CNF the structurally-hashed Tseitin encoder builds for
-the CDCL-bound systems must stay within :data:`MAX_ENCODER_VARS` variables
+A fourth workload rides the same harness: the **encoder size** count
+gate — the CNF the structurally-hashed Tseitin encoder builds for the
+CDCL-bound systems must stay within :data:`MAX_ENCODER_VARS` variables
 and :data:`MAX_ENCODER_CLAUSES` clauses.  The count is deterministic (no
 timing, independent of ``PYTHONHASHSEED``); an encoder that stops sharing
 gates (21,200 variables and 69,028 clauses without gate hashing) fails it.
@@ -67,7 +66,7 @@ from repro.smt.solver import PortfolioSolver, SolverConfig
 CHAIN_COUNT = 4
 
 #: Encoder-size ceiling: CNF variables and clauses the structurally-hashed
-#: Tseitin encoder builds for the CDCL-bound systems plus the skeleton
+#: Tseitin encoder builds for the CDCL-bound systems plus the product
 #: systems (the exact count of the current encoder).
 MAX_ENCODER_VARS = 20_504
 MAX_ENCODER_CLAUSES = 66_932
@@ -101,12 +100,7 @@ class ArmMeasurement:
 
 
 def _solver_config(incremental: bool, **overrides) -> SolverConfig:
-    config = SolverConfig(
-        enable_sessions=incremental,
-        enable_decomposition=incremental,
-        **overrides,
-    )
-    return config
+    return SolverConfig(incremental=incremental, **overrides)
 
 
 # ----------------------------------------------------------------------
@@ -117,8 +111,7 @@ def run_registry_parity() -> Tuple[dict, dict, bool]:
 
     def classifications(incremental: bool):
         config = CampaignConfig(jobs=1, backend="serial")
-        config.diode.solver.enable_sessions = incremental
-        config.diode.solver.enable_decomposition = incremental
+        config.diode.solver.incremental = incremental
         started = time.perf_counter()
         result = run_campaign(config)
         return {
@@ -272,9 +265,9 @@ def run_screening(incremental: bool) -> ArmMeasurement:
 
 
 # ----------------------------------------------------------------------
-# Workload 4: warm bit-blasting from persisted CNF skeletons
+# Workload 4: encoder size on the CDCL-bound systems
 # ----------------------------------------------------------------------
-def _skeleton_systems():
+def _product_systems():
     """CDCL-bound conjunctions (low-bit equalities defeat the incomplete
     layers), varied so nothing collapses into one cached query."""
     systems = []
@@ -297,58 +290,6 @@ def _skeleton_systems():
     return systems
 
 
-def run_skeleton_arms() -> Tuple[ArmMeasurement, ArmMeasurement]:
-    """Cold blast-and-store vs warm replay from skeletons alone.
-
-    The warm cache is seeded with *only* the cold run's cnf-kind wire
-    artifacts (no verdicts), so every query re-solves through the
-    complete backend — the arm isolates exactly what a persisted skeleton
-    buys: the Tseitin translation, not the CDCL run.
-    """
-    from repro.smt.cachestore import export_wire_entries, merge_wire_entries
-
-    config = _solver_config(
-        False,
-        sampler=SamplerConfig(
-            random_attempts_per_sample=3,
-            hill_climb_steps=2,
-            perturbation_attempts=2,
-            seed=0,
-        ),
-        heuristic_max_checks=4,
-        bitblast_max_conflicts=100_000,
-    )
-    systems = _skeleton_systems()
-
-    def arm(label: str, cache: SolverCache) -> ArmMeasurement:
-        solver = PortfolioSolver(config, cache=cache)
-        mark = METRICS.snapshot()
-        started = time.perf_counter()
-        statuses = [solver.check(system).status for system in systems]
-        return ArmMeasurement(
-            label=label,
-            wall_seconds=time.perf_counter() - started,
-            statuses=statuses,
-            metrics=METRICS.delta(mark),
-            cache_stats=cache.stats.as_dict(),
-        )
-
-    cache_cold = SolverCache()
-    cold = arm("cold", cache_cold)
-    skeleton_wire = [
-        item
-        for item in export_wire_entries(cache_cold)[0]
-        if item.get("k") == "b"
-    ]
-    cache_warm = SolverCache()
-    merge_wire_entries(cache_warm, skeleton_wire)
-    warm = arm("warm", cache_warm)
-    return cold, warm
-
-
-# ----------------------------------------------------------------------
-# Workload 5: encoder size on the CDCL-bound systems
-# ----------------------------------------------------------------------
 def _cdcl_bound_systems():
     """The enforcement chains as whole conjunctions, plus CDCL-searching
     companions: exact squares force real decisions (the sampler would have
@@ -376,7 +317,7 @@ def _cdcl_bound_systems():
 def run_encoder_size() -> Tuple[int, int]:
     """Total CNF variables and clauses over one fresh blast per system."""
     variables = clauses = 0
-    for system in _cdcl_bound_systems() + _skeleton_systems():
+    for system in _cdcl_bound_systems() + _product_systems():
         blaster = BitBlaster()
         blaster.assert_all(system)
         variables += blaster.cnf.num_vars
@@ -410,20 +351,8 @@ def print_screening(fresh: ArmMeasurement, incremental: ArmMeasurement) -> None:
     print(f"statuses equal     : {fresh.statuses == incremental.statuses}")
 
 
-def print_skeletons(cold: ArmMeasurement, warm: ArmMeasurement) -> None:
-    print("\n=== Warm bit-blasting: fresh Tseitin vs persisted skeletons ===")
-    for arm in (cold, warm):
-        print(
-            f"{arm.label:12s}: {arm.wall_seconds:6.3f}s wall, "
-            f"{arm.bitblast_seconds:6.3f}s bitblast/CDCL, "
-            f"skeleton hits {arm.solver('skeleton_hits')}, "
-            f"stores {arm.solver('skeleton_stores')}"
-        )
-    print(f"statuses equal     : {cold.statuses == warm.statuses}")
-
-
 def print_encoder_size(variables: int, clauses: int) -> None:
-    print("\n=== Encoder size: CDCL-bound and skeleton systems ===")
+    print("\n=== Encoder size: CDCL-bound and product systems ===")
     print(
         f"CNF variables      : {variables} (ceiling {MAX_ENCODER_VARS})\n"
         f"CNF clauses        : {clauses} (ceiling {MAX_ENCODER_CLAUSES})"
@@ -438,8 +367,6 @@ def artifact_payload(
     chain_incremental: ArmMeasurement,
     screen_fresh: ArmMeasurement,
     screen_incremental: ArmMeasurement,
-    skeleton_cold: ArmMeasurement,
-    skeleton_warm: ArmMeasurement,
     encoder_size: Tuple[int, int],
 ) -> dict:
     def arm(measurement: ArmMeasurement) -> dict:
@@ -473,13 +400,6 @@ def artifact_payload(
             "incremental": arm(screen_incremental),
             "statuses_equal": screen_fresh.statuses == screen_incremental.statuses,
         },
-        "warm_skeletons": {
-            "cold": arm(skeleton_cold),
-            "warm": arm(skeleton_warm),
-            "skeleton_hits": skeleton_warm.solver("skeleton_hits"),
-            "skeleton_stores": skeleton_cold.solver("skeleton_stores"),
-            "statuses_equal": skeleton_cold.statuses == skeleton_warm.statuses,
-        },
         "encoder_size": {
             "cnf_vars": encoder_size[0],
             "cnf_clauses": encoder_size[1],
@@ -495,8 +415,6 @@ def _gate_failures(
     chain_incremental: ArmMeasurement,
     screen_fresh: ArmMeasurement,
     screen_incremental: ArmMeasurement,
-    skeleton_cold: ArmMeasurement,
-    skeleton_warm: ArmMeasurement,
     encoder_size: Tuple[int, int],
 ) -> List[str]:
     failures = []
@@ -520,15 +438,6 @@ def _gate_failures(
         )
     if screen_incremental.cache_stats.get("component_hits", 0) <= 0:
         failures.append("screening produced no component-cache hits")
-    if skeleton_cold.statuses != skeleton_warm.statuses:
-        failures.append("warm-skeleton statuses diverge from the cold arm")
-    if skeleton_warm.solver("skeleton_hits") <= 0:
-        failures.append("warm arm replayed no persisted CNF skeletons")
-    if skeleton_warm.bitblast_seconds >= skeleton_cold.bitblast_seconds:
-        failures.append(
-            f"warm bitblast/CDCL time {skeleton_warm.bitblast_seconds:.3f}s "
-            f"not below cold {skeleton_cold.bitblast_seconds:.3f}s"
-        )
     variables, clauses = encoder_size
     if variables > MAX_ENCODER_VARS or clauses > MAX_ENCODER_CLAUSES:
         failures.append(
@@ -586,16 +495,6 @@ def test_encoder_size_stays_within_the_ceiling(benchmark):
     assert clauses <= MAX_ENCODER_CLAUSES
 
 
-@pytest.mark.benchmark(group="solver")
-def test_warm_skeletons_skip_the_tseitin_translation(benchmark):
-    """Persisted CNF skeletons replay to identical statuses, faster."""
-    cold, warm = benchmark.pedantic(run_skeleton_arms, rounds=1, iterations=1)
-    print_skeletons(cold, warm)
-    assert cold.statuses == warm.statuses
-    assert warm.solver("skeleton_hits") > 0
-    assert warm.bitblast_seconds < cold.bitblast_seconds
-
-
 # ----------------------------------------------------------------------
 # Standalone entry point (the CI gate)
 # ----------------------------------------------------------------------
@@ -616,9 +515,6 @@ def main() -> int:
     screen_incremental = run_screening(True)
     print_screening(screen_fresh, screen_incremental)
 
-    skeleton_cold, skeleton_warm = run_skeleton_arms()
-    print_skeletons(skeleton_cold, skeleton_warm)
-
     encoder_size = run_encoder_size()
     print_encoder_size(*encoder_size)
 
@@ -631,8 +527,6 @@ def main() -> int:
             chain_incremental,
             screen_fresh,
             screen_incremental,
-            skeleton_cold,
-            skeleton_warm,
             encoder_size,
         ),
         name="BENCH_solver.json",
@@ -645,8 +539,6 @@ def main() -> int:
         chain_incremental,
         screen_fresh,
         screen_incremental,
-        skeleton_cold,
-        skeleton_warm,
         encoder_size,
     )
     for failure in failures:

@@ -229,12 +229,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         trace_dir=args.trace_dir,
     )
     if args.no_incremental:
-        config.diode.solver.enable_sessions = False
-        config.diode.solver.enable_decomposition = False
+        config.diode.solver.incremental = False
     if args.no_core_guidance:
         config.diode.solver.enable_unsat_cores = False
-    if args.no_cnf_skeletons:
-        config.diode.solver.enable_cnf_skeletons = False
     result = CampaignEngine(config).run()
 
     if args.json:
@@ -244,7 +241,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "jobs": result.jobs,
             "incremental": not args.no_incremental,
             "core_guidance": not args.no_core_guidance,
-            "cnf_skeletons": not args.no_cnf_skeletons,
             "cache_enabled": result.cache_enabled,
             "unit_count": result.unit_count,
             "wall_seconds": round(result.wall_seconds, 3),
@@ -816,16 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(cores prune candidate queries subsumed by an already-proved "
             "infeasible subset; classifications are identical either way — "
             "enforced by benchmarks/bench_enforcement.py)"
-        ),
-    )
-    campaign.add_argument(
-        "--no-cnf-skeletons",
-        action="store_true",
-        help=(
-            "disable reuse of persisted blasted-CNF skeletons (the warm "
-            "bitblast path; a stored skeleton rebuilds the exact CNF a "
-            "fresh Tseitin translation would produce, so classifications "
-            "are identical either way)"
         ),
     )
     campaign.add_argument(

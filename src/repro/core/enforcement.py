@@ -17,16 +17,15 @@ Enforcing only first-flipped branches is the paper's key idea: the candidate
 is forced through the sanity checks it actually failed while remaining free
 to take any path through the blocking checks.
 
-Solver interaction is *incremental* when the solver configuration enables
-sessions (the default): the loop drives one
+Solver interaction is *incremental* when the solver configuration's
+``incremental`` knob is on (the default): the loop drives one
 :class:`~repro.smt.solver.SolverSession` — held open across all of a
-site's observations when ``reuse_sessions`` is on, so the persistent
-bit-blaster and learned clauses survive from one observation to the next —
-pushes the target constraint β once per observation, then pushes one
-branch-constraint delta per iteration instead of rebuilding (and
-re-simplifying, re-splitting, re-blasting) the whole conjunction list
-every time.  Classification parity with the fresh-query path is the
-invariant either way.
+site's observations, so the persistent bit-blaster and learned clauses
+survive from one observation to the next — pushes the target constraint
+β once per observation, then pushes one branch-constraint delta per
+iteration instead of rebuilding (and re-simplifying, re-splitting,
+re-blasting) the whole conjunction list every time.  Classification
+parity with the fresh-query path is the invariant either way.
 
 **UNSAT-core guidance** (``SolverConfig.enable_unsat_cores``, on by
 default): every UNSAT verdict carries a subset of the pushed conjuncts
@@ -156,7 +155,7 @@ class GoalDirectedEnforcer:
     per site) and owns two pieces of cross-observation state:
 
     * a reusable :class:`~repro.smt.solver.SolverSession` (with
-      ``reuse_sessions``), popped back to an empty stack between
+      ``incremental``), popped back to an empty stack between
       observations so the persistent bit-blaster's CNF and the CDCL's
       learned clauses — both derived from Tseitin definitions alone, hence
       sound for any later conjunction — carry over;
@@ -216,9 +215,8 @@ class GoalDirectedEnforcer:
             target_constraint=beta,
         )
 
-        # One incremental session per observation — or one per *site* with
-        # ``reuse_sessions`` — β is pushed once, each iteration pushes only
-        # its branch-constraint delta.
+        # One incremental session per site: β is pushed once, each
+        # iteration pushes only its branch-constraint delta.
         session = self._acquire_session()
 
         # Step 1: solve the target constraint alone.
@@ -325,26 +323,23 @@ class GoalDirectedEnforcer:
     def _acquire_session(self) -> Optional[SolverSession]:
         """The observation's solver session, or ``None`` on the fresh path.
 
-        With ``reuse_sessions`` the site's one session is popped back to an
-        empty constraint stack and handed out again: everything that
-        survives the pops (the blaster's Tseitin definitions, the CDCL's
-        learned clauses, activities and phases) is implied by — or heuristic
-        state over — the definitional CNF alone, so reuse can steer *which*
-        model a later check finds but never its status.
+        The site's one session is popped back to an empty constraint stack
+        and handed out again: everything that survives the pops (the
+        blaster's Tseitin definitions, the CDCL's learned clauses,
+        activities and phases) is implied by — or heuristic state over —
+        the definitional CNF alone, so reuse can steer *which* model a
+        later check finds but never its status.
         """
-        config = self.solver.config
-        if not config.enable_sessions:
+        if not self.solver.config.incremental:
             return None
-        session = self._session if config.reuse_sessions else None
+        session = self._session
         if session is not None:
             while len(session):
                 session.pop()
             METRICS.counter("solver.sessions_reused").inc()
             return session
-        session = self.solver.open_session()
-        if config.reuse_sessions:
-            self._session = session
-        return session
+        self._session = self.solver.open_session()
+        return self._session
 
     def _check(
         self,

@@ -87,14 +87,14 @@ def analyze_site(
     (:mod:`repro.sched`); :class:`Diode` runs them serially.
 
     Solving is incremental by default: the enforcer drives a
-    :class:`~repro.smt.solver.SolverSession` per observation (constraint
-    deltas instead of rebuilt conjunction lists), queries decompose into
+    :class:`~repro.smt.solver.SolverSession` per site (constraint deltas
+    instead of rebuilt conjunction lists), queries decompose into
     independent connected components, and the shared cache answers at both
     whole-query and component granularity.  Disable via
-    ``config.solver.enable_sessions`` / ``enable_decomposition`` —
-    classification parity between the two paths is enforced by the parity
-    tests and ``bench_solver.py`` (in principle only a timeout landing on
-    a different side of the CDCL conflict budget could ever differ; see
+    ``config.solver.incremental`` — classification parity between the two
+    paths is enforced by the parity tests and ``bench_solver.py`` (in
+    principle only a timeout landing on a different side of the CDCL
+    conflict budget could ever differ; see
     :class:`~repro.smt.solver.SolverSession`).
     """
     config = config or DiodeConfig()

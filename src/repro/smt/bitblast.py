@@ -23,7 +23,6 @@ once: fewer variables and clauses reach the SAT core, while
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.smt.cnf import CNF
@@ -34,59 +33,6 @@ from repro.smt.terms import Term, TermKind
 
 class BitBlastError(ValueError):
     """Raised when a term cannot be bit-blasted."""
-
-
-def _decode_bits(bits, assignment) -> int:
-    """Integer value of a literal vector (LSB first) under ``assignment``."""
-    value = 0
-    for position, literal in enumerate(bits):
-        bit = assignment.get(abs(literal), False)
-        if literal < 0:
-            bit = not bit
-        if bit:
-            value |= 1 << position
-    return value
-
-
-@dataclass(frozen=True)
-class CnfSkeleton:
-    """The reusable output of bit-blasting one canonical conjunct list.
-
-    Tseitin translation is a pure function of the (ordered, interned)
-    conjunct terms, so its result — the clause list, the variable count,
-    and the per-variable literal vectors needed to read a model back out —
-    can be persisted and replayed: a warm run rebuilds the :class:`CNF`
-    and goes straight to CDCL, skipping the translation entirely.  That
-    is worth persisting even for queries whose *verdict* cannot be (an
-    UNKNOWN is a budget artifact, never stored): the warm run still has
-    to re-solve them, but no longer has to re-blast them.
-
-    Everything here is primitives, so the skeleton round-trips through
-    JSON (see :mod:`repro.smt.cachestore`) and across process boundaries.
-    """
-
-    num_vars: int
-    clauses: Tuple[Tuple[int, ...], ...]
-    #: ``(variable name, literal vector LSB first)`` per bitvector
-    #: variable, sorted by name for a deterministic wire form.
-    var_bits: Tuple[Tuple[str, Tuple[int, ...]], ...]
-
-    def build_cnf(self) -> CNF:
-        """Reconstruct a :class:`CNF` equal to the one the blaster built."""
-        cnf = CNF()
-        cnf.num_vars = self.num_vars
-        for clause in self.clauses:
-            cnf.add_clause(clause)
-        return cnf
-
-    def extract_model(self, result: SatResult) -> Model:
-        """Convert a SAT assignment into a bitvector model."""
-        if not result.is_sat or result.assignment is None:
-            raise BitBlastError("no satisfying assignment to extract a model from")
-        model = Model()
-        for name, bits in self.var_bits:
-            model[name] = _decode_bits(bits, result.assignment)
-        return model
 
 
 class BitBlaster:
@@ -164,25 +110,20 @@ class BitBlaster:
             by_literal.setdefault(literal, []).append(conjunct)
         return literals, by_literal
 
-    def skeleton(self) -> CnfSkeleton:
-        """Snapshot the accumulated CNF as a persistable :class:`CnfSkeleton`."""
-        return CnfSkeleton(
-            num_vars=self.cnf.num_vars,
-            clauses=tuple(self.cnf.clauses),
-            var_bits=tuple(
-                sorted(
-                    (name, tuple(bits)) for name, bits in self._var_bits.items()
-                )
-            ),
-        )
-
     def extract_model(self, result: SatResult) -> Model:
         """Convert a SAT assignment into a bitvector model."""
         if not result.is_sat or result.assignment is None:
             raise BitBlastError("no satisfying assignment to extract a model from")
         model = Model()
         for name, bits in self._var_bits.items():
-            model[name] = _decode_bits(bits, result.assignment)
+            value = 0
+            for position, literal in enumerate(bits):
+                bit = result.assignment.get(abs(literal), False)
+                if literal < 0:
+                    bit = not bit
+                if bit:
+                    value |= 1 << position
+            model[name] = value
         return model
 
     # ------------------------------------------------------------------

@@ -105,9 +105,6 @@ class SolverCacheStats:
     #: Queries answered UNSAT because a stored canonical core subsumed them.
     core_hits: int = 0
     core_stores: int = 0
-    #: Bit-blasts skipped because a stored CNF skeleton was replayed.
-    cnf_hits: int = 0
-    cnf_stores: int = 0
 
     @property
     def lookups(self) -> int:
@@ -139,8 +136,6 @@ class SolverCacheStats:
             "component_hit_rate": round(self.component_hit_rate(), 4),
             "core_hits": self.core_hits,
             "core_stores": self.core_stores,
-            "cnf_hits": self.cnf_hits,
-            "cnf_stores": self.cnf_stores,
         }
 
 
@@ -156,8 +151,6 @@ _TRANSFERABLE_STATS = (
     "component_stores",
     "core_hits",
     "core_stores",
-    "cnf_hits",
-    "cnf_stores",
 )
 
 
@@ -170,14 +163,12 @@ class SolverCache:
     coordination beyond the internal lock is needed.
     """
 
-    #: Entry kinds: whole-query verdicts, connected-component verdicts,
-    #: canonical UNSAT cores and blasted-CNF skeletons.  The kind strings
-    #: double as the unified store's record namespaces
-    #: (:mod:`repro.store`).
+    #: Entry kinds: whole-query verdicts, connected-component verdicts and
+    #: canonical UNSAT cores.  The kind strings double as the unified
+    #: store's record namespaces (:mod:`repro.store`).
     KIND_QUERY = "query"
     KIND_COMPONENT = "component"
     KIND_CORE = "core"
-    KIND_CNF = "cnf"
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
         self._entries: Dict[Tuple, CachedVerdict] = {}
@@ -200,14 +191,6 @@ class SolverCache:
         # superset is UNSAT without solving.  Small (a handful of terms
         # each), so unbounded.
         self._cores: Dict[Tuple, Dict[frozenset, Tuple[Term, ...]]] = {}
-        # Blasted-CNF skeletons keyed by the *ordered* canonical conjunct
-        # ids: the pure Tseitin translation of one canonical component,
-        # persistable even for queries whose verdict (UNKNOWN) never is —
-        # a warm run re-solves those but skips the translation.  The
-        # stored object is a :class:`repro.smt.bitblast.CnfSkeleton`;
-        # kept opaque here so this module stays solver-agnostic.
-        self._cnf_skeletons: Dict[Tuple[int, ...], object] = {}
-        self._cnf_conjuncts: Dict[Tuple[int, ...], Tuple[Term, ...]] = {}
         self._lock = threading.Lock()
         self.max_entries = max_entries
         self.stats = SolverCacheStats()
@@ -229,10 +212,6 @@ class SolverCache:
     def core_count(self) -> int:
         """Number of stored canonical UNSAT cores (all fingerprints)."""
         return sum(len(table) for table in self._cores.values())
-
-    def cnf_count(self) -> int:
-        """Number of stored blasted-CNF skeletons."""
-        return len(self._cnf_skeletons)
 
     # ------------------------------------------------------------------
     def canonicalize(
@@ -401,55 +380,6 @@ class SolverCache:
                 for conjuncts in table.values()
             ]
 
-    # ------------------------------------------------------------------
-    # Blasted-CNF skeletons (kind "cnf")
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _cnf_key(conjuncts: Sequence[Term]) -> Tuple[int, ...]:
-        return tuple(term._id for term in conjuncts)
-
-    def store_cnf(
-        self, conjuncts: Sequence[Term], skeleton: object, merged: bool = False
-    ) -> bool:
-        """Store the Tseitin skeleton of canonical ``conjuncts``; True if new.
-
-        The skeleton is a pure function of the (ordered, interned)
-        canonical conjunct list, so there is nothing to reconcile on a
-        collision — first writer wins.  Skeletons carry no fingerprint:
-        the translation depends only on the terms, never on solver
-        budgets.
-        """
-        key = self._cnf_key(conjuncts)
-        if not key:
-            return False
-        with self._lock:
-            if key in self._cnf_skeletons:
-                return False
-            self._cnf_skeletons[key] = skeleton
-            self._cnf_conjuncts[key] = tuple(conjuncts)
-            if merged:
-                self.stats.merged += 1
-            else:
-                self.stats.cnf_stores += 1
-            return True
-
-    def lookup_cnf(self, conjuncts: Sequence[Term]) -> Optional[object]:
-        """The stored skeleton for canonical ``conjuncts``, or ``None``."""
-        with self._lock:
-            skeleton = self._cnf_skeletons.get(self._cnf_key(conjuncts))
-            if skeleton is not None:
-                self.stats.cnf_hits += 1
-            return skeleton
-
-    def cnf_snapshot(self) -> List[Tuple[Tuple[Term, ...], object]]:
-        """Every stored skeleton as ``(canonical conjuncts, skeleton)``."""
-        with self._lock:
-            return [
-                (self._cnf_conjuncts[key], skeleton)
-                for key, skeleton in self._cnf_skeletons.items()
-                if key in self._cnf_conjuncts
-            ]
-
     def note_invalid_hit(self) -> None:
         """Record a hit whose translated model failed verification."""
         with self._lock:
@@ -463,8 +393,6 @@ class SolverCache:
             self._component_entries.clear()
             self._component_conjuncts.clear()
             self._cores.clear()
-            self._cnf_skeletons.clear()
-            self._cnf_conjuncts.clear()
             self._norm_memo.clear()
             self._key_memo.clear()
 

@@ -8,16 +8,12 @@ in a small wire format plus its payload.  Loading re-interns every term
 against the current process's table and recomputes the key, so a warm
 start is exact regardless of how either process built its DAG.
 
-Four artifact kinds travel through this codec:
+Three artifact kinds travel through this codec:
 
 * ``query`` / ``component`` — (conjuncts, verdict) pairs, the two cache
   granularities;
 * ``core`` — canonical UNSAT cores; a warm run answers any query whose
-  canonical conjuncts are a superset of a stored core without solving;
-* ``cnf`` — blasted-CNF (Tseitin) skeletons per canonical conjunct list;
-  a warm run re-solves without re-blasting.  Skeletons are persisted
-  even when the CDCL verdict was UNKNOWN (the skeleton is a pure
-  translation, not a budget artifact).
+  canonical conjuncts are a superset of a stored core without solving.
 
 Persistence itself — versioned + fingerprint-stamped ``meta.json``,
 sharded files with atomic replaces, and crucially the exclusive-lock
@@ -36,7 +32,6 @@ from __future__ import annotations
 import json
 from typing import List, Optional, Sequence, Tuple
 
-from repro.smt.bitblast import CnfSkeleton
 from repro.smt.cache import CachedVerdict, SolverCache
 from repro.smt.evalmodel import Model
 from repro.smt.terms import Term, TermKind
@@ -46,10 +41,12 @@ from repro.store import ArtifactStore, StoreRecord, content_key
 #: v2: entries carry a kind tag (whole-query vs connected-component) and
 #: the portfolio-stage provenance of the verdict.
 #: v3: unified content-addressed ``repro.store`` envelope; canonical
-#: UNSAT cores and blasted-CNF skeletons ride along.
+#: UNSAT cores and blasted CNFs ride along.
 #: v4: the structurally-hashed bit-blaster changed CNF variable numbering,
-#: so persisted skeletons from older encoders must cold-start.
-FORMAT_VERSION = 4
+#: so blasted CNFs persisted by older encoders must cold-start.
+#: v5: blasted CNFs are no longer persisted; stores holding them
+#: cold-start.
+FORMAT_VERSION = 5
 
 #: Default number of shard files a store spreads its entries over.
 DEFAULT_SHARD_COUNT = 16
@@ -68,7 +65,6 @@ _WIRE_ERRORS = (KeyError, ValueError, TypeError, IndexError, AttributeError)
 _TAG_BY_KIND = {
     SolverCache.KIND_COMPONENT: "c",
     SolverCache.KIND_CORE: "u",
-    SolverCache.KIND_CNF: "b",
 }
 _KIND_BY_TAG = {tag: kind for kind, tag in _TAG_BY_KIND.items()}
 
@@ -189,33 +185,6 @@ def core_from_wire(obj: dict) -> Tuple[Term, ...]:
     return tuple(term_from_wire(c) for c in obj["c"])
 
 
-def skeleton_to_wire(conjuncts: Sequence[Term], skeleton: CnfSkeleton) -> dict:
-    """Serialize a blasted-CNF skeleton with its (ordered) conjunct list."""
-    return {
-        "k": "b",
-        "c": [term_to_wire(c) for c in conjuncts],
-        "n": skeleton.num_vars,
-        "l": [list(clause) for clause in skeleton.clauses],
-        "v": [[name, list(bits)] for name, bits in skeleton.var_bits],
-    }
-
-
-def skeleton_from_wire(obj: dict) -> Tuple[Tuple[Term, ...], CnfSkeleton]:
-    """Inverse of :func:`skeleton_to_wire`."""
-    conjuncts = tuple(term_from_wire(c) for c in obj["c"])
-    skeleton = CnfSkeleton(
-        num_vars=int(obj["n"]),
-        clauses=tuple(
-            tuple(int(lit) for lit in clause) for clause in obj["l"]
-        ),
-        var_bits=tuple(
-            (str(name), tuple(int(lit) for lit in bits))
-            for name, bits in obj["v"]
-        ),
-    )
-    return conjuncts, skeleton
-
-
 # ----------------------------------------------------------------------
 # Cache <-> wire-entry lists (shared with the process backend)
 # ----------------------------------------------------------------------
@@ -224,11 +193,11 @@ def export_wire_entries(
 ) -> Tuple[List[dict], List[Tuple]]:
     """Serialize ``cache``'s artifacts (minus ``exclude`` tagged keys).
 
-    All four kinds travel: whole-query entries, component-granularity
-    entries, UNSAT cores and CNF skeletons.  Returns ``(wire_entries,
-    keys)`` in matching order, where each key is a ``(kind, cache key)``
-    pair — the same tagging ``exclude`` is matched against — so callers
-    can record which artifacts have been shipped already.
+    All three kinds travel: whole-query entries, component-granularity
+    entries and UNSAT cores.  Returns ``(wire_entries, keys)`` in matching
+    order, where each key is a ``(kind, cache key)`` pair — the same
+    tagging ``exclude`` is matched against — so callers can record which
+    artifacts have been shipped already.
     """
     wire: List[dict] = []
     keys: List[Tuple] = []
@@ -257,18 +226,6 @@ def export_wire_entries(
         item["f"] = fingerprint_to_wire(fingerprint)
         wire.append(item)
         keys.append((SolverCache.KIND_CORE, key))
-
-    cnf_excluded = (
-        {key for tag, key in exclude if tag == SolverCache.KIND_CNF}
-        if exclude
-        else set()
-    )
-    for conjuncts, skeleton in cache.cnf_snapshot():
-        key = tuple(term._id for term in conjuncts)
-        if key in cnf_excluded:
-            continue
-        wire.append(skeleton_to_wire(conjuncts, skeleton))
-        keys.append((SolverCache.KIND_CNF, key))
     return wire, keys
 
 
@@ -289,10 +246,6 @@ def merge_wire_entries(cache: SolverCache, wire_entries: List[dict]) -> List[Tup
                 merged.append(
                     (kind, (fingerprint, frozenset(t._id for t in conjuncts)))
                 )
-            elif kind == SolverCache.KIND_CNF:
-                conjuncts, skeleton = skeleton_from_wire(item)
-                cache.store_cnf(conjuncts, skeleton, merged=True)
-                merged.append((kind, tuple(t._id for t in conjuncts)))
             else:
                 fingerprint = fingerprint_from_wire(item["f"])
                 conjuncts, verdict = entry_from_wire(item)
@@ -353,10 +306,6 @@ class CacheStore:
                         fingerprint, core_from_wire(payload), merged=True
                     ):
                         merged += 1
-                elif kind == SolverCache.KIND_CNF:
-                    conjuncts, skeleton = skeleton_from_wire(payload)
-                    if cache.store_cnf(conjuncts, skeleton, merged=True):
-                        merged += 1
                 else:
                     conjuncts, verdict = entry_from_wire(payload)
                     cache.merge_canonical(
@@ -371,13 +320,10 @@ class CacheStore:
     def save(self, cache: SolverCache, fingerprint: Tuple) -> int:
         """Merge ``cache``'s artifacts into the store; returns the total stored.
 
-        All four kinds are written.  UNKNOWN verdicts are *not*: an
+        All three kinds are written.  UNKNOWN verdicts are *not*: an
         UNKNOWN only records that this run's budget was exhausted, and
         persisting it would pin the failure across runs whose budgets (or
-        solver improvements) could decide the query.  CNF skeletons *are*
-        written even when their query stayed UNKNOWN — the translation is
-        budget-independent, and re-solving without re-blasting is exactly
-        the warm-run win for hard queries.
+        solver improvements) could decide the query.
 
         The save is **merge-on-save** under the store's exclusive lock:
         entries already on disk (written by another campaign sharing this
@@ -402,15 +348,6 @@ class CacheStore:
                 StoreRecord(
                     SolverCache.KIND_CORE,
                     content_key(SolverCache.KIND_CORE, payload["c"]),
-                    payload,
-                )
-            )
-        for conjuncts, skeleton in cache.cnf_snapshot():
-            payload = skeleton_to_wire(conjuncts, skeleton)
-            records.append(
-                StoreRecord(
-                    SolverCache.KIND_CNF,
-                    content_key(SolverCache.KIND_CNF, payload["c"]),
                     payload,
                 )
             )

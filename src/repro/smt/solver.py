@@ -22,8 +22,8 @@ front end degrades to UNKNOWN rather than hanging on adversarial queries.
 Two orthogonal mechanisms exploit the structure *within and across*
 queries:
 
-* **Decomposition** (``enable_decomposition``): the conjunction is split
-  into independent connected components over the variable-sharing graph
+* **Decomposition** (``incremental``): the conjunction is split into
+  independent connected components over the variable-sharing graph
   (:mod:`repro.smt.decompose`); each component is decided separately —
   against a component-granularity cache when one is attached — and
   per-component models compose into the whole-query model (UNSAT in any
@@ -112,36 +112,19 @@ class SolverConfig:
     """Tuning knobs for :class:`PortfolioSolver`."""
 
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    enable_bitblast: bool = True
     bitblast_max_conflicts: int = 200_000
-    bitblast_max_width: int = 64
     heuristic_max_checks: int = 768
-    seed: Optional[int] = 0
     #: Decide independent connected components separately (and cache them
-    #: at component granularity when a cache is attached).
-    enable_decomposition: bool = True
-    #: Let callers that hold a :class:`SolverSession` drive the incremental
-    #: push/pop path (the enforcement loop checks this knob).
-    enable_sessions: bool = True
+    #: at component granularity when a cache is attached), and let callers
+    #: that hold a :class:`SolverSession` drive the incremental push/pop
+    #: path (the enforcement loop checks this knob;
+    #: ``repro campaign --no-incremental`` clears it).
+    incremental: bool = True
     #: Attach UNSAT cores (:attr:`SolverResult.unsat_core`) to UNSAT
     #: verdicts and let the enforcement loop use them to prune candidate
     #: branch queries whose conjunct set is subsumed by an accumulated core
     #: (``repro campaign --no-core-guidance`` disables this).
     enable_unsat_cores: bool = True
-    #: Reuse one :class:`SolverSession` across all of a target site's
-    #: observations (the enforcement loop pops back to an empty stack
-    #: between observations) instead of opening a fresh session — and
-    #: re-blasting the shared constraint prefix — per observation.
-    reuse_sessions: bool = True
-    #: Persist and replay blasted-CNF skeletons
-    #: (:class:`~repro.smt.bitblast.CnfSkeleton`) through the attached
-    #: cache: the complete backend looks a canonical conjunct list up
-    #: before translating and stores the translation after, so a warm run
-    #: (or a sibling query in this one) skips the Tseitin step entirely.
-    #: The replayed CNF is the same formula the fresh path would build, so
-    #: statuses and models are identical
-    #: (``repro campaign --no-cnf-skeletons`` disables it).
-    enable_cnf_skeletons: bool = True
 
     def fingerprint(self) -> Tuple:
         """The knobs a cached verdict depends on.
@@ -149,29 +132,23 @@ class SolverConfig:
         Part of every solver-cache key, and the validity stamp of a
         persistent :class:`~repro.smt.cachestore.CacheStore` — results
         computed under different budgets must never be conflated, within a
-        run or across runs.  The incremental knobs are included because
-        they steer *which* model a heuristic layer lands on (never the
+        run or across runs.  The incremental knob is included because it
+        steers *which* model a heuristic layer lands on (never the
         status), and cached models must stay deterministic per
         configuration.  Primitives only, so it survives a JSON round trip
         unchanged.
         """
         sampler = self.sampler
         return (
-            self.enable_bitblast,
             self.bitblast_max_conflicts,
-            self.bitblast_max_width,
             self.heuristic_max_checks,
-            self.seed,
             sampler.random_attempts_per_sample,
             sampler.hill_climb_steps,
             sampler.seed,
             sampler.boundary_bias,
             sampler.perturbation_attempts,
-            self.enable_decomposition,
-            self.enable_sessions,
+            self.incremental,
             self.enable_unsat_cores,
-            self.reuse_sessions,
-            self.enable_cnf_skeletons,
         )
 
 
@@ -543,7 +520,7 @@ class PortfolioSolver:
         undecided component degrades the whole query to UNKNOWN unless
         some other component proves UNSAT.
         """
-        if not self.config.enable_decomposition:
+        if not self.config.incremental:
             return self._run_portfolio(conjuncts, stages, bitblast_fn)
         components = decompose(conjuncts)
         if len(components) <= 1:
@@ -674,7 +651,7 @@ class PortfolioSolver:
             return SolverResult(SolverStatus.SAT, model=model, reason="sampling")
 
         # Layer 5: complete bit-blasting backend.
-        if self.config.enable_bitblast and self._blastable(conjuncts):
+        if self._blastable(conjuncts):
             stages.append("bitblast")
             status, model = (bitblast_fn or self._bitblast)(conjuncts)
             if status == SatStatus.SAT and model is not None:
@@ -762,7 +739,7 @@ class PortfolioSolver:
                 nodes += 1
                 if nodes > node_budget:
                     return False
-                if term.is_bv and term.width > self.config.bitblast_max_width:
+                if term.is_bv and term.width > 64:
                     return False
                 if (
                     term.kind is TermKind.MUL
@@ -777,10 +754,6 @@ class PortfolioSolver:
         return wide_multiplications <= 2
 
     def _bitblast(self, conjuncts: Sequence[Term]) -> Tuple[str, Optional[Model]]:
-        if self.cache is not None and self.config.enable_cnf_skeletons:
-            via_skeleton = self._bitblast_via_skeleton(conjuncts)
-            if via_skeleton is not None:
-                return via_skeleton
         started = time.perf_counter()
         try:
             blaster = BitBlaster()
@@ -795,61 +768,6 @@ class PortfolioSolver:
         if result.status == SatStatus.SAT:
             return SatStatus.SAT, blaster.extract_model(result)
         return result.status, None
-
-    def _bitblast_via_skeleton(
-        self, conjuncts: Sequence[Term]
-    ) -> Optional[Tuple[str, Optional[Model]]]:
-        """Complete backend through the cache's CNF-skeleton table.
-
-        Only *already-canonical* conjunct lists are eligible (the cached
-        pipeline always hands the backend canonical conjuncts; the check
-        is a cheap memoized re-canonicalization).  For those, blasting is
-        a pure function of the interned conjunct list, so a stored
-        skeleton rebuilds the exact CNF the fresh path would build —
-        identical CDCL run, identical status and model, minus the Tseitin
-        translation.  Returns ``None`` to defer to the fresh one-shot
-        path: a non-canonical conjunct list (a session fallback in caller
-        space), or a replayed model that fails verification (a plumbing
-        regression must degrade to re-derivation, not a wrong model).
-        """
-        system = self.cache.canonicalize(
-            list(conjuncts), self._config_fingerprint()
-        )
-        if system.conjuncts != tuple(conjuncts):
-            return None
-        skeleton = self.cache.lookup_cnf(system.conjuncts)
-        started = time.perf_counter()
-        if skeleton is None:
-            try:
-                blaster = BitBlaster()
-                blaster.assert_all(system.conjuncts)
-            except (BitBlastError, RecursionError, MemoryError):
-                _record_bitblast(started, None)
-                return SatStatus.UNKNOWN, None
-            skeleton = blaster.skeleton()
-            if self.cache.store_cnf(system.conjuncts, skeleton):
-                METRICS.counter("solver.skeleton_stores").inc()
-            cnf = blaster.cnf
-        else:
-            METRICS.counter("solver.skeleton_hits").inc()
-            cnf = skeleton.build_cnf()
-        try:
-            result = CDCLSolver(
-                cnf, max_conflicts=self.config.bitblast_max_conflicts
-            ).solve()
-        except (RecursionError, MemoryError):
-            _record_bitblast(started, None)
-            return SatStatus.UNKNOWN, None
-        _record_bitblast(started, result)
-        if result.status != SatStatus.SAT:
-            return result.status, None
-        model = skeleton.extract_model(result)
-        try:
-            if all(satisfies(c, model) for c in conjuncts):
-                return SatStatus.SAT, model
-        except EvaluationError:
-            pass
-        return None
 
 
 class SolverSession:

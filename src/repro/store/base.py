@@ -9,10 +9,10 @@ One :class:`ArtifactStore` owns one directory::
     .lock           (exists only while a save is in flight)
 
 Records are **content-addressed**: each carries a ``kind`` (the codec's
-namespace — solver-cache query, component, UNSAT core, CNF skeleton,
-witness) and a ``key``, the canonical content hash of its payload within
-that kind (:func:`content_key`, or a codec-supplied identity such as a
-witness signature, which is itself a content hash).  Identity lives in
+namespace — solver-cache query, component, UNSAT core, witness) and a
+``key``, the canonical content hash of its payload within that kind
+(:func:`content_key`, or a codec-supplied identity such as a witness
+signature, which is itself a content hash).  Identity lives in
 the key, so merging is set union and records are immutable — the store
 is *logically* append-only even though compaction rewrites the files.
 

@@ -182,8 +182,7 @@ class TestIncrementalParity:
         self, serial_reference
     ):
         config = CampaignConfig(jobs=1, backend="serial")
-        config.diode.solver.enable_sessions = False
-        config.diode.solver.enable_decomposition = False
+        config.diode.solver.incremental = False
         fresh = run_campaign(config)
         incremental = run_campaign(CampaignConfig(jobs=1, backend="serial"))
         assert incremental.classifications() == fresh.classifications()

@@ -74,47 +74,6 @@ class TestCampaignCommand:
         assert payload["cache_stats"]["hits"] > 0
         assert set(payload["classifications"]) == set(payload["table1"])
 
-    def test_campaign_no_cnf_skeletons_flag(self, capsys):
-        assert (
-            main(
-                [
-                    "campaign",
-                    "--jobs",
-                    "1",
-                    "--apps",
-                    "vlc",
-                    "--no-cnf-skeletons",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["cnf_skeletons"] is False
-
-    def test_campaign_cnf_skeleton_ablation_parity(self, capsys):
-        """Skeleton reuse is a pure perf path: classifications with and
-        without it are identical."""
-        assert main(["campaign", "--jobs", "1", "--apps", "vlc", "--json"]) == 0
-        default = json.loads(capsys.readouterr().out)
-        assert default["cnf_skeletons"] is True
-        assert (
-            main(
-                [
-                    "campaign",
-                    "--jobs",
-                    "1",
-                    "--apps",
-                    "vlc",
-                    "--no-cnf-skeletons",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        ablated = json.loads(capsys.readouterr().out)
-        assert ablated["classifications"] == default["classifications"]
-
     def test_campaign_json_matches_serial_analyze(self, capsys):
         """The acceptance bar: campaign output == serial Diode.analyze."""
         assert main(["campaign", "--jobs", "4", "--json"]) == 0
@@ -403,7 +362,9 @@ class TestVersionFlag:
 
 
 class TestEventFlags:
-    @pytest.mark.parametrize("flag", ["--progress", "--watchdog", "--no-events"])
+    @pytest.mark.parametrize(
+        "flag", ["--progress", "--watchdog", "--no-events", "--no-cnf-skeletons"]
+    )
     def test_live_telemetry_flag_is_gone(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--apps", "dillo", flag])

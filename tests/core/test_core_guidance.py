@@ -170,15 +170,3 @@ class TestSessionReuse:
         # The reused session was popped back before the second observation:
         # its stack holds only the second run's frames.
         assert len(session) == len(second.enforced_branches) + 1
-
-    def test_reuse_disabled_opens_a_fresh_session_per_observation(self, app):
-        enforcer = _enforcer(
-            app, SolverConfig(reuse_sessions=False, enable_unsat_cores=False)
-        )
-        observation = _observation(app, "capped.c@2")
-        mark = METRICS.snapshot()
-        enforcer.run(observation)
-        assert enforcer._session is None
-        enforcer.run(observation)
-        delta = METRICS.delta(mark)
-        assert counter_value(delta, "solver.sessions_reused") == 0

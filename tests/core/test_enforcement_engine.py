@@ -229,9 +229,7 @@ class TestIncrementalSessions:
     def _run_both(self, app, tag):
         from repro.smt.solver import SolverConfig
 
-        fresh_config = SolverConfig(
-            enable_sessions=False, enable_decomposition=False
-        )
+        fresh_config = SolverConfig(incremental=False)
         incremental = _run_site(app, tag)
         sites = identify_target_sites(app.program, app.seed_input)
         site = next(s for s in sites if s.site_tag == tag)
@@ -262,5 +260,4 @@ class TestIncrementalSessions:
         from repro.smt.solver import SolverConfig
 
         config = SolverConfig()
-        assert config.enable_sessions
-        assert config.enable_decomposition
+        assert config.incremental

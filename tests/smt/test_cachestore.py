@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import builder as b
-from repro.smt.bitblast import BitBlaster
 from repro.smt.cache import CachedVerdict, SolverCache
 from repro.smt.cachestore import (
     FORMAT_VERSION,
@@ -28,8 +27,6 @@ from repro.smt.cachestore import (
     fingerprint_from_wire,
     fingerprint_to_wire,
     merge_wire_entries,
-    skeleton_from_wire,
-    skeleton_to_wire,
     term_from_wire,
     term_to_wire,
 )
@@ -152,13 +149,8 @@ _SYSTEMS = [
 
 
 def _total_entries(cache):
-    """Artifacts across all four kinds (query, component, core, cnf)."""
-    return (
-        len(cache)
-        + cache.component_count()
-        + cache.core_count()
-        + cache.cnf_count()
-    )
+    """Artifacts across all three kinds (query, component, core)."""
+    return len(cache) + cache.component_count() + cache.core_count()
 
 
 class TestCacheStoreRoundTrip:
@@ -211,14 +203,15 @@ class TestStoreInvalidation:
         other = SolverConfig(heuristic_max_checks=1).fingerprint()
         assert store.load(SolverCache(), other) == 0
 
-    def test_version_mismatch_is_a_cold_start(self, tmp_path):
+    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, FORMAT_VERSION - 1])
+    def test_version_mismatch_is_a_cold_start(self, tmp_path, version):
         fingerprint = SolverConfig().fingerprint()
         cache, _ = _warmed_cache(_SYSTEMS[:1])
         store = CacheStore(str(tmp_path))
         store.save(cache, fingerprint)
         meta_path = tmp_path / "meta.json"
         meta = json.loads(meta_path.read_text())
-        meta["version"] = FORMAT_VERSION + 1
+        meta["version"] = version
         meta_path.write_text(json.dumps(meta))
         assert store.load(SolverCache(), fingerprint) == 0
 
@@ -368,25 +361,6 @@ class TestCoreWire:
         assert core_to_wire((p, q)) == core_to_wire((q, p))
 
 
-class TestSkeletonWire:
-    """Blasted-CNF skeletons on the wire (kind ``cnf``, tag ``"b"``)."""
-
-    @given(system=constraint_systems())
-    @settings(max_examples=25, deadline=None)
-    def test_roundtrip_rebuilds_the_identical_cnf(self, system):
-        blaster = BitBlaster()
-        for conjunct in system:
-            blaster.assert_constraint(conjunct)
-        skeleton = blaster.skeleton()
-        wire = json.loads(json.dumps(skeleton_to_wire(tuple(system), skeleton)))
-        back_conjuncts, back_skeleton = skeleton_from_wire(wire)
-        assert back_conjuncts == tuple(system)
-        assert back_skeleton == skeleton
-        rebuilt = back_skeleton.build_cnf()
-        assert rebuilt.num_vars == blaster.cnf.num_vars
-        assert tuple(rebuilt.clauses) == tuple(blaster.cnf.clauses)
-
-
 def _synthetic_entries(cache, fingerprint, count, offset=0):
     """Populate ``cache`` with ``count`` distinct single-conjunct verdicts."""
     x = b.bv_var("v000", 16)
@@ -402,7 +376,7 @@ def _synthetic_entries(cache, fingerprint, count, offset=0):
         )
 
 
-class TestCoreAndSkeletonPersistence:
+class TestCorePersistence:
     def test_core_roundtrips_through_the_store(self, tmp_path):
         fingerprint = SolverConfig().fingerprint()
         cache = SolverCache()
@@ -418,25 +392,6 @@ class TestCoreAndSkeletonPersistence:
         [(back_fingerprint, back_core)] = fresh.cores_snapshot()
         assert back_fingerprint == fingerprint
         assert set(back_core) == set(core)
-
-    def test_skeleton_roundtrips_through_the_store(self, tmp_path):
-        fingerprint = SolverConfig().fingerprint()
-        cache = SolverCache()
-        x = b.bv_var("v000", 8)
-        conjuncts = (b.eq(b.bvand(x, b.bv_const(7, 8)), b.bv_const(5, 8)),)
-        blaster = BitBlaster()
-        for conjunct in conjuncts:
-            blaster.assert_constraint(conjunct)
-        skeleton = blaster.skeleton()
-        assert cache.store_cnf(conjuncts, skeleton)
-        store = CacheStore(str(tmp_path))
-        assert store.save(cache, fingerprint) == 1
-
-        fresh = SolverCache()
-        assert store.load(fresh, fingerprint) == 1
-        assert fresh.cnf_count() == 1
-        assert fresh.lookup_cnf(conjuncts) == skeleton
-        assert fresh.stats.cnf_hits == 1
 
     def test_foreign_fingerprint_cores_are_not_saved(self, tmp_path):
         fingerprint = SolverConfig().fingerprint()

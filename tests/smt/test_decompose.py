@@ -127,12 +127,8 @@ class TestDecomposedSolving:
     def test_decomposed_status_matches_monolithic(self, system):
         """Decomposition never changes the verdict, and composed SAT models
         satisfy every conjunct."""
-        decomposed = PortfolioSolver(
-            SolverConfig(enable_decomposition=True)
-        ).check(system)
-        monolithic = PortfolioSolver(
-            SolverConfig(enable_decomposition=False)
-        ).check(system)
+        decomposed = PortfolioSolver(SolverConfig(incremental=True)).check(system)
+        monolithic = PortfolioSolver(SolverConfig(incremental=False)).check(system)
         assert decomposed.status == monolithic.status
         if decomposed.is_sat:
             completed = decomposed.model.copy()

@@ -10,6 +10,7 @@ and regardless of how many queries warmed the cache first.
 from __future__ import annotations
 
 import threading
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.smt import builder as b
 from repro.smt.cache import CachedVerdict, SolverCache
 from repro.smt.evalmodel import satisfies
-from repro.smt.solver import PortfolioSolver, SolverStatus
+from repro.smt.sampler import SamplerConfig
+from repro.smt.solver import PortfolioSolver, SolverConfig, SolverStatus
 from repro.smt.terms import Term
 
 WIDTH = 8
@@ -192,6 +194,40 @@ class TestCanonicalization:
         assert translated.as_dict() == {"p": 1, "q": 2}
 
 
+#: ``(owner, field, non-default value)`` for every configuration knob;
+#: ``owner`` is ``"solver"`` for :class:`SolverConfig` fields and
+#: ``"sampler"`` for its nested :class:`SamplerConfig`.
+_KNOB_CHANGES = [
+    ("solver", "bitblast_max_conflicts", 1),
+    ("solver", "heuristic_max_checks", 1),
+    ("solver", "incremental", False),
+    ("solver", "enable_unsat_cores", False),
+    ("sampler", "random_attempts_per_sample", 1),
+    ("sampler", "hill_climb_steps", 1),
+    ("sampler", "seed", 7),
+    ("sampler", "boundary_bias", 0.9),
+    ("sampler", "perturbation_attempts", 1),
+]
+
+
+class TestConfigFingerprint:
+    """Cached verdicts are keyed on the configuration fingerprint, so no
+    knob may be left out of it."""
+
+    @pytest.mark.parametrize("owner, name, value", _KNOB_CHANGES)
+    def test_every_knob_changes_the_fingerprint(self, owner, name, value):
+        config = SolverConfig()
+        target = config if owner == "solver" else config.sampler
+        assert getattr(target, name) != value
+        setattr(target, name, value)
+        assert config.fingerprint() != SolverConfig().fingerprint()
+
+    def test_the_knob_list_names_every_field(self):
+        assert {(owner, name) for owner, name, _ in _KNOB_CHANGES} == {
+            ("solver", f.name) for f in fields(SolverConfig) if f.name != "sampler"
+        } | {("sampler", f.name) for f in fields(SamplerConfig)}
+
+
 class TestCacheStore:
     def test_hit_and_miss_counters(self):
         cache = SolverCache()
@@ -355,18 +391,17 @@ class TestCacheStore:
         assert cache.stats.hit_rate() == pytest.approx(10 / 15)
 
     def test_stats_snapshot_round_trips_through_external_stats(self):
-        """A worker's snapshot names the eleven counters that travel; the
+        """A worker's snapshot names the nine counters that travel; the
         table-local ones (merged, evictions) stay behind."""
         worker = SolverCache()
         for offset, name in enumerate(
             ("hits", "misses", "stores", "invalid_hits", "component_hits",
              "component_misses", "component_stores", "core_hits",
-             "core_stores", "cnf_hits", "cnf_stores", "merged", "evictions",
-             "component_evictions")
+             "core_stores", "merged", "evictions", "component_evictions")
         ):
             setattr(worker.stats, name, offset + 1)
         snapshot = worker.stats_snapshot()
-        assert len(snapshot) == 11
+        assert len(snapshot) == 9
         assert not {"merged", "evictions", "component_evictions"} & set(snapshot)
         parent = SolverCache()
         parent.add_external_stats(snapshot)

@@ -356,8 +356,7 @@ def test_encoder_matches_enumeration_at_a_pinned_point(shape, p, q, equal):
 # ----------------------------------------------------------------------
 def test_cdcl_bound_solve_records_propagation_counters():
     config = SolverConfig(
-        enable_sessions=False,
-        enable_decomposition=False,
+        incremental=False,
         heuristic_max_checks=2,
     )
     x = b.bv_var("tc", 16)

@@ -231,11 +231,6 @@ class TestCoreKnob:
         result = session.check()
         assert result.is_unsat and result.unsat_core is None
 
-    def test_core_knobs_are_fingerprinted(self):
-        base = SolverConfig().fingerprint()
-        assert SolverConfig(enable_unsat_cores=False).fingerprint() != base
-        assert SolverConfig(reuse_sessions=False).fingerprint() != base
-
 
 class TestCoreSubsumption:
     """Persisted cores as semantic certificates: a warm query whose

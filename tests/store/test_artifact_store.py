@@ -1,7 +1,7 @@
 """The unified store layer: content addressing, merge-on-save, locking.
 
 Every persistent artifact in the system (solver-cache verdicts, UNSAT
-cores, CNF skeletons, witness records) rides on this layer, so its
+cores, witness records) rides on this layer, so its
 contract is tested directly: records survive round trips, concurrent
 saves take the union, stamps invalidate cold, orphaned shard files never
 resurrect, and the save lock is exclusive yet recoverable when its
