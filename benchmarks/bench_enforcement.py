@@ -26,8 +26,7 @@ core without a solver call):
    with identical outcomes — re-deriving the UNSAT tail is exactly the
    work the cores eliminate.
 
-Emits a machine-readable ``BENCH_enforcement.json`` artifact; set
-``BENCH_ARTIFACT_DIR`` to redirect it.  Standalone::
+Standalone::
 
     PYTHONPATH=src python benchmarks/bench_enforcement.py
 """
@@ -41,8 +40,6 @@ from typing import Dict, List
 
 import pytest
 
-from bench_campaign import write_artifact
-from repro import __version__
 from repro.apps import all_applications
 from repro.apps.appbase import Application
 from repro.core.detection import ErrorDetector
@@ -269,48 +266,6 @@ def print_arms(title: str, unguided: ArmMeasurement, guided: ArmMeasurement) -> 
     )
 
 
-def artifact_payload(
-    registry_unguided: ArmMeasurement,
-    registry_guided: ArmMeasurement,
-    hard_unguided: ArmMeasurement,
-    hard_guided: ArmMeasurement,
-) -> dict:
-    def arm(measurement: ArmMeasurement) -> dict:
-        return {
-            "wall_seconds": round(measurement.wall_seconds, 4),
-            "enforcement_checks": measurement.checks,
-            "cdcl_conflicts": measurement.conflicts,
-            "core_pruned_candidates": measurement.pruned,
-            "cores_extracted": measurement.solver("cores_extracted"),
-            "sessions_reused": measurement.solver("sessions_reused"),
-            "cdcl_propagations": measurement.solver("cdcl_propagations"),
-            "cdcl_decisions": measurement.solver("cdcl_decisions"),
-        }
-
-    return {
-        "benchmark": "enforcement",
-        "version": __version__,
-        "registry_passes": REGISTRY_PASSES,
-        "hard_passes": HARD_PASSES,
-        "registry": {
-            "unguided": arm(registry_unguided),
-            "guided": arm(registry_guided),
-            "classification_parity": (
-                registry_unguided.classifications
-                == registry_guided.classifications
-            ),
-        },
-        "hard_chains": {
-            "variants": HARD_VARIANTS,
-            "unguided": arm(hard_unguided),
-            "guided": arm(hard_guided),
-            "classification_parity": (
-                hard_unguided.classifications == hard_guided.classifications
-            ),
-        },
-    }
-
-
 def _gate_failures(
     registry_unguided: ArmMeasurement,
     registry_guided: ArmMeasurement,
@@ -388,17 +343,6 @@ def main() -> int:
     hard_unguided = run_hard_chains(False)
     hard_guided = run_hard_chains(True)
     print_arms("CDCL-hard guarded chains", hard_unguided, hard_guided)
-
-    path = write_artifact(
-        artifact_payload(
-            registry_unguided,
-            registry_guided,
-            hard_unguided,
-            hard_guided,
-        ),
-        name="BENCH_enforcement.json",
-    )
-    print(f"\nartifact written: {path}")
 
     failures = _gate_failures(
         registry_unguided,

@@ -32,8 +32,7 @@ gates (21,200 variables and 69,028 clauses without gate hashing) fails it.
 Solver correctness on small instances is held to brute-force oracles in
 ``tests/smt/test_solver_oracles.py``.
 
-Emits a machine-readable ``BENCH_solver.json`` artifact; set
-``BENCH_ARTIFACT_DIR`` to redirect it.  Standalone::
+Standalone::
 
     PYTHONPATH=src python benchmarks/bench_solver.py
 """
@@ -47,8 +46,6 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from bench_campaign import write_artifact
-from repro import __version__
 from repro.apps import all_applications
 from repro.core.campaign import CampaignConfig, run_campaign
 from repro.core.fieldmap import FieldMapper
@@ -359,56 +356,6 @@ def print_encoder_size(variables: int, clauses: int) -> None:
     )
 
 
-def artifact_payload(
-    parity: bool,
-    registry_fresh: dict,
-    registry_incremental: dict,
-    chain_fresh: ArmMeasurement,
-    chain_incremental: ArmMeasurement,
-    screen_fresh: ArmMeasurement,
-    screen_incremental: ArmMeasurement,
-    encoder_size: Tuple[int, int],
-) -> dict:
-    def arm(measurement: ArmMeasurement) -> dict:
-        return {
-            "wall_seconds": round(measurement.wall_seconds, 4),
-            "bitblast_seconds": round(measurement.bitblast_seconds, 4),
-            "cdcl_conflicts": measurement.conflicts,
-            "bitblast_calls": measurement.solver("bitblast_calls"),
-            "component_hits": int(
-                measurement.cache_stats.get("component_hits", 0)
-            ),
-            "cdcl_propagations": measurement.solver("cdcl_propagations"),
-            "cdcl_decisions": measurement.solver("cdcl_decisions"),
-        }
-
-    return {
-        "benchmark": "solver",
-        "version": __version__,
-        "registry_parity": parity,
-        "registry": {
-            "fresh_wall_seconds": registry_fresh["wall_seconds"],
-            "incremental_wall_seconds": registry_incremental["wall_seconds"],
-        },
-        "enforcement_chains": {
-            "fresh": arm(chain_fresh),
-            "incremental": arm(chain_incremental),
-            "statuses_equal": chain_fresh.statuses == chain_incremental.statuses,
-        },
-        "screening": {
-            "fresh": arm(screen_fresh),
-            "incremental": arm(screen_incremental),
-            "statuses_equal": screen_fresh.statuses == screen_incremental.statuses,
-        },
-        "encoder_size": {
-            "cnf_vars": encoder_size[0],
-            "cnf_clauses": encoder_size[1],
-            "max_cnf_vars": MAX_ENCODER_VARS,
-            "max_cnf_clauses": MAX_ENCODER_CLAUSES,
-        },
-    }
-
-
 def _gate_failures(
     parity: bool,
     chain_fresh: ArmMeasurement,
@@ -517,21 +464,6 @@ def main() -> int:
 
     encoder_size = run_encoder_size()
     print_encoder_size(*encoder_size)
-
-    path = write_artifact(
-        artifact_payload(
-            parity,
-            registry_fresh,
-            registry_incremental,
-            chain_fresh,
-            chain_incremental,
-            screen_fresh,
-            screen_incremental,
-            encoder_size,
-        ),
-        name="BENCH_solver.json",
-    )
-    print(f"\nartifact written: {path}")
 
     failures = _gate_failures(
         parity,

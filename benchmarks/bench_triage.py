@@ -22,8 +22,7 @@ The acceptance bar of the triage subsystem, enforced as three gates:
    baseline loses the overflow or a root operator kind) unless the
    minimizer recorded it as a concrete-bisection fallback.
 
-Emits a machine-readable ``BENCH_triage.json`` artifact; set
-``BENCH_ARTIFACT_DIR`` to redirect it.  Standalone::
+Standalone::
 
     PYTHONPATH=src python benchmarks/bench_triage.py
 """
@@ -38,8 +37,6 @@ from typing import Dict, List, Optional
 
 import pytest
 
-from bench_campaign import write_artifact
-from repro import __version__
 from repro.core.campaign import CampaignConfig, CampaignEngine, CampaignResult
 from repro.exec.overflow_witness import OverflowWitnessInterpreter
 from repro.triage.corpus import CorpusStore, WitnessRecord
@@ -51,8 +48,6 @@ DEDUP_ARMS = (
     {"backend": "thread", "jobs": 4},
     {"backend": "process", "jobs": 2},
 )
-
-ARTIFACT_NAME = "BENCH_triage.json"
 
 #: Concrete witness runs the minimizer may spend over the whole registry.
 MAX_TRIAGE_WITNESS_RUNS = 40
@@ -375,55 +370,6 @@ def print_minimization_counts(measurement: MinimizationCountMeasurement) -> None
 
 
 # ----------------------------------------------------------------------
-def artifact_payload(
-    dedup: DedupMeasurement,
-    minimization: MinimizationMeasurement,
-    skip: SkipKnownMeasurement,
-    counts: MinimizationCountMeasurement,
-) -> dict:
-    return {
-        "benchmark": "triage",
-        "version": __version__,
-        "dedup": {
-            "arms": [
-                {
-                    "backend": config["backend"],
-                    "jobs": config["jobs"],
-                    "raw_reports": arm.triage_stats.raw_reports,
-                    "distinct": arm.triage_stats.distinct,
-                    "shrink_ratio": round(arm.triage_stats.shrink_ratio(), 4),
-                }
-                for config, arm in zip(DEDUP_ARMS, dedup.arms)
-            ],
-            "corpus_records": len(dedup.corpus),
-            "expected_distinct": dedup.exposed_count,
-            "total_raw_reports": dedup.raw_reports,
-        },
-        "minimization": {
-            "witnesses": minimization.total,
-            "minimized": minimization.minimized,
-            "reverified": minimization.reverified,
-            "fields_before": minimization.fields_before,
-            "fields_after": minimization.fields_after,
-        },
-        "skip_known": {
-            "cold_seconds": round(skip.cold_seconds, 4),
-            "warm_seconds": round(skip.warm_seconds, 4),
-            "speedup": round(skip.speedup, 3),
-            "skipped": skip.warm.skipped_known,
-        },
-        "minimization_counts": {
-            "witness_runs": counts.witness_runs,
-            "campaign_witness_runs": counts.campaign_witness_runs,
-            "max_witness_runs": MAX_TRIAGE_WITNESS_RUNS,
-            "fields": counts.fields,
-            "one_minimal": counts.one_minimal,
-            "fallbacks": counts.fallbacks,
-        },
-    }
-
-
-# ----------------------------------------------------------------------
 # pytest twins
 # ----------------------------------------------------------------------
 @pytest.mark.benchmark(group="triage")
@@ -466,11 +412,6 @@ def main() -> int:
     print_skip_known(skip)
     counts = run_minimization_counts()
     print_minimization_counts(counts)
-
-    path = write_artifact(
-        artifact_payload(dedup, minimization, skip, counts), name=ARTIFACT_NAME
-    )
-    print(f"\nartifact written     : {path}")
 
     failures = dedup.gates() + minimization.gates() + skip.gates() + counts.gates()
     for failure in failures:

@@ -23,8 +23,8 @@ Quickstart::
 """
 
 #: Single source of truth for the package version: the CLI's ``--version``,
-#: the campaign's ``--json`` output and the benchmark artifacts all read it
-#: from here.
+#: the campaign's ``--json`` output and the trace-dir meta all read it from
+#: here.
 __version__ = "1.7.0"
 
 from repro.core.engine import Diode, DiodeConfig

@@ -1,6 +1,6 @@
 """Command-line interface for the DIODE reproduction.
 
-Six subcommands cover the common workflows::
+Seven subcommands cover the common workflows::
 
     python -m repro.cli analyze dillo            # full pipeline, Table-1 style row
     python -m repro.cli table1                   # all five applications, serially
@@ -12,8 +12,6 @@ Six subcommands cover the common workflows::
     python -m repro.cli replay --corpus-dir .diode-corpus  # regression replay
     python -m repro.cli trace --trace-dir .diode-trace     # render the trace
     python -m repro.cli events --trace-dir .diode-trace    # event summary
-    python -m repro.cli bench-diff --baseline benchmarks/baselines/BENCH_observability.json \
-        --current BENCH_observability.json                 # perf-regression gate
 
 The CLI is a thin layer over :class:`repro.core.engine.Diode`,
 :class:`repro.core.campaign.CampaignEngine` and the witness-triage
@@ -635,112 +633,6 @@ def _cmd_events(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    from repro.obs.benchhist import (
-        DEFAULT_THRESHOLDS,
-        compare_runs,
-        load_history,
-    )
-
-    def load_payload(path: str) -> Optional[dict]:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read benchmark payload {path!r}: {exc}", file=sys.stderr)
-            return None
-        if not isinstance(payload, dict):
-            print(f"benchmark payload {path!r} is not a JSON object", file=sys.stderr)
-            return None
-        return payload
-
-    if bool(args.current) == bool(args.history):
-        print(
-            "give exactly one of --current FILE (an artifact) or "
-            "--history FILE (newest matching record wins)",
-            file=sys.stderr,
-        )
-        return 2
-    baseline = load_payload(args.baseline)
-    if baseline is None:
-        return 2
-    if args.current:
-        current = load_payload(args.current)
-        if current is None:
-            return 2
-    else:
-        records = load_history(args.history, benchmark=args.benchmark)
-        if not records:
-            wanted = f" for benchmark {args.benchmark!r}" if args.benchmark else ""
-            print(
-                f"no readable history records{wanted} in {args.history!r}",
-                file=sys.stderr,
-            )
-            return 2
-        current = records[-1].get("payload") or {}
-    if baseline.get("benchmark") != current.get("benchmark"):
-        print(
-            f"benchmark mismatch: baseline is {baseline.get('benchmark')!r}, "
-            f"current is {current.get('benchmark')!r}",
-            file=sys.stderr,
-        )
-        return 2
-
-    benchmark = str(baseline.get("benchmark"))
-    thresholds = DEFAULT_THRESHOLDS.get(benchmark, {})
-    regressions = compare_runs(baseline, current, thresholds)
-
-    if args.json:
-        payload = {
-            "version": __version__,
-            "benchmark": benchmark,
-            "baseline": args.baseline,
-            "baseline_version": baseline.get("version"),
-            "current_version": current.get("version"),
-            "watched_metrics": sorted(thresholds),
-            "regressions": [
-                {
-                    "metric": regression.metric,
-                    "baseline": regression.baseline,
-                    "current": regression.current,
-                    "worst_acceptable": regression.threshold.worst_acceptable(
-                        regression.baseline
-                    ),
-                }
-                for regression in regressions
-            ],
-            "ok": not regressions,
-        }
-        print(json.dumps(payload, indent=2))
-        return 1 if regressions else 0
-
-    print(
-        f"bench-diff [{benchmark}]: baseline v{baseline.get('version')} "
-        f"vs current v{current.get('version')}, "
-        f"{len(thresholds)} watched metric(s)"
-    )
-    from repro.obs.benchhist import metric_value
-
-    for metric in sorted(thresholds):
-        base = metric_value(baseline, metric)
-        cur = metric_value(current, metric)
-        if base is None or cur is None:
-            print(f"  {metric:28s} (absent on one side, skipped)")
-            continue
-        verdict = (
-            "REGRESSION"
-            if any(r.metric == metric for r in regressions)
-            else "ok"
-        )
-        print(f"  {metric:28s} {base:>10.4g} -> {cur:>10.4g}  {verdict}")
-    if regressions:
-        for regression in regressions:
-            print(f"FAIL: {regression.describe()}")
-        return 1
-    print("OK: no regressions")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
@@ -987,44 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     events.add_argument("--json", action="store_true", help="emit JSON")
     events.set_defaults(func=_cmd_events)
-
-    bench_diff = subparsers.add_parser(
-        "bench-diff",
-        help=(
-            "compare a benchmark artifact against a committed baseline "
-            "with per-metric thresholds; exit 1 on regression (the CI "
-            "perf gate)"
-        ),
-    )
-    bench_diff.add_argument(
-        "--baseline",
-        metavar="FILE",
-        required=True,
-        help="the committed baseline artifact (BENCH_*.json)",
-    )
-    bench_diff.add_argument(
-        "--current",
-        metavar="FILE",
-        default=None,
-        help="the artifact from the run under test",
-    )
-    bench_diff.add_argument(
-        "--history",
-        metavar="FILE",
-        default=None,
-        help=(
-            "a BENCH_history.jsonl file; the newest record (optionally "
-            "filtered by --benchmark) is the run under test"
-        ),
-    )
-    bench_diff.add_argument(
-        "--benchmark",
-        metavar="NAME",
-        default=None,
-        help="with --history: compare the newest record of this benchmark",
-    )
-    bench_diff.add_argument("--json", action="store_true", help="emit JSON")
-    bench_diff.set_defaults(func=_cmd_bench_diff)
 
     return parser
 

@@ -1,6 +1,6 @@
 """Campaign-wide observability: metrics, spans, events, reporting.
 
-Five modules.  The first two are layered bottom-up and import nothing
+Four modules.  The first two are layered bottom-up and import nothing
 from :mod:`repro` outside this package, so every other layer — solver,
 store, scheduler, campaign — may instrument itself freely without import
 cycles:
@@ -17,15 +17,13 @@ cycles:
   ``repro trace`` and ``repro events`` CLI subcommands (per-stage summary,
   straggler top-N, Chrome trace-event export, per-event-name summaries);
 * :mod:`repro.obs.attribution` — the code-version stamp (package version,
-  ``git describe``) persisted artifacts carry;
-* :mod:`repro.obs.benchhist` — bench-run history and the regression
-  comparison behind ``repro bench-diff``.
+  ``git describe``) persisted artifacts carry.
 
 The contract every instrumented layer relies on: **observability is
 passive** — identical site classifications with tracing on or off, and
 deterministic metric totals (the ``events.*`` counters included)
 regardless of backend worker count for schedule-independent workloads
-(gated by the tests and ``benchmarks/bench_observability.py``).
+(gated by the tests).
 """
 
 from __future__ import annotations

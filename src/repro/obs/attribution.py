@@ -1,8 +1,7 @@
 """Code-version attribution for persisted observability artifacts.
 
-Trace directories and bench-history records outlive the run that wrote
-them; without a code-version stamp a perf trajectory cannot say *which*
-code produced each point.  This module resolves the two attribution
+Trace directories outlive the run that wrote them; without a
+code-version stamp a trace cannot say *which* code produced it.  This module resolves the two attribution
 fields every such artifact carries:
 
 * ``repro_version`` — :data:`repro.__version__`;

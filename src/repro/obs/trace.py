@@ -24,8 +24,8 @@ Two consumers exist:
 
 Observability is passive: spans never alter control flow, sink failures
 are swallowed after disabling the sink, and tracing on/off is gated for
-classification parity by ``tests/obs/test_campaign_obs.py``,
-``tests/core/test_cli.py`` and ``benchmarks/bench_observability.py``.
+classification parity by ``tests/obs/test_campaign_obs.py`` and
+``tests/core/test_cli.py``.
 
 Trace directory layout (schema version :data:`TRACE_SCHEMA_VERSION`)::
 

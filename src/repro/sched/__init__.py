@@ -20,8 +20,7 @@ Each strategy is a :class:`~repro.sched.base.Backend`:
 Classification parity is the contract: every backend must produce exactly
 the classifications of the serial ``Diode.analyze`` path.  The unit is pure
 and cached verdicts are derived from canonical representatives, so parity
-holds by construction; the test suite and ``benchmarks/bench_backends.py``
-enforce it.
+holds by construction; the test suite enforces it on the full registry.
 """
 
 from __future__ import annotations

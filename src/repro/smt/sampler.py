@@ -38,7 +38,9 @@ class SamplerConfig:
 
     random_attempts_per_sample: int = 400
     hill_climb_steps: int = 60
-    seed: Optional[int] = None
+    #: Every sampler starts from this seed, so a query gets the same model
+    #: in every process; ``None`` seeds from the OS and is not reproducible.
+    seed: Optional[int] = 0
     boundary_bias: float = 0.4
     perturbation_attempts: int = 40
 

@@ -155,7 +155,6 @@ class Term:
         "value",
         "name",
         "params",
-        "_hash",
         "_id",
         "_vars",
         "_simplified",
@@ -176,7 +175,6 @@ class Term:
         value: Optional[int],
         name: Optional[str],
         params: Tuple[int, ...],
-        _hash: int,
         _id: int,
     ) -> None:
         self.kind = kind
@@ -185,7 +183,6 @@ class Term:
         self.value = value
         self.name = name
         self.params = params
-        self._hash = _hash
         self._id = _id
         self._vars: Optional[Tuple["Term", ...]] = None
         #: What :func:`repro.smt.simplify.simplify` returns for this term,
@@ -220,7 +217,6 @@ class Term:
                 value=value,
                 name=name,
                 params=params,
-                _hash=hash(key),
                 _id=cls._next_id,
             )
             cls._next_id += 1
@@ -308,7 +304,11 @@ class Term:
     # Dunder protocol
     # ------------------------------------------------------------------
     def __hash__(self) -> int:
-        return self._hash
+        # Terms compare by identity, so the creation id is a valid hash.  It
+        # depends only on the order terms are built, never on memory
+        # addresses or the hash seed, so set orders over terms (and the
+        # solver search they steer) repeat in every process.
+        return self._id
 
     def __eq__(self, other: object) -> bool:
         return self is other

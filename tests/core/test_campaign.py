@@ -49,10 +49,15 @@ class TestEquivalenceWithSerialPath:
         result = run_campaign(CampaignConfig(jobs=1, use_cache=True))
         assert result.classifications() == serial_reference
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_parallel_cached_campaign_matches_diode(
-        self, serial_reference, cached_parallel_result
+        self, serial_reference, backend
     ):
-        assert cached_parallel_result.classifications() == serial_reference
+        result = run_campaign(
+            CampaignConfig(jobs=2, use_cache=True, backend=backend)
+        )
+        assert result.backend == backend
+        assert result.classifications() == serial_reference
 
     def test_every_registered_application_is_covered(self, cached_parallel_result):
         analyzed = {

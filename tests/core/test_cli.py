@@ -518,87 +518,6 @@ class TestEventsCommand:
         assert "no event records" in capsys.readouterr().err
 
 
-class TestBenchDiffCommand:
-    _BASE = {"benchmark": "observability", "version": "1.7.0",
-             "overhead": 1.05, "weighted_stage_coverage": 0.95,
-             "worst_unit_coverage": 1.0, "invalid_records": 0}
-
-    def _write(self, tmp_path, name, payload):
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_identical_runs_pass(self, capsys, tmp_path):
-        baseline = self._write(tmp_path, "base.json", self._BASE)
-        current = self._write(tmp_path, "cur.json", self._BASE)
-        assert main(["bench-diff", "--baseline", baseline, "--current", current]) == 0
-        assert "OK: no regressions" in capsys.readouterr().out
-
-    def test_regression_exits_one_with_fail_lines(self, capsys, tmp_path):
-        baseline = self._write(tmp_path, "base.json", self._BASE)
-        current = self._write(
-            tmp_path, "cur.json",
-            dict(self._BASE, overhead=1.9, invalid_records=3),
-        )
-        assert main(["bench-diff", "--baseline", baseline, "--current", current]) == 1
-        out = capsys.readouterr().out
-        assert out.count("FAIL:") == 2
-        assert "REGRESSION" in out
-
-    def test_newest_history_record_wins(self, capsys, tmp_path):
-        from repro.obs.benchhist import append_history
-
-        baseline = self._write(tmp_path, "base.json", self._BASE)
-        append_history(dict(self._BASE, overhead=9.9), "a.json", str(tmp_path))
-        append_history(dict(self._BASE), "a.json", str(tmp_path))
-        assert (
-            main(
-                ["bench-diff", "--baseline", baseline, "--history",
-                 str(tmp_path / "BENCH_history.jsonl"), "--benchmark",
-                 "observability"]
-            )
-            == 0
-        )
-
-    def test_requires_exactly_one_source(self, capsys, tmp_path):
-        baseline = self._write(tmp_path, "base.json", self._BASE)
-        assert main(["bench-diff", "--baseline", baseline]) == 2
-        assert "exactly one" in capsys.readouterr().err
-
-    def test_benchmark_mismatch_is_rejected(self, capsys, tmp_path):
-        baseline = self._write(tmp_path, "base.json", self._BASE)
-        current = self._write(
-            tmp_path, "cur.json", {"benchmark": "campaign", "speedup": 2.0}
-        )
-        assert main(["bench-diff", "--baseline", baseline, "--current", current]) == 2
-        assert "mismatch" in capsys.readouterr().err
-
-    def test_unreadable_baseline_is_rejected(self, capsys, tmp_path):
-        current = self._write(tmp_path, "cur.json", self._BASE)
-        assert (
-            main(
-                ["bench-diff", "--baseline", str(tmp_path / "nope.json"),
-                 "--current", current]
-            )
-            == 2
-        )
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_json_verdict(self, capsys, tmp_path):
-        baseline = self._write(tmp_path, "base.json", self._BASE)
-        current = self._write(tmp_path, "cur.json", dict(self._BASE, overhead=1.9))
-        assert (
-            main(
-                ["bench-diff", "--baseline", baseline, "--current", current,
-                 "--json"]
-            )
-            == 1
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is False
-        assert payload["regressions"][0]["metric"] == "overhead"
-
-
 class TestCorpusWarmStart:
     def test_full_registry_save_replay_and_skip_known(self, capsys, tmp_path):
         """Cold campaign → strict replay → warm ``--skip-known`` rerun.

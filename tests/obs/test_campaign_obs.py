@@ -9,17 +9,31 @@ patterns legitimately depend on unit interleaving).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.campaign import CampaignConfig, run_campaign
 from repro.obs.metrics import counter_value
 from repro.obs.report import load_trace_dir, stage_summaries, unit_summaries
 
 _APPS = ["dillo"]
 
+#: Records (265 spans + 120 events) a traced serial registry campaign
+#: writes; tracing that starts emitting more per unit fails the test.
+REGISTRY_TRACE_RECORDS = 385
 
-def _run(backend="serial", jobs=1, trace_dir=None, use_cache=True):
+#: Weighted over all units, direct stage spans must explain at least this
+#: share of unit wall time (0.96 on the registry).
+MIN_STAGE_COVERAGE = 0.60
+
+#: A unit's stage sum may exceed its own span by timer jitter only;
+#: anything more means stage spans overlap or escape their unit.
+MAX_UNIT_COVERAGE = 1.02
+
+
+def _run(backend="serial", jobs=1, trace_dir=None, use_cache=True, apps=_APPS):
     return run_campaign(
         CampaignConfig(
-            applications=_APPS,
+            applications=apps,
             backend=backend,
             jobs=jobs,
             use_cache=use_cache,
@@ -36,11 +50,23 @@ def _counters(result):
     }
 
 
+@pytest.fixture(scope="module")
+def registry_runs(tmp_path_factory):
+    """The full registry, serial, untraced and then traced."""
+    trace_dir = str(tmp_path_factory.mktemp("trace"))
+    plain = _run(apps=None)
+    traced = _run(trace_dir=trace_dir, apps=None)
+    return plain, traced, load_trace_dir(trace_dir)
+
+
 class TestTracingIsPassive:
-    def test_serial_classifications_identical_with_and_without_trace(self, tmp_path):
-        plain = _run()
-        traced = _run(trace_dir=str(tmp_path / "trace"))
+    def test_serial_classifications_identical_with_and_without_trace(
+        self, registry_runs
+    ):
+        plain, traced, data = registry_runs
         assert plain.classifications() == traced.classifications()
+        assert _counters(plain) == _counters(traced)
+        assert len(data.records) <= REGISTRY_TRACE_RECORDS
 
     def test_process_classifications_identical_with_and_without_trace(self, tmp_path):
         plain = _run(backend="process", jobs=2)
@@ -49,10 +75,8 @@ class TestTracingIsPassive:
 
 
 class TestTraceContents:
-    def test_serial_trace_covers_every_stage(self, tmp_path):
-        trace_dir = str(tmp_path / "trace")
-        result = _run(trace_dir=trace_dir)
-        data = load_trace_dir(trace_dir)
+    def test_serial_trace_covers_every_stage(self, registry_runs):
+        _, result, data = registry_runs
         assert data.error is None
         assert data.invalid_records == 0
         names = {s.name for s in stage_summaries(data)}
@@ -61,6 +85,10 @@ class TestTraceContents:
         units = unit_summaries(data)
         assert len(units) == result.unit_count
         assert all(u.backend == "serial" for u in units)
+        unit_seconds = sum(u.duration_seconds for u in units)
+        stage_seconds = sum(u.stage_seconds() for u in units)
+        assert stage_seconds >= MIN_STAGE_COVERAGE * unit_seconds
+        assert max(u.coverage() for u in units) <= MAX_UNIT_COVERAGE
 
     def test_process_trace_collects_worker_files(self, tmp_path):
         trace_dir = str(tmp_path / "trace")

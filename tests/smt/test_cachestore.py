@@ -319,6 +319,9 @@ class TestCampaignWarmStart:
         assert cold.cache_saved > 0
         assert warm.cache_loaded == cold.cache_saved
         assert warm.cache_stats.hit_rate() > cold.cache_stats.hit_rate()
+        # The warm rerun derives no verdict: every lookup is a store hit.
+        assert warm.cache_stats.misses == 0
+        assert warm.cache_stats.hits == warm.cache_stats.lookups
         assert warm.classifications() == cold.classifications()
 
     def test_no_save_cache_leaves_the_store_untouched(self, tmp_path):

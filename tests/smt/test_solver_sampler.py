@@ -133,6 +133,15 @@ class TestSampler:
         second = ModelSampler(constraint, [x], SamplerConfig(seed=11)).sample(5)
         assert [m.as_dict() for m in first] == [m.as_dict() for m in second]
 
+    def test_default_config_is_deterministic(self):
+        """The solver's sampling layer runs on the default config, so its
+        models (and the CDCL work left after it) must not vary by run."""
+        x = b.bv_var("x", 32)
+        constraint = b.ugt(x, 100)
+        first = ModelSampler(constraint, [x]).sample(5)
+        second = ModelSampler(constraint, [x]).sample(5)
+        assert [m.as_dict() for m in first] == [m.as_dict() for m in second]
+
     def test_solver_sample_models_interface(self):
         solver = PortfolioSolver()
         w = b.bv_var("w", 32)

@@ -1,6 +1,13 @@
 """Tests for the term language and constructors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.smt import builder as b
 from repro.smt.builder import SortError
@@ -58,6 +65,29 @@ class TestHashConsing:
         x = b.bv_var("x", 32)
         y = b.bv_var("y", 32)
         assert b.sub(x, y) is not b.sub(y, x)
+
+    def test_hashes_do_not_depend_on_the_process(self):
+        """Set orders over terms, and so the solver's search, must
+        not change with the hash seed or the memory layout."""
+        src_dir = str(Path(repro.__file__).resolve().parent.parent)
+        script = (
+            f"import sys; sys.path.insert(0, {src_dir!r}); "
+            "from repro.smt import builder as b; "
+            "x = b.bv_var('x', 8); y = b.bv_var('y', 8); "
+            "terms = [x, y, b.bool_var('p'), b.add(x, y), b.mul(b.sub(x, 3), y), "
+            "b.ult(x, y), b.band(b.eq(x, 1), b.ne(y, 2))]; "
+            "print([hash(term) for term in terms])"
+        )
+
+        def hashes(seed: str) -> str:
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, timeout=120, check=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+            )
+            return completed.stdout
+
+        assert hashes("0") == hashes("1") == hashes("7")
 
 
 class TestSortChecking:
