@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
 
 import pytest
 
@@ -19,6 +21,27 @@ class TestParser:
     def test_accepts_known_applications(self):
         args = build_parser().parse_args(["analyze", "vlc"])
         assert args.application == "vlc"
+
+    def test_bench_diff_is_not_a_subcommand(self, capsys):
+        # perfbench is the one perf-regression harness.
+        with pytest.raises(SystemExit) as info:
+            main(["bench-diff"])
+        assert info.value.code == 2
+        assert "invalid choice: 'bench-diff'" in capsys.readouterr().err
+
+    def test_module_docstring_lists_every_subcommand(self):
+        import repro.cli
+
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        registered = set(subparsers.choices)
+        doc = repro.cli.__doc__
+        assert set(re.findall(r"python -m repro\.cli (\w+)", doc)) == registered
+        numbers = ["one", "two", "three", "four", "five", "six", "seven", "eight"]
+        count_word = re.search(r"(\w+) subcommands", doc).group(1).lower()
+        assert numbers.index(count_word) + 1 == len(registered)
 
 
 class TestCommands:

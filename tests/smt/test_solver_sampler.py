@@ -1,7 +1,13 @@
 """Tests for the portfolio solver, the sampler and the overflow heuristics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.smt import builder as b
 from repro.smt.evalmodel import evaluate, satisfies
 from repro.smt.heuristics import overflow_witness_hint, try_algebraic_solution
@@ -176,3 +182,51 @@ class TestHeuristics:
         hint = overflow_witness_hint(b.mul(w, h), 32)
         assert hint["w"] >= 1 << 16
         assert hint["h"] >= 1 << 16
+
+
+def _output_under_hash_seed(body: str, seed: str) -> str:
+    """stdout of ``body`` run in a fresh interpreter under ``PYTHONHASHSEED``."""
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    script = f"import sys; sys.path.insert(0, {src_dir!r})\n" + body
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONHASHSEED=seed),
+    )
+    return completed.stdout
+
+
+class TestRepeatsAcrossProcesses:
+    """The same query must cost the same work in every process; a bench
+    comparing two solver arms is meaningless otherwise."""
+
+    def test_default_sampler_draws_the_same_models(self):
+        body = (
+            "from repro.smt import builder as b\n"
+            "from repro.smt.sampler import ModelSampler\n"
+            "x = b.bv_var('x', 32)\n"
+            "models = ModelSampler(b.ugt(x, 100), [x]).sample(5)\n"
+            "print([m.as_dict() for m in models])\n"
+        )
+        first = _output_under_hash_seed(body, "0")
+        assert first.strip()
+        assert _output_under_hash_seed(body, "1") == first
+
+    def test_cdcl_query_costs_the_same_conflicts(self):
+        # 30174 = 143 * 211 + 1: no layer before bit-blasting finds the
+        # factors, so the CDCL search decides it.
+        body = (
+            "from repro.smt import builder as b\n"
+            "from repro.smt.solver import PortfolioSolver\n"
+            "from repro.obs.metrics import METRICS\n"
+            "x = b.bv_var('x', 8); y = b.bv_var('y', 8); z = b.bv_var('z', 8)\n"
+            "product = b.mul(b.zext(x, 16), b.zext(y, 16))\n"
+            "result = PortfolioSolver().check([\n"
+            "    b.eq(b.add(product, b.zext(z, 16)), 30174),\n"
+            "    b.ugt(x, 1), b.ugt(y, 1), b.ult(x, y), b.ult(z, 3)])\n"
+            "print(result.status, result.stages_tried[-1], result.model.as_dict(),\n"
+            "      METRICS.counter('solver.cdcl_conflicts').value)\n"
+        )
+        first = _output_under_hash_seed(body, "0")
+        assert first.startswith("sat bitblast")
+        assert _output_under_hash_seed(body, "7") == first

@@ -89,6 +89,13 @@ class TestHashConsing:
 
         assert hashes("0") == hashes("1") == hashes("7")
 
+    def test_distinct_terms_never_share_a_hash(self):
+        x = b.bv_var("x", 16)
+        terms = {b.add(x, k) for k in range(1, 300)}
+        terms |= {b.mul(x, k) for k in range(2, 300)}
+        terms |= {b.extract(x, high, 0) for high in range(16)}
+        assert len({hash(term) for term in terms}) == len(terms)
+
 
 class TestSortChecking:
     def test_width_mismatch_rejected(self):
