@@ -1,12 +1,10 @@
-"""Incremental-solving benchmark: sessions, decomposition, component cache.
+"""Incremental-solving benchmark: solver sessions against fresh queries.
 
-Three workloads back the acceptance bar of the incremental solving stack
-(PR 3), each comparing the *fresh-query* reference path (sessions and
-decomposition disabled — every query re-simplified, re-blasted and solved
-from scratch) against the *incremental* path (solver sessions with a
-persistent bit-blaster, assumption-based CDCL with learned-clause
-retention, connected-component decomposition and the component-granularity
-cache):
+Two workloads back the acceptance bar of the incremental solving stack,
+each comparing the *fresh-query* reference path (sessions disabled — every
+query re-simplified, re-blasted and solved from scratch) against the
+*incremental* path (solver sessions with a persistent bit-blaster and
+assumption-based CDCL with learned-clause retention):
 
 1. **Registry parity** — the full registry campaign, default
    configuration.  The hard invariant: the incremental path produces
@@ -17,13 +15,8 @@ cache):
    checks that only the complete backend can decide).  The incremental arm
    must finish with *lower total CDCL conflicts* and *lower bit-blast/CDCL
    time* than the fresh arm, with identical per-check statuses.
-3. **Sibling-site screening** — multi-site feasibility conjunctions built
-   from the registry's real per-site target constraints.  Different sites
-   constrain different input fields, so these queries decompose; the
-   incremental arm must answer some components from the component cache
-   (``component hits > 0``) while returning identical statuses.
 
-A fourth workload rides the same harness: the **encoder size** count
+A third workload rides the same harness: the **encoder size** count
 gate — the CNF the structurally-hashed Tseitin encoder builds for the
 CDCL-bound systems must stay within :data:`MAX_ENCODER_VARS` variables
 and :data:`MAX_ENCODER_CLAUSES` clauses.  The count is deterministic (no
@@ -41,17 +34,12 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import pytest
 
-from repro.apps import all_applications
 from repro.core.campaign import CampaignConfig, run_campaign
-from repro.core.fieldmap import FieldMapper
-from repro.core.overflow import overflow_constraint
-from repro.core.sites import identify_target_sites
-from repro.core.target import extract_target_observations
 from repro.obs.metrics import METRICS, counter_value, histogram_stats
 from repro.smt import builder as b
 from repro.smt.bitblast import BitBlaster
@@ -81,7 +69,6 @@ class ArmMeasurement:
     statuses: List[str]
     #: ``METRICS`` wire delta over the arm.
     metrics: dict
-    cache_stats: Dict[str, float] = field(default_factory=dict)
 
     def solver(self, name: str) -> int:
         """A ``solver.*`` counter of this arm."""
@@ -94,10 +81,6 @@ class ArmMeasurement:
     @property
     def bitblast_seconds(self) -> float:
         return histogram_stats(self.metrics, "solver.bitblast.seconds")[1]
-
-
-def _solver_config(incremental: bool, **overrides) -> SolverConfig:
-    return SolverConfig(incremental=incremental, **overrides)
 
 
 # ----------------------------------------------------------------------
@@ -158,8 +141,8 @@ def _enforcement_chain(variant: int):
 
 def run_enforcement_chains(incremental: bool) -> ArmMeasurement:
     """Replay the chains through one arm; returns per-arm measurements."""
-    config = _solver_config(
-        incremental,
+    config = SolverConfig(
+        incremental=incremental,
         sampler=SamplerConfig(
             random_attempts_per_sample=3,
             hill_climb_steps=2,
@@ -169,8 +152,7 @@ def run_enforcement_chains(incremental: bool) -> ArmMeasurement:
         heuristic_max_checks=4,
         bitblast_max_conflicts=100_000,
     )
-    cache = SolverCache()
-    solver = PortfolioSolver(config, cache=cache)
+    solver = PortfolioSolver(config, cache=SolverCache())
     statuses: List[str] = []
     mark = METRICS.snapshot()
     started = time.perf_counter()
@@ -194,75 +176,11 @@ def run_enforcement_chains(incremental: bool) -> ArmMeasurement:
         wall_seconds=time.perf_counter() - started,
         statuses=statuses,
         metrics=METRICS.delta(mark),
-        cache_stats=cache.stats.as_dict(),
     )
 
 
 # ----------------------------------------------------------------------
-# Workload 3: sibling-site screening over real registry constraints
-# ----------------------------------------------------------------------
-def _registry_betas():
-    """Per-application lists of the real per-site target constraints."""
-    per_app = []
-    for app in all_applications():
-        mapper = FieldMapper(app.format_spec)
-        betas = []
-        for site in identify_target_sites(app.program, app.seed_input):
-            observations = extract_target_observations(
-                app.program,
-                app.seed_input,
-                site,
-                field_mapper=mapper,
-                max_observations=1,
-            )
-            if observations and observations[0].size_expression is not None:
-                betas.append(
-                    overflow_constraint(observations[0].size_expression)
-                )
-        per_app.append(betas)
-    return per_app
-
-
-def run_screening(incremental: bool) -> ArmMeasurement:
-    """Screen each application's sites jointly: can overflows co-trigger?
-
-    The conjunction grows one site's β at a time (infeasible additions are
-    dropped), so successive queries share every previously admitted site's
-    component — the component cache's designed case.
-    """
-    config = _solver_config(incremental)
-    cache = SolverCache()
-    statuses: List[str] = []
-    mark = METRICS.snapshot()
-    started = time.perf_counter()
-    for betas in _registry_betas():
-        solver = PortfolioSolver(config, cache=cache)
-        if incremental:
-            session = solver.open_session()
-            for beta in betas:
-                session.push(beta)
-                result = session.check()
-                statuses.append(result.status)
-                if not result.is_sat:
-                    session.pop()
-        else:
-            admitted: List = []
-            for beta in betas:
-                result = solver.check(admitted + [beta])
-                statuses.append(result.status)
-                if result.is_sat:
-                    admitted.append(beta)
-    return ArmMeasurement(
-        label="incremental" if incremental else "fresh",
-        wall_seconds=time.perf_counter() - started,
-        statuses=statuses,
-        metrics=METRICS.delta(mark),
-        cache_stats=cache.stats.as_dict(),
-    )
-
-
-# ----------------------------------------------------------------------
-# Workload 4: encoder size on the CDCL-bound systems
+# Workload 3: encoder size on the CDCL-bound systems
 # ----------------------------------------------------------------------
 def _product_systems():
     """CDCL-bound conjunctions (low-bit equalities defeat the incomplete
@@ -337,17 +255,6 @@ def print_chains(fresh: ArmMeasurement, incremental: ArmMeasurement) -> None:
     print(f"statuses equal     : {fresh.statuses == incremental.statuses}")
 
 
-def print_screening(fresh: ArmMeasurement, incremental: ArmMeasurement) -> None:
-    print("\n=== Sibling-site screening: whole-query vs component cache ===")
-    for arm in (fresh, incremental):
-        print(
-            f"{arm.label:12s}: {arm.wall_seconds:6.3f}s wall, "
-            f"component hits {int(arm.cache_stats['component_hits'])} "
-            f"({arm.cache_stats['component_hit_rate']:.1%} of component lookups)"
-        )
-    print(f"statuses equal     : {fresh.statuses == incremental.statuses}")
-
-
 def print_encoder_size(variables: int, clauses: int) -> None:
     print("\n=== Encoder size: CDCL-bound and product systems ===")
     print(
@@ -360,8 +267,6 @@ def _gate_failures(
     parity: bool,
     chain_fresh: ArmMeasurement,
     chain_incremental: ArmMeasurement,
-    screen_fresh: ArmMeasurement,
-    screen_incremental: ArmMeasurement,
     encoder_size: Tuple[int, int],
 ) -> List[str]:
     failures = []
@@ -371,8 +276,6 @@ def _gate_failures(
         )
     if chain_fresh.statuses != chain_incremental.statuses:
         failures.append("enforcement-chain statuses diverge between arms")
-    if screen_fresh.statuses != screen_incremental.statuses:
-        failures.append("screening statuses diverge between arms")
     if chain_incremental.conflicts >= chain_fresh.conflicts:
         failures.append(
             f"incremental CDCL conflicts {chain_incremental.conflicts} not below "
@@ -383,8 +286,6 @@ def _gate_failures(
             f"incremental bitblast/CDCL time {chain_incremental.bitblast_seconds:.3f}s "
             f"not below fresh {chain_fresh.bitblast_seconds:.3f}s"
         )
-    if screen_incremental.cache_stats.get("component_hits", 0) <= 0:
-        failures.append("screening produced no component-cache hits")
     variables, clauses = encoder_size
     if variables > MAX_ENCODER_VARS or clauses > MAX_ENCODER_CLAUSES:
         failures.append(
@@ -421,19 +322,6 @@ def test_enforcement_chains_incremental_wins(benchmark):
 
 
 @pytest.mark.benchmark(group="solver")
-def test_screening_hits_the_component_cache(benchmark):
-    """Multi-site screening reuses component verdicts across queries."""
-
-    def both():
-        return run_screening(False), run_screening(True)
-
-    fresh, incremental = benchmark.pedantic(both, rounds=1, iterations=1)
-    print_screening(fresh, incremental)
-    assert fresh.statuses == incremental.statuses
-    assert incremental.cache_stats["component_hits"] > 0
-
-
-@pytest.mark.benchmark(group="solver")
 def test_encoder_size_stays_within_the_ceiling(benchmark):
     """The hashed encoder's CNF for the CDCL-bound systems does not grow."""
     variables, clauses = benchmark.pedantic(run_encoder_size, rounds=1, iterations=1)
@@ -458,21 +346,10 @@ def main() -> int:
     chain_incremental = run_enforcement_chains(True)
     print_chains(chain_fresh, chain_incremental)
 
-    screen_fresh = run_screening(False)
-    screen_incremental = run_screening(True)
-    print_screening(screen_fresh, screen_incremental)
-
     encoder_size = run_encoder_size()
     print_encoder_size(*encoder_size)
 
-    failures = _gate_failures(
-        parity,
-        chain_fresh,
-        chain_incremental,
-        screen_fresh,
-        screen_incremental,
-        encoder_size,
-    )
+    failures = _gate_failures(parity, chain_fresh, chain_incremental, encoder_size)
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:

@@ -690,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-incremental",
         action="store_true",
         help=(
-            "disable incremental solver sessions and query decomposition "
+            "disable incremental solver sessions "
             "(the fresh-query reference path; classification parity with "
             "the incremental default is enforced by the test and benchmark "
             "gates)"

@@ -10,9 +10,8 @@ pool, with per-worker caches merged back into the parent).  Every unit's
 solver is backed by a shared :class:`~repro.smt.cache.SolverCache`, and
 every term keeps its simplified form, so enforcement iterations and
 sibling sites stop re-deriving work.  Units solve incrementally by default
-(:class:`~repro.smt.solver.SolverSession` per observation, query
-decomposition, component-granularity caching); the cache carries verdicts
-at both whole-query and component granularity through every backend —
+(one :class:`~repro.smt.solver.SolverSession` per site); the cache carries
+whole-query verdicts and canonical UNSAT cores through every backend —
 the process backend ships both as tagged wire-format deltas.
 
 With a ``cache_dir``, the campaign also warm-starts across runs: the

@@ -30,8 +30,8 @@ parity with the fresh-query path is the invariant either way.
 **UNSAT-core guidance** (``SolverConfig.enable_unsat_cores``, on by
 default): every UNSAT verdict carries a subset of the pushed conjuncts
 that is already jointly infeasible (precise final-conflict cores from the
-session's assumption-based CDCL, component- or whole-conjunction-level
-cores from the cheaper layers).  The enforcer accumulates these cores for
+session's assumption-based CDCL, whole-conjunction cores from the cheaper
+layers).  The enforcer accumulates these cores for
 the lifetime of the site and *prunes* any later candidate query — the
 initial β check or a flipped-branch enforcement check — whose conjunct
 set subsumes an accumulated core: a superset of an unsatisfiable set is

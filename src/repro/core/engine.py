@@ -88,9 +88,7 @@ def analyze_site(
 
     Solving is incremental by default: the enforcer drives a
     :class:`~repro.smt.solver.SolverSession` per site (constraint deltas
-    instead of rebuilt conjunction lists), queries decompose into
-    independent connected components, and the shared cache answers at both
-    whole-query and component granularity.  Disable via
+    instead of rebuilt conjunction lists).  Disable via
     ``config.solver.incremental`` — classification parity between the two
     paths is enforced by the parity tests and ``bench_solver.py`` (in
     principle only a timeout landing on a different side of the CDCL

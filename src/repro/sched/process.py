@@ -12,11 +12,10 @@ term would rebuild as a distinct, non-interned object and silently break
   and at most once per ⟨worker, application⟩ pair;
 * **back**: :class:`SiteResultPayload` records (classification value, bug
   report, timing — all term-free) plus the worker cache's *new* artifacts
-  in the :mod:`repro.smt.cachestore` wire format — whole-query verdicts,
-  component-granularity verdicts and canonical UNSAT cores, each tagged
-  with its kind — which the parent merges into the campaign cache so a
-  persistent store (or a later run) sees every worker's derivations
-  across all three kinds.  When the
+  in the :mod:`repro.smt.cachestore` wire format — whole-query verdicts
+  and canonical UNSAT cores, each tagged with its kind — which the parent
+  merges into the campaign cache so a persistent store (or a later run)
+  sees every worker's derivations of both kinds.  When the
   campaign enables triage, each unit's result also carries a wire-form
   :class:`~repro.triage.corpus.WitnessRecord` (validated, minimized,
   signed *in the worker*, which parallelizes minimization's concrete
@@ -148,9 +147,9 @@ class _WorkerState:
         #: ``(registry name, minimize)`` -> triager; kept across campaigns.
         self.triagers: Dict[Tuple[str, bool], object] = {}
         self.cache = None
-        #: ``(kind, key)`` pairs already shipped to the parent — all three
-        #: artifact kinds (whole-query, component, UNSAT core) travel
-        #: through the same delta stream.
+        #: ``(kind, key)`` pairs already shipped to the parent — both
+        #: artifact kinds (whole-query verdict, UNSAT core) travel through
+        #: the same delta stream.
         self.exported_keys: set = set()
         self.stats_mark: Dict[str, int] = {}
         #: Registry wire mark for per-unit metrics deltas.

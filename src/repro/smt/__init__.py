@@ -60,7 +60,6 @@ from repro.smt.builder import (
     implies,
 )
 from repro.smt.cache import SolverCache, SolverCacheStats
-from repro.smt.decompose import Component, compose_models, decompose
 from repro.smt.evalmodel import Model, evaluate
 from repro.smt.simplify import simplify
 from repro.smt.interval import Interval, interval_of, propagate_intervals
@@ -126,7 +125,4 @@ __all__ = [
     "ModelSampler",
     "SolverCache",
     "SolverCacheStats",
-    "Component",
-    "compose_models",
-    "decompose",
 ]

@@ -16,7 +16,7 @@ memoized on canonically-ordered operand literal pairs (with constant
 folding and negation-aware normalisation — OR is encoded as a negated AND
 via De Morgan so both kinds share one cache, XOR strips operand signs and
 re-applies them to the output, MUX folds a negated condition into a branch
-swap).  Shared subterms across a component's conjuncts therefore encode
+swap).  Shared subterms across a query's conjuncts therefore encode
 once: fewer variables and clauses reach the SAT core, while
 :meth:`BitBlaster.extract_model` reads back the same models.
 """
@@ -61,10 +61,10 @@ class BitBlaster:
         self.cnf.add_unit(self.literal_for(constraint))
 
     def assert_all(self, conjuncts) -> None:
-        """Batch-assert a component's conjunct list in one pass.
+        """Batch-assert a query's conjunct list in one pass.
 
         All conjuncts are translated before any unit is asserted, so shared
-        subterms across the component encode once through the structural
+        subterms across the query encode once through the structural
         gate caches and the resulting CNF is identical regardless of how
         callers chunk the conjunct list.
         """

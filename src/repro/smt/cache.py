@@ -25,13 +25,9 @@ the answer every caller receives is a pure function of the canonical system
 arrived first.  SAT models are translated back through the renaming and
 verified against the caller's actual conjuncts before being returned.
 
-Verdicts are stored at two granularities.  The *whole-query* table keys on
-the full canonical conjunct list; underneath it, the *component* table keys
-on the canonical form of one connected component of the variable-sharing
-graph (see :mod:`repro.smt.decompose`).  A component shared by two
-different whole queries — sibling sites, successive enforcement
-iterations, multi-site screening conjunctions — hits in the component
-table even though the whole-query keys differ.
+Verdicts are stored at one granularity, the whole canonical query.  Beside
+them the cache keeps canonical UNSAT cores, which answer any query whose
+canonical conjuncts are a superset of a stored core.
 """
 
 from __future__ import annotations
@@ -85,11 +81,8 @@ class SolverCacheStats:
     """Hit/miss counters for one :class:`SolverCache`.
 
     ``hits``/``misses``/``stores``/``invalid_hits`` count this cache's own
-    whole-query lookups and stores; ``component_*`` count the
-    component-granularity layer underneath (consulted only after a
-    whole-query miss); ``merged`` counts entries adopted wholesale from
-    elsewhere (a persistent on-disk store, a worker process's delta), and
-    ``evictions`` counts entries dropped by the ``max_entries`` bound.
+    lookups and stores; ``merged`` counts entries adopted wholesale from
+    elsewhere (a persistent on-disk store, a worker process's delta).
     """
 
     hits: int = 0
@@ -97,11 +90,6 @@ class SolverCacheStats:
     stores: int = 0
     invalid_hits: int = 0
     merged: int = 0
-    evictions: int = 0
-    component_hits: int = 0
-    component_misses: int = 0
-    component_stores: int = 0
-    component_evictions: int = 0
     #: Queries answered UNSAT because a stored canonical core subsumed them.
     core_hits: int = 0
     core_stores: int = 0
@@ -111,14 +99,9 @@ class SolverCacheStats:
         return self.hits + self.misses
 
     def hit_rate(self) -> float:
-        """Fraction of whole-query lookups answered from the cache."""
+        """Fraction of lookups answered from the cache."""
         total = self.lookups
         return self.hits / total if total else 0.0
-
-    def component_hit_rate(self) -> float:
-        """Fraction of component lookups answered from the cache."""
-        total = self.component_hits + self.component_misses
-        return self.component_hits / total if total else 0.0
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -127,13 +110,7 @@ class SolverCacheStats:
             "stores": self.stores,
             "invalid_hits": self.invalid_hits,
             "merged": self.merged,
-            "evictions": self.evictions,
             "hit_rate": round(self.hit_rate(), 4),
-            "component_hits": self.component_hits,
-            "component_misses": self.component_misses,
-            "component_stores": self.component_stores,
-            "component_evictions": self.component_evictions,
-            "component_hit_rate": round(self.component_hit_rate(), 4),
             "core_hits": self.core_hits,
             "core_stores": self.core_stores,
         }
@@ -146,9 +123,6 @@ _TRANSFERABLE_STATS = (
     "misses",
     "stores",
     "invalid_hits",
-    "component_hits",
-    "component_misses",
-    "component_stores",
     "core_hits",
     "core_stores",
 )
@@ -163,27 +137,18 @@ class SolverCache:
     coordination beyond the internal lock is needed.
     """
 
-    #: Entry kinds: whole-query verdicts, connected-component verdicts and
-    #: canonical UNSAT cores.  The kind strings double as the unified
-    #: store's record namespaces (:mod:`repro.store`).
+    #: Entry kinds: whole-query verdicts and canonical UNSAT cores.  The
+    #: kind strings double as the unified store's record namespaces
+    #: (:mod:`repro.store`).
     KIND_QUERY = "query"
-    KIND_COMPONENT = "component"
     KIND_CORE = "core"
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        self._entries: Dict[Tuple, CachedVerdict] = {}
-        # Canonical conjuncts per key, kept so entries can be exported —
-        # to a persistent CacheStore or across a process boundary — and
-        # rebuilt against a fresh intern table on the other side.
-        self._conjuncts: Dict[Tuple, Tuple[Term, ...]] = {}
-        # The component-granularity layer: same key scheme, disjoint table.
-        # Component keys are always computed by *re*-canonicalizing the
-        # whole query's canonical conjuncts (first-application
-        # canonicalization is not a normal form — the commutative tiebreak
-        # compares the names the rename just changed), so every embedding
-        # of a component in any whole query lands on one shared key.
-        self._component_entries: Dict[Tuple, CachedVerdict] = {}
-        self._component_conjuncts: Dict[Tuple, Tuple[Term, ...]] = {}
+    def __init__(self) -> None:
+        # key -> (canonical conjuncts, verdict).  The conjuncts are kept so
+        # entries can be exported — to a persistent CacheStore or across a
+        # process boundary — and rebuilt against a fresh intern table on
+        # the other side.
+        self._entries: Dict[Tuple, Tuple[Tuple[Term, ...], CachedVerdict]] = {}
         # Canonical UNSAT cores, per fingerprint: frozenset of the core
         # conjuncts' intern ids -> the core conjunct tuple.  A core is a
         # semantic certificate ("these canonical conjuncts are jointly
@@ -192,7 +157,6 @@ class SolverCache:
         # each), so unbounded.
         self._cores: Dict[Tuple, Dict[frozenset, Tuple[Term, ...]]] = {}
         self._lock = threading.Lock()
-        self.max_entries = max_entries
         self.stats = SolverCacheStats()
         # Normalization and structural keys are pure functions of interned
         # terms, and the enforcement loop's queries are supersets of earlier
@@ -204,10 +168,6 @@ class SolverCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def component_count(self) -> int:
-        """Number of component-granularity entries currently stored."""
-        return len(self._component_entries)
 
     def core_count(self) -> int:
         """Number of stored canonical UNSAT cores (all fingerprints)."""
@@ -250,79 +210,15 @@ class SolverCache:
             entry = self._entries.get(system.key)
             if entry is None:
                 self.stats.misses += 1
-            else:
-                self.stats.hits += 1
-        return entry
+                return None
+            self.stats.hits += 1
+            return entry[1]
 
     def store(self, system: CanonicalSystem, verdict: CachedVerdict) -> None:
-        """Store the canonical verdict for ``system`` (idempotent).
-
-        When ``max_entries`` is set the cache evicts in FIFO order: entries
-        are idempotent pure functions of their canonical system, so evicting
-        one can only cost a future re-derivation, never correctness.
-        """
+        """Store the canonical verdict for ``system`` (idempotent)."""
         with self._lock:
-            if self._insert(self._entries, self._conjuncts, system.key, system.conjuncts, verdict):
-                self.stats.stores += 1
-
-    def lookup_component(self, system: CanonicalSystem) -> Optional[CachedVerdict]:
-        """Return the stored verdict for one canonical component."""
-        with self._lock:
-            entry = self._component_entries.get(system.key)
-            if entry is None:
-                self.stats.component_misses += 1
-            else:
-                self.stats.component_hits += 1
-            return entry
-
-    def store_component(self, system: CanonicalSystem, verdict: CachedVerdict) -> None:
-        """Store the canonical verdict for one component (idempotent)."""
-        with self._lock:
-            if self._insert(
-                self._component_entries,
-                self._component_conjuncts,
-                system.key,
-                system.conjuncts,
-                verdict,
-            ):
-                self.stats.component_stores += 1
-
-    def _table_for(self, kind: str) -> Tuple[Dict, Dict]:
-        if kind == self.KIND_COMPONENT:
-            return self._component_entries, self._component_conjuncts
-        if kind == self.KIND_QUERY:
-            return self._entries, self._conjuncts
-        raise ValueError(f"unknown cache entry kind {kind!r}")
-
-    def _insert(
-        self,
-        entries: Dict[Tuple, CachedVerdict],
-        conjunct_table: Dict[Tuple, Tuple[Term, ...]],
-        key: Tuple,
-        conjuncts: Tuple[Term, ...],
-        verdict: CachedVerdict,
-    ) -> bool:
-        """Insert under the held lock, evicting FIFO past ``max_entries``.
-
-        The bound applies to each table (whole-query / component)
-        independently.  Returns whether the entry was stored — a
-        non-positive ``max_entries`` means "keep nothing", not "evict
-        forever".
-        """
-        if self.max_entries is not None and key not in entries:
-            if self.max_entries <= 0:
-                return False
-            while len(entries) >= self.max_entries:
-                oldest = next(iter(entries))
-                del entries[oldest]
-                conjunct_table.pop(oldest, None)
-                if entries is self._entries:
-                    self.stats.evictions += 1
-                else:
-                    self.stats.component_evictions += 1
-        entries[key] = verdict
-        conjunct_table[key] = tuple(conjuncts)
-        return True
+            self._entries[system.key] = (system.conjuncts, verdict)
+            self.stats.stores += 1
 
     # ------------------------------------------------------------------
     # Canonical UNSAT cores (kind "core")
@@ -385,35 +281,19 @@ class SolverCache:
         with self._lock:
             self.stats.invalid_hits += 1
 
-    def clear(self) -> None:
-        """Drop all entries and memos (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-            self._conjuncts.clear()
-            self._component_entries.clear()
-            self._component_conjuncts.clear()
-            self._cores.clear()
-            self._norm_memo.clear()
-            self._key_memo.clear()
-
     # ------------------------------------------------------------------
     # Export / merge: the seam the persistent store and the process
     # backend share.  Entries travel as (fingerprint, canonical conjuncts,
-    # verdict) triples tagged with their kind; the key is recomputed from
-    # the receiving side's intern table, so intern ids never leak across
-    # process or run boundaries.
+    # verdict) triples; the key is recomputed from the receiving side's
+    # intern table, so intern ids never leak across process or run
+    # boundaries.
     # ------------------------------------------------------------------
-    def entries_snapshot(
-        self, exclude_keys: Optional[set] = None, kind: str = KIND_QUERY
-    ) -> List[Tuple[Tuple, Tuple[Term, ...], CachedVerdict]]:
+    def entries_snapshot(self) -> List[Tuple[Tuple, Tuple[Term, ...], CachedVerdict]]:
         """Return ``(key, canonical conjuncts, verdict)`` for every entry."""
-        entries, conjunct_table = self._table_for(kind)
         with self._lock:
             return [
-                (key, conjunct_table[key], verdict)
-                for key, verdict in entries.items()
-                if key in conjunct_table
-                and (exclude_keys is None or key not in exclude_keys)
+                (key, conjuncts, verdict)
+                for key, (conjuncts, verdict) in self._entries.items()
             ]
 
     def merge_canonical(
@@ -421,7 +301,6 @@ class SolverCache:
         fingerprint: Tuple,
         conjuncts: Sequence[Term],
         verdict: CachedVerdict,
-        kind: str = KIND_QUERY,
     ) -> Tuple:
         """Adopt one exported entry; returns its key in this cache.
 
@@ -431,11 +310,9 @@ class SolverCache:
         """
         conjuncts = tuple(conjuncts)
         key = (fingerprint, tuple(t._id for t in conjuncts))
-        entries, conjunct_table = self._table_for(kind)
         with self._lock:
-            if key not in entries and self._insert(
-                entries, conjunct_table, key, conjuncts, verdict
-            ):
+            if key not in self._entries:
+                self._entries[key] = (conjuncts, verdict)
                 self.stats.merged += 1
         return key
 
@@ -444,9 +321,8 @@ class SolverCache:
 
         What the process backend ships from workers, as per-unit
         differences, and folds back into the campaign cache via
-        :meth:`add_external_stats`.  ``merged``, ``evictions`` and
-        ``component_evictions`` describe one cache's own table and do not
-        travel.
+        :meth:`add_external_stats`.  ``merged`` describes one cache's own
+        table and does not travel.
         """
         with self._lock:
             return {

@@ -8,10 +8,9 @@ in a small wire format plus its payload.  Loading re-interns every term
 against the current process's table and recomputes the key, so a warm
 start is exact regardless of how either process built its DAG.
 
-Three artifact kinds travel through this codec:
+Two artifact kinds travel through this codec:
 
-* ``query`` / ``component`` — (conjuncts, verdict) pairs, the two cache
-  granularities;
+* ``query`` — (canonical conjuncts, verdict) pairs, one per whole query;
 * ``core`` — canonical UNSAT cores; a warm run answers any query whose
   canonical conjuncts are a superset of a stored core without solving.
 
@@ -46,7 +45,9 @@ from repro.store import ArtifactStore, StoreRecord, content_key
 #: so blasted CNFs persisted by older encoders must cold-start.
 #: v5: blasted CNFs are no longer persisted; stores holding them
 #: cold-start.
-FORMAT_VERSION = 5
+#: v6: connected-component verdicts (tag ``"c"``) are gone; stores
+#: holding them cold-start.
+FORMAT_VERSION = 6
 
 #: Default number of shard files a store spreads its entries over.
 DEFAULT_SHARD_COUNT = 16
@@ -59,14 +60,9 @@ _KIND_BY_VALUE = {kind.value: kind for kind in TermKind}
 #: Errors that mean "this file/entry is unusable", not "crash the run".
 _WIRE_ERRORS = (KeyError, ValueError, TypeError, IndexError, AttributeError)
 
-#: Wire "k" tags <-> cache kinds.  The absent tag means a whole-query
-#: entry (v2 compatibility of the *format*, not the files — v2 stores are
-#: version-mismatched and reload cold).
-_TAG_BY_KIND = {
-    SolverCache.KIND_COMPONENT: "c",
-    SolverCache.KIND_CORE: "u",
-}
-_KIND_BY_TAG = {tag: kind for kind, tag in _TAG_BY_KIND.items()}
+#: Wire "k" tag of a canonical UNSAT core; whole-query entries carry no
+#: tag.
+_CORE_TAG = "u"
 
 
 # ----------------------------------------------------------------------
@@ -129,11 +125,9 @@ def fingerprint_from_wire(obj) -> Tuple:
     )
 
 
-def entry_to_wire(
-    conjuncts: Sequence[Term], verdict: CachedVerdict, kind: str = SolverCache.KIND_QUERY
-) -> dict:
+def entry_to_wire(conjuncts: Sequence[Term], verdict: CachedVerdict) -> dict:
     """Serialize one (canonical conjuncts, verdict) pair."""
-    wire = {
+    return {
         "c": [term_to_wire(c) for c in conjuncts],
         "s": verdict.status,
         "m": (
@@ -144,14 +138,11 @@ def entry_to_wire(
         "r": verdict.reason,
         "t": list(verdict.stages),
     }
-    if kind == SolverCache.KIND_COMPONENT:
-        wire["k"] = "c"
-    return wire
 
 
-def entry_kind(obj: dict) -> str:
-    """The cache table a wire artifact belongs to."""
-    return _KIND_BY_TAG.get(obj.get("k"), SolverCache.KIND_QUERY)
+def is_core_wire(obj: dict) -> bool:
+    """Whether a wire artifact is a canonical UNSAT core."""
+    return obj.get("k") == _CORE_TAG
 
 
 def entry_from_wire(obj: dict) -> Tuple[Tuple[Term, ...], CachedVerdict]:
@@ -177,7 +168,7 @@ def core_to_wire(conjuncts: Sequence[Term]) -> dict:
         (term_to_wire(c) for c in conjuncts),
         key=lambda w: json.dumps(w, separators=(",", ":")),
     )
-    return {"k": "u", "c": wires}
+    return {"k": _CORE_TAG, "c": wires}
 
 
 def core_from_wire(obj: dict) -> Tuple[Term, ...]:
@@ -193,34 +184,26 @@ def export_wire_entries(
 ) -> Tuple[List[dict], List[Tuple]]:
     """Serialize ``cache``'s artifacts (minus ``exclude`` tagged keys).
 
-    All three kinds travel: whole-query entries, component-granularity
-    entries and UNSAT cores.  Returns ``(wire_entries, keys)`` in matching
-    order, where each key is a ``(kind, cache key)`` pair — the same
-    tagging ``exclude`` is matched against — so callers can record which
-    artifacts have been shipped already.
+    Both kinds travel: whole-query entries and UNSAT cores.  Returns
+    ``(wire_entries, keys)`` in matching order, where each key is a
+    ``(kind, cache key)`` pair — the same tagging ``exclude`` is matched
+    against — so callers can record which artifacts have been shipped
+    already.
     """
+    exclude = exclude or set()
     wire: List[dict] = []
     keys: List[Tuple] = []
-    for kind in (SolverCache.KIND_QUERY, SolverCache.KIND_COMPONENT):
-        excluded = (
-            {key for tag, key in exclude if tag == kind} if exclude else None
-        )
-        for key, conjuncts, verdict in cache.entries_snapshot(
-            exclude_keys=excluded, kind=kind
-        ):
-            item = entry_to_wire(conjuncts, verdict, kind=kind)
-            item["f"] = fingerprint_to_wire(key[0])
-            wire.append(item)
-            keys.append((kind, key))
+    for key, conjuncts, verdict in cache.entries_snapshot():
+        if (SolverCache.KIND_QUERY, key) in exclude:
+            continue
+        item = entry_to_wire(conjuncts, verdict)
+        item["f"] = fingerprint_to_wire(key[0])
+        wire.append(item)
+        keys.append((SolverCache.KIND_QUERY, key))
 
-    core_excluded = (
-        {key for tag, key in exclude if tag == SolverCache.KIND_CORE}
-        if exclude
-        else set()
-    )
     for fingerprint, conjuncts in cache.cores_snapshot():
         key = (fingerprint, frozenset(term._id for term in conjuncts))
-        if key in core_excluded:
+        if (SolverCache.KIND_CORE, key) in exclude:
             continue
         item = core_to_wire(conjuncts)
         item["f"] = fingerprint_to_wire(fingerprint)
@@ -238,25 +221,20 @@ def merge_wire_entries(cache: SolverCache, wire_entries: List[dict]) -> List[Tup
     merged: List[Tuple] = []
     for item in wire_entries:
         try:
-            kind = entry_kind(item)
-            if kind == SolverCache.KIND_CORE:
-                fingerprint = fingerprint_from_wire(item["f"])
+            fingerprint = fingerprint_from_wire(item["f"])
+            if is_core_wire(item):
                 conjuncts = core_from_wire(item)
                 cache.add_core(fingerprint, conjuncts, merged=True)
                 merged.append(
-                    (kind, (fingerprint, frozenset(t._id for t in conjuncts)))
-                )
-            else:
-                fingerprint = fingerprint_from_wire(item["f"])
-                conjuncts, verdict = entry_from_wire(item)
-                merged.append(
                     (
-                        kind,
-                        cache.merge_canonical(
-                            fingerprint, conjuncts, verdict, kind=kind
-                        ),
+                        SolverCache.KIND_CORE,
+                        (fingerprint, frozenset(t._id for t in conjuncts)),
                     )
                 )
+            else:
+                conjuncts, verdict = entry_from_wire(item)
+                key = cache.merge_canonical(fingerprint, conjuncts, verdict)
+                merged.append((SolverCache.KIND_QUERY, key))
         except _WIRE_ERRORS:
             continue
     return merged
@@ -300,17 +278,14 @@ class CacheStore:
             if not isinstance(payload, dict):
                 continue
             try:
-                kind = entry_kind(payload)
-                if kind == SolverCache.KIND_CORE:
+                if is_core_wire(payload):
                     if cache.add_core(
                         fingerprint, core_from_wire(payload), merged=True
                     ):
                         merged += 1
                 else:
                     conjuncts, verdict = entry_from_wire(payload)
-                    cache.merge_canonical(
-                        fingerprint, conjuncts, verdict, kind=kind
-                    )
+                    cache.merge_canonical(fingerprint, conjuncts, verdict)
                     merged += 1
             except _WIRE_ERRORS:
                 continue
@@ -320,7 +295,7 @@ class CacheStore:
     def save(self, cache: SolverCache, fingerprint: Tuple) -> int:
         """Merge ``cache``'s artifacts into the store; returns the total stored.
 
-        All three kinds are written.  UNKNOWN verdicts are *not*: an
+        Both kinds are written.  UNKNOWN verdicts are *not*: an
         UNKNOWN only records that this run's budget was exhausted, and
         persisting it would pin the failure across runs whose budgets (or
         solver improvements) could decide the query.
@@ -330,16 +305,12 @@ class CacheStore:
         directory) survive — the union is what the next load sees.
         """
         records: List[StoreRecord] = []
-        for kind in (SolverCache.KIND_QUERY, SolverCache.KIND_COMPONENT):
-            for key, conjuncts, verdict in cache.entries_snapshot(kind=kind):
-                if key[0] != fingerprint:
-                    continue
-                if verdict.status == _UNKNOWN_STATUS:
-                    continue
-                payload = entry_to_wire(conjuncts, verdict, kind=kind)
-                records.append(
-                    StoreRecord(kind, content_key(kind, payload["c"]), payload)
-                )
+        kind = SolverCache.KIND_QUERY
+        for key, conjuncts, verdict in cache.entries_snapshot():
+            if key[0] != fingerprint or verdict.status == _UNKNOWN_STATUS:
+                continue
+            payload = entry_to_wire(conjuncts, verdict)
+            records.append(StoreRecord(kind, content_key(kind, payload["c"]), payload))
         for core_fingerprint, conjuncts in cache.cores_snapshot():
             if core_fingerprint != fingerprint:
                 continue

@@ -19,15 +19,12 @@ Layers 3 and 4 can only return SAT (with a checked model); layer 2 can only
 return UNSAT; layer 5 is complete but is budgeted by a conflict limit so the
 front end degrades to UNKNOWN rather than hanging on adversarial queries.
 
-Two orthogonal mechanisms exploit the structure *within and across*
-queries:
+Two mechanisms exploit the structure *across* queries:
 
-* **Decomposition** (``incremental``): the conjunction is split into
-  independent connected components over the variable-sharing graph
-  (:mod:`repro.smt.decompose`); each component is decided separately —
-  against a component-granularity cache when one is attached — and
-  per-component models compose into the whole-query model (UNSAT in any
-  component is UNSAT overall).
+* **The cache** (:class:`~repro.smt.cache.SolverCache`): queries are
+  canonicalized (alpha-renamed over the hash-consed DAG) and verdicts are
+  shared per whole canonical query, so alpha-equivalent queries from
+  sibling sites and repeated enforcement iterations are decided once.
 * **Sessions** (:class:`SolverSession`, via :meth:`PortfolioSolver.open_session`):
   a push/pop constraint stack for callers that issue long chains of
   near-identical queries (the enforcement loop).  A session keeps one
@@ -39,25 +36,24 @@ queries:
 UNSAT verdicts additionally carry an **UNSAT core**
 (:attr:`SolverResult.unsat_core`, ``enable_unsat_cores``): a subset of
 the query's conjuncts that is already jointly infeasible — precise
-final-conflict cores from a session's assumption-based CDCL, the UNSAT
-component's conjuncts under decomposition, the full conjunction
-otherwise.  The enforcement loop accumulates cores per target site and
-prunes candidate queries subsumed by one (see ``docs/solver.md``).
+final-conflict cores from a session's assumption-based CDCL, the full
+conjunction otherwise.  The enforcement loop accumulates cores per target
+site and prunes candidate queries subsumed by one (see
+``docs/solver.md``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.smt import builder as b
 from repro.smt.bitblast import BitBlaster, BitBlastError
 from repro.smt.cache import CachedVerdict, SolverCache
-from repro.smt.decompose import compose_models, decompose
-from repro.smt.evalmodel import EvaluationError, Model, satisfies
+from repro.smt.evalmodel import Model, satisfies
 from repro.smt.heuristics import try_algebraic_solution
 from repro.smt.interval import Interval, propagate_intervals
 from repro.smt.sampler import ModelSampler, SamplerConfig, split_conjuncts
@@ -87,8 +83,7 @@ class SolverResult:
     #: query's conjuncts whose conjunction is already unsatisfiable, in the
     #: caller's term space.  The core is sound but not necessarily minimal:
     #: a session's assumption-based CDCL yields the final-conflict subset,
-    #: an UNSAT connected component yields that component's conjuncts, and
-    #: the remaining UNSAT layers fall back to the full conjunct list.
+    #: and the remaining UNSAT layers fall back to the full conjunct list.
     #: ``None`` when the status is not UNSAT, when cores are disabled, or
     #: when the verdict came from a cache hit (cores are per-derivation and
     #: are never cached).
@@ -114,10 +109,8 @@ class SolverConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     bitblast_max_conflicts: int = 200_000
     heuristic_max_checks: int = 768
-    #: Decide independent connected components separately (and cache them
-    #: at component granularity when a cache is attached), and let callers
-    #: that hold a :class:`SolverSession` drive the incremental push/pop
-    #: path (the enforcement loop checks this knob;
+    #: Let callers that hold a :class:`SolverSession` drive the
+    #: incremental push/pop path (the enforcement loop checks this knob;
     #: ``repro campaign --no-incremental`` clears it).
     incremental: bool = True
     #: Attach UNSAT cores (:attr:`SolverResult.unsat_core`) to UNSAT
@@ -132,11 +125,11 @@ class SolverConfig:
         Part of every solver-cache key, and the validity stamp of a
         persistent :class:`~repro.smt.cachestore.CacheStore` — results
         computed under different budgets must never be conflated, within a
-        run or across runs.  The incremental knob is included because it
-        steers *which* model a heuristic layer lands on (never the
-        status), and cached models must stay deterministic per
-        configuration.  Primitives only, so it survives a JSON round trip
-        unchanged.
+        run or across runs.  The ``incremental`` knob is left out: it only
+        selects whether a caller drives a session, session-derived verdicts
+        are never stored, and every stored verdict is a pure function of
+        the canonical system either way.  Primitives only, so it survives
+        a JSON round trip unchanged.
         """
         sampler = self.sampler
         return (
@@ -147,7 +140,6 @@ class SolverConfig:
             sampler.seed,
             sampler.boundary_bias,
             sampler.perturbation_attempts,
-            self.incremental,
             self.enable_unsat_cores,
         )
 
@@ -190,55 +182,6 @@ def _translate_core(
         translated.append(original)
     return tuple(dict.fromkeys(translated))
 
-#: Signature of the complete-backend hook: conjuncts -> (status, model).
-BitblastFn = Callable[[Sequence[Term]], Tuple[str, Optional[Model]]]
-
-
-class _TrackedBackend:
-    """Record whether a complete-backend hook produced a *tainted* verdict.
-
-    Stored cache verdicts must be a pure function of the canonical system —
-    that is what makes cached answers schedule- and run-independent.  A
-    verdict derived through a *session's* incremental CDCL is not: the
-    solver retains learned clauses, activities and phases from earlier
-    checks, so the result depends on the session's private (but per-caller
-    deterministic) history.  The store sites wrap the hook and skip caching
-    any verdict whose derivation flowed through tainted state; verdicts
-    decided by the pure layers, answered from the cache, or re-derived by
-    the session's *fresh-solve fallbacks* (width clash, resource limits,
-    budget exhaustion) are pure and remain storable.
-
-    Taint is reported per call by the wrapped hook through its
-    ``last_call_tainted`` attribute (unknown callables are conservatively
-    treated as tainted) and propagates through nested wrappers, so a
-    component-level tainted call also marks the enclosing whole-query
-    wrapper.
-
-    The wrapper also forwards the hook's per-call ``last_call_core`` (the
-    UNSAT-core terms of a session's assumption-based CDCL, in the space of
-    the conjuncts passed to that call), so core extraction survives the
-    cache/decomposition plumbing between the session and the portfolio.
-    """
-
-    __slots__ = ("fn", "used", "last_call_tainted", "last_call_core")
-
-    def __init__(self, fn: BitblastFn) -> None:
-        self.fn = fn
-        self.used = False
-        self.last_call_tainted = False
-        self.last_call_core: Optional[Tuple[Term, ...]] = None
-
-    def __call__(self, conjuncts: Sequence[Term]) -> Tuple[str, Optional[Model]]:
-        result = self.fn(conjuncts)
-        self.last_call_tainted = getattr(self.fn, "last_call_tainted", True)
-        self.last_call_core = getattr(self.fn, "last_call_core", None)
-        self.used = self.used or self.last_call_tainted
-        return result
-
-    @classmethod
-    def wrap(cls, fn: Optional[BitblastFn]) -> Optional["_TrackedBackend"]:
-        return None if fn is None else cls(fn)
-
 
 class PortfolioSolver:
     """Layered QF_BV solver: simplify → intervals → heuristics → sampling → CDCL.
@@ -246,8 +189,7 @@ class PortfolioSolver:
     When a :class:`~repro.smt.cache.SolverCache` is supplied, queries are
     canonicalized (alpha-renamed over the hash-consed DAG) and the portfolio
     decides the canonical representative, so alpha-equivalent queries from
-    sibling sites and repeated enforcement iterations share one verdict —
-    at whole-query granularity first, then per connected component.
+    sibling sites and repeated enforcement iterations share one verdict.
     """
 
     def __init__(
@@ -285,10 +227,10 @@ class PortfolioSolver:
                     conjuncts.extend(split_conjuncts(constraint))
 
                 if self.cache is not None:
-                    return self._check_cached(conjuncts, started, stages)
-                return self._finish(
-                    self._solve_conjuncts(conjuncts, stages), started, stages
-                )
+                    result = self._check_cached(conjuncts, stages)
+                else:
+                    result = self._run_portfolio(conjuncts, stages)
+                return self._finish(result, started, stages)
             finally:
                 # Propagation-loop work attributed to this solve, so trace
                 # reports can rank queries by SAT-core effort, not just wall.
@@ -315,20 +257,20 @@ class PortfolioSolver:
             METRICS.counter("solver.session_checks").inc()
             stages: List[str] = ["simplify"]
             conjuncts = list(session.conjuncts)
+            # A query makes at most one complete-backend call; these report
+            # on it, so nothing may linger from the previous check.
+            session.last_call_tainted = False
+            session.last_call_core = None
 
             try:
                 decided = self._decide_by_simplification(conjuncts)
                 if decided is not None:
                     return self._finish(decided, started, stages)
                 if self.cache is not None:
-                    return self._check_cached(
-                        conjuncts, started, stages, bitblast_fn=session
-                    )
-                return self._finish(
-                    self._solve_conjuncts(conjuncts, stages, session),
-                    started,
-                    stages,
-                )
+                    result = self._check_cached(conjuncts, stages, session)
+                else:
+                    result = self._run_portfolio(conjuncts, stages, session)
+                return self._finish(result, started, stages)
             finally:
                 span.attrs["propagations"] = (
                     METRICS.counter("solver.cdcl_propagations").value - mark
@@ -373,63 +315,32 @@ class PortfolioSolver:
     def _check_cached(
         self,
         conjuncts: List[Term],
-        started: float,
         stages: List[str],
-        bitblast_fn: Optional[BitblastFn] = None,
+        session: Optional["SolverSession"] = None,
     ) -> SolverResult:
         """Answer the query through the shared cache.
-
-        Hit or miss, the verdict is derived from the *canonical
-        representative* of the query, so the answer is a pure function of
-        the canonical system — independent of worker scheduling and of
-        which alpha-variant of the system was solved first.
-        """
-        stages.append("cache")
-        result = self._solve_through_cache(
-            conjuncts,
-            stages,
-            bitblast_fn,
-            lookup=self.cache.lookup,
-            store=self.cache.store,
-            reason="cache",
-            solve=self._solve_conjuncts,
-        )
-        return self._finish(result, started, stages)
-
-    def _solve_through_cache(
-        self,
-        conjuncts: List[Term],
-        stages: List[str],
-        bitblast_fn: Optional[BitblastFn],
-        *,
-        lookup,
-        store,
-        reason: str,
-        solve,
-    ) -> SolverResult:
-        """The cache protocol shared by both granularities.
 
         Canonicalize, look up (verifying any translated SAT model against
         the actual conjuncts — a failure is treated as a miss and
         re-derived), solve the canonical representative on a miss, store
-        the verdict unless the (history-dependent) session backend was
-        actually invoked, and translate the answer back.  ``lookup`` /
-        ``store`` select the whole-query or component table; ``solve``
-        decides the canonical conjuncts (the decomposing pipeline for
-        whole queries, the monolithic portfolio for one component).
+        the verdict unless the session's (history-dependent) incremental
+        CDCL decided it, and translate the answer back.  Hit or miss, the
+        verdict is derived from the *canonical representative* of the
+        query, so the answer is a pure function of the canonical system —
+        independent of worker scheduling and of which alpha-variant of the
+        system was solved first.
         """
-        system = self.cache.canonicalize(conjuncts, self._config_fingerprint())
-        cached = lookup(system)
+        stages.append("cache")
+        system = self.cache.canonicalize(conjuncts, self.config.fingerprint())
+        cached = self.cache.lookup(system)
         if cached is not None:
             if cached.status != SolverStatus.SAT:
                 stages.extend(cached.stages)
-                return SolverResult(cached.status, reason=reason)
+                return SolverResult(cached.status, reason="cache")
             model = system.translate_model(cached.canonical_model)
             if all(satisfies(c, model) for c in conjuncts):
                 stages.extend(cached.stages)
-                return SolverResult(
-                    SolverStatus.SAT, model=model, reason=reason
-                )
+                return SolverResult(SolverStatus.SAT, model=model, reason="cache")
             # A stored model that does not survive translation means the
             # canonicalization missed a distinction; fall through and
             # re-derive (and overwrite) the entry.
@@ -444,7 +355,7 @@ class PortfolioSolver:
             core = self.cache.match_core(system)
             if core is not None:
                 stages.append("core-subsumed")
-                store(
+                self.cache.store(
                     system,
                     CachedVerdict(
                         status=SolverStatus.UNSAT,
@@ -456,14 +367,13 @@ class PortfolioSolver:
                 return SolverResult(
                     SolverStatus.UNSAT,
                     reason="core-subsumed",
-                    unsat_core=_translate_core(
-                        core, system.conjuncts, conjuncts
-                    ),
+                    unsat_core=_translate_core(core, system.conjuncts, conjuncts),
                 )
 
         mark = len(stages)
-        tracked = _TrackedBackend.wrap(bitblast_fn)
-        canonical_result = solve(list(system.conjuncts), stages, tracked)
+        canonical_result = self._run_portfolio(
+            list(system.conjuncts), stages, session
+        )
         if (
             canonical_result.is_unsat
             and canonical_result.unsat_core
@@ -473,8 +383,8 @@ class PortfolioSolver:
             # history-dependent CDCL: the certificate is about the terms,
             # not the search), so record them even for tainted verdicts.
             self.cache.add_core(system.key[0], canonical_result.unsat_core)
-        if tracked is None or not tracked.used:
-            store(
+        if session is None or not session.last_call_tainted:
+            self.cache.store(
                 system,
                 CachedVerdict(
                     status=canonical_result.status,
@@ -483,9 +393,7 @@ class PortfolioSolver:
                     stages=tuple(stages[mark:]),
                 ),
             )
-        result = SolverResult(
-            canonical_result.status, reason=canonical_result.reason
-        )
+        result = SolverResult(canonical_result.status, reason=canonical_result.reason)
         if canonical_result.is_sat:
             result.model = system.translate_model(canonical_result.model)
         elif canonical_result.unsat_core is not None:
@@ -497,104 +405,6 @@ class PortfolioSolver:
             )
         return result
 
-    def _config_fingerprint(self) -> Tuple:
-        """The configuration knobs a cached verdict depends on."""
-        return self.config.fingerprint()
-
-    # ------------------------------------------------------------------
-    # Decomposed solving
-    # ------------------------------------------------------------------
-    def _solve_conjuncts(
-        self,
-        conjuncts: List[Term],
-        stages: List[str],
-        bitblast_fn: Optional[BitblastFn] = None,
-    ) -> SolverResult:
-        """Decide a simplified, split conjunction, decomposing if enabled.
-
-        A single-component conjunction (the common case for enforcement
-        queries, whose branch constraints all share variables with the
-        target constraint) takes exactly the monolithic pipeline; a
-        multi-component one is decided component-by-component and the
-        models composed.  UNSAT in any component is UNSAT overall; an
-        undecided component degrades the whole query to UNKNOWN unless
-        some other component proves UNSAT.
-        """
-        if not self.config.incremental:
-            return self._run_portfolio(conjuncts, stages, bitblast_fn)
-        components = decompose(conjuncts)
-        if len(components) <= 1:
-            return self._solve_component(conjuncts, stages, bitblast_fn)
-
-        stages.append("decompose")
-        models: List[Model] = []
-        unknown: Optional[SolverResult] = None
-        for component in components:
-            component_stages: List[str] = []
-            result = self._solve_component(
-                list(component.conjuncts), component_stages, bitblast_fn
-            )
-            for stage in component_stages:
-                if stage not in stages:
-                    stages.append(stage)
-            if result.is_unsat:
-                # The UNSAT component's core (or, failing that, its whole
-                # conjunct list) is already a core of the whole query.
-                return SolverResult(
-                    SolverStatus.UNSAT,
-                    reason=result.reason,
-                    unsat_core=result.unsat_core or tuple(component.conjuncts),
-                )
-            if not result.is_sat:
-                # Keep scanning: an UNSAT in a later component still decides
-                # the whole query even when this one timed out.
-                unknown = unknown or result
-                continue
-            models.append(result.model)
-        if unknown is not None:
-            return SolverResult(SolverStatus.UNKNOWN, reason=unknown.reason)
-
-        composed = compose_models(models)
-        try:
-            if all(satisfies(c, composed) for c in conjuncts):
-                return SolverResult(
-                    SolverStatus.SAT, model=composed, reason="decompose"
-                )
-        except EvaluationError:
-            pass
-        # Composition can only fail if a component model was partial in a
-        # way the component verification missed; fall back to the
-        # monolithic pipeline rather than guessing.
-        return self._run_portfolio(conjuncts, stages, bitblast_fn)
-
-    def _solve_component(
-        self,
-        conjuncts: List[Term],
-        stages: List[str],
-        bitblast_fn: Optional[BitblastFn] = None,
-    ) -> SolverResult:
-        """Decide one connected component, through the component cache.
-
-        The conjuncts are re-canonicalized even when they arrive already in
-        whole-canonical form: first-application canonicalization is *not* a
-        normal form (the commutative-operand tiebreak compares variable
-        names, which the rename just changed), and the component key
-        convention is the re-canonicalized one — the same convention every
-        embedding of this component in any whole query computes, which is
-        what makes cross-query component sharing line up.
-        """
-        if self.cache is None:
-            return self._run_portfolio(conjuncts, stages, bitblast_fn)
-        return self._solve_through_cache(
-            conjuncts,
-            stages,
-            bitblast_fn,
-            lookup=self.cache.lookup_component,
-            store=self.cache.store_component,
-            reason="component-cache",
-            solve=self._run_portfolio,
-        )
-
     # ------------------------------------------------------------------
     # The layered portfolio
     # ------------------------------------------------------------------
@@ -602,9 +412,12 @@ class PortfolioSolver:
         self,
         conjuncts: List[Term],
         stages: List[str],
-        bitblast_fn: Optional[BitblastFn] = None,
+        session: Optional["SolverSession"] = None,
     ) -> SolverResult:
-        """Layers 2-5 over an already simplified, split conjunction."""
+        """Layers 2-5 over an already simplified, split conjunction.
+
+        With a ``session``, layer 5 runs on its incremental backend.
+        """
         variables = self._collect_variables(conjuncts)
         widths = {str(v.name): v.width for v in variables}
 
@@ -613,8 +426,7 @@ class PortfolioSolver:
         feasible, bounds = propagate_intervals(conjuncts, widths)
         if not feasible:
             # The contractor does not explain which conjuncts emptied the
-            # box; the full (component-granularity) conjunct list is still
-            # a sound core.
+            # box; the full conjunct list is still a sound core.
             return SolverResult(
                 SolverStatus.UNSAT,
                 reason="interval propagation",
@@ -653,18 +465,15 @@ class PortfolioSolver:
         # Layer 5: complete bit-blasting backend.
         if self._blastable(conjuncts):
             stages.append("bitblast")
-            status, model = (bitblast_fn or self._bitblast)(conjuncts)
+            backend = self._bitblast if session is None else session._bitblast
+            status, model = backend(conjuncts)
             if status == SatStatus.SAT and model is not None:
                 restricted = model.restricted_to(widths)
                 return SolverResult(
                     SolverStatus.SAT, model=restricted, reason="bitblast"
                 )
             if status == SatStatus.UNSAT:
-                core = (
-                    getattr(bitblast_fn, "last_call_core", None)
-                    if bitblast_fn is not None
-                    else None
-                )
+                core = None if session is None else session.last_call_core
                 return SolverResult(
                     SolverStatus.UNSAT,
                     reason="bitblast",
@@ -779,8 +588,8 @@ class SolverSession:
     iteration instead of rebuilding (and re-simplifying, re-splitting,
     re-blasting) the whole conjunction list every time.
 
-    The cheap portfolio layers and both cache granularities behave exactly
-    as in :meth:`PortfolioSolver.check`; what is incremental is the
+    The cheap portfolio layers and the cache behave exactly as in
+    :meth:`PortfolioSolver.check`; what is incremental is the
     complete backend: one persistent :class:`BitBlaster` translates only
     the conjuncts it has not seen before (terms are hash-consed, and
     canonicalized prefixes are stable across growing queries), and one
@@ -802,15 +611,19 @@ class SolverSession:
     def __init__(self, solver: PortfolioSolver) -> None:
         self.solver = solver
         self.check_count = 0
-        #: Whether the most recent complete-backend call's verdict depended
-        #: on session state (see :class:`_TrackedBackend`): ``True`` when
-        #: the incremental CDCL decided it, ``False`` when a cheap layer
-        #: or one of the fresh-solve fallbacks did.
+        #: Whether the current check's verdict depends on session state:
+        #: ``True`` when the incremental CDCL decided it, ``False`` when a
+        #: cheap layer or one of the fresh-solve fallbacks (width clash,
+        #: resource limits, budget exhaustion) did.  The CDCL retains
+        #: learned clauses, activities and phases from earlier checks, so
+        #: its verdicts are per-session history, not a pure function of the
+        #: canonical system, and the cached path never stores them.  Reset
+        #: by :meth:`PortfolioSolver._check_session` before each check.
         self.last_call_tainted = False
-        #: UNSAT core of the most recent complete-backend call, as a subset
-        #: of the conjunct terms that call received (``None`` unless the
-        #: incremental CDCL returned UNSAT with cores enabled).  Read by
-        #: the portfolio right after the call, like ``last_call_tainted``.
+        #: UNSAT core of the current check's complete-backend call, as a
+        #: subset of the conjunct terms that call received (``None`` unless
+        #: the incremental CDCL returned UNSAT with cores enabled).  Reset
+        #: and read like ``last_call_tainted``.
         self.last_call_core: Optional[Tuple[Term, ...]] = None
         self._conjuncts: List[Term] = []
         self._frames: List[int] = []
@@ -818,9 +631,9 @@ class SolverSession:
         self._cdcl: Optional[CDCLSolver] = None
         #: name -> width of every bitvector variable the persistent blaster
         #: has seen.  The blaster keys variable bit-vectors by *name*, but
-        #: component-canonical names restart at ``v000`` per component, so
-        #: two components can reuse one name at different widths; such a
-        #: clash must not reach (and corrupt) the shared blaster.
+        #: canonical names restart at ``v000`` per query, so two checks of
+        #: one session can reuse a name at different widths; such a clash
+        #: must not reach (and corrupt) the shared blaster.
         self._var_widths: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -866,22 +679,17 @@ class SolverSession:
         return self.solver._check_session(self)
 
     # ------------------------------------------------------------------
-    def __call__(self, conjuncts: Sequence[Term]) -> Tuple[str, Optional[Model]]:
-        """The session *is* its complete-backend hook (see ``_bitblast``)."""
-        return self._bitblast(conjuncts)
-
     def _bitblast(self, conjuncts: Sequence[Term]) -> Tuple[str, Optional[Model]]:
         """Complete-backend hook: delta-blast + assumption-based CDCL.
 
         When a conjunct reuses a variable *name* the persistent blaster has
-        already allocated at a different width (component-canonical names
-        restart at ``v000`` per component), the call falls back to a fresh
-        one-shot blast: the per-name bit-vectors of the shared blaster
-        cannot represent both widths, and a collision would wrongly degrade
-        a decidable query to UNKNOWN.
+        already allocated at a different width (canonical names restart at
+        ``v000`` per query, so an earlier check may have bound the name at
+        another width), the call falls back to a fresh one-shot blast: the
+        per-name bit-vectors of the shared blaster cannot represent both
+        widths, and a collision would wrongly degrade a decidable query to
+        UNKNOWN.
         """
-        self.last_call_tainted = False
-        self.last_call_core = None
         if self._width_clash(conjuncts):
             return self.solver._bitblast(conjuncts)
         started = time.perf_counter()

@@ -149,8 +149,8 @@ _SYSTEMS = [
 
 
 def _total_entries(cache):
-    """Artifacts across all three kinds (query, component, core)."""
-    return len(cache) + cache.component_count() + cache.core_count()
+    """Artifacts across both kinds (query, core)."""
+    return len(cache) + cache.core_count()
 
 
 class TestCacheStoreRoundTrip:
@@ -165,7 +165,7 @@ class TestCacheStoreRoundTrip:
         loaded = store.load(fresh, fingerprint)
         assert loaded == saved
         assert len(fresh) == len(cache)
-        assert fresh.component_count() == cache.component_count()
+        assert fresh.core_count() == cache.core_count()
         assert fresh.stats.merged == loaded
 
     def test_warm_started_cache_answers_from_cache(self, tmp_path):
@@ -203,7 +203,8 @@ class TestStoreInvalidation:
         other = SolverConfig(heuristic_max_checks=1).fingerprint()
         assert store.load(SolverCache(), other) == 0
 
-    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, FORMAT_VERSION - 1])
+    # 5: the last format holding connected-component ("c") records.
+    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, 4, 5])
     def test_version_mismatch_is_a_cold_start(self, tmp_path, version):
         fingerprint = SolverConfig().fingerprint()
         cache, _ = _warmed_cache(_SYSTEMS[:1])
@@ -256,7 +257,7 @@ class TestWireEntryExchange:
         merged = merge_wire_entries(target, wire)
         assert sorted(map(str, merged)) == sorted(map(str, keys))
         assert len(target) == len(source)
-        assert target.component_count() == source.component_count()
+        assert target.core_count() == source.core_count()
 
     def test_exclude_skips_already_shipped_keys(self):
         source, _ = _warmed_cache(_SYSTEMS)
@@ -323,6 +324,36 @@ class TestCampaignWarmStart:
         assert warm.cache_stats.misses == 0
         assert warm.cache_stats.hits == warm.cache_stats.lookups
         assert warm.classifications() == cold.classifications()
+
+    def test_registry_campaign_saves_one_record_per_verdict_and_core(
+        self, tmp_path, monkeypatch
+    ):
+        """A full-registry save writes whole-query verdicts and cores only:
+        ``len(cache) + core_count()`` records (63 + 20), none tagged as a
+        connected-component entry."""
+        from repro.core.campaign import CampaignConfig, run_campaign
+
+        saved_caches = []
+        original_save = CacheStore.save
+
+        def recording_save(self, cache, fingerprint):
+            saved_caches.append(cache)
+            return original_save(self, cache, fingerprint)
+
+        monkeypatch.setattr(CacheStore, "save", recording_save)
+        result = run_campaign(
+            CampaignConfig(jobs=1, backend="serial", cache_dir=str(tmp_path))
+        )
+        (cache,) = saved_caches
+        assert result.cache_saved == len(cache) + cache.core_count() == 83
+        records = [
+            record
+            for shard in tmp_path.glob("shard-*.json")
+            for record in json.loads(shard.read_text())
+        ]
+        assert len(records) == 83
+        assert {record["k"] for record in records} == {"query", "core"}
+        assert not [r for r in records if r["d"].get("k") == "c"]
 
     def test_no_save_cache_leaves_the_store_untouched(self, tmp_path):
         from repro.core.campaign import CampaignConfig, run_campaign

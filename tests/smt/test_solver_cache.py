@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import builder as b
-from repro.smt.cache import CachedVerdict, SolverCache
+from repro.smt.cache import SolverCache
 from repro.smt.evalmodel import satisfies
 from repro.smt.sampler import SamplerConfig
 from repro.smt.solver import PortfolioSolver, SolverConfig, SolverStatus
@@ -200,7 +200,6 @@ class TestCanonicalization:
 _KNOB_CHANGES = [
     ("solver", "bitblast_max_conflicts", 1),
     ("solver", "heuristic_max_checks", 1),
-    ("solver", "incremental", False),
     ("solver", "enable_unsat_cores", False),
     ("sampler", "random_attempts_per_sample", 1),
     ("sampler", "hill_climb_steps", 1),
@@ -209,10 +208,19 @@ _KNOB_CHANGES = [
     ("sampler", "perturbation_attempts", 1),
 ]
 
+#: Knobs deliberately left out of the fingerprint, in the same shape.
+_FINGERPRINT_EXEMPT = [
+    # Only selects whether a caller drives a SolverSession; verdicts the
+    # session's history-dependent CDCL derives are never stored, so every
+    # stored verdict is the same pure function of the canonical system
+    # with the knob on or off.
+    ("solver", "incremental", False),
+]
+
 
 class TestConfigFingerprint:
     """Cached verdicts are keyed on the configuration fingerprint, so no
-    knob may be left out of it."""
+    knob may be left out of it unless it is listed as exempt."""
 
     @pytest.mark.parametrize("owner, name, value", _KNOB_CHANGES)
     def test_every_knob_changes_the_fingerprint(self, owner, name, value):
@@ -222,10 +230,24 @@ class TestConfigFingerprint:
         setattr(target, name, value)
         assert config.fingerprint() != SolverConfig().fingerprint()
 
+    @pytest.mark.parametrize("owner, name, value", _FINGERPRINT_EXEMPT)
+    def test_exempt_knobs_keep_the_fingerprint(self, owner, name, value):
+        config = SolverConfig()
+        target = config if owner == "solver" else config.sampler
+        assert getattr(target, name) != value
+        setattr(target, name, value)
+        assert config.fingerprint() == SolverConfig().fingerprint()
+
     def test_the_knob_list_names_every_field(self):
-        assert {(owner, name) for owner, name, _ in _KNOB_CHANGES} == {
+        keyed = {(owner, name) for owner, name, _ in _KNOB_CHANGES}
+        exempt = {(owner, name) for owner, name, _ in _FINGERPRINT_EXEMPT}
+        assert not keyed & exempt
+        assert keyed | exempt == {
             ("solver", f.name) for f in fields(SolverConfig) if f.name != "sampler"
         } | {("sampler", f.name) for f in fields(SamplerConfig)}
+
+    def test_fingerprint_has_one_entry_per_keyed_knob(self):
+        assert len(SolverConfig().fingerprint()) == len(_KNOB_CHANGES) == 8
 
 
 class TestCacheStore:
@@ -240,76 +262,6 @@ class TestCacheStore:
         assert cache.stats.hits == 1
         assert cache.stats.stores == 1
         assert cache.stats.hit_rate() == pytest.approx(0.5)
-
-    def test_max_entries_bounds_the_store(self):
-        cache = SolverCache(max_entries=1)
-        solver = PortfolioSolver(cache=cache)
-        x = b.bv_var("x", 32)
-        solver.check([b.ult(x, b.bv_const(10, 32))])
-        solver.check([b.ult(x, b.bv_const(20, 32))])
-        assert len(cache) == 1
-
-    def test_eviction_is_fifo_and_counted(self):
-        """At capacity the *oldest* entry is evicted; newer ones survive."""
-        cache = SolverCache(max_entries=2)
-        solver = PortfolioSolver(cache=cache)
-        x = b.bv_var("x", 32)
-        systems = [
-            [b.ult(x, b.bv_const(bound, 32))] for bound in (10, 20, 30)
-        ]
-        for system in systems:
-            solver.check(system)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
-        assert cache.stats.stores == 3
-        # The first system was evicted: querying it again misses and
-        # re-stores; the third (newest) still hits.
-        hits_before = cache.stats.hits
-        solver.check(systems[2])
-        assert cache.stats.hits == hits_before + 1
-        misses_before = cache.stats.misses
-        solver.check(systems[0])
-        assert cache.stats.misses == misses_before + 1
-
-    def test_evicted_entries_disappear_from_snapshots(self):
-        cache = SolverCache(max_entries=1)
-        solver = PortfolioSolver(cache=cache)
-        x = b.bv_var("x", 32)
-        solver.check([b.ult(x, b.bv_const(10, 32))])
-        solver.check([b.ult(x, b.bv_const(20, 32))])
-        snapshot = cache.entries_snapshot()
-        assert len(snapshot) == 1
-
-    def test_zero_max_entries_stores_nothing_without_crashing(self):
-        """``max_entries=0`` means "keep nothing", not an eviction loop on
-        an empty dict."""
-        cache = SolverCache(max_entries=0)
-        solver = PortfolioSolver(cache=cache)
-        x = b.bv_var("x", 32)
-        result = solver.check([b.ult(x, b.bv_const(10, 32))])
-        assert result.is_sat
-        assert len(cache) == 0
-        assert cache.stats.stores == 0
-        cache.merge_canonical(
-            ("fp",),
-            (b.ult(b.bv_var("v000", 32), b.bv_const(3, 32)),),
-            CachedVerdict(status="unsat", canonical_model=None, reason=""),
-        )
-        assert len(cache) == 0
-        assert cache.stats.merged == 0
-
-    def test_merge_respects_the_entry_bound(self):
-        cache = SolverCache(max_entries=1)
-        for index in range(3):
-            x = b.bv_var("v000", 8)
-            cache.merge_canonical(
-                ("fp",),
-                (b.eq(x, b.bv_const(index, 8)),),
-                CachedVerdict(status="unsat", canonical_model=None, reason=""),
-            )
-        assert len(cache) == 1
-        assert cache.stats.merged == 3
-        assert cache.stats.evictions == 2
 
     def test_unsat_verdicts_are_shared(self):
         """Blocking-check systems over renamed fields share one UNSAT proof.
@@ -391,23 +343,22 @@ class TestCacheStore:
         assert cache.stats.hit_rate() == pytest.approx(10 / 15)
 
     def test_stats_snapshot_round_trips_through_external_stats(self):
-        """A worker's snapshot names the nine counters that travel; the
-        table-local ones (merged, evictions) stay behind."""
+        """A worker's snapshot names the six counters that travel; the
+        table-local one (merged) stays behind."""
         worker = SolverCache()
         for offset, name in enumerate(
-            ("hits", "misses", "stores", "invalid_hits", "component_hits",
-             "component_misses", "component_stores", "core_hits",
-             "core_stores", "merged", "evictions", "component_evictions")
+            ("hits", "misses", "stores", "invalid_hits", "core_hits",
+             "core_stores", "merged")
         ):
             setattr(worker.stats, name, offset + 1)
         snapshot = worker.stats_snapshot()
-        assert len(snapshot) == 9
-        assert not {"merged", "evictions", "component_evictions"} & set(snapshot)
+        assert len(snapshot) == 6
+        assert "merged" not in snapshot
         parent = SolverCache()
         parent.add_external_stats(snapshot)
         for name, value in snapshot.items():
             assert getattr(parent.stats, name) == value
-        assert parent.stats.merged == parent.stats.evictions == 0
+        assert parent.stats.merged == 0
 
     def test_concurrent_queries_are_consistent(self):
         cache = SolverCache()

@@ -3,9 +3,9 @@
 The hard invariant: a session produces the same SAT/UNSAT/UNKNOWN verdicts
 as fresh queries over the same conjunctions — push/pop, learned-clause
 retention and the persistent bit-blaster are transparent to classification.
-Also covers the component-granularity cache layer, the stage provenance of
-cached verdicts, and the UNKNOWN-degradation contract (budget exhaustion
-never crashes and is never persisted).
+Also covers the stage provenance of cached verdicts, cache purity under
+sessions, and the UNKNOWN-degradation contract (budget exhaustion never
+crashes and is never persisted).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs.metrics import METRICS, counter_value
 from repro.smt import builder as b
 from repro.smt.cache import SolverCache
 from repro.smt.cachestore import CacheStore
@@ -187,82 +188,6 @@ class TestSessionParity:
             assert cached.check().status == plain.check().status
 
 
-class TestComponentCache:
-    def test_shared_component_hits_across_different_queries(self):
-        """Two whole queries that differ but share a connected component
-        answer the shared part from the component cache."""
-        cache = SolverCache()
-        solver = PortfolioSolver(cache=cache)
-        x, y, z = (b.bv_var(n, WIDTH) for n in ("x", "y", "z"))
-        shared = b.ult(x, b.bv_const(10, WIDTH))
-        first = solver.check([shared, b.ugt(y, b.bv_const(3, WIDTH))])
-        assert first.is_sat
-        assert cache.stats.component_stores >= 2
-        hits_before = cache.stats.component_hits
-        second = solver.check([shared, b.ult(z, b.bv_const(7, WIDTH))])
-        assert second.is_sat
-        assert cache.stats.component_hits > hits_before
-        # The whole-query cache missed both times (different conjunctions).
-        assert cache.stats.hits == 0
-
-    def test_component_unsat_decides_the_whole_query(self):
-        cache = SolverCache()
-        solver = PortfolioSolver(cache=cache)
-        x, y = b.bv_var("x", WIDTH), b.bv_var("y", WIDTH)
-        contradiction = b.band(
-            b.ult(x, b.bv_const(5, WIDTH)), b.ugt(x, b.bv_const(9, WIDTH))
-        )
-        satisfiable = b.ult(y, b.bv_const(3, WIDTH))
-        assert solver.check([contradiction]).is_unsat
-        result = solver.check([satisfiable, contradiction])
-        assert result.is_unsat
-        # The contradiction component was answered from the cache.
-        assert cache.stats.component_hits >= 1
-
-    def test_alpha_equivalent_sibling_components_share_verdicts(self):
-        """Sibling sites constrain differently named fields with identical
-        structure; their components share one canonical entry."""
-        cache = SolverCache()
-        solver = PortfolioSolver(cache=cache)
-        w, h, p, q = (b.bv_var(n, WIDTH) for n in ("w", "h", "p", "q"))
-        first = solver.check(
-            [b.ult(w, b.bv_const(9, WIDTH)), b.ugt(h, b.bv_const(2, WIDTH))]
-        )
-        hits_before = cache.stats.component_hits
-        second = solver.check(
-            [b.ult(p, b.bv_const(9, WIDTH)), b.ugt(q, b.bv_const(2, WIDTH))]
-        )
-        assert first.status == second.status == SolverStatus.SAT
-        # Alpha-equivalence already unifies the *whole* queries here; the
-        # point is that component entries unified too (no extra stores).
-        assert cache.stats.component_hits >= hits_before
-
-    def test_component_entries_round_trip_through_the_store(self, tmp_path):
-        fingerprint = SolverConfig().fingerprint()
-        cache = SolverCache()
-        solver = PortfolioSolver(cache=cache)
-        x, y = b.bv_var("x", WIDTH), b.bv_var("y", WIDTH)
-        solver.check(
-            [b.ult(x, b.bv_const(10, WIDTH)), b.ugt(y, b.bv_const(3, WIDTH))]
-        )
-        assert cache.component_count() > 0
-        store = CacheStore(str(tmp_path))
-        saved = store.save(cache, fingerprint)
-        assert saved == len(cache) + cache.component_count()
-
-        fresh = SolverCache()
-        store.load(fresh, fingerprint)
-        assert fresh.component_count() == cache.component_count()
-        warm = PortfolioSolver(cache=fresh)
-        hits_before = fresh.stats.component_hits
-        z = b.bv_var("z", WIDTH)
-        result = warm.check(
-            [b.ult(x, b.bv_const(10, WIDTH)), b.ult(z, b.bv_const(5, WIDTH))]
-        )
-        assert result.is_sat
-        assert fresh.stats.component_hits > hits_before
-
-
 class TestStageProvenance:
     def test_cache_hits_report_the_deriving_stages(self):
         """A cached verdict carries the stages that derived it, so hits do
@@ -338,52 +263,68 @@ class TestUnknownDegradation:
         warm = solver.check(self._hard_system("p"))
         assert warm.is_unknown
         assert warm.reason == "cache"
-        assert len(cache) + cache.component_count() > 0
+        assert len(cache) > 0
         # ... but no UNKNOWN verdict reaches the store.
         store = CacheStore(str(tmp_path))
         assert store.save(cache, config.fingerprint()) == 0
         fresh = SolverCache()
         assert store.load(fresh, config.fingerprint()) == 0
-        assert len(fresh) + fresh.component_count() == 0
+        assert len(fresh) == 0
 
 
 class TestSessionBlasterIsolation:
-    def _clashing_components(self, tag=""):
-        """Two independent components whose component-canonical names both
-        start at ``v000`` — at different widths — and which only the
-        complete backend can decide (squares mod 8 are in {0, 1, 4})."""
-        narrow = b.bv_var(f"cw{tag}", 16)
-        wide = b.bv_var(f"cc{tag}", 32)
-        return [
-            b.eq(b.bvand(b.mul(narrow, narrow), b.bv_const(7, 16)), b.bv_const(1, 16)),
-            b.eq(b.bvand(b.mul(wide, wide), b.bv_const(7, 32)), b.bv_const(4, 32)),
-        ]
+    @staticmethod
+    def _square_residue(name, width):
+        """A satisfiable constraint (``x = 7`` squares to 49) that the
+        stress budgets leave to the complete backend at 16 and 32 bits."""
+        x = b.bv_var(name, width)
+        return b.eq(
+            b.bvand(b.mul(x, x), b.bv_const(0xFF, width)), b.bv_const(49, width)
+        )
 
     def test_canonical_width_clash_does_not_degrade_to_unknown(self):
-        """Component-canonical names restart at v000 per component; a name
-        reused at a different width must not corrupt the session's
-        persistent blaster (regression: the clash raised BitBlastError and
-        wrongly returned UNKNOWN where the fresh path proves SAT)."""
-        system = self._clashing_components("a")
-        fresh = PortfolioSolver(
-            _stress_config(incremental=False)
-        ).check(system)
+        """Canonical names restart at ``v000`` per query, so two checks of
+        one session can bind one name at different widths.  The second
+        check must not reach the session's persistent blaster, whose
+        per-name bit-vectors hold one width (regression: the clash raised
+        BitBlastError and wrongly returned UNKNOWN where the fresh path
+        proves SAT)."""
+        narrow = self._square_residue("clash_n", 16)
+        wide = self._square_residue("clash_w", 32)
         solver = PortfolioSolver(_stress_config(), cache=SolverCache())
         session = solver.open_session()
-        session.push(*system)
-        incremental = session.check()
+        session.push(narrow)
+        assert session.check().reason == "bitblast"
+        session.pop()
+        session.push(wide)
+        assert session._var_widths == {"v000": 16}
+        mark = METRICS.snapshot()
+        clashing = session.check()
+        # One complete-backend call, the fresh one: the clash is caught
+        # before the persistent blaster sees the 32-bit ``v000``.
+        assert counter_value(METRICS.delta(mark), "solver.bitblast_calls") == 1
+        fresh = PortfolioSolver(_stress_config(incremental=False)).check([wide])
         assert fresh.status == SolverStatus.SAT
-        assert incremental.status == fresh.status
+        assert clashing.status == fresh.status
+        assert clashing.reason == "bitblast"
+        # The fallback is the pure one-shot backend, so its verdict is
+        # session-independent and may be stored.
+        assert not session.last_call_tainted
 
     def test_width_clash_fallback_keeps_later_checks_working(self):
-        system = self._clashing_components("b")
         solver = PortfolioSolver(_stress_config(), cache=SolverCache())
         session = solver.open_session()
-        session.push(*system)
+        session.push(self._square_residue("keep_n", 16))
         assert session.check().is_sat
-        # The session stays usable after the fallback path ran.
-        session.push(b.ult(b.bv_var("cwb", 16), b.bv_const(0x100, 16)))
-        assert session.check().status in (SolverStatus.SAT, SolverStatus.UNKNOWN)
+        session.pop()
+        session.push(self._square_residue("keep_w", 32))
+        assert session.check().is_sat
+        # The session stays usable after the fallback path ran, and the
+        # name keeps its first-seen width.
+        session.pop()
+        session.push(self._square_residue("keep_m", 16))
+        assert session.check().is_sat
+        assert session._var_widths == {"v000": 16}
 
 
 class TestCachePurityUnderSessions:
@@ -404,10 +345,6 @@ class TestCachePurityUnderSessions:
         assert result.reason == "bitblast"
         for _key, _conjuncts, verdict in cache.entries_snapshot():
             assert "bitblast" not in verdict.stages
-        for _key, _conjuncts, verdict in cache.entries_snapshot(
-            kind=SolverCache.KIND_COMPONENT
-        ):
-            assert "bitblast" not in verdict.stages
         # A second solver sharing the cache must re-derive the query (the
         # session-derived verdict was answered, not shared).
         rederived = PortfolioSolver(_stress_config(), cache=cache).check(
@@ -415,32 +352,6 @@ class TestCachePurityUnderSessions:
         )
         assert rederived.is_sat
         assert rederived.reason == "bitblast"
-
-    def test_component_hit_with_bitblast_provenance_does_not_block_store(self):
-        """Provenance is not taint: a session check answered entirely from
-        pure layers and (fresh-derived) cache entries is itself pure and
-        must be stored, even when a hit component's stored stages mention
-        'bitblast' (regression: the provenance string wrongly marked the
-        derivation session-tainted)."""
-        cache = SolverCache()
-        fresh = PortfolioSolver(_stress_config(), cache=cache)
-        x = b.bv_var("prov_x", WIDTH)
-        y = b.bv_var("prov_y", WIDTH)
-        exact_byte = b.eq(b.bvand(x, b.bv_const(0xFF, WIDTH)), b.bv_const(0x3C, WIDTH))
-        cold = fresh.check([exact_byte])
-        assert cold.reason == "bitblast"  # component stored with that stage
-
-        solver = PortfolioSolver(_stress_config(), cache=cache)
-        session = solver.open_session()
-        session.push(exact_byte)
-        session.push(b.ult(y, b.bv_const(10, WIDTH)))
-        first = session.check()
-        assert first.is_sat
-        # The whole-query verdict was stored: an identical later query hits.
-        again = PortfolioSolver(_stress_config(), cache=cache).check(
-            [exact_byte, b.ult(y, b.bv_const(10, WIDTH))]
-        )
-        assert again.reason == "cache"
 
     def test_fresh_cdcl_verdicts_are_still_cached(self):
         cache = SolverCache()
@@ -452,30 +363,6 @@ class TestCachePurityUnderSessions:
         warm = solver.check(system)
         assert warm.reason == "cache"
         assert "bitblast" in warm.stages_tried
-
-
-class TestComponentKeyConvention:
-    def test_tiebreak_sensitive_components_share_across_embeddings(self):
-        """First-application canonicalization is not a normal form (the
-        commutative tiebreak compares the names the rename just changed),
-        so component keys must come from re-canonicalization everywhere —
-        a standalone query and a multi-component embedding of the same
-        logical component have to land on one shared entry."""
-        cache = SolverCache()
-        solver = PortfolioSolver(cache=cache)
-        x, y, z = (b.bv_var(n, WIDTH) for n in ("tb_x", "tb_y", "tb_z"))
-        # ult(y, x) renames y first, flipping the add's name-tiebreak order
-        # relative to the original x/y names.
-        component = [
-            b.ult(y, x),
-            b.eq(b.add(x, y), b.bv_const(10, WIDTH)),
-        ]
-        standalone = solver.check(component)
-        assert standalone.is_sat
-        hits_before = cache.stats.component_hits
-        embedded = solver.check(component + [b.ult(z, b.bv_const(5, WIDTH))])
-        assert embedded.is_sat
-        assert cache.stats.component_hits > hits_before
 
 
 class TestFallbackPurity:

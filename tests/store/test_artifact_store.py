@@ -39,7 +39,7 @@ class TestContentKey:
         )
 
     def test_kind_namespaces_the_hash(self):
-        assert content_key("query", [1, 2]) != content_key("component", [1, 2])
+        assert content_key("query", [1, 2]) != content_key("core", [1, 2])
 
 
 class TestRoundTrip:
