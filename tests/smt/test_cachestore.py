@@ -195,6 +195,17 @@ class TestCacheStoreRoundTrip:
         assert saved == _total_entries(cache) - 1
 
 
+    def test_saving_the_same_cache_twice_adds_no_records(self, tmp_path):
+        """Records are content-addressed, so merge-on-save of an unchanged
+        cache rewrites the same set instead of appending duplicates."""
+        fingerprint = SolverConfig().fingerprint()
+        cache, _ = _warmed_cache(_SYSTEMS)
+        store = CacheStore(str(tmp_path))
+        first = store.save(cache, fingerprint)
+        assert store.save(cache, fingerprint) == first == _total_entries(cache)
+        assert store.load(SolverCache(), fingerprint) == first
+
+
 class TestStoreInvalidation:
     def test_fingerprint_mismatch_is_a_cold_start(self, tmp_path):
         cache, _ = _warmed_cache(_SYSTEMS[:1])
@@ -266,6 +277,15 @@ class TestWireEntryExchange:
         wire, rest = export_wire_entries(source, exclude=shipped)
         assert len(wire) == _total_entries(source) - 1
         assert not shipped.intersection(rest)
+
+    def test_export_tags_every_key_with_its_kind(self):
+        """Keys come back tagged ``query`` or ``core``, one per artifact."""
+        source, _ = _warmed_cache(_SYSTEMS)
+        _, keys = export_wire_entries(source)
+        kinds = [kind for kind, _key in keys]
+        assert set(kinds) <= {SolverCache.KIND_QUERY, SolverCache.KIND_CORE}
+        assert kinds.count(SolverCache.KIND_QUERY) == len(source)
+        assert kinds.count(SolverCache.KIND_CORE) == source.core_count()
 
     def test_malformed_wire_entries_are_skipped(self):
         target = SolverCache()

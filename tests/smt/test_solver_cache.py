@@ -381,3 +381,132 @@ class TestCacheStore:
         assert statuses == {SolverStatus.SAT}
         models = {tuple(sorted(result.model.as_dict().items())) for result in results}
         assert len(models) == 1
+
+
+class TestCacheTables:
+    """The two tables a cache keeps, checked directly: whole-query
+    verdicts and canonical UNSAT cores."""
+
+    FINGERPRINT = ("table-config",)
+
+    @classmethod
+    def _system(cls, bound, name="tab_x", fingerprint=None):
+        x = b.bv_var(name, WIDTH)
+        return SolverCache().canonicalize(
+            [b.ult(x, b.bv_const(bound, WIDTH))], fingerprint or cls.FINGERPRINT
+        )
+
+    @staticmethod
+    def _verdict(value, reason="test"):
+        from repro.smt.cache import CachedVerdict
+        from repro.smt.evalmodel import Model
+
+        return CachedVerdict(
+            status=SolverStatus.SAT,
+            canonical_model=Model({"v000": value}),
+            reason=reason,
+        )
+
+    def test_stats_report_query_and_core_counters_only(self):
+        stats = SolverCache().stats
+        assert set(stats.as_dict()) == {
+            "hits",
+            "misses",
+            "stores",
+            "invalid_hits",
+            "merged",
+            "hit_rate",
+            "core_hits",
+            "core_stores",
+        }
+        assert stats.lookups == 0
+        assert stats.hit_rate() == 0.0
+
+    def test_storing_twice_keeps_one_entry_with_the_latest_verdict(self):
+        """A re-derivation (after an invalid hit) overwrites in place."""
+        cache = SolverCache()
+        system = self._system(10)
+        cache.store(system, self._verdict(1, reason="first"))
+        cache.store(system, self._verdict(2, reason="second"))
+        assert len(cache) == 1
+        assert cache.stats.stores == 2
+        assert cache.lookup(system).reason == "second"
+
+    def test_merge_keeps_the_first_writer(self):
+        cache = SolverCache()
+        system = self._system(10)
+        cache.store(system, self._verdict(1, reason="local"))
+        key = cache.merge_canonical(
+            self.FINGERPRINT, system.conjuncts, self._verdict(2, reason="merged")
+        )
+        assert key == system.key
+        assert cache.lookup(system).reason == "local"
+        assert cache.stats.merged == 0
+
+        other = self._system(20)
+        cache.merge_canonical(self.FINGERPRINT, other.conjuncts, self._verdict(3))
+        cache.merge_canonical(self.FINGERPRINT, other.conjuncts, self._verdict(4))
+        assert cache.stats.merged == 1
+        assert len(cache) == 2
+        assert cache.lookup(other).canonical_model["v000"] == 3
+
+    def test_add_core_ignores_empty_and_repeated_cores(self):
+        cache = SolverCache()
+        core = self._system(10).conjuncts + self._system(20).conjuncts
+        assert not cache.add_core(self.FINGERPRINT, ())
+        assert cache.add_core(self.FINGERPRINT, core)
+        # A core is a set: the same conjuncts in another order are no news.
+        assert not cache.add_core(self.FINGERPRINT, tuple(reversed(core)))
+        assert cache.core_count() == 1
+        assert cache.stats.core_stores == 1
+        # An adopted core books ``merged``, not ``core_stores``.
+        assert cache.add_core(self.FINGERPRINT, core[:1], merged=True)
+        assert cache.stats.core_stores == 1
+        assert cache.stats.merged == 1
+        assert cache.core_count() == 2
+
+    def test_cores_answer_only_supersets_under_their_own_fingerprint(self):
+        x = b.bv_var("core_x", WIDTH)
+        low = b.ult(x, b.bv_const(5, WIDTH))
+        high = b.ugt(x, b.bv_const(9, WIDTH))
+        extra = b.ne(x, b.bv_const(7, WIDTH))
+        cache = SolverCache()
+        superset = cache.canonicalize([low, high, extra], self.FINGERPRINT)
+        core = cache.canonicalize([low, high], self.FINGERPRINT).conjuncts
+        assert cache.add_core(self.FINGERPRINT, core)
+
+        assert cache.match_core(superset) == core
+        assert cache.stats.core_hits == 1
+        # A subset of the core proves nothing.
+        partial = cache.canonicalize([low, extra], self.FINGERPRINT)
+        assert cache.match_core(partial) is None
+        # The same conjuncts under another solver configuration miss.
+        foreign = cache.canonicalize([low, high, extra], ("other-config",))
+        assert cache.match_core(foreign) is None
+        assert cache.stats.core_hits == 1
+        # Cores are counted across every fingerprint.
+        assert cache.add_core(("other-config",), core)
+        assert cache.core_count() == 2
+
+    def test_invalid_hit_is_counted_and_rederived(self):
+        """A stored model that fails verification against the caller's
+        conjuncts is a miss: the query is re-derived and the entry
+        overwritten, so the next lookup is a valid hit."""
+        cache = SolverCache()
+        solver = PortfolioSolver(cache=cache)
+        x = b.bv_var("bad_x", WIDTH)
+        system = [b.ult(x, b.bv_const(10, WIDTH))]
+        canonical = cache.canonicalize(system, solver.config.fingerprint())
+        cache.store(canonical, self._verdict(200, reason="planted"))
+
+        result = solver.check(system)
+        assert result.is_sat
+        assert result.reason != "cache"
+        _assert_model_satisfies(result.model, system)
+        assert cache.stats.invalid_hits == 1
+        assert len(cache) == 1
+
+        again = solver.check(system)
+        assert again.reason == "cache"
+        _assert_model_satisfies(again.model, system)
+        assert cache.stats.invalid_hits == 1

@@ -4,7 +4,8 @@ The hard invariant: a session produces the same SAT/UNSAT/UNKNOWN verdicts
 as fresh queries over the same conjunctions — push/pop, learned-clause
 retention and the persistent bit-blaster are transparent to classification.
 Also covers the stage provenance of cached verdicts, cache purity under
-sessions, and the UNKNOWN-degradation contract (budget exhaustion never
+sessions, the whole-query cache granularity, the per-check taint and core
+reports, and the UNKNOWN-degradation contract (budget exhaustion never
 crashes and is never persisted).
 """
 
@@ -383,3 +384,151 @@ class TestFallbackPurity:
         warm = PortfolioSolver(config, cache=cache).check([hard])
         assert warm.is_unknown
         assert warm.reason == "cache"
+
+
+class TestQueryCache:
+    """The cache's one granularity is the whole canonical query: alpha
+    variants share an entry, anything else is a new entry."""
+
+    def test_alpha_equivalent_sibling_queries_share_one_entry(self):
+        """Sibling sites constrain differently named fields with identical
+        structure; the second query is answered from the first's entry."""
+        cache = SolverCache()
+        solver = PortfolioSolver(cache=cache)
+        w, h, p, q = (b.bv_var(n, WIDTH) for n in ("sib_w", "sib_h", "sib_p", "sib_q"))
+        first = solver.check(
+            [b.ult(w, b.bv_const(9, WIDTH)), b.ugt(h, b.bv_const(2, WIDTH))]
+        )
+        second = solver.check(
+            [b.ult(p, b.bv_const(9, WIDTH)), b.ugt(q, b.bv_const(2, WIDTH))]
+        )
+        assert first.status == second.status == SolverStatus.SAT
+        assert second.reason == "cache"
+        assert len(cache) == 1
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+
+    def test_a_query_sharing_a_conjunct_is_a_new_entry(self):
+        """No partial reuse: two different conjunctions that share one
+        conjunct each derive and store their own whole-query verdict."""
+        cache = SolverCache()
+        solver = PortfolioSolver(cache=cache)
+        x, y, z = (b.bv_var(n, WIDTH) for n in ("sh_x", "sh_y", "sh_z"))
+        shared = b.ult(x, b.bv_const(10, WIDTH))
+        assert solver.check([shared, b.ugt(y, b.bv_const(3, WIDTH))]).is_sat
+        second = solver.check([shared, b.ult(z, b.bv_const(7, WIDTH))])
+        assert second.is_sat
+        assert second.reason != "cache"
+        assert cache.stats.hits == 0
+        assert cache.stats.misses == cache.stats.stores == len(cache) == 2
+
+    def test_unsat_entry_decides_an_alpha_variant_without_a_core(self):
+        cache = SolverCache()
+        solver = PortfolioSolver(cache=cache)
+        x, y = b.bv_var("un_x", WIDTH), b.bv_var("un_y", WIDTH)
+        assert solver.check(
+            [b.ult(x, b.bv_const(5, WIDTH)), b.ugt(x, b.bv_const(9, WIDTH))]
+        ).is_unsat
+        result = solver.check(
+            [b.ult(y, b.bv_const(5, WIDTH)), b.ugt(y, b.bv_const(9, WIDTH))]
+        )
+        assert result.is_unsat
+        assert result.reason == "cache"
+        assert result.unsat_core is None
+        assert cache.stats.core_hits == 0
+
+    def test_query_entries_round_trip_through_the_store(self, tmp_path):
+        fingerprint = SolverConfig().fingerprint()
+        cache = SolverCache()
+        x, y = b.bv_var("rt_x", WIDTH), b.bv_var("rt_y", WIDTH)
+        cold = PortfolioSolver(cache=cache).check(
+            [b.ult(x, b.bv_const(10, WIDTH)), b.ugt(y, b.bv_const(3, WIDTH))]
+        )
+        assert cold.is_sat
+        store = CacheStore(str(tmp_path))
+        assert store.save(cache, fingerprint) == len(cache) == 1
+
+        fresh = SolverCache()
+        assert store.load(fresh, fingerprint) == 1
+        u, v = b.bv_var("rt_u", WIDTH), b.bv_var("rt_v", WIDTH)
+        warm = PortfolioSolver(cache=fresh).check(
+            [b.ult(u, b.bv_const(10, WIDTH)), b.ugt(v, b.bv_const(3, WIDTH))]
+        )
+        assert warm.is_sat
+        assert warm.reason == "cache"
+        assert (fresh.stats.misses, fresh.stats.hits) == (0, 1)
+
+    def test_hit_with_bitblast_provenance_leaves_the_session_untainted(self):
+        """Provenance is not taint: a session check answered from an entry
+        the fresh path derived by bit-blasting reports that stage, makes
+        no complete-backend call and is not session-dependent."""
+        cache = SolverCache()
+        x = b.bv_var("prov_x", WIDTH)
+        exact_byte = b.eq(
+            b.bvand(x, b.bv_const(0xFF, WIDTH)), b.bv_const(0x3C, WIDTH)
+        )
+        cold = PortfolioSolver(_stress_config(), cache=cache).check([exact_byte])
+        assert cold.reason == "bitblast"
+
+        session = PortfolioSolver(_stress_config(), cache=cache).open_session()
+        session.push(exact_byte)
+        mark = METRICS.snapshot()
+        result = session.check()
+        assert result.is_sat
+        assert result.reason == "cache"
+        assert "bitblast" in result.stages_tried
+        assert counter_value(METRICS.delta(mark), "solver.bitblast_calls") == 0
+        assert not session.last_call_tainted
+
+
+class TestPerCheckReports:
+    """``last_call_tainted`` and ``last_call_core`` describe the current
+    check only: both are reset before each check, whatever decides it."""
+
+    @staticmethod
+    def _unsat_session(cache=None):
+        beta, deltas = _mixing_chain("reports")
+        session = PortfolioSolver(_stress_config(), cache=cache).open_session()
+        session.push(beta)
+        for delta in deltas:
+            session.push(delta)
+        result = session.check()
+        assert result.is_unsat and result.reason == "bitblast"
+        assert session.last_call_tainted
+        assert session.last_call_core
+        return session
+
+    def test_taint_does_not_carry_into_a_cheaply_decided_check(self):
+        cache = SolverCache()
+        session = self._unsat_session(cache)
+        while len(session):
+            session.pop()
+        session.push(b.ult(b.bv_var("cheap_x", WIDTH), b.bv_const(10, WIDTH)))
+        stores = cache.stats.stores
+        result = session.check()
+        assert result.is_sat and result.reason != "bitblast"
+        assert not session.last_call_tainted
+        # The untainted verdict is stored like a fresh one.
+        assert cache.stats.stores == stores + 1
+
+    def test_core_does_not_carry_into_a_sat_check(self):
+        session = self._unsat_session(SolverCache())
+        session.pop()
+        result = session.check()
+        assert result.is_sat
+        assert result.unsat_core is None
+        assert session.last_call_core is None
+
+    def test_simplification_decided_check_clears_both_reports(self):
+        session = self._unsat_session(SolverCache())
+        session.push(b.FALSE)
+        result = session.check()
+        assert result.is_unsat and result.reason == "simplify"
+        assert not session.last_call_tainted
+        assert session.last_call_core is None
+
+    def test_uncached_session_reports_taint_and_a_core(self):
+        """Without a cache the session solves the caller's own conjuncts,
+        so its core is a subset of them as they were pushed."""
+        session = self._unsat_session()
+        assert set(session.last_call_core) <= set(session.conjuncts)
+        assert len(session.last_call_core) < len(session.conjuncts)

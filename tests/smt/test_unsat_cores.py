@@ -159,6 +159,29 @@ class TestSessionCores:
             list(result.unsat_core)
         ).is_unsat
 
+    def test_session_core_is_shared_though_its_verdict_is_not(self):
+        """The incremental CDCL's verdict depends on session history and
+        stays out of the cache, but its core is a certificate about the
+        terms: a sibling solver answers a superset of an alpha-variant
+        of the chain by subsumption."""
+        cache = SolverCache()
+        session = PortfolioSolver(_stress_config(), cache=cache).open_session()
+        for constraint in _contradictory_chain("s"):
+            session.push(constraint)
+        assert session.check().is_unsat
+        assert session.last_call_tainted
+        assert len(cache) == 0
+        assert cache.core_count() == 1
+
+        beta, align, hmask, parity = _contradictory_chain("t")
+        extra = b.ult(b.bv_var("cht", WIDTH), b.bv_const(0x8000, WIDTH))
+        sibling = PortfolioSolver(_stress_config(), cache=cache).check(
+            [beta, align, hmask, parity, extra]
+        )
+        assert sibling.is_unsat
+        assert sibling.reason == "core-subsumed"
+        assert {align, parity} <= set(sibling.unsat_core)
+
     def test_interval_unsat_falls_back_to_the_full_component(self):
         """Interval propagation names no culprit, so its core is the whole
         conjunction — including conjuncts over unrelated variables."""
