@@ -15,7 +15,7 @@ of influencing input-byte offsets, and the concolic interpreter stores an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 
 #: A runtime value paired with its analysis annotation.
@@ -79,8 +79,12 @@ class Memory:
         return f"Memory({len(self.by_address)} blocks)"
 
 
-@dataclass(frozen=True)
-class BranchObservation:
+# The two trace records are named tuples: the generated code builds one per
+# executed branch and allocation (thousands per run), and a tuple is the
+# cheapest immutable record to construct.
+
+
+class BranchObservation(NamedTuple):
     """One element of the branch condition φ: a conditional branch outcome.
 
     Attributes:
@@ -100,8 +104,7 @@ class BranchObservation:
     sequence_index: int
 
 
-@dataclass(frozen=True)
-class AllocationRecord:
+class AllocationRecord(NamedTuple):
     """One dynamic execution of an allocation site.
 
     Attributes:

@@ -5,11 +5,16 @@ iterations re-check growing prefixes of the same system, and sibling target
 sites constrain structurally identical expressions over differently named
 field variables.  This module lets all of them share one answer store.
 
-Canonicalization has two steps:
+Canonicalization has three steps:
 
 1. every conjunct is simplified (the portfolio front end already does this),
    so syntactic noise collapses into the hash-consed term DAG;
-2. variables are renamed to ``v000, v001, ...`` in first-occurrence order
+2. commutative operands are put in a history-independent order; the
+   normalized form and its sort key are stored on the interned term
+   (``Term._normalized`` / ``Term._structural_key``, like
+   ``Term._simplified``), so each distinct term is normalized once per
+   process, whichever cache or campaign asks first;
+3. variables are renamed to ``v000, v001, ...`` in first-occurrence order
    across the ordered conjunct list, so alpha-equivalent systems rebuild the
    *same* interned canonical terms.
 
@@ -158,13 +163,6 @@ class SolverCache:
         self._cores: Dict[Tuple, Dict[frozenset, Tuple[Term, ...]]] = {}
         self._lock = threading.Lock()
         self.stats = SolverCacheStats()
-        # Normalization and structural keys are pure functions of interned
-        # terms, and the enforcement loop's queries are supersets of earlier
-        # ones — persisting these memos makes repeat canonicalization
-        # O(new terms) instead of O(whole system).  Races on the dicts are
-        # benign (idempotent values under the GIL).
-        self._norm_memo: Dict[Term, Term] = {}
-        self._key_memo: Dict[Term, Tuple[str, str]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -185,11 +183,11 @@ class SolverCache:
         systems could walk their variables in different orders and end up
         with different canonical names.  The normalization key is structural
         and uses the original variable names, so it is stable across
-        processes and across intern-table history.
+        processes and across intern-table history.  Both the normal form
+        and the key live on the interned term, so a conjunct any earlier
+        query in this process normalized costs one slot read.
         """
-        normalized = tuple(
-            _normalize(c, self._norm_memo, self._key_memo) for c in conjuncts
-        )
+        normalized = tuple(_normalize(c) for c in conjuncts)
         rename: Dict[str, str] = {}
         for conjunct in normalized:
             _collect_names(conjunct, rename)
@@ -401,9 +399,7 @@ def _flatten_chain(term: Term) -> List[Term]:
     return operands
 
 
-def _structural_key(
-    term: Term, key_memo: Dict[Term, Tuple[str, str]]
-) -> Tuple[str, str]:
+def _structural_key(term: Term) -> Tuple[str, str]:
     """History-independent sort keys used to order commutative operands.
 
     Returns ``(erased, named)``: the primary key erases variable names (so
@@ -412,9 +408,10 @@ def _structural_key(
     between operands that are structurally identical modulo naming.  Two
     systems related by an order-*preserving* renaming therefore normalize
     their operands identically; nothing depends on intern ids or process
-    history.
+    history.  The pair is stored on the term (``Term._structural_key``)
+    and never cleared; two threads computing it store equal strings.
     """
-    cached = key_memo.get(term)
+    cached = term._structural_key
     if cached is not None:
         return cached
     if term.is_const:
@@ -422,19 +419,17 @@ def _structural_key(
     elif term.is_var:
         result = (f"V:{term.width}", str(term.name))
     else:
-        children = [_structural_key(a, key_memo) for a in term.args]
+        children = [_structural_key(a) for a in term.args]
         erased = " ".join(c[0] for c in children)
         named = " ".join(c[1] for c in children)
         params = ",".join(str(p) for p in term.params)
         head = f"({term.kind.value}:{params}:{term.width} "
         result = (head + erased + ")", named)
-    key_memo[term] = result
+    term._structural_key = result
     return result
 
 
-def _normalize(
-    term: Term, memo: Dict[Term, Term], key_memo: Dict[Term, Tuple[str, str]]
-) -> Term:
+def _normalize(term: Term) -> Term:
     """Rebuild ``term`` in a canonical, history-independent shape.
 
     Commutative operands are sorted by structural key, and whole
@@ -443,24 +438,27 @@ def _normalize(
     orders (and reassociates) such chains by intern id, i.e. by process
     creation history, so two alpha-equivalent systems can arrive with
     different tree *shapes*, not just different operand orders.
+
+    The result is stored on the term (``Term._normalized``) and never
+    cleared.  It is built through the locked intern table, so it is always
+    an interned term, and two threads filling the same slot store the same
+    object.
     """
-    cached = memo.get(term)
+    cached = term._normalized
     if cached is not None:
         return cached
     if not term.args:
         result = term
     elif term.kind in _ASSOCIATIVE:
-        operands = [
-            _normalize(operand, memo, key_memo) for operand in _flatten_chain(term)
-        ]
-        operands.sort(key=lambda t: _structural_key(t, key_memo))
+        operands = [_normalize(operand) for operand in _flatten_chain(term)]
+        operands.sort(key=_structural_key)
         result = operands[0]
         for operand in operands[1:]:
             result = Term.make(term.kind, (result, operand), width=term.width)
     else:
-        args = tuple(_normalize(a, memo, key_memo) for a in term.args)
+        args = tuple(_normalize(a) for a in term.args)
         if term.kind in _COMMUTATIVE and len(args) == 2:
-            args = tuple(sorted(args, key=lambda t: _structural_key(t, key_memo)))
+            args = tuple(sorted(args, key=_structural_key))
         result = Term.make(
             term.kind,
             args,
@@ -469,7 +467,7 @@ def _normalize(
             name=term.name,
             params=term.params,
         )
-    memo[term] = result
+    term._normalized = result
     return result
 
 

@@ -20,13 +20,14 @@ model quickly; failure simply defers to the next portfolio layer.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.smt.evalmodel import Model, satisfies
 from repro.smt.interval import Interval, propagate_intervals
 from repro.smt.sampler import split_conjuncts
-from repro.smt.terms import Term, TermKind, mask
+from repro.smt.terms import Term
 
 
 def _variables_of(constraints: Sequence[Term]) -> List[Term]:
@@ -39,23 +40,19 @@ def _variables_of(constraints: Sequence[Term]) -> List[Term]:
 
 
 def extreme_point_models(
-    constraint: Term,
-    variables: Optional[Sequence[Term]] = None,
+    variables: Sequence[Term],
+    bounds: Dict[str, Interval],
     rng: Optional[random.Random] = None,
 ) -> Iterable[Model]:
-    """Yield candidate models built from interval extreme points.
+    """Yield candidate models built from the extreme points of ``bounds``.
 
-    The candidates are the Cartesian "corners" of the propagated intervals
-    (capped combinatorially), plus a few mixed corner/midpoint combinations.
+    ``bounds`` is a propagated interval box (see
+    :func:`~repro.smt.interval.propagate_intervals`).  The candidates are
+    the Cartesian "corners" of its intervals (capped combinatorially), plus
+    a few mixed corner/midpoint combinations.
     """
     rng = rng or random.Random(0)
-    conjuncts = split_conjuncts(constraint)
-    if variables is None:
-        variables = _variables_of(conjuncts)
     widths = {str(v.name): v.width for v in variables}
-    feasible, bounds = propagate_intervals(conjuncts, widths)
-    if not feasible:
-        return
     names = [str(v.name) for v in variables]
 
     def candidates_for(name: str, width: int) -> List[int]:
@@ -84,7 +81,6 @@ def extreme_point_models(
     # Enumerate corners breadth-first but cap the total number of candidates.
     max_candidates = 512
     produced = 0
-    indices = [0] * len(names)
 
     def model_from(choice: List[int]) -> Model:
         model = Model()
@@ -94,8 +90,6 @@ def extreme_point_models(
         return model
 
     # Deterministic sweep over the first few corners.
-    import itertools
-
     for combo in itertools.product(*(range(len(per_variable[n])) for n in names)):
         yield model_from(list(combo))
         produced += 1
@@ -113,43 +107,28 @@ def try_algebraic_solution(
     variables: Optional[Sequence[Term]] = None,
     rng: Optional[random.Random] = None,
     max_checks: int = 768,
+    bounds: Optional[Dict[str, Interval]] = None,
 ) -> Optional[Model]:
-    """Try to find a model of ``constraint`` using extreme-point candidates."""
+    """Try to find a model of ``constraint`` using extreme-point candidates.
+
+    ``bounds`` is the caller's propagated box over ``variables`` (the
+    portfolio passes the one its interval layer already computed).
+    Without it, the box is propagated here over the conjuncts of
+    ``constraint``, and an infeasible box yields ``None``.
+    """
+    if bounds is None:
+        conjuncts = split_conjuncts(constraint)
+        if variables is None:
+            variables = _variables_of(conjuncts)
+        widths = {str(v.name): v.width for v in variables}
+        feasible, bounds = propagate_intervals(conjuncts, widths)
+        if not feasible:
+            return None
     checks = 0
-    for candidate in extreme_point_models(constraint, variables, rng):
+    for candidate in extreme_point_models(variables, bounds, rng):
         if satisfies(constraint, candidate):
             return candidate
         checks += 1
         if checks >= max_checks:
             break
     return None
-
-
-def overflow_witness_hint(expression: Term, width: int) -> Dict[str, int]:
-    """Suggest per-variable values likely to make ``expression`` exceed ``width`` bits.
-
-    Used to seed the sampler: for multiplicative expressions the hint assigns
-    each free variable a value around ``2^(width/k)`` where ``k`` is the
-    number of multiplicative factors, so their product lands just past the
-    wrap-around point.
-    """
-    variables = [v for v in expression.variables() if v.is_bv]
-    if not variables:
-        return {}
-    factor_count = max(1, _count_multiplicative_factors(expression))
-    per_factor_bits = max(1, (width // factor_count) + 1)
-    hint: Dict[str, int] = {}
-    for variable in variables:
-        target = min(mask(variable.width), (1 << per_factor_bits) - 1)
-        hint[str(variable.name)] = target
-    return hint
-
-
-def _count_multiplicative_factors(expression: Term) -> int:
-    if expression.kind is TermKind.MUL:
-        return _count_multiplicative_factors(
-            expression.args[0]
-        ) + _count_multiplicative_factors(expression.args[1])
-    if expression.kind in (TermKind.ZEXT, TermKind.SEXT, TermKind.EXTRACT):
-        return _count_multiplicative_factors(expression.args[0])
-    return 1

@@ -11,7 +11,7 @@ The portfolio runs, in order:
    an empty box is a proof of unsatisfiability, and the contracted box feeds
    the later layers.
 3. **Algebraic heuristics** — extreme-point candidates tuned to the shape of
-   overflow constraints.
+   overflow constraints, drawn from layer 2's box (not propagated again).
 4. **Guided random sampling** — boundary-biased sampling plus hill climbing.
 5. **Bit-blasting + CDCL** — the complete fallback.
 
@@ -442,10 +442,13 @@ class PortfolioSolver:
 
         whole = b.band(*conjuncts) if conjuncts else b.TRUE
 
-        # Layer 3: algebraic extreme-point heuristics.
+        # Layer 3: algebraic extreme-point heuristics over layer 2's box.
         stages.append("heuristics")
         model = try_algebraic_solution(
-            whole, variables, max_checks=self.config.heuristic_max_checks
+            whole,
+            variables,
+            max_checks=self.config.heuristic_max_checks,
+            bounds=bounds,
         )
         if model is not None:
             return SolverResult(SolverStatus.SAT, model=model, reason="heuristics")

@@ -158,6 +158,8 @@ class Term:
         "_id",
         "_vars",
         "_simplified",
+        "_normalized",
+        "_structural_key",
     )
 
     _intern_lock = threading.Lock()
@@ -188,6 +190,11 @@ class Term:
         #: What :func:`repro.smt.simplify.simplify` returns for this term,
         #: filled on first request (the simplifier owns it).
         self._simplified: Optional["Term"] = None
+        #: The solver cache's canonical operand order for this term
+        #: (:func:`repro.smt.cache._normalize`) and its history-independent
+        #: sort key, filled on first request (the cache owns both).
+        self._normalized: Optional["Term"] = None
+        self._structural_key: Optional[Tuple[str, str]] = None
 
     # ------------------------------------------------------------------
     # Interning

@@ -246,3 +246,27 @@ class TestCanonicalizationCount:
         monkeypatch.setattr(SolverCache, "canonicalize", counting)
         result = run_campaign(CampaignConfig(jobs=1, backend="serial"))
         assert len(calls) == result.cache_stats.lookups == 74
+
+    def test_every_portfolio_run_propagates_intervals_once(self, monkeypatch):
+        """The heuristics layer draws its candidates from the interval
+        layer's box instead of propagating again: one propagation per
+        portfolio run (63 on the registry, one per cache miss)."""
+        from repro.smt import heuristics, sampler, solver
+        from repro.smt.interval import propagate_intervals
+
+        runs, propagations = [], []
+        original_run = solver.PortfolioSolver._run_portfolio
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(1)
+            return original_run(self, *args, **kwargs)
+
+        def counting_propagate(*args, **kwargs):
+            propagations.append(1)
+            return propagate_intervals(*args, **kwargs)
+
+        monkeypatch.setattr(solver.PortfolioSolver, "_run_portfolio", counting_run)
+        for module in (solver, heuristics, sampler):
+            monkeypatch.setattr(module, "propagate_intervals", counting_propagate)
+        result = run_campaign(CampaignConfig(jobs=1, backend="serial"))
+        assert len(propagations) == len(runs) == result.cache_stats.misses == 63

@@ -82,6 +82,52 @@ class TestMemcheckMonitor:
         assert len(monitor.errors) == 2
 
 
+class TestTraceRecords:
+    """The branch and allocation records the generated code builds
+    positionally: named, compared field by field, read-only."""
+
+    def test_field_names_follow_positional_order(self):
+        branch = BranchObservation(4, True, "cond", 7)
+        assert (branch.label, branch.taken, branch.condition, branch.sequence_index) == (
+            4, True, "cond", 7
+        )
+        allocation = AllocationRecord(5, "tag", 64, "size", 4096, 9)
+        assert (
+            allocation.site_label,
+            allocation.site_tag,
+            allocation.requested_size,
+            allocation.size_annotation,
+            allocation.address,
+            allocation.sequence_index,
+        ) == (5, "tag", 64, "size", 4096, 9)
+
+    def test_records_compare_field_by_field(self):
+        assert BranchObservation(2, True, None, 1) == BranchObservation(2, True, None, 1)
+        assert BranchObservation(2, True, None, 1) != BranchObservation(2, False, None, 1)
+        assert BranchObservation(2, True, None, 1) != BranchObservation(2, True, None, 3)
+        first = AllocationRecord(5, "a", 100, None, 1000, 1)
+        assert first == AllocationRecord(5, "a", 100, None, 1000, 1)
+        assert first != AllocationRecord(5, "a", 101, None, 1000, 1)
+        assert hash(first) == hash(AllocationRecord(5, "a", 100, None, 1000, 1))
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (BranchObservation(2, True, None, 1), "taken"),
+            (BranchObservation(2, True, None, 1), "condition"),
+            (AllocationRecord(5, "a", 100, None, 1000, 1), "requested_size"),
+            (AllocationRecord(5, "a", 100, None, 1000, 1), "address"),
+        ],
+    )
+    def test_fields_are_read_only(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+    def test_records_take_no_extra_attributes(self):
+        with pytest.raises(AttributeError):
+            BranchObservation(2, True, None, 1).extra = 0
+
+
 class TestExecutionReport:
     def _report(self):
         report = ExecutionReport()

@@ -9,13 +9,19 @@ and regardless of how many queries warmed the cache first.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.smt import builder as b
+from repro.smt import cache as cache_module
 from repro.smt.cache import SolverCache
 from repro.smt.evalmodel import satisfies
 from repro.smt.sampler import SamplerConfig
@@ -192,6 +198,127 @@ class TestCanonicalization:
 
         translated = system.translate_model(Model({"v000": 1, "v001": 2}))
         assert translated.as_dict() == {"p": 1, "q": 2}
+
+
+class TestCanonicalFormOnTheTerm:
+    """The normal form and structural key live on the interned term, so a
+    second cache (a later campaign in the same process) reuses them."""
+
+    @staticmethod
+    def _system():
+        x, y, z = (b.bv_var(name, 16) for name in ("slot_x", "slot_y", "slot_z"))
+        return [
+            b.ugt(b.mul(b.add(z, y), b.add(y, x)), b.bv_const(9000, 16)),
+            b.eq(b.bvxor(b.bvand(x, z), y), b.bv_const(5, 16)),
+            b.ult(b.add(b.add(x, b.bv_const(3, 16)), z), b.bv_const(700, 16)),
+        ]
+
+    def test_a_fresh_cache_normalizes_seen_terms_without_building_any(
+        self, monkeypatch
+    ):
+        system = self._system()
+        first = SolverCache().canonicalize(system, fingerprint=())
+        assert all(term._normalized is not None for term in system)
+
+        built = []
+        make = Term.make.__func__
+
+        def counting_make(cls, *args, **kwargs):
+            built.append(args)
+            return make(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Term, "make", classmethod(counting_make))
+        normalized = [cache_module._normalize(term) for term in system]
+        assert built == []
+        assert normalized == [term._normalized for term in system]
+        monkeypatch.undo()
+
+        next_id = Term._next_id
+        second = SolverCache().canonicalize(system, fingerprint=())
+        assert Term._next_id == next_id
+        assert second.key == first.key
+        assert second.conjuncts == first.conjuncts
+
+    def test_threads_racing_on_the_slots_agree(self):
+        """Eight threads (more than cores), each with its own cache,
+        normalize the same unseen terms at once: every thread gets the same
+        key, and each filled slot holds the interned copy of its form."""
+        names = [f"race_{index}" for index in range(6)]
+        variables = [b.bv_var(name, 16) for name in names]
+        system = [
+            b.ugt(b.mul(b.add(a, c), b.bvor(c, a)), b.bv_const(4000, 16))
+            for a, c in zip(variables, reversed(variables))
+        ]
+        keys, errors = [], []
+        barrier = threading.Barrier(8)
+
+        def worker():
+            try:
+                barrier.wait(timeout=30)
+                keys.append(SolverCache().canonicalize(system, fingerprint=()).key)
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(keys) == 8 and len(set(keys)) == 1
+        filled = [t for c in system for t in c.subterms() if t._normalized is not None]
+        assert len(filled) > len(system)
+        for term in filled:
+            form = term._normalized
+            assert form is Term.make(
+                form.kind, form.args, form.width, form.value, form.name, form.params
+            )
+
+    def test_the_cache_keeps_no_normalization_memo_of_its_own(self):
+        assert set(vars(SolverCache())) == {"_entries", "_cores", "_lock", "stats"}
+
+    def test_keys_and_store_records_repeat_under_any_hash_seed(self, tmp_path):
+        """Canonical keys (intern ids in creation order) and the store
+        records a cache saves are the same in every fresh interpreter."""
+        src_dir = str(Path(repro.__file__).resolve().parent.parent)
+        script = (
+            f"import sys; sys.path.insert(0, {src_dir!r})\n"
+            "import os\n"
+            "from repro.smt import builder as b\n"
+            "from repro.smt.cache import SolverCache\n"
+            "from repro.smt.cachestore import CacheStore\n"
+            "from repro.smt.solver import PortfolioSolver\n"
+            "cache = SolverCache(); solver = PortfolioSolver(cache=cache)\n"
+            "fp = solver.config.fingerprint()\n"
+            "for names in (('w', 'h', 'd'), ('d', 'w', 'h'), ('h', 'd', 'w')):\n"
+            "    w, h, d = (b.bv_var(n, 32) for n in names)\n"
+            "    size = b.mul(b.zext(b.add(d, w), 64), b.zext(b.mul(h, w), 64))\n"
+            "    system = [b.ugt(size, b.bv_const(0xFFFFFFFF, 64)),\n"
+            "              b.ult(w, b.bv_const(70000, 32)), b.ne(b.bvand(h, d), 0)]\n"
+            "    print(cache.canonicalize(system, fp).key[1], solver.check(system).status)\n"
+            "target = sys.argv[1]\n"
+            "print(CacheStore(target).save(cache, fp))\n"
+            "for name in sorted(os.listdir(target)):\n"
+            "    print(name, open(os.path.join(target, name)).read())\n"
+        )
+
+        def run(seed: str) -> str:
+            completed = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / seed)],
+                capture_output=True, text=True, timeout=120, check=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+            )
+            return completed.stdout
+
+        first = run("0")
+        assert '"k":"query"' in first
+        assert run("7") == first
 
 
 #: ``(owner, field, non-default value)`` for every configuration knob;

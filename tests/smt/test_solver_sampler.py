@@ -10,7 +10,7 @@ import pytest
 import repro
 from repro.smt import builder as b
 from repro.smt.evalmodel import evaluate, satisfies
-from repro.smt.heuristics import overflow_witness_hint, try_algebraic_solution
+from repro.smt.heuristics import try_algebraic_solution
 from repro.smt.sampler import ModelSampler, SamplerConfig, split_conjuncts
 from repro.smt.solver import PortfolioSolver, SolverConfig, SolverStatus
 
@@ -175,13 +175,6 @@ class TestHeuristics:
         x = b.bv_var("x", 32)
         constraint = b.band(b.ult(x, 5), b.ugt(x, 10))
         assert try_algebraic_solution(constraint) is None
-
-    def test_overflow_witness_hint_targets_large_values(self):
-        w = b.bv_var("w", 32)
-        h = b.bv_var("h", 32)
-        hint = overflow_witness_hint(b.mul(w, h), 32)
-        assert hint["w"] >= 1 << 16
-        assert hint["h"] >= 1 << 16
 
 
 def _output_under_hash_seed(body: str, seed: str) -> str:
