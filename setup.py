@@ -1,12 +1,35 @@
-"""Setuptools shim.
+"""Setuptools metadata for the ``repro`` package.
 
-The execution environment has no ``wheel`` package, so PEP 517 editable
-installs (``pip install -e .``) cannot build a wheel.  This ``setup.py``
-allows the legacy editable path (``pip install -e . --no-use-pep517`` or
-``python setup.py develop``) to work offline.  All project metadata lives in
-``pyproject.toml``.
+All project metadata lives here: the package name, the version (read from
+``__version__`` in ``src/repro/__init__.py``, its single source) and the
+``src/`` layout.  The execution environment has no ``wheel`` package, so
+PEP 517 editable installs (``pip install -e .``) cannot build a wheel;
+the legacy editable path (``pip install -e . --no-use-pep517`` or
+``python setup.py develop``) works offline.  ``python setup.py --name
+--version`` prints the metadata without importing the package.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+
+def package_version() -> str:
+    """``repro.__version__``, read from source so setup imports nothing."""
+    source = (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(
+        encoding="utf-8"
+    )
+    match = re.search(r'^__version__ = "([^"]+)"', source, re.MULTILINE)
+    if match is None:
+        raise RuntimeError("no __version__ in src/repro/__init__.py")
+    return match.group(1)
+
+
+setup(
+    name="repro",
+    version=package_version(),
+    package_dir={"": "src"},
+    packages=find_packages(where="src"),
+    python_requires=">=3.10",
+)

@@ -12,10 +12,13 @@ The modules in this package implement the Figure-1 pipeline:
 * :mod:`repro.core.detection` — error detection with seed-run filtering.
 * :mod:`repro.core.enforcement` — the goal-directed conditional branch
   enforcement algorithm (Figure 7).
+* :mod:`repro.core.group` — seed-path groups: sites sharing relevant bytes,
+  and the concolic run, branch constraints and candidate witness runs
+  they share.
 * :mod:`repro.core.engine` — the :class:`~repro.core.engine.Diode` front end
-  and the pure per-site unit :func:`~repro.core.engine.analyze_site`.
+  and the per-site analysis :func:`~repro.core.engine.analyze_site`.
 * :mod:`repro.core.campaign` — the parallel analysis campaign engine:
-  every ⟨application, site⟩ unit scheduled over a pluggable execution
+  every seed-path group scheduled as one unit over a pluggable execution
   backend (:mod:`repro.sched`: serial / thread / process), backed by a
   shared solver-result cache with optional cross-run persistence
   (:mod:`repro.smt.cachestore`).

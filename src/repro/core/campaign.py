@@ -1,12 +1,13 @@
 """The parallel analysis campaign engine.
 
 ``Diode.analyze`` walks one application's target sites strictly serially.
-A *campaign* instead treats every ⟨application, target site⟩ pair in the
-registry as one independent unit of work and hands the unit list to a
-pluggable execution backend (:mod:`repro.sched`): ``serial`` (the
-deterministic reference schedule), ``thread`` (a work queue sharing one
-in-process cache) or ``process`` (real CPU parallelism over a process
-pool, with per-worker caches merged back into the parent).  Every unit's
+A *campaign* instead treats every seed-path group — the sites of one
+application that share relevant input bytes — as one independent unit
+of work and hands the unit list to a pluggable execution backend
+(:mod:`repro.sched`): ``serial`` (the deterministic reference
+schedule), ``thread`` (a work queue sharing one in-process cache) or
+``process`` (real CPU parallelism over a process pool, with per-worker
+caches merged back into the parent).  Every unit's
 solver is backed by a shared :class:`~repro.smt.cache.SolverCache`, and
 every term keeps its simplified form, so enforcement iterations and
 sibling sites stop re-deriving work.  Units solve incrementally by default
@@ -40,18 +41,23 @@ Structure of a run:
    one :class:`FieldMapper` instead of one per site;
 2. identify target sites per application (the taint stage, timed as the
    paper's analysis phase);
-3. hand one :class:`~repro.sched.base.CampaignUnit` per site to the
-   resolved backend, which schedules
-   :func:`repro.core.engine.analyze_site` calls over its workers;
+3. group each application's sites still to analyze (after ``skip_known``)
+   by relevant bytes and hand one :class:`~repro.sched.base.CampaignUnit`
+   per seed-path group to the resolved backend, which schedules the
+   groups over its workers; a group's sites run
+   :func:`repro.core.engine.analyze_site` one after another, sharing one
+   concolic run, one set of branch constraints and one witness run per
+   distinct enforcement candidate (:mod:`repro.core.group`);
 4. reassemble per-application :class:`ApplicationResult` records in registry
    order and aggregate the Table-1 / Table-2 report.
 
 Determinism: units are pure (see :func:`~repro.core.engine.analyze_site`)
 and results are slotted by (application, site) index, so the report is
-identical for any backend and worker count.  The shared cache preserves
-this because a cached verdict is always derived from the query's canonical
-representative — a pure function of the query, not of scheduling order or
-of which run originally derived it.
+identical for any backend and worker count; a group's shared work is
+scoped to its task, so the unit-side run counts are too.  The shared
+cache preserves this because a cached verdict is always derived from the
+query's canonical representative — a pure function of the query, not of
+scheduling order or of which run originally derived it.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.registry import application_names, build_applications
 from repro.core.engine import DiodeConfig
+from repro.core.group import seed_path_groups
 from repro.core.report import (
     ApplicationResult,
     OverflowBugReport,
@@ -175,6 +182,7 @@ class CampaignResult:
     wall_seconds: float
     jobs: int
     cache_enabled: bool
+    #: Sites analyzed by the backend (corpus-replayed sites excluded).
     unit_count: int
     cache_stats: Optional[SolverCacheStats] = None
     backend: str = "thread"
@@ -304,16 +312,18 @@ class CampaignEngine:
         adopted: Dict["Slot", "WitnessRecord"] = {}
         if self.config.skip_known and corpus_records:
             skipped, adopted = self._skip_known_sites(contexts, corpus_records)
+        # One unit per seed-path group of the sites still to analyze.
         units = [
-            CampaignUnit(
-                app_index=context.index,
-                site_index=site_index,
-                application_name=context.application.name,
-                site_name=site.name,
-            )
+            CampaignUnit.for_sites(context, indices)
             for context in contexts
-            for site_index, site in enumerate(context.sites)
-            if (context.index, site_index) not in skipped
+            for indices in seed_path_groups(
+                context.sites,
+                [
+                    index
+                    for index in range(len(context.sites))
+                    if (context.index, index) not in skipped
+                ],
+            )
         ]
         request = UnitRunRequest(
             contexts=contexts,
@@ -327,12 +337,13 @@ class CampaignEngine:
             trace_dir=self.config.trace_dir,
         )
         for unit in units:
-            TRACER.event(
-                "unit.queued",
-                application=unit.application_name,
-                site=unit.site_name,
-                backend=backend_name,
-            )
+            for site_name in unit.site_names:
+                TRACER.event(
+                    "unit.queued",
+                    application=unit.application_name,
+                    site=site_name,
+                    backend=backend_name,
+                )
         site_results = get_backend(backend_name).run_units(request)
         site_results.update(skipped)
 
@@ -367,7 +378,7 @@ class CampaignEngine:
             wall_seconds=time.perf_counter() - started,
             jobs=jobs,
             cache_enabled=self.config.use_cache,
-            unit_count=len(units),
+            unit_count=sum(len(unit.site_indices) for unit in units),
             cache_stats=cache.stats if cache is not None else None,
             backend=backend_name,
             cache_loaded=loaded,

@@ -16,7 +16,7 @@ Errors already present in the seed run are filtered out (the paper filters
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.exec.overflow_witness import OverflowWitnessInterpreter, OverflowWitnessReport
 from repro.exec.trace import ExecutionOutcome, MemoryError
@@ -81,9 +81,24 @@ class ErrorDetector:
         return self._seed_report.site_overflowed(site_label)
 
     # ------------------------------------------------------------------
-    def evaluate(self, candidate: bytes, site_label: int) -> CandidateEvaluation:
-        """Run ``candidate`` and report its effect on the target site."""
-        report = OverflowWitnessInterpreter(self.program).run_witness(candidate)
+    def evaluate(
+        self,
+        candidate: bytes,
+        site_label: int,
+        memo: Optional[Dict[bytes, OverflowWitnessReport]] = None,
+    ) -> CandidateEvaluation:
+        """Run ``candidate`` and report its effect on the target site.
+
+        A witness run does not depend on the site it is checked at, so a
+        caller screening many candidates for sites of one seed-path group
+        passes ``memo`` (candidate bytes -> report): a candidate already
+        in it is evaluated without running again.
+        """
+        report = memo.get(candidate) if memo is not None else None
+        if report is None:
+            report = OverflowWitnessInterpreter(self.program).run_witness(candidate)
+            if memo is not None:
+                memo[candidate] = report
         execution = report.execution
         site_records = execution.allocations_at(site_label)
         new_errors = [

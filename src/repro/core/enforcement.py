@@ -58,12 +58,11 @@ from typing import AbstractSet, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.branches import (
     BranchConstraint,
-    compress_branches,
-    extract_branch_constraints,
     first_unsatisfied,
     relevant_branches,
 )
 from repro.core.detection import CandidateEvaluation, ErrorDetector
+from repro.core.group import SeedPathGroup
 from repro.core.inputs import GeneratedInput, InputGenerator
 from repro.core.overflow import OverflowSpec, overflow_constraint
 from repro.core.target import TargetObservation
@@ -152,7 +151,10 @@ class GoalDirectedEnforcer:
     """Run the goal-directed conditional branch enforcement algorithm.
 
     One enforcer serves one target site (``analyze_site`` constructs one
-    per site) and owns two pieces of cross-observation state:
+    per site).  It reads the site's seed-path ``group`` for the work the
+    group's sites share — compressed branch constraints and the witness
+    run of each distinct candidate (a private group when none is given) —
+    and owns two pieces of cross-observation state:
 
     * a reusable :class:`~repro.smt.solver.SolverSession` (with
       ``incremental``), popped back to an empty stack between
@@ -172,11 +174,13 @@ class GoalDirectedEnforcer:
         input_generator: InputGenerator,
         detector: ErrorDetector,
         config: Optional[EnforcementConfig] = None,
+        group: Optional[SeedPathGroup] = None,
     ) -> None:
         self.solver = solver
         self.input_generator = input_generator
         self.detector = detector
         self.config = config or EnforcementConfig()
+        self.group = group if group is not None else SeedPathGroup(())
         self._session: Optional[SolverSession] = None
         self._cores: List[FrozenSet[Term]] = []
 
@@ -235,7 +239,9 @@ class GoalDirectedEnforcer:
 
         candidate = self.input_generator.generate(solver_result.model)
         with TRACER.span("screen", site=site_label, iteration=0):
-            evaluation = self.detector.evaluate(candidate.data, site_label)
+            evaluation = self.detector.evaluate(
+                candidate.data, site_label, self.group.witness_reports
+            )
         result.steps.append(
             EnforcementStep(
                 iteration=0,
@@ -250,8 +256,7 @@ class GoalDirectedEnforcer:
             return self._succeed(result, candidate, evaluation, started)
 
         # Step 2: prepare the relevant compressed seed-path constraints.
-        all_constraints = extract_branch_constraints(observation.seed_path)
-        compressed = compress_branches(all_constraints)
+        compressed = self.group.branch_constraints(observation.seed_path)
         if self.config.filter_relevant:
             relevant = relevant_branches(compressed, beta)
         else:
@@ -301,7 +306,9 @@ class GoalDirectedEnforcer:
 
             candidate = self.input_generator.generate(solver_result.model)
             with TRACER.span("screen", site=site_label, iteration=iteration):
-                evaluation = self.detector.evaluate(candidate.data, site_label)
+                evaluation = self.detector.evaluate(
+                    candidate.data, site_label, self.group.witness_reports
+                )
             result.steps.append(
                 EnforcementStep(
                     iteration=iteration,

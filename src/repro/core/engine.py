@@ -5,7 +5,8 @@ its seed input:
 
 1. target site identification (taint stage),
 2. per-site target expression and branch constraint extraction (concolic
-   stage restricted to the site's relevant bytes),
+   stage restricted to the site's relevant bytes, run once per seed-path
+   group of sites sharing those bytes),
 3. target constraint construction and solution,
 4. goal-directed conditional branch enforcement,
 5. error detection and bug-report generation,
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, Optional
 
 from repro.apps.appbase import Application
 from repro.core.detection import ErrorDetector
@@ -29,6 +30,7 @@ from repro.core.enforcement import (
     GoalDirectedEnforcer,
 )
 from repro.core.fieldmap import FieldMapper
+from repro.core.group import SeedPathGroup, seed_path_groups
 from repro.core.inputs import InputGenerator
 from repro.core.report import (
     ApplicationResult,
@@ -38,7 +40,6 @@ from repro.core.report import (
     classification_from_enforcement,
 )
 from repro.core.sites import TargetSite, identify_target_sites
-from repro.core.target import TargetObservation, extract_target_observations
 from repro.obs.trace import TRACER
 from repro.smt.cache import SolverCache
 from repro.smt.solver import PortfolioSolver, SolverConfig
@@ -75,16 +76,26 @@ def analyze_site(
     solver_cache: Optional[SolverCache] = None,
     detector: Optional[ErrorDetector] = None,
     field_mapper: Optional[FieldMapper] = None,
+    group: Optional[SeedPathGroup] = None,
 ) -> SiteResult:
     """Run extraction + enforcement for one target site.
 
-    This is a pure, independently schedulable unit of work: it reads only
-    its arguments, shares no mutable state with other sites (the optional
-    ``solver_cache`` is thread-safe and idempotent, and a shared
-    ``detector`` is immutable after construction), and is deterministic for
-    a given application/site/config.  The campaign engine fans these calls
-    out across an execution backend's workers — threads or whole processes
-    (:mod:`repro.sched`); :class:`Diode` runs them serially.
+    ``group`` is the site's seed-path group (:mod:`repro.core.group`): the
+    sites of the application with the same relevant bytes, whose concolic
+    run, branch constraints and candidate witness runs are done once for
+    all of them.  The first site of a group to get here runs the concolic
+    stage, inside its own ``concolic`` span and discovery time; the others
+    read its result.  Without a group the site forms its own.
+
+    Apart from its group, the call reads only its arguments and shares no
+    mutable state with other sites (the optional ``solver_cache`` is
+    thread-safe and idempotent, and a shared ``detector`` is immutable
+    after construction), and is deterministic for a given
+    application/site/config: a group's shared work is a pure function of
+    the application and the relevant bytes.  The campaign engine runs
+    each group as one task on an execution backend's workers — threads or
+    whole processes (:mod:`repro.sched`); :class:`Diode` runs them
+    serially.
 
     Solving is incremental by default: the enforcer drives a
     :class:`~repro.smt.solver.SolverSession` per site (constraint deltas
@@ -100,21 +111,21 @@ def analyze_site(
     program = application.program
     seed = application.seed_input
     mapper = field_mapper or FieldMapper(application.format_spec)
+    if group is None:
+        group = SeedPathGroup([site])
 
     with TRACER.span("concolic", site=site.name):
-        observations = extract_target_observations(
-            program,
-            seed,
-            site,
-            field_mapper=mapper,
-            max_observations=config.max_observations_per_site,
+        observations = group.observations(
+            site, program, seed, mapper, config.max_observations_per_site
         )
 
     solver = PortfolioSolver(config.solver, cache=solver_cache)
     generator = InputGenerator(seed, application.format_spec)
     if detector is None:
         detector = ErrorDetector(program, seed)
-    enforcer = GoalDirectedEnforcer(solver, generator, detector, config.enforcement)
+    enforcer = GoalDirectedEnforcer(
+        solver, generator, detector, config.enforcement, group=group
+    )
 
     best: Optional[EnforcementResult] = None
     for observation in observations:
@@ -189,7 +200,11 @@ class Diode:
     # Whole-application analysis
     # ------------------------------------------------------------------
     def analyze(self, application: Application) -> ApplicationResult:
-        """Run the full pipeline on one application model."""
+        """Run the full pipeline on one application model.
+
+        Sites run one seed-path group at a time, sharing one error detector
+        and field mapper across the application; results keep site order.
+        """
         started = time.perf_counter()
         program = application.program
         seed = application.seed_input
@@ -197,13 +212,28 @@ class Diode:
         sites = identify_target_sites(program, seed)
         analysis_seconds = time.perf_counter() - started
 
+        detector = ErrorDetector(program, seed)
+        mapper = FieldMapper(application.format_spec)
+        site_results: Dict[int, SiteResult] = {}
+        for indices in seed_path_groups(sites):
+            group = SeedPathGroup([sites[index] for index in indices])
+            for index in indices:
+                site_results[index] = analyze_site(
+                    application,
+                    sites[index],
+                    self.config,
+                    solver_cache=self.solver_cache,
+                    detector=detector,
+                    field_mapper=mapper,
+                    group=group,
+                )
+
         result = ApplicationResult(
             application=application.name,
             seed_input=seed,
             analysis_seconds=analysis_seconds,
         )
-        for site in sites:
-            result.site_results.append(self.analyze_site(application, site))
+        result.site_results.extend(site_results[index] for index in range(len(sites)))
         return result
 
     # ------------------------------------------------------------------

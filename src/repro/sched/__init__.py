@@ -1,11 +1,15 @@
 """Pluggable execution backends for the campaign engine.
 
-The campaign engine treats every ⟨application, target site⟩ pair as one
-independent unit of work; this package owns *how* those units are executed.
-Each strategy is a :class:`~repro.sched.base.Backend`:
+The campaign engine's unit of work is a seed-path group: the sites of one
+application that share relevant input bytes, run one after another in one
+task so they share one concolic run, one set of branch constraints and one
+witness run per distinct enforcement candidate (:mod:`repro.core.group`).
+This package owns *how* those units are executed; results come back per
+⟨application, site⟩ slot.  Each strategy is a
+:class:`~repro.sched.base.Backend`:
 
-* ``serial`` (:mod:`repro.sched.serial`) — registry order, no executor; the
-  deterministic reference schedule.
+* ``serial`` (:mod:`repro.sched.serial`) — unit-list order, no executor;
+  the deterministic reference schedule.
 * ``thread`` (:mod:`repro.sched.thread`) — a ``ThreadPoolExecutor`` work
   queue sharing one in-process :class:`~repro.smt.cache.SolverCache`;
   under the GIL its win comes from the caches, not CPU parallelism.
@@ -21,6 +25,8 @@ Classification parity is the contract: every backend must produce exactly
 the classifications of the serial ``Diode.analyze`` path.  The unit is pure
 and cached verdicts are derived from canonical representatives, so parity
 holds by construction; the test suite enforces it on the full registry.
+A group's shared work lives only as long as its task, so the unit-side
+run counts are schedule-independent too.
 """
 
 from __future__ import annotations

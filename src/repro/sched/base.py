@@ -3,17 +3,22 @@
 A :class:`Backend` receives one :class:`UnitRunRequest` — the immutable
 per-application contexts, the flat unit list, the shared solver cache and
 the resolved worker count — and returns a ``(app_index, site_index) ->
-SiteResult`` mapping.  How the units run (inline, worker threads, worker
-processes) is entirely the backend's business; everything observable about
-the *results* must be schedule-independent.
+SiteResult`` mapping.  A unit is one *seed-path group*: the sites of one
+application with the same relevant bytes, which share one concolic run,
+one set of branch constraints and one witness run per distinct candidate
+(:mod:`repro.core.group`).  How the units run (inline, worker threads,
+worker processes) is entirely the backend's business; everything
+observable about the *results* must be schedule-independent, and because a
+group's shared work lives exactly as long as its task, so are the run
+counts.
 
-Every backend runs a unit through :func:`analyze_unit`, which wraps it in
-its ``unit`` span and its ``unit.started`` / ``unit.finished`` /
+Every backend runs a unit through :func:`analyze_unit`, which wraps each
+of its sites in a ``unit`` span and ``unit.started`` / ``unit.finished`` /
 ``unit.failed`` lifecycle events.
 
 Error contract (shared by every backend through :func:`drain_futures`): the
 first unit failure cancels all still-pending sibling units, and the failure
-is re-raised as a :class:`UnitAnalysisError` carrying the failing unit's
+is re-raised as a :class:`UnitAnalysisError` carrying the failing site's
 ⟨application, site⟩ identity with the original exception chained as its
 ``__cause__``.
 
@@ -43,30 +48,69 @@ Slot = Tuple[int, int]
 
 @dataclass(frozen=True)
 class CampaignUnit:
-    """One schedulable ⟨application, target site⟩ analysis.
+    """One schedulable seed-path group: sites of one app sharing relevant bytes.
 
-    Only primitives — the descriptor must survive pickling into a worker
-    process, where the heavyweight collaborators are rebuilt from the
-    registry short name rather than shipped over the pipe.
+    The group's sites run one after another in one task, so the work they
+    share (:class:`~repro.core.group.SeedPathGroup`) is done once, and
+    always by the one worker that runs them all.  Only primitives — the
+    descriptor must survive pickling into a worker process, where the
+    heavyweight collaborators are rebuilt from the registry short name
+    rather than shipped over the pipe.
     """
 
     app_index: int
-    site_index: int
     application_name: str
-    site_name: str
+    site_indices: Tuple[int, ...]
+    site_names: Tuple[str, ...]
+
+    @classmethod
+    def for_sites(
+        cls, context: "ApplicationContext", site_indices: Sequence[int]
+    ) -> "CampaignUnit":
+        """The unit running ``site_indices`` of ``context``'s sites."""
+        return cls(
+            app_index=context.index,
+            application_name=context.application.name,
+            site_indices=tuple(site_indices),
+            site_names=tuple(context.sites[index].name for index in site_indices),
+        )
 
 
 class UnitAnalysisError(RuntimeError):
-    """A campaign unit failed; carries the ⟨application, site⟩ identity."""
+    """A campaign unit failed; names the ⟨application, site⟩ that raised.
 
-    def __init__(self, unit: CampaignUnit, cause: BaseException) -> None:
+    ``site_name`` is the unit's first site when the failure happened
+    outside any one site's analysis.  Picklable, so a process worker can
+    send the site identity back with the cause.
+    """
+
+    def __init__(
+        self,
+        unit: CampaignUnit,
+        cause: BaseException,
+        site_name: Optional[str] = None,
+    ) -> None:
         self.unit = unit
+        self.cause = cause
         self.application_name = unit.application_name
-        self.site_name = unit.site_name
+        self.site_name = site_name or unit.site_names[0]
         super().__init__(
-            f"campaign unit ⟨{unit.application_name}, {unit.site_name}⟩ "
+            f"campaign unit ⟨{unit.application_name}, {self.site_name}⟩ "
             f"failed: {cause!r}"
         )
+
+    def __reduce__(self):
+        return (UnitAnalysisError, (self.unit, self.cause, self.site_name))
+
+
+def unit_error(unit: CampaignUnit, exc: BaseException) -> UnitAnalysisError:
+    """``exc`` as ``unit``'s failure, keeping a site :func:`analyze_unit` named.
+
+    Raise the result ``from`` its ``cause``.
+    """
+    if isinstance(exc, UnitAnalysisError):
+        return UnitAnalysisError(exc.unit, exc.cause, exc.site_name)
+    return UnitAnalysisError(unit, exc)
 
 
 @dataclass
@@ -101,7 +145,9 @@ class UnitRunRequest:
     #: sink for it.
     trace_dir: Optional[str] = None
 
-    def run_unit(self, unit: CampaignUnit, backend: str = "") -> "SiteResult":
+    def run_unit(
+        self, unit: CampaignUnit, backend: str = ""
+    ) -> Dict[Slot, "SiteResult"]:
         """Execute one unit in-process against the shared contexts."""
         return analyze_unit(
             unit, self.contexts[unit.app_index], self.diode, self.cache, backend
@@ -118,49 +164,59 @@ def analyze_unit(
     diode: "DiodeConfig",
     cache: Optional["SolverCache"],
     backend: str,
-) -> "SiteResult":
-    """Analyze one unit inside its ``unit`` span and lifecycle events.
+) -> Dict[Slot, "SiteResult"]:
+    """Analyze a unit's sites in order, sharing one seed-path group.
 
-    Emits ``unit.started``, then ``unit.finished`` with the unit's
-    seconds and classification, or ``unit.failed`` with its seconds and
-    the exception type before the exception propagates.  Every event
-    carries the unit's ``application``, ``site`` and ``backend``.
+    Each site runs inside its own ``unit`` span and lifecycle events:
+    ``unit.started``, then ``unit.finished`` with the site's seconds and
+    classification, or ``unit.failed`` with its seconds and the exception
+    type.  Every event carries the site's ``application``, ``site`` and
+    ``backend``.  A site's exception stops the unit and is raised as a
+    :class:`UnitAnalysisError` naming that site.
     """
     from repro.core.engine import analyze_site
+    from repro.core.group import SeedPathGroup
     from repro.obs.trace import TRACER
 
-    identity = {
-        "application": unit.application_name,
-        "site": unit.site_name,
-        "backend": backend,
-    }
-    TRACER.event("unit.started", **identity)
-    started = time.perf_counter()
-    try:
-        with TRACER.span("unit", **identity):
-            result = analyze_site(
-                context.application,
-                context.sites[unit.site_index],
-                diode,
-                solver_cache=cache,
-                detector=context.detector,
-                field_mapper=context.mapper,
+    group = SeedPathGroup([context.sites[index] for index in unit.site_indices])
+    results: Dict[Slot, "SiteResult"] = {}
+    for site_index, site_name in zip(unit.site_indices, unit.site_names):
+        identity = {
+            "application": unit.application_name,
+            "site": site_name,
+            "backend": backend,
+        }
+        TRACER.event("unit.started", **identity)
+        started = time.perf_counter()
+        try:
+            with TRACER.span("unit", **identity):
+                result = analyze_site(
+                    context.application,
+                    context.sites[site_index],
+                    diode,
+                    solver_cache=cache,
+                    detector=context.detector,
+                    field_mapper=context.mapper,
+                    group=group,
+                )
+        except BaseException as exc:
+            TRACER.event(
+                "unit.failed",
+                seconds=round(time.perf_counter() - started, 6),
+                error=type(exc).__name__,
+                **identity,
             )
-    except BaseException as exc:
+            if isinstance(exc, Exception):
+                raise UnitAnalysisError(unit, exc, site_name) from exc
+            raise
         TRACER.event(
-            "unit.failed",
+            "unit.finished",
             seconds=round(time.perf_counter() - started, 6),
-            error=type(exc).__name__,
+            classification=result.classification.value,
             **identity,
         )
-        raise
-    TRACER.event(
-        "unit.finished",
-        seconds=round(time.perf_counter() - started, 6),
-        classification=result.classification.value,
-        **identity,
-    )
-    return result
+        results[(unit.app_index, site_index)] = result
+    return results
 
 
 class Backend(ABC):
@@ -171,7 +227,7 @@ class Backend(ABC):
 
     @abstractmethod
     def run_units(self, request: UnitRunRequest) -> Dict[Slot, object]:
-        """Run every unit and return results keyed by ``(app, site)`` index."""
+        """Run every unit and return its sites' results keyed by ``(app, site)``."""
 
 
 def drain_futures(
@@ -198,5 +254,5 @@ def drain_futures(
 
     for future in futures:
         future.cancel()
-    cause = futures[failed_index].exception()
-    raise UnitAnalysisError(units[failed_index], cause) from cause
+    error = unit_error(units[failed_index], futures[failed_index].exception())
+    raise error from error.cause

@@ -6,22 +6,24 @@ term would rebuild as a distinct, non-interned object and silently break
 ``is``-based equality.  The backend therefore ships only:
 
 * **out**: slim :class:`~repro.sched.base.CampaignUnit` descriptors
-  (primitives only), each paired with its campaign's
-  :class:`_CampaignToken`; a worker rebuilds the application model and
-  its per-application collaborators from the registry short name, lazily
-  and at most once per ⟨worker, application⟩ pair;
-* **back**: :class:`SiteResultPayload` records (classification value, bug
-  report, timing — all term-free) plus the worker cache's *new* artifacts
-  in the :mod:`repro.smt.cachestore` wire format — whole-query verdicts
-  and canonical UNSAT cores, each tagged with its kind — which the parent
-  merges into the campaign cache so a persistent store (or a later run)
-  sees every worker's derivations of both kinds.  When the
-  campaign enables triage, each unit's result also carries a wire-form
+  (primitives only; one per seed-path group, so a group's sites and the
+  work they share never split across workers), each paired with its
+  campaign's :class:`_CampaignToken`; a worker rebuilds the application
+  model and its per-application collaborators from the registry short
+  name, lazily and at most once per ⟨worker, application⟩ pair;
+* **back**: one :class:`SiteResultPayload` record per site
+  (classification value, bug report, timing — all term-free) plus the
+  worker cache's *new* artifacts in the :mod:`repro.smt.cachestore` wire
+  format — whole-query verdicts and canonical UNSAT cores, each tagged
+  with its kind — which the parent merges into the campaign cache so a
+  persistent store (or a later run) sees every worker's derivations of
+  both kinds.  When the campaign enables triage, each site's bug report
+  also comes back as a wire-form
   :class:`~repro.triage.corpus.WitnessRecord` (validated, minimized,
   signed *in the worker*, which parallelizes minimization's concrete
   re-validation runs); the parent collects them into
   ``request.witness_results`` for the campaign's corpus merge.  Each
-  result also carries the worker's metrics delta since its previous
+  unit's result also carries the worker's metrics delta since its previous
   unit — stage timers, ``solver.*`` and the ``events.*`` lifecycle
   counts among them; the parent merges it, so without a shared cache the
   campaign totals equal the serial schedule's.  Nothing else crosses
@@ -248,11 +250,12 @@ def _watch_parent(parent_pid: int) -> None:
 def _worker_run(token: _CampaignToken, unit: CampaignUnit) -> dict:
     """Analyze one unit in the worker and return what crosses back.
 
-    One dict: ``payload`` (the term-free result), ``cache_entries`` (new
-    wire-format cache artifacts), ``cache_stats`` (the cache counters'
-    delta by name), ``witness`` (the wire-form witness record, or
-    ``None``) and ``metrics`` (the registry delta since the previous
-    unit).
+    One dict: ``payloads`` (site index -> term-free result),
+    ``witnesses`` (site index -> wire-form witness record or ``None``, for
+    the sites with a bug report when the campaign triages),
+    ``cache_entries`` (new wire-format cache artifacts), ``cache_stats``
+    (the cache counters' delta by name) and ``metrics`` (the registry
+    delta since the previous unit).
     """
     from repro.obs.metrics import METRICS, diff_snapshots
 
@@ -263,7 +266,7 @@ def _worker_run(token: _CampaignToken, unit: CampaignUnit) -> dict:
         state.begin(token)
     name = token.application_names[unit.app_index]
     context = state.context_for(name, unit.app_index)
-    result = analyze_unit(unit, context, token.diode, state.cache, "process")
+    results = analyze_unit(unit, context, token.diode, state.cache, "process")
 
     cache_entries: List[dict] = []
     cache_stats: Dict[str, int] = {}
@@ -281,24 +284,30 @@ def _worker_run(token: _CampaignToken, unit: CampaignUnit) -> dict:
         }
         state.stats_mark = mark
 
-    witness: Optional[dict] = None
-    if token.triage and result.bug_report is not None:
-        record = state.triager_for(
-            name, context, token.minimize_witnesses
-        ).triage(
-            context.sites[unit.site_index], result.bug_report, result.enforcement
-        )
-        witness = None if record is None else record.to_wire()
+    witnesses: Dict[int, Optional[dict]] = {}
+    if token.triage:
+        for (_, site_index), result in results.items():
+            if result.bug_report is None:
+                continue
+            record = state.triager_for(
+                name, context, token.minimize_witnesses
+            ).triage(
+                context.sites[site_index], result.bug_report, result.enforcement
+            )
+            witnesses[site_index] = None if record is None else record.to_wire()
 
     # Last, so the delta also covers triage/cache work done above.
     snapshot = METRICS.snapshot()
     metrics = diff_snapshots(state.metrics_mark, snapshot)
     state.metrics_mark = snapshot
     return {
-        "payload": SiteResultPayload.from_site_result(result),
+        "payloads": {
+            site_index: SiteResultPayload.from_site_result(result)
+            for (_, site_index), result in results.items()
+        },
+        "witnesses": witnesses,
         "cache_entries": cache_entries,
         "cache_stats": cache_stats,
-        "witness": witness,
         "metrics": metrics,
     }
 
@@ -447,18 +456,18 @@ class ProcessBackend(Backend):
 
         results: Dict[Slot, object] = {}
         for unit, delta in zip(request.units, deltas):
-            slot = (unit.app_index, unit.site_index)
-            site = request.contexts[unit.app_index].sites[unit.site_index]
-            payload = delta["payload"]
-            results[slot] = payload.to_site_result(site)
+            sites = request.contexts[unit.app_index].sites
+            for site_index, payload in delta["payloads"].items():
+                slot = (unit.app_index, site_index)
+                results[slot] = payload.to_site_result(sites[site_index])
+                if site_index in delta["witnesses"]:
+                    request.witness_results[slot] = delta["witnesses"][site_index]
             if request.cache is not None:
                 if delta["cache_entries"]:
                     from repro.smt.cachestore import merge_wire_entries
 
                     merge_wire_entries(request.cache, delta["cache_entries"])
                 request.cache.add_external_stats(delta["cache_stats"])
-            if request.triage and payload.bug_report is not None:
-                request.witness_results[slot] = delta["witness"]
             # Merge order cannot matter: counters/histogram buckets are
             # integers and add, gauges take max (see repro.obs.metrics).
             METRICS.merge(delta["metrics"])

@@ -1,8 +1,9 @@
 """The thread backend: a work queue over ``ThreadPoolExecutor``.
 
-Every worker shares the campaign's :class:`~repro.smt.cache.SolverCache`
-and the simplified forms stored on interned terms directly, so a verdict
-derived by one unit is visible to every sibling the moment it is stored.
+Each seed-path group is one queued task.  Every worker shares the
+campaign's :class:`~repro.smt.cache.SolverCache` and the simplified forms
+stored on interned terms directly, so a verdict derived by one unit is
+visible to every sibling the moment it is stored.
 Under the GIL the threads add no CPU parallelism for the pure-Python
 solver — the measured win comes from that sharing — which is exactly why
 the process backend exists.
@@ -46,7 +47,7 @@ class ThreadBackend(Backend):
                 for unit in request.units
             ]
             payloads = drain_futures(request.units, futures)
-        return {
-            (unit.app_index, unit.site_index): payload
-            for unit, payload in zip(request.units, payloads)
-        }
+        results: Dict[Slot, object] = {}
+        for payload in payloads:
+            results.update(payload)
+        return results

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.smt.evalmodel import Model, satisfies
 from repro.smt.interval import Interval, propagate_intervals
@@ -103,7 +103,7 @@ def extreme_point_models(
 
 
 def try_algebraic_solution(
-    constraint: Term,
+    constraint: Union[Term, Sequence[Term]],
     variables: Optional[Sequence[Term]] = None,
     rng: Optional[random.Random] = None,
     max_checks: int = 768,
@@ -111,22 +111,27 @@ def try_algebraic_solution(
 ) -> Optional[Model]:
     """Try to find a model of ``constraint`` using extreme-point candidates.
 
-    ``bounds`` is the caller's propagated box over ``variables`` (the
-    portfolio passes the one its interval layer already computed).
-    Without it, the box is propagated here over the conjuncts of
-    ``constraint``, and an infeasible box yields ``None``.
+    ``constraint`` is a boolean term or the list of its conjuncts; each
+    candidate is checked against the conjuncts one by one, so no evaluator
+    is compiled for their conjunction.  ``bounds`` is the caller's
+    propagated box over ``variables`` (the portfolio passes the one its
+    interval layer already computed).  Without it, the box is propagated
+    here over the conjuncts, and an infeasible box yields ``None``.
     """
-    if bounds is None:
+    if isinstance(constraint, Term):
         conjuncts = split_conjuncts(constraint)
-        if variables is None:
-            variables = _variables_of(conjuncts)
+    else:
+        conjuncts = list(constraint)
+    if variables is None:
+        variables = _variables_of(conjuncts)
+    if bounds is None:
         widths = {str(v.name): v.width for v in variables}
         feasible, bounds = propagate_intervals(conjuncts, widths)
         if not feasible:
             return None
     checks = 0
     for candidate in extreme_point_models(variables, bounds, rng):
-        if satisfies(constraint, candidate):
+        if all(satisfies(conjunct, candidate) for conjunct in conjuncts):
             return candidate
         checks += 1
         if checks >= max_checks:

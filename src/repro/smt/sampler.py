@@ -60,7 +60,13 @@ def split_conjuncts(constraint: Term) -> List[Term]:
 
 
 class ModelSampler:
-    """Sample diverse models of a boolean constraint."""
+    """Sample diverse models of a boolean constraint.
+
+    ``bounds`` is a propagated interval box over ``variables`` that the
+    caller already found feasible (the portfolio passes the one its
+    interval layer computed).  Without it, the box is propagated here over
+    the conjuncts of ``constraint``.
+    """
 
     def __init__(
         self,
@@ -68,6 +74,7 @@ class ModelSampler:
         variables: Sequence[Term],
         config: Optional[SamplerConfig] = None,
         fallback_solve: Optional[Callable[[Term], Optional[Model]]] = None,
+        bounds: Optional[Dict[str, Interval]] = None,
     ) -> None:
         if not constraint.is_bool:
             raise ValueError("sampler constraint must be boolean")
@@ -78,7 +85,9 @@ class ModelSampler:
         self.fallback_solve = fallback_solve
         self._widths = {str(v.name): v.width for v in self.variables}
         self._conjuncts = split_conjuncts(self.constraint)
-        feasible, bounds = propagate_intervals(self._conjuncts, self._widths)
+        feasible = True
+        if bounds is None:
+            feasible, bounds = propagate_intervals(self._conjuncts, self._widths)
         self.feasible_hint = feasible
         self.bounds: Dict[str, Interval] = bounds
         self._anchor: Optional[Model] = None

@@ -440,12 +440,11 @@ class PortfolioSolver:
                 SolverStatus.SAT, model=point_model, reason="interval point"
             )
 
-        whole = b.band(*conjuncts) if conjuncts else b.TRUE
-
-        # Layer 3: algebraic extreme-point heuristics over layer 2's box.
+        # Layer 3: algebraic extreme-point heuristics over layer 2's box,
+        # checked against the conjuncts' own evaluators.
         stages.append("heuristics")
         model = try_algebraic_solution(
-            whole,
+            conjuncts,
             variables,
             max_checks=self.config.heuristic_max_checks,
             bounds=bounds,
@@ -453,13 +452,14 @@ class PortfolioSolver:
         if model is not None:
             return SolverResult(SolverStatus.SAT, model=model, reason="heuristics")
 
-        # Layer 4: guided sampling.
+        # Layer 4: guided sampling over the conjunction, in layer 2's box.
         stages.append("sampling")
         sampler = ModelSampler(
-            whole,
+            b.band(*conjuncts) if conjuncts else b.TRUE,
             variables,
             config=self.config.sampler,
             fallback_solve=None,
+            bounds=bounds,
         )
         model = sampler.sample_one()
         if model is not None:

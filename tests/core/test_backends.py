@@ -43,6 +43,7 @@ from repro.sched import (
     build_application_context,
     get_backend,
 )
+from repro.core.group import seed_path_groups
 from repro.sched.serial import SerialBackend
 from repro.sched.thread import ThreadBackend
 
@@ -146,22 +147,18 @@ class TestBackendParity:
             trace_dir=None,
         )
         context = build_application_context(0, get_application("vlc"))
-        for index, site in enumerate(context.sites[:2]):
-            unit = CampaignUnit(
-                app_index=0,
-                site_index=index,
-                application_name="vlc",
-                site_name=site.name,
-            )
+        for index in range(2):
+            unit = CampaignUnit.for_sites(context, [index])
             delta = process._worker_run(token, unit)
             assert set(delta) == {
-                "payload", "cache_entries", "cache_stats", "witness", "metrics",
+                "payloads", "witnesses", "cache_entries", "cache_stats", "metrics",
             }
             assert set(delta["cache_stats"]) == set(
                 SolverCache().stats_snapshot()
             )
-            assert delta["witness"] is None
-            assert isinstance(delta["payload"], process.SiteResultPayload)
+            assert delta["witnesses"] == {}
+            assert list(delta["payloads"]) == [index]
+            assert isinstance(delta["payloads"][index], process.SiteResultPayload)
             assert counter_value(delta["metrics"], "events.unit.started") == 1
             assert counter_value(delta["metrics"], "events.unit.finished") == 1
 
@@ -180,26 +177,24 @@ class TestBackendParity:
         )
 
 
-def _make_request(monkeypatch_analyze=None, jobs=1):
-    """A small real request over vlc's sites, optionally with a failing unit."""
-    application = get_application("vlc")
-    context = build_application_context(0, application)
+def _make_request(jobs=1, name="vlc", diode=None):
+    """A small real request over one application's seed-path groups.
+
+    vlc's four sites have four different relevant-byte sets, so each of
+    its units holds one site.
+    """
+    context = build_application_context(0, get_application(name))
     units = [
-        CampaignUnit(
-            app_index=0,
-            site_index=index,
-            application_name=application.name,
-            site_name=site.name,
-        )
-        for index, site in enumerate(context.sites)
+        CampaignUnit.for_sites(context, indices)
+        for indices in seed_path_groups(context.sites)
     ]
     return UnitRunRequest(
         contexts=[context],
         units=units,
         cache=None,
         jobs=jobs,
-        diode=None,  # replaced by stubs below; real runs build a DiodeConfig
-        application_names=["vlc"],
+        diode=diode,  # None where stubs replace the analysis
+        application_names=[name],
     )
 
 
@@ -209,21 +204,23 @@ class TestFailureSemantics:
         executed = []
 
         def exploding(unit, backend=""):
-            executed.append(unit.site_name)
+            executed.append(unit.site_names[0])
             if len(executed) == 2:
                 raise RuntimeError("solver meltdown")
-            return object()
+            return {}
 
         monkeypatch.setattr(request, "run_unit", exploding)
         with pytest.raises(UnitAnalysisError) as info:
             SerialBackend().run_units(request)
         error = info.value
         assert error.application_name == "VLC 0.8.6h"
-        assert error.site_name == request.units[1].site_name
+        assert error.site_name == request.units[1].site_names[0]
         assert isinstance(error.__cause__, RuntimeError)
         assert "solver meltdown" in repr(error.__cause__)
         # Serial semantics: units after the failure never start.
-        assert executed == [request.units[0].site_name, request.units[1].site_name]
+        assert executed == [
+            request.units[0].site_names[0], request.units[1].site_names[0]
+        ]
 
     def test_thread_backend_cancels_pending_units_on_failure(self, monkeypatch):
         # One worker makes the schedule deterministic: unit 0 raises while
@@ -232,29 +229,29 @@ class TestFailureSemantics:
         executed = []
 
         def exploding(unit, backend=""):
-            executed.append(unit.site_name)
+            executed.append(unit.site_names[0])
             raise RuntimeError("first unit fails")
 
         monkeypatch.setattr(request, "run_unit", exploding)
         with pytest.raises(UnitAnalysisError) as info:
             ThreadBackend().run_units(request)
-        assert info.value.site_name == request.units[0].site_name
+        assert info.value.site_name == request.units[0].site_names[0]
         assert info.value.application_name == request.units[0].application_name
         assert isinstance(info.value.__cause__, RuntimeError)
-        assert executed == [request.units[0].site_name]
+        assert executed == [request.units[0].site_names[0]]
 
     def test_thread_backend_reports_earliest_submitted_failure(self, monkeypatch):
         request = _make_request(jobs=2)
 
         def exploding(unit):
-            raise ValueError(f"boom {unit.site_index}")
+            raise ValueError(f"boom {unit.site_indices}")
 
         monkeypatch.setattr(request, "run_unit", exploding)
         with pytest.raises(UnitAnalysisError) as info:
             ThreadBackend().run_units(request)
         # Every unit fails; the surfaced one must be the earliest submitted
         # among the completed, with its identity in the message.
-        assert info.value.site_name in {u.site_name for u in request.units}
+        assert info.value.site_name in {u.site_names[0] for u in request.units}
         assert info.value.application_name == "VLC 0.8.6h"
         assert info.value.site_name in str(info.value)
 

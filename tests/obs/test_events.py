@@ -209,13 +209,7 @@ class TestUnitLifecycle:
     @pytest.fixture
     def unit_and_context(self):
         context = build_application_context(0, get_application("dillo"))
-        unit = CampaignUnit(
-            app_index=0,
-            site_index=0,
-            application_name=context.application.name,
-            site_name=context.sites[0].name,
-        )
-        return unit, context
+        return CampaignUnit.for_sites(context, [0]), context
 
     def _lifecycle_records(self, run):
         sink = InMemorySink()
@@ -241,14 +235,33 @@ class TestUnitLifecycle:
         ]
         identity = {
             "application": unit.application_name,
-            "site": unit.site_name,
+            "site": unit.site_names[0],
             "backend": "serial",
         }
         assert records[0]["attrs"] == identity
         finished = records[-1]["attrs"]
-        assert finished["classification"] == results[0].classification.value
+        (result,) = results[0].values()
+        assert finished["classification"] == result.classification.value
         assert finished["seconds"] >= 0.0
         assert {k: finished[k] for k in identity} == identity
+
+    def test_group_records_one_lifecycle_per_site_in_order(self, unit_and_context):
+        _, context = unit_and_context
+        unit = CampaignUnit.for_sites(context, [0, 4, 7])
+        results = []
+        records = self._lifecycle_records(
+            lambda: results.append(
+                analyze_unit(unit, context, CampaignConfig().diode, None, "serial")
+            )
+        )
+        assert [(r["kind"], r["name"], r["attrs"]["site"]) for r in records] == [
+            (kind, name, site)
+            for site in unit.site_names
+            for kind, name in (
+                ("event", "unit.started"), ("span", "unit"), ("event", "unit.finished"),
+            )
+        ]
+        assert list(results[0]) == [(0, 0), (0, 4), (0, 7)]
 
     def test_failure_records_failed_and_reraises(
         self, unit_and_context, monkeypatch

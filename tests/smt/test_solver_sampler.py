@@ -223,3 +223,76 @@ class TestRepeatsAcrossProcesses:
         first = _output_under_hash_seed(body, "0")
         assert first.startswith("sat bitblast")
         assert _output_under_hash_seed(body, "7") == first
+
+
+class TestLayersReuseEarlierWork:
+    """Layers 3 and 4 read what layer 2 already derived."""
+
+    def test_sampling_layer_draws_from_the_interval_box(self, monkeypatch):
+        from repro.smt import heuristics, sampler
+        from repro.smt import solver as solver_module
+        from repro.smt.interval import propagate_intervals
+
+        propagations = []
+
+        def counting(*args, **kwargs):
+            propagations.append(1)
+            return propagate_intervals(*args, **kwargs)
+
+        for module in (solver_module, heuristics, sampler):
+            monkeypatch.setattr(module, "propagate_intervals", counting)
+        x, y, z = (b.bv_var(name, 8) for name in "xyz")
+        product = b.mul(b.zext(x, 16), b.zext(y, 16))
+        result = PortfolioSolver().check([
+            b.eq(b.add(product, b.zext(z, 16)), 30174),
+            b.ugt(x, 1), b.ugt(y, 1), b.ult(x, y), b.ult(z, 3),
+        ])
+        assert result.is_sat
+        assert "sampling" in result.stages_tried
+        assert len(propagations) == 1
+
+    def test_first_campaign_compiles_fewer_evaluators_for_the_same_models(self):
+        """Layer 3 checks candidates with the conjuncts' own evaluators.
+
+        Against a reference that checks them on the conjunction's ``band``
+        (one fresh evaluator per multi-conjunct query), a fresh process's
+        first serial registry campaign compiles 25 band evaluators fewer,
+        and 14 conjuncts that nothing else evaluates more: 103 -> 92.
+        """
+        body = (
+            "import json\n"
+            "from repro.smt import builder as b, evalcompile, solver\n"
+            "from repro.smt.evalmodel import satisfies\n"
+            "from repro.smt.heuristics import extreme_point_models\n"
+            "from repro.core.campaign import CampaignConfig, run_campaign\n"
+            "compiled = []\n"
+            "original = evalcompile._compile\n"
+            "def counting(term):\n"
+            "    compiled.append(term)\n"
+            "    return original(term)\n"
+            "evalcompile._compile = counting\n"
+            "def band_checked(conjuncts, variables, max_checks, bounds):\n"
+            "    whole = b.band(*conjuncts) if conjuncts else b.TRUE\n"
+            "    candidates = extreme_point_models(variables, bounds)\n"
+            "    for checks, candidate in enumerate(candidates, 1):\n"
+            "        if satisfies(whole, candidate):\n"
+            "            return candidate\n"
+            "        if checks >= max_checks:\n"
+            "            return None\n"
+            "if REFERENCE:\n"
+            "    solver.try_algebraic_solution = band_checked\n"
+            "result = run_campaign(CampaignConfig(backend='serial', jobs=1))\n"
+            "models = [\n"
+            "    [step.candidate_model for step in site.enforcement.steps]\n"
+            "    for app in result.application_results\n"
+            "    for site in app.site_results if site.enforcement is not None]\n"
+            "print(json.dumps({'compiled': len(compiled), 'models': models,\n"
+            "                  'classifications': result.classifications()}))\n"
+        )
+        import json
+
+        reference = json.loads(_output_under_hash_seed("REFERENCE = True\n" + body, "0"))
+        change = json.loads(_output_under_hash_seed("REFERENCE = False\n" + body, "0"))
+        assert change["classifications"] == reference["classifications"]
+        assert change["models"] == reference["models"]
+        assert (reference["compiled"], change["compiled"]) == (103, 92)
