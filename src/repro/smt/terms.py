@@ -118,6 +118,11 @@ COMPARISON_KINDS = frozenset(
     }
 )
 
+#: Leaf kinds, built once: ``Term.is_const`` / ``Term.is_var`` run on every
+#: node of every walk over the DAG (name collection, renaming, ``variables``).
+_CONST_KINDS = (TermKind.BV_CONST, TermKind.BOOL_CONST)
+_VAR_KINDS = (TermKind.BV_VAR, TermKind.BOOL_VAR)
+
 #: Commutative binary kinds (used for canonical argument ordering).
 COMMUTATIVE_KINDS = frozenset(
     {
@@ -160,6 +165,7 @@ class Term:
         "_simplified",
         "_normalized",
         "_structural_key",
+        "_lowered",
     )
 
     _intern_lock = threading.Lock()
@@ -195,6 +201,9 @@ class Term:
         #: sort key, filled on first request (the cache owns both).
         self._normalized: Optional["Term"] = None
         self._structural_key: Optional[Tuple[str, str]] = None
+        #: The interval kernel's static lowering of the DAG under this term
+        #: (:func:`repro.smt.interval._lower_term`), filled on first request.
+        self._lowered: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Interning
@@ -246,12 +255,12 @@ class Term:
     @property
     def is_const(self) -> bool:
         """Whether this term is a constant leaf."""
-        return self.kind in (TermKind.BV_CONST, TermKind.BOOL_CONST)
+        return self.kind in _CONST_KINDS
 
     @property
     def is_var(self) -> bool:
         """Whether this term is a variable leaf."""
-        return self.kind in (TermKind.BV_VAR, TermKind.BOOL_VAR)
+        return self.kind in _VAR_KINDS
 
     def sort(self) -> str:
         """Human-readable sort name (``bool`` or ``bv<width>``)."""

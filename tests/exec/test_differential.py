@@ -98,11 +98,13 @@ def _expressions(depth: int):
 EXPRESSIONS = _expressions(2)
 
 
-@st.composite
-def _statements(draw, depth: int) -> Stmt:
-    # Halts are rarer so most programs run to their end.
-    if draw(st.integers(0, 9)) == 0:
-        return HaltStmt(draw(st.sampled_from(["stop", "fatal"])))
+_TENTHS = st.integers(0, 9)
+_HALTS = st.sampled_from(["stop", "fatal"])
+
+
+def _statements_at(depth: int):
+    """Statements nesting at most ``depth`` levels, over the strategies of
+    the levels below (built once each in ``_STATEMENTS``/``_BLOCKS``)."""
     choices = [
         st.builds(AssignStmt, st.sampled_from(SCALARS + POINTERS), EXPRESSIONS),
         st.builds(AllocStmt, st.sampled_from(POINTERS), EXPRESSIONS),
@@ -111,11 +113,11 @@ def _statements(draw, depth: int) -> Stmt:
         st.builds(SkipStmt),
     ]
     if depth > 0:
-        block = _blocks(depth - 1)
+        block = _BLOCKS[depth - 1]
         counter = f"i{depth}"
         choices += [
             st.builds(IfStmt, EXPRESSIONS, block, block),
-            st.builds(SeqStmt, st.lists(_statements(depth - 1), max_size=3)),
+            st.builds(SeqStmt, st.lists(_STATEMENTS[depth - 1], max_size=3)),
             # Bounded loop on a counter no generated statement assigns.
             st.builds(
                 lambda bound, body: SeqStmt(
@@ -141,11 +143,26 @@ def _statements(draw, depth: int) -> Stmt:
             # Arbitrary condition: may spin until the step limit.
             st.builds(WhileStmt, EXPRESSIONS, block),
         ]
-    return draw(st.one_of(choices))
+    statement = st.one_of(choices)
+
+    @st.composite
+    def statements(draw) -> Stmt:
+        # Halts are rarer so most programs run to their end.
+        if draw(_TENTHS) == 0:
+            return HaltStmt(draw(_HALTS))
+        return draw(statement)
+
+    return statements()
 
 
-def _blocks(depth: int):
-    return st.lists(_statements(depth), max_size=3).map(SeqStmt)
+#: One statement and one block strategy per nesting depth, built once:
+#: building them on every draw costs more in hypothesis's strategy cache
+#: than the draws themselves.
+_STATEMENTS: list = []
+_BLOCKS: list = []
+for _depth in range(3):
+    _STATEMENTS.append(_statements_at(_depth))
+    _BLOCKS.append(st.lists(_STATEMENTS[_depth], max_size=3).map(SeqStmt))
 
 
 def _label(body: SeqStmt) -> Program:
@@ -156,7 +173,7 @@ def _label(body: SeqStmt) -> Program:
     return Program("generated", body)
 
 
-PROGRAMS = st.lists(_statements(2), min_size=1, max_size=6).map(SeqStmt).map(_label)
+PROGRAMS = st.lists(_STATEMENTS[2], min_size=1, max_size=6).map(SeqStmt).map(_label)
 INPUTS = st.binary(max_size=10)
 LIMITS = st.sampled_from([1, 2, 3, 5, 8, 20, 100, 2_000]).map(
     lambda steps: ExecutionLimits(max_steps=steps, page_size=64)

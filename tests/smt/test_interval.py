@@ -7,6 +7,7 @@ from repro.smt.interval import (
     interval_of,
     propagate_intervals,
 )
+from repro.smt.terms import Term
 
 
 class TestIntervalLattice:
@@ -196,3 +197,38 @@ class TestPropagation:
         )
         assert feasible
         assert bounds["x"] == Interval(6, 10)
+
+    def test_box_lists_width_names_first_then_names_met_by_contraction(self):
+        x, y, z = (b.bv_var(name, 8) for name in "xyz")
+        feasible, bounds = propagate_intervals(
+            [b.ult(z, 7), b.ule(y, 9), b.ult(x, 3)], {"y": 8, "x": 8}
+        )
+        assert feasible
+        assert list(bounds.items()) == [
+            ("y", Interval(0, 9)), ("x", Interval(0, 2)), ("z", Interval(0, 6))
+        ]
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+class TestStaticLowering:
+    def test_term_slot_holds_only_static_structure(self):
+        """The lowering cached on a term is filled once and holds no term
+        and no bound: later calls under other boxes reuse it as it is."""
+        x, y = b.bv_var("x", 8), b.bv_var("y", 8)
+        constraint = b.ule(b.add(b.mul(x, 3), y), 200)
+        propagate_intervals([constraint], {"x": 8, "y": 8})
+        lowered = constraint._lowered
+        before = list(_leaves(lowered))
+        propagate_intervals(
+            [b.ult(x, 5), constraint], {"x": 8, "y": 8}, initial={"y": Interval(3, 9)}
+        )
+        assert constraint._lowered is lowered
+        assert list(_leaves(lowered)) == before
+        assert not any(isinstance(leaf, Term) for leaf in before)
