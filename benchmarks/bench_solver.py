@@ -1,20 +1,23 @@
-"""Incremental-solving benchmark: solver sessions against fresh queries.
+"""Incremental-solving benchmark: solver sessions against one-shot queries.
 
-Two workloads back the acceptance bar of the incremental solving stack,
-each comparing the *fresh-query* reference path (sessions disabled — every
-query re-simplified, re-blasted and solved from scratch) against the
-*incremental* path (solver sessions with a persistent bit-blaster and
-assumption-based CDCL with learned-clause retention):
+Two workloads back the acceptance bar of the incremental solving stack
+(solver sessions with a persistent bit-blaster and assumption-based CDCL
+with learned-clause retention):
 
-1. **Registry parity** — the full registry campaign, default
-   configuration.  The hard invariant: the incremental path produces
-   byte-identical site classifications.  Enforced, not observed.
+1. **Registry parity** — the full serial registry campaign, with the
+   solver cache on and off.  Every session check is held to an
+   independent oracle: its status must equal an uncached one-shot
+   :meth:`PortfolioSolver.check` of the same conjuncts, a SAT model must
+   satisfy every conjunct, and an UNSAT core must be a subset of the
+   conjuncts.  Enforced, not observed.
 2. **Enforcement chains** — growing constraint chains shaped exactly like
    the enforcement loop's query sequence (an overflow target constraint β,
    then one appended sanity-check constraint per iteration, ending in
-   checks that only the complete backend can decide).  The incremental arm
+   checks that only the complete backend can decide).  The session arm
    must finish with *lower total CDCL conflicts* and *lower bit-blast/CDCL
-   time* than the fresh arm, with identical per-check statuses.
+   time* than the *fresh* arm (every query re-simplified, re-blasted and
+   solved from scratch by :meth:`PortfolioSolver.check`), with identical
+   per-check statuses.
 
 A third workload rides the same harness: the **encoder size** count
 gate — the CNF the structurally-hashed Tseitin encoder builds for the
@@ -35,7 +38,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -44,8 +47,9 @@ from repro.obs.metrics import METRICS, counter_value, histogram_stats
 from repro.smt import builder as b
 from repro.smt.bitblast import BitBlaster
 from repro.smt.cache import SolverCache
+from repro.smt.evalmodel import satisfies
 from repro.smt.sampler import SamplerConfig
-from repro.smt.solver import PortfolioSolver, SolverConfig
+from repro.smt.solver import PortfolioSolver, SolverConfig, SolverSession
 
 #: Number of alpha/constant-varied enforcement chains in workload 2.
 CHAIN_COUNT = 4
@@ -84,25 +88,44 @@ class ArmMeasurement:
 
 
 # ----------------------------------------------------------------------
-# Workload 1: full-registry classification parity
+# Workload 1: per-check registry parity against one-shot checks
 # ----------------------------------------------------------------------
-def run_registry_parity() -> Tuple[dict, dict, bool]:
-    """Serial campaign over the whole registry, incremental vs fresh."""
+def run_registry_parity(use_cache: bool) -> Dict[str, int]:
+    """Serial registry campaign with every session check held to an oracle.
 
-    def classifications(incremental: bool):
-        config = CampaignConfig(jobs=1, backend="serial")
-        config.diode.solver.incremental = incremental
-        started = time.perf_counter()
-        result = run_campaign(config)
-        return {
-            "wall_seconds": round(time.perf_counter() - started, 4),
-            "classifications": result.classifications(),
-        }
+    Returns the check count, the SAT/UNSAT counts and the number of
+    status mismatches, bad SAT models and bad UNSAT cores.
+    """
+    counts = dict(checks=0, sat=0, unsat=0, mismatches=0, bad_models=0, bad_cores=0)
+    original = SolverSession.check
 
-    fresh = classifications(False)
-    incremental = classifications(True)
-    parity = fresh["classifications"] == incremental["classifications"]
-    return fresh, incremental, parity
+    def checked(session: SolverSession):
+        result = original(session)
+        conjuncts = list(session.conjuncts)
+        reference = PortfolioSolver(session.solver.config).check(conjuncts)
+        counts["checks"] += 1
+        counts[result.status] = counts.get(result.status, 0) + 1
+        counts["mismatches"] += result.status != reference.status
+        counts["bad_models"] += result.is_sat and not all(
+            satisfies(c, result.model) for c in conjuncts
+        )
+        counts["bad_cores"] += result.unsat_core is not None and not (
+            set(result.unsat_core) <= set(conjuncts)
+        )
+        return result
+
+    SolverSession.check = checked
+    try:
+        run_campaign(CampaignConfig(jobs=1, backend="serial", use_cache=use_cache))
+    finally:
+        SolverSession.check = original
+    return counts
+
+
+def registry_parity_holds(counts: Dict[str, int]) -> bool:
+    return counts["checks"] > 0 and not (
+        counts["mismatches"] or counts["bad_models"] or counts["bad_cores"]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -140,9 +163,12 @@ def _enforcement_chain(variant: int):
 
 
 def run_enforcement_chains(incremental: bool) -> ArmMeasurement:
-    """Replay the chains through one arm; returns per-arm measurements."""
+    """Replay the chains through one arm; returns per-arm measurements.
+
+    The incremental arm drives one session per chain; the fresh arm
+    re-checks the growing constraint list with :meth:`PortfolioSolver.check`.
+    """
     config = SolverConfig(
-        incremental=incremental,
         sampler=SamplerConfig(
             random_attempts_per_sample=3,
             hill_climb_steps=2,
@@ -263,6 +289,18 @@ def print_encoder_size(variables: int, clauses: int) -> None:
     )
 
 
+def print_registry_parity(arms: Dict[str, Dict[str, int]]) -> None:
+    print("=== Registry campaign: session checks vs one-shot checks ===")
+    for label, counts in arms.items():
+        print(
+            f"{label:9s}: {counts['checks']} checks "
+            f"({counts['sat']} sat, {counts['unsat']} unsat), "
+            f"{counts['mismatches']} status mismatches, "
+            f"{counts['bad_models']} bad models, {counts['bad_cores']} bad cores, "
+            f"parity={'yes' if registry_parity_holds(counts) else 'NO'}"
+        )
+
+
 def _gate_failures(
     parity: bool,
     chain_fresh: ArmMeasurement,
@@ -272,7 +310,7 @@ def _gate_failures(
     failures = []
     if not parity:
         failures.append(
-            "incremental registry classifications diverge from the fresh path"
+            "registry session checks disagree with one-shot checks"
         )
     if chain_fresh.statuses != chain_incremental.statuses:
         failures.append("enforcement-chain statuses diverge between arms")
@@ -299,12 +337,13 @@ def _gate_failures(
 # pytest twins
 # ----------------------------------------------------------------------
 @pytest.mark.benchmark(group="solver")
-def test_incremental_registry_parity(benchmark):
-    """Byte-identical site classifications, incremental vs fresh."""
-    fresh, incremental, parity = benchmark.pedantic(
-        run_registry_parity, rounds=1, iterations=1
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_registry_session_checks_match_one_shot_checks(benchmark, use_cache):
+    """Every registry session check agrees with a one-shot check."""
+    counts = benchmark.pedantic(
+        run_registry_parity, args=(use_cache,), rounds=1, iterations=1
     )
-    assert parity
+    assert registry_parity_holds(counts)
 
 
 @pytest.mark.benchmark(group="solver")
@@ -334,13 +373,12 @@ def test_encoder_size_stays_within_the_ceiling(benchmark):
 # Standalone entry point (the CI gate)
 # ----------------------------------------------------------------------
 def main() -> int:
-    registry_fresh, registry_incremental, parity = run_registry_parity()
-    print("=== Registry campaign: classification parity ===")
-    print(
-        f"fresh       : {registry_fresh['wall_seconds']:.3f}s, "
-        f"incremental : {registry_incremental['wall_seconds']:.3f}s, "
-        f"parity={'yes' if parity else 'NO'}"
-    )
+    registry = {
+        "cache on": run_registry_parity(True),
+        "cache off": run_registry_parity(False),
+    }
+    print_registry_parity(registry)
+    parity = all(registry_parity_holds(counts) for counts in registry.values())
 
     chain_fresh = run_enforcement_chains(False)
     chain_incremental = run_enforcement_chains(True)

@@ -226,8 +226,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         skip_known=args.skip_known,
         trace_dir=args.trace_dir,
     )
-    if args.no_incremental:
-        config.diode.solver.incremental = False
     if args.no_core_guidance:
         config.diode.solver.enable_unsat_cores = False
     result = CampaignEngine(config).run()
@@ -237,7 +235,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "version": __version__,
             "backend": result.backend,
             "jobs": result.jobs,
-            "incremental": not args.no_incremental,
             "core_guidance": not args.no_core_guidance,
             "cache_enabled": result.cache_enabled,
             "unit_count": result.unit_count,
@@ -685,16 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the shared solver-result cache",
-    )
-    campaign.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help=(
-            "disable incremental solver sessions "
-            "(the fresh-query reference path; classification parity with "
-            "the incremental default is enforced by the test and benchmark "
-            "gates)"
-        ),
     )
     campaign.add_argument(
         "--no-core-guidance",

@@ -10,8 +10,8 @@ schedule), ``thread`` (a work queue sharing one in-process cache) or
 caches merged back into the parent).  Every unit's
 solver is backed by a shared :class:`~repro.smt.cache.SolverCache`, and
 every term keeps its simplified form, so enforcement iterations and
-sibling sites stop re-deriving work.  Units solve incrementally by default
-(one :class:`~repro.smt.solver.SolverSession` per site); the cache carries
+sibling sites stop re-deriving work.  Units solve incrementally (one
+:class:`~repro.smt.solver.SolverSession` per site); the cache carries
 whole-query verdicts and canonical UNSAT cores through every backend —
 the process backend ships both as tagged wire-format deltas.
 

@@ -17,15 +17,13 @@ Enforcing only first-flipped branches is the paper's key idea: the candidate
 is forced through the sanity checks it actually failed while remaining free
 to take any path through the blocking checks.
 
-Solver interaction is *incremental* when the solver configuration's
-``incremental`` knob is on (the default): the loop drives one
+Solver interaction is *incremental*: the loop drives one
 :class:`~repro.smt.solver.SolverSession` — held open across all of a
 site's observations, so the persistent bit-blaster and learned clauses
 survive from one observation to the next — pushes the target constraint
 β once per observation, then pushes one branch-constraint delta per
 iteration instead of rebuilding (and re-simplifying, re-splitting,
-re-blasting) the whole conjunction list every time.  Classification
-parity with the fresh-query path is the invariant either way.
+re-blasting) the whole conjunction list every time.
 
 **UNSAT-core guidance** (``SolverConfig.enable_unsat_cores``, on by
 default): every UNSAT verdict carries a subset of the pushed conjuncts
@@ -54,7 +52,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import AbstractSet, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.branches import (
     BranchConstraint,
@@ -156,11 +154,11 @@ class GoalDirectedEnforcer:
     run of each distinct candidate (a private group when none is given) —
     and owns two pieces of cross-observation state:
 
-    * a reusable :class:`~repro.smt.solver.SolverSession` (with
-      ``incremental``), popped back to an empty stack between
-      observations so the persistent bit-blaster's CNF and the CDCL's
-      learned clauses — both derived from Tseitin definitions alone, hence
-      sound for any later conjunction — carry over;
+    * a reusable :class:`~repro.smt.solver.SolverSession`, popped back to
+      an empty stack between observations so the persistent bit-blaster's
+      CNF and the CDCL's learned clauses — both derived from Tseitin
+      definitions alone, hence sound for any later conjunction — carry
+      over;
     * the accumulated UNSAT cores (with ``enable_unsat_cores``), used to
       answer later queries whose conjunct set subsumes a core without a
       solver call.  Soundness invariant: a core is a set of conjuncts whose
@@ -224,12 +222,8 @@ class GoalDirectedEnforcer:
         session = self._acquire_session()
 
         # Step 1: solve the target constraint alone.
-        if session is not None:
-            session.push(beta)
-            active: Set[Term] = set(session.conjuncts)
-        else:
-            active = set(split_conjuncts(simplify(beta)))
-        solver_result = self._check(session, [beta], active)
+        session.push(beta)
+        solver_result = self._check(session)
         if solver_result.is_unsat:
             result.outcome = EnforcementOutcome.TARGET_UNSATISFIABLE
             return self._finish(result, started)
@@ -280,14 +274,8 @@ class GoalDirectedEnforcer:
 
             enforced.append(flipped)
             result.enforced_branches = list(enforced)
-            if session is not None:
-                session.push(flipped.condition)
-                active = set(session.conjuncts)
-                constraints = []
-            else:
-                constraints = [beta] + [b.condition for b in enforced]
-                active |= set(split_conjuncts(simplify(flipped.condition)))
-            solver_result = self._check(session, constraints, active)
+            session.push(flipped.condition)
+            solver_result = self._check(session)
             if solver_result.is_unsat:
                 result.outcome = EnforcementOutcome.CONSTRAINTS_UNSATISFIABLE
                 result.steps.append(
@@ -327,8 +315,8 @@ class GoalDirectedEnforcer:
         return self._finish(result, started)
 
     # ------------------------------------------------------------------
-    def _acquire_session(self) -> Optional[SolverSession]:
-        """The observation's solver session, or ``None`` on the fresh path.
+    def _acquire_session(self) -> SolverSession:
+        """The observation's solver session.
 
         The site's one session is popped back to an empty constraint stack
         and handed out again: everything that survives the pops (the
@@ -337,8 +325,6 @@ class GoalDirectedEnforcer:
         the definitional CNF alone, so reuse can steer *which* model a
         later check finds but never its status.
         """
-        if not self.solver.config.incremental:
-            return None
         session = self._session
         if session is not None:
             while len(session):
@@ -348,17 +334,10 @@ class GoalDirectedEnforcer:
         self._session = self.solver.open_session()
         return self._session
 
-    def _check(
-        self,
-        session: Optional[SolverSession],
-        constraints: Sequence[Term],
-        active: AbstractSet[Term],
-    ) -> SolverResult:
-        """Decide the current conjunction, consulting accumulated cores.
+    def _check(self, session: SolverSession) -> SolverResult:
+        """Decide the session's conjunction, consulting accumulated cores.
 
-        ``active`` is the conjunct set the query denotes (the session's
-        stack, or the split/simplified fresh-path constraints — identical
-        by construction).  When core guidance is on and ``active`` subsumes
+        When core guidance is on and the session's conjunct set subsumes
         an accumulated core, the UNSAT verdict is synthesized without a
         solver call; this cannot diverge from the unguided path because the
         solver is guaranteed to answer a superset of an unsatisfiable set
@@ -366,13 +345,11 @@ class GoalDirectedEnforcer:
         one, the full conjunct set) back into the accumulator.
         """
         guided = self.solver.config.enable_unsat_cores
+        active = set(session.conjuncts)
         if guided and any(core <= active for core in self._cores):
             METRICS.counter("solver.core_pruned_candidates").inc()
             return SolverResult(SolverStatus.UNSAT, reason="unsat-core")
-        if session is not None:
-            result = session.check()
-        else:
-            result = self.solver.check(constraints)
+        result = session.check()
         if guided and result.is_unsat:
             core = frozenset(result.unsat_core or active)
             if core and core not in self._cores:

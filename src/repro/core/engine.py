@@ -97,14 +97,9 @@ def analyze_site(
     whole processes (:mod:`repro.sched`); :class:`Diode` runs them
     serially.
 
-    Solving is incremental by default: the enforcer drives a
+    Solving is incremental: the enforcer drives a
     :class:`~repro.smt.solver.SolverSession` per site (constraint deltas
-    instead of rebuilt conjunction lists).  Disable via
-    ``config.solver.incremental`` — classification parity between the two
-    paths is enforced by the parity tests and ``bench_solver.py`` (in
-    principle only a timeout landing on a different side of the CDCL
-    conflict budget could ever differ; see
-    :class:`~repro.smt.solver.SolverSession`).
+    instead of rebuilt conjunction lists).
     """
     config = config or DiodeConfig()
     started = time.perf_counter()

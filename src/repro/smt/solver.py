@@ -109,10 +109,6 @@ class SolverConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     bitblast_max_conflicts: int = 200_000
     heuristic_max_checks: int = 768
-    #: Let callers that hold a :class:`SolverSession` drive the
-    #: incremental push/pop path (the enforcement loop checks this knob;
-    #: ``repro campaign --no-incremental`` clears it).
-    incremental: bool = True
     #: Attach UNSAT cores (:attr:`SolverResult.unsat_core`) to UNSAT
     #: verdicts and let the enforcement loop use them to prune candidate
     #: branch queries whose conjunct set is subsumed by an accumulated core
@@ -125,11 +121,8 @@ class SolverConfig:
         Part of every solver-cache key, and the validity stamp of a
         persistent :class:`~repro.smt.cachestore.CacheStore` — results
         computed under different budgets must never be conflated, within a
-        run or across runs.  The ``incremental`` knob is left out: it only
-        selects whether a caller drives a session, session-derived verdicts
-        are never stored, and every stored verdict is a pure function of
-        the canonical system either way.  Primitives only, so it survives
-        a JSON round trip unchanged.
+        run or across runs.  Every knob is part of it.  Primitives only, so
+        it survives a JSON round trip unchanged.
         """
         sampler = self.sampler
         return (
@@ -207,36 +200,7 @@ class PortfolioSolver:
     # ------------------------------------------------------------------
     def check(self, constraints: Iterable[Term]) -> SolverResult:
         """Decide the conjunction of ``constraints``."""
-        with TRACER.span("solve", session=False) as span:
-            mark = METRICS.counter("solver.cdcl_propagations").value
-            started = time.perf_counter()
-            self.query_count += 1
-            METRICS.counter("solver.queries").inc()
-            constraint_list = [simplify(c) for c in constraints]
-            stages: List[str] = []
-
-            try:
-                # Layer 1: simplification may already decide the query.
-                stages.append("simplify")
-                decided = self._decide_by_simplification(constraint_list)
-                if decided is not None:
-                    return self._finish(decided, started, stages)
-
-                conjuncts: List[Term] = []
-                for constraint in constraint_list:
-                    conjuncts.extend(split_conjuncts(constraint))
-
-                if self.cache is not None:
-                    result = self._check_cached(conjuncts, stages)
-                else:
-                    result = self._run_portfolio(conjuncts, stages)
-                return self._finish(result, started, stages)
-            finally:
-                # Propagation-loop work attributed to this solve, so trace
-                # reports can rank queries by SAT-core effort, not just wall.
-                span.attrs["propagations"] = (
-                    METRICS.counter("solver.cdcl_propagations").value - mark
-                )
+        return self._solve(constraints, None)
 
     def open_session(self) -> "SolverSession":
         """Create an incremental push/pop session backed by this solver.
@@ -247,31 +211,46 @@ class PortfolioSolver:
         """
         return SolverSession(self)
 
-    def _check_session(self, session: "SolverSession") -> SolverResult:
-        """Decide a session's conjunction (see :meth:`SolverSession.check`)."""
-        with TRACER.span("solve", session=True) as span:
+    def _solve(
+        self,
+        constraints: Iterable[Term],
+        session: Optional["SolverSession"],
+    ) -> SolverResult:
+        """The one query body behind :meth:`check` and :meth:`SolverSession.check`.
+
+        A one-shot query simplifies and splits ``constraints``; a session
+        passes its conjuncts (already simplified and split) and layer 5
+        runs on its incremental backend.
+        """
+        with TRACER.span("solve", session=session is not None) as span:
             mark = METRICS.counter("solver.cdcl_propagations").value
             started = time.perf_counter()
             self.query_count += 1
             METRICS.counter("solver.queries").inc()
-            METRICS.counter("solver.session_checks").inc()
             stages: List[str] = ["simplify"]
-            conjuncts = list(session.conjuncts)
-            # A query makes at most one complete-backend call; these report
-            # on it, so nothing may linger from the previous check.
-            session.last_call_tainted = False
-            session.last_call_core = None
+            if session is None:
+                conjuncts = [
+                    part for c in constraints for part in split_conjuncts(simplify(c))
+                ]
+            else:
+                METRICS.counter("solver.session_checks").inc()
+                conjuncts = list(constraints)
+                # A query makes at most one complete-backend call; these
+                # report on it, so nothing may linger from the previous check.
+                session.last_call_tainted = False
+                session.last_call_core = None
 
             try:
-                decided = self._decide_by_simplification(conjuncts)
-                if decided is not None:
-                    return self._finish(decided, started, stages)
-                if self.cache is not None:
-                    result = self._check_cached(conjuncts, stages, session)
-                else:
+                # Layer 1: simplification may already decide the query.
+                result = self._decide_by_simplification(conjuncts)
+                if result is None and self.cache is None:
                     result = self._run_portfolio(conjuncts, stages, session)
+                elif result is None:
+                    result = self._check_cached(conjuncts, stages, session)
                 return self._finish(result, started, stages)
             finally:
+                # Propagation-loop work attributed to this solve, so trace
+                # reports can rank queries by SAT-core effort, not just wall.
                 span.attrs["propagations"] = (
                     METRICS.counter("solver.cdcl_propagations").value - mark
                 )
@@ -316,7 +295,7 @@ class PortfolioSolver:
         self,
         conjuncts: List[Term],
         stages: List[str],
-        session: Optional["SolverSession"] = None,
+        session: Optional["SolverSession"],
     ) -> SolverResult:
         """Answer the query through the shared cache.
 
@@ -412,7 +391,7 @@ class PortfolioSolver:
         self,
         conjuncts: List[Term],
         stages: List[str],
-        session: Optional["SolverSession"] = None,
+        session: Optional["SolverSession"],
     ) -> SolverResult:
         """Layers 2-5 over an already simplified, split conjunction.
 
@@ -598,15 +577,15 @@ class SolverSession:
     canonicalized prefixes are stable across growing queries), and one
     persistent :class:`CDCLSolver` keeps its learned clauses, variable
     activity and saved phases across checks, asserting the current
-    conjuncts through per-call assumptions.  Classification parity with
-    the fresh-query path is the invariant: the incremental backend may
-    find a different *model* but must not change the *status*.  SAT and
-    UNSAT are semantic, so they can never flip; the one principled gap is
-    the conflict-budget boundary, where inherited search state could make
-    a timeout land differently — a session CDCL timeout therefore retries
-    the pure one-shot backend (never less complete than fresh), and the
-    registry-wide parity gates in the tests and ``bench_solver.py`` check
-    the equality empirically.
+    conjuncts through per-call assumptions.  Parity with a one-shot
+    :meth:`PortfolioSolver.check` of the same conjuncts is the invariant:
+    the incremental backend may find a different *model* but must not
+    change the *status*.  SAT and UNSAT are semantic, so they can never
+    flip; the one principled gap is the conflict-budget boundary, where
+    inherited search state could make a timeout land differently — a
+    session CDCL timeout therefore retries the pure one-shot backend
+    (never less complete than one-shot), and the per-check oracles in the
+    tests and ``bench_solver.py`` check the equality on the registry.
 
     Sessions are not thread-safe; each worker drives its own.
     """
@@ -621,7 +600,7 @@ class SolverSession:
         #: learned clauses, activities and phases from earlier checks, so
         #: its verdicts are per-session history, not a pure function of the
         #: canonical system, and the cached path never stores them.  Reset
-        #: by :meth:`PortfolioSolver._check_session` before each check.
+        #: by :meth:`PortfolioSolver._solve` before each check.
         self.last_call_tainted = False
         #: UNSAT core of the current check's complete-backend call, as a
         #: subset of the conjunct terms that call received (``None`` unless
@@ -632,12 +611,6 @@ class SolverSession:
         self._frames: List[int] = []
         self._blaster: Optional[BitBlaster] = None
         self._cdcl: Optional[CDCLSolver] = None
-        #: name -> width of every bitvector variable the persistent blaster
-        #: has seen.  The blaster keys variable bit-vectors by *name*, but
-        #: canonical names restart at ``v000`` per query, so two checks of
-        #: one session can reuse a name at different widths; such a clash
-        #: must not reach (and corrupt) the shared blaster.
-        self._var_widths: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -679,22 +652,11 @@ class SolverSession:
         shared cache (they depend on this session's history).
         """
         self.check_count += 1
-        return self.solver._check_session(self)
+        return self.solver._solve(self._conjuncts, self)
 
     # ------------------------------------------------------------------
     def _bitblast(self, conjuncts: Sequence[Term]) -> Tuple[str, Optional[Model]]:
-        """Complete-backend hook: delta-blast + assumption-based CDCL.
-
-        When a conjunct reuses a variable *name* the persistent blaster has
-        already allocated at a different width (canonical names restart at
-        ``v000`` per query, so an earlier check may have bound the name at
-        another width), the call falls back to a fresh one-shot blast: the
-        per-name bit-vectors of the shared blaster cannot represent both
-        widths, and a collision would wrongly degrade a decidable query to
-        UNKNOWN.
-        """
-        if self._width_clash(conjuncts):
-            return self.solver._bitblast(conjuncts)
+        """Complete-backend hook: delta-blast + assumption-based CDCL."""
         started = time.perf_counter()
         config = self.solver.config
         try:
@@ -708,7 +670,9 @@ class SolverSession:
             result = self._cdcl.solve(assumptions=assumptions)
         except (BitBlastError, RecursionError, MemoryError):
             # The session's accumulated CNF blew a resource limit the
-            # current (smaller) conjunction alone would not; same policy
+            # current (smaller) conjunction alone would not, or a conjunct
+            # reuses a variable name the blaster holds at another width
+            # (canonical names restart at ``v000`` per query); same policy
             # as the budget case below — retry fresh.
             _record_bitblast(started, None)
             return self.solver._bitblast(conjuncts)
@@ -717,7 +681,7 @@ class SolverSession:
             # The per-call conflict budget ran out under the session's
             # inherited search state (learned clauses, activities, phases).
             # Retry once with the pure one-shot backend: a session must
-            # never be *less* complete than the fresh-query path.
+            # never be *less* complete than a one-shot check.
             return self.solver._bitblast(conjuncts)
         self.last_call_tainted = True
         if result.status == SatStatus.SAT:
@@ -732,27 +696,3 @@ class SolverSession:
                 lifted.extend(by_literal.get(literal, ()))
             self.last_call_core = tuple(dict.fromkeys(lifted))
         return result.status, None
-
-    def _width_clash(self, conjuncts: Sequence[Term]) -> bool:
-        """Whether ``conjuncts`` reuse a seen variable name at a new width.
-
-        On no clash, the conjuncts' variables are recorded as seen.  The
-        name keeps its first-seen width for the session's lifetime: the
-        blaster's per-name bit-vectors can hold only one width, so later
-        queries using the other width take the fresh one-shot backend —
-        first width wins the incremental machinery, correctness never
-        depends on which.
-        """
-        variables = [
-            variable
-            for conjunct in conjuncts
-            for variable in conjunct.variables()
-            if variable.is_bv
-        ]
-        for variable in variables:
-            known = self._var_widths.get(str(variable.name))
-            if known is not None and known != variable.width:
-                return True
-        for variable in variables:
-            self._var_widths[str(variable.name)] = variable.width
-        return False

@@ -473,12 +473,12 @@ class TestWorkersDieWithTheirParent:
 class TestProcessBackendCli:
     """The process backend through the CLI on dillo+cwebp, ``--jobs 2``.
 
-    A cold-store campaign, its warm rerun and the incremental-session
-    ablation run as consecutive campaigns in one process, so they share
-    one worker pool — as separate CLI runs never could.
+    A cold-store campaign, its warm rerun and a storeless run go as
+    consecutive campaigns in one process, so they share one worker pool —
+    as separate CLI runs never could.
     """
 
-    def test_cold_store_warm_rerun_and_incremental_parity(self, tmp_path, capsys):
+    def test_cold_store_warm_rerun_and_storeless_parity(self, tmp_path, capsys):
         base = ["campaign", "--backend", "process", "--jobs", "2",
                 "--apps", "dillo", "cwebp"]
         store = ["--cache-dir", str(tmp_path / "cache")]
@@ -493,14 +493,8 @@ class TestProcessBackendCli:
             return json.loads(capsys.readouterr().out)
 
         warm = run_json(*store)
-        incremental = run_json()
-        fresh = run_json("--no-incremental")
+        storeless = run_json()
 
         assert warm["backend"] == "process"
         assert warm["cache_store"]["loaded"] > 0
-        assert incremental["incremental"] and not fresh["incremental"]
-        assert (
-            warm["classifications"]
-            == incremental["classifications"]
-            == fresh["classifications"]
-        )
+        assert warm["classifications"] == storeless["classifications"]

@@ -19,6 +19,9 @@ from repro.core.campaign import (
     run_campaign,
 )
 from repro.core.report import SiteClassification
+from repro.smt import builder as b
+from repro.smt.evalmodel import Model
+from repro.smt.solver import PortfolioSolver, SolverResult, SolverStatus
 
 
 @pytest.fixture(scope="module")
@@ -200,33 +203,39 @@ class TestCampaignConfig:
             assert len(result.application_results) == 1
 
 
-class TestIncrementalParity:
-    """The incremental solving stack (sessions over the shared cache) is
-    classification-transparent on the full registry."""
+class TestSessionOracle:
+    """Every session check of a serial registry campaign agrees with an
+    independent uncached one-shot check of the same conjuncts.  Every
+    UNSAT verdict carries a core except the cache's hits (cores are never
+    cached): 5 of the 26 with the cache on."""
 
-    def test_fresh_query_campaign_matches_the_incremental_default(
-        self, serial_reference
+    @pytest.mark.parametrize("use_cache, cores", [(True, 21), (False, 26)])
+    def test_every_session_check_matches_a_one_shot_check(
+        self, session_oracle, serial_reference, use_cache, cores
     ):
-        config = CampaignConfig(jobs=1, backend="serial")
-        config.diode.solver.incremental = False
-        fresh = run_campaign(config)
-        incremental = run_campaign(CampaignConfig(jobs=1, backend="serial"))
-        assert incremental.classifications() == fresh.classifications()
-        assert incremental.classifications() == serial_reference
-
-    def test_fresh_query_campaign_reuses_the_default_store(self, tmp_path):
-        """``incremental`` is not part of the solver fingerprint: a
-        fresh-query campaign answers every query from the store a default
-        campaign saved, with the same classifications."""
-        default = run_campaign(
-            CampaignConfig(jobs=1, backend="serial", cache_dir=str(tmp_path))
+        result = run_campaign(
+            CampaignConfig(jobs=1, backend="serial", use_cache=use_cache)
         )
-        config = CampaignConfig(jobs=1, backend="serial", cache_dir=str(tmp_path))
-        config.diode.solver.incremental = False
-        fresh = run_campaign(config)
-        assert fresh.cache_loaded == default.cache_saved > 0
-        assert fresh.cache_stats.misses == 0
-        assert fresh.classifications() == default.classifications()
+        assert result.classifications() == serial_reference
+        assert session_oracle.problems == []
+        assert session_oracle.checks == 75
+        assert dict(session_oracle.statuses) == {"sat": 49, "unsat": 26}
+        assert session_oracle.cores == cores
+
+    def test_the_oracle_flags_planted_faults(self, session_oracle):
+        x = b.bv_var("x", 8)
+        session = PortfolioSolver().open_session()
+        session.push(b.ult(x, b.bv_const(10, 8)))
+        foreign = b.ugt(x, b.bv_const(200, 8))
+        session.check()
+        assert (session_oracle.checks, session_oracle.problems) == (1, [])
+        for planted in (
+            SolverResult(SolverStatus.SAT, model=Model({"x": 20})),
+            SolverResult(SolverStatus.UNSAT, unsat_core=(foreign,)),
+        ):
+            session_oracle.record(session, planted)
+        kinds = [problem[0] for problem in session_oracle.problems]
+        assert kinds == ["model", "status", "core"]
 
 
 class TestCanonicalizationCount:

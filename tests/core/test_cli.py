@@ -131,28 +131,16 @@ class TestCampaignCommand:
         assert excinfo.value.code == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
-    def test_campaign_no_incremental_flag_keeps_classifications(self, capsys):
-        """The fresh-query ablation path reports identical classifications."""
-        assert main(["campaign", "--jobs", "1", "--apps", "vlc", "--json"]) == 0
-        incremental = json.loads(capsys.readouterr().out)
-        assert incremental["incremental"] is True
-        assert (
-            main(
-                [
-                    "campaign",
-                    "--jobs",
-                    "1",
-                    "--apps",
-                    "vlc",
-                    "--no-incremental",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        fresh = json.loads(capsys.readouterr().out)
-        assert fresh["incremental"] is False
-        assert fresh["classifications"] == incremental["classifications"]
+    def test_campaign_no_core_guidance_flag_keeps_classifications(self, capsys):
+        """The UNSAT-core ablation reports identical classifications."""
+        base = ["campaign", "--jobs", "1", "--apps", "vlc", "--json"]
+        assert main(base) == 0
+        guided = json.loads(capsys.readouterr().out)
+        assert guided["core_guidance"] is True
+        assert main(base + ["--no-core-guidance"]) == 0
+        unguided = json.loads(capsys.readouterr().out)
+        assert unguided["core_guidance"] is False
+        assert unguided["classifications"] == guided["classifications"]
 
     def test_campaign_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):

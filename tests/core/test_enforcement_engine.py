@@ -222,42 +222,28 @@ class TestDiodeEngine:
         assert report.cve == "CVE-0000-0001"
 
 
-class TestIncrementalSessions:
-    """Session-driven enforcement (the default) against the fresh-query
-    reference path: identical outcomes, enforced branches and steps."""
-
-    def _run_both(self, app, tag):
-        from repro.smt.solver import SolverConfig
-
-        fresh_config = SolverConfig(incremental=False)
-        incremental = _run_site(app, tag)
-        sites = identify_target_sites(app.program, app.seed_input)
-        site = next(s for s in sites if s.site_tag == tag)
-        mapper = FieldMapper(app.format_spec)
-        observation = extract_target_observations(
-            app.program, app.seed_input, site, field_mapper=mapper
-        )[0]
-        enforcer = GoalDirectedEnforcer(
-            PortfolioSolver(fresh_config),
-            InputGenerator(app.seed_input, app.format_spec),
-            ErrorDetector(app.program, app.seed_input),
-        )
-        return incremental, enforcer.run(observation)
+class TestSessionOracle:
+    """Each session check the enforcement loop makes on the mini-app sites
+    agrees with an independent uncached one-shot check (the
+    ``session_oracle`` fixture)."""
 
     @pytest.mark.parametrize(
-        "tag", ["open.c@2", "guarded.c@1", "capped.c@3", "narrow.c@4"]
+        "tag, outcome, statuses",
+        [
+            ("open.c@2", EnforcementOutcome.OVERFLOW_TRIGGERED, {"sat": 1}),
+            ("guarded.c@1", EnforcementOutcome.OVERFLOW_TRIGGERED, {"sat": 3}),
+            (
+                "capped.c@3",
+                EnforcementOutcome.CONSTRAINTS_UNSATISFIABLE,
+                {"sat": 2, "unsat": 1},
+            ),
+            ("narrow.c@4", EnforcementOutcome.TARGET_UNSATISFIABLE, {"unsat": 1}),
+        ],
     )
-    def test_session_path_matches_fresh_path(self, mini_app, tag):
-        incremental, fresh = self._run_both(mini_app, tag)
-        assert incremental.outcome is fresh.outcome
-        assert incremental.enforced_count == fresh.enforced_count
-        assert len(incremental.steps) == len(fresh.steps)
-        assert [s.solver_status for s in incremental.steps] == [
-            s.solver_status for s in fresh.steps
-        ]
-
-    def test_default_config_enables_sessions(self):
-        from repro.smt.solver import SolverConfig
-
-        config = SolverConfig()
-        assert config.incremental
+    def test_session_checks_match_one_shot_checks(
+        self, mini_app, session_oracle, tag, outcome, statuses
+    ):
+        result = _run_site(mini_app, tag)
+        assert result.outcome is outcome
+        assert session_oracle.problems == []
+        assert dict(session_oracle.statuses) == statuses

@@ -335,19 +335,10 @@ _KNOB_CHANGES = [
     ("sampler", "perturbation_attempts", 1),
 ]
 
-#: Knobs deliberately left out of the fingerprint, in the same shape.
-_FINGERPRINT_EXEMPT = [
-    # Only selects whether a caller drives a SolverSession; verdicts the
-    # session's history-dependent CDCL derives are never stored, so every
-    # stored verdict is the same pure function of the canonical system
-    # with the knob on or off.
-    ("solver", "incremental", False),
-]
-
 
 class TestConfigFingerprint:
     """Cached verdicts are keyed on the configuration fingerprint, so no
-    knob may be left out of it unless it is listed as exempt."""
+    knob may be left out of it."""
 
     @pytest.mark.parametrize("owner, name, value", _KNOB_CHANGES)
     def test_every_knob_changes_the_fingerprint(self, owner, name, value):
@@ -357,19 +348,9 @@ class TestConfigFingerprint:
         setattr(target, name, value)
         assert config.fingerprint() != SolverConfig().fingerprint()
 
-    @pytest.mark.parametrize("owner, name, value", _FINGERPRINT_EXEMPT)
-    def test_exempt_knobs_keep_the_fingerprint(self, owner, name, value):
-        config = SolverConfig()
-        target = config if owner == "solver" else config.sampler
-        assert getattr(target, name) != value
-        setattr(target, name, value)
-        assert config.fingerprint() == SolverConfig().fingerprint()
-
     def test_the_knob_list_names_every_field(self):
         keyed = {(owner, name) for owner, name, _ in _KNOB_CHANGES}
-        exempt = {(owner, name) for owner, name, _ in _FINGERPRINT_EXEMPT}
-        assert not keyed & exempt
-        assert keyed | exempt == {
+        assert keyed == {
             ("solver", f.name) for f in fields(SolverConfig) if f.name != "sampler"
         } | {("sampler", f.name) for f in fields(SamplerConfig)}
 

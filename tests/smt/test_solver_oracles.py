@@ -355,10 +355,7 @@ def test_encoder_matches_enumeration_at_a_pinned_point(shape, p, q, equal):
 # Complete-backend work counters
 # ----------------------------------------------------------------------
 def test_cdcl_bound_solve_records_propagation_counters():
-    config = SolverConfig(
-        incremental=False,
-        heuristic_max_checks=2,
-    )
+    config = SolverConfig(heuristic_max_checks=2)
     x = b.bv_var("tc", 16)
     system = [
         b.eq(b.bvand(b.mul(x, x), b.bv_const(31, 16)), b.bv_const(5, 16))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import METRICS, counter_value
+from repro.obs.trace import TRACER, InMemorySink
 from repro.smt import builder as b
 from repro.smt.cache import SolverCache
 from repro.smt.cachestore import CacheStore
@@ -60,6 +61,33 @@ def _stress_config(**overrides):
     )
     defaults.update(overrides)
     return SolverConfig(**defaults)
+
+
+class TestOneQueryBody:
+    """``PortfolioSolver.check`` and ``SolverSession.check`` run one query
+    body: the same span, counters and stages."""
+
+    def test_both_paths_trace_and_count_alike(self):
+        solver = PortfolioSolver()
+        constraint = b.ult(b.bv_var("x", WIDTH), b.bv_const(10, WIDTH))
+        sink = InMemorySink()
+        TRACER.add_sink(sink)
+        mark = METRICS.snapshot()
+        try:
+            one_shot = solver.check([constraint])
+            session = solver.open_session()
+            session.push(constraint)
+            in_session = session.check()
+        finally:
+            TRACER.remove_sink(sink)
+        delta = METRICS.delta(mark)
+        solves = [r for r in sink.records if r["name"] == "solve"]
+        assert [r["attrs"]["session"] for r in solves] == [False, True]
+        assert all(isinstance(r["attrs"]["propagations"], int) for r in solves)
+        assert counter_value(delta, "solver.queries") == solver.query_count == 2
+        assert counter_value(delta, "solver.session_checks") == 1
+        assert one_shot.stages_tried == in_session.stages_tried
+        assert one_shot.stages_tried[0] == "simplify"
 
 
 class TestSessionSemantics:
@@ -285,11 +313,11 @@ class TestSessionBlasterIsolation:
 
     def test_canonical_width_clash_does_not_degrade_to_unknown(self):
         """Canonical names restart at ``v000`` per query, so two checks of
-        one session can bind one name at different widths.  The second
-        check must not reach the session's persistent blaster, whose
-        per-name bit-vectors hold one width (regression: the clash raised
-        BitBlastError and wrongly returned UNKNOWN where the fresh path
-        proves SAT)."""
+        one session can bind one name at different widths.  The session's
+        persistent blaster, whose per-name bit-vectors hold one width,
+        raises at the clashing variable, and the session retries the
+        one-shot backend (regression: the clash wrongly returned UNKNOWN
+        where a one-shot check proves SAT)."""
         narrow = self._square_residue("clash_n", 16)
         wide = self._square_residue("clash_w", 32)
         solver = PortfolioSolver(_stress_config(), cache=SolverCache())
@@ -298,13 +326,12 @@ class TestSessionBlasterIsolation:
         assert session.check().reason == "bitblast"
         session.pop()
         session.push(wide)
-        assert session._var_widths == {"v000": 16}
         mark = METRICS.snapshot()
         clashing = session.check()
-        # One complete-backend call, the fresh one: the clash is caught
-        # before the persistent blaster sees the 32-bit ``v000``.
-        assert counter_value(METRICS.delta(mark), "solver.bitblast_calls") == 1
-        fresh = PortfolioSolver(_stress_config(incremental=False)).check([wide])
+        # Two complete-backend calls: the session attempt that the clash
+        # aborts, then the one-shot retry.
+        assert counter_value(METRICS.delta(mark), "solver.bitblast_calls") == 2
+        fresh = PortfolioSolver(_stress_config()).check([wide])
         assert fresh.status == SolverStatus.SAT
         assert clashing.status == fresh.status
         assert clashing.reason == "bitblast"
@@ -321,11 +348,12 @@ class TestSessionBlasterIsolation:
         session.push(self._square_residue("keep_w", 32))
         assert session.check().is_sat
         # The session stays usable after the fallback path ran, and the
-        # name keeps its first-seen width.
+        # name keeps its first-seen width: the persistent blaster decides
+        # the 16-bit check again.
         session.pop()
         session.push(self._square_residue("keep_m", 16))
         assert session.check().is_sat
-        assert session._var_widths == {"v000": 16}
+        assert session.last_call_tainted
 
 
 class TestCachePurityUnderSessions:
