@@ -18,7 +18,7 @@ and Figure 8):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.exec.concolic import SymbolicBranch
 from repro.smt import builder as smt
@@ -75,6 +75,13 @@ def extract_branch_constraints(
     return constraints
 
 
+#: Occurrence conditions -> their simplified conjunction, for the life of
+#: the process.  Every concolic rerun of a label yields the same interned
+#: conditions, so a hit builds no term; a miss runs ``simplify(band(...))``
+#: unchanged, and racing threads both store the same interned term.
+_CONJUNCTIONS: Dict[Tuple[Term, ...], Term] = {}
+
+
 def compress_branches(constraints: Sequence[BranchConstraint]) -> List[BranchConstraint]:
     """Coalesce occurrences of the same conditional into one constraint.
 
@@ -91,7 +98,10 @@ def compress_branches(constraints: Sequence[BranchConstraint]) -> List[BranchCon
     compressed: List[BranchConstraint] = []
     for label in order:
         group = by_label[label]
-        condition = simplify(smt.band(*[c.condition for c in group]))
+        conditions = tuple(c.condition for c in group)
+        condition = _CONJUNCTIONS.get(conditions)
+        if condition is None:
+            condition = _CONJUNCTIONS[conditions] = simplify(smt.band(*conditions))
         compressed.append(
             BranchConstraint(
                 label=label,

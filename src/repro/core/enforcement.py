@@ -256,13 +256,18 @@ class GoalDirectedEnforcer:
         else:
             relevant = compressed
         result.relevant_branch_count = len(relevant)
+        # The flip check evaluates only the relevant conditions, so each
+        # candidate is described over just the offsets their variables read.
+        offsets = self.input_generator.mapper.variable_offsets(
+            branch.condition for branch in relevant
+        )
 
         enforced: List[BranchConstraint] = []
         previous_candidate = candidate
 
         for iteration in range(1, self.config.max_iterations + 1):
             assignment = self.input_generator.assignment_for(
-                previous_candidate.data, range(len(previous_candidate.data))
+                previous_candidate.data, offsets
             )
             flipped = self._select_flipped(relevant, enforced, assignment)
             if flipped is None:

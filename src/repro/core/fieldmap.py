@@ -104,6 +104,24 @@ class FieldMapper:
                 assignment[field.path] = field.read(data)
         return Model(assignment)
 
+    def variable_offsets(self, terms: Iterable[Term]) -> Tuple[int, ...]:
+        """Input offsets whose assignment covers every variable of ``terms``.
+
+        A byte variable ``inp[i]`` needs offset ``i``; a field variable
+        needs its field's first offset, which
+        :meth:`assignment_for_input` expands to the whole field.
+        """
+        offsets = set()
+        for term in terms:
+            for variable in term.variables():
+                name = str(variable.name)
+                offset = input_variable_offset(name)
+                if offset is not None:
+                    offsets.add(offset)
+                elif self.spec is not None and self.spec.has_field(name):
+                    offsets.add(self.spec.field(name).offset)
+        return tuple(sorted(offsets))
+
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------

@@ -26,14 +26,15 @@ from repro.smt.simplify import simplify
 from repro.smt.terms import Term, TermKind, mask
 
 
-@dataclass
+@dataclass(frozen=True)
 class OverflowSpec:
     """Which operations count as overflow sources.
 
     The paper's target constraints cover unsigned wrap-around of the
     allocation-size arithmetic; subtraction underflow is included because a
     ``length - header`` underflow produces the same too-small-allocation
-    effect, but it can be disabled for a strict reading.
+    effect, but it can be disabled for a strict reading.  Frozen: it keys
+    the target-constraint memo.
     """
 
     include_add: bool = True
@@ -50,14 +51,27 @@ class OverflowCondition:
     condition: Term
 
 
+#: ``(expression, spec)`` -> its target constraint, for the life of the
+#: process.  β is a pure function of the interned expression and the
+#: frozen spec, so a hit builds no term; a miss runs the construction
+#: unchanged, and racing threads both store the same interned term.
+_TARGET_CONSTRAINTS: Dict[Tuple[Term, OverflowSpec], Term] = {}
+
+
 def overflow_constraint(
     expression: Term, spec: Optional[OverflowSpec] = None
 ) -> Term:
     """Return the target constraint for ``expression`` (``false`` if none)."""
-    conditions = overflow_conditions(expression, spec)
-    if not conditions:
-        return smt.bool_const(False)
-    return simplify(smt.bor(*[c.condition for c in conditions]))
+    key = (expression, spec or OverflowSpec())
+    beta = _TARGET_CONSTRAINTS.get(key)
+    if beta is None:
+        conditions = overflow_conditions(expression, spec)
+        if not conditions:
+            beta = smt.bool_const(False)
+        else:
+            beta = simplify(smt.bor(*[c.condition for c in conditions]))
+        _TARGET_CONSTRAINTS[key] = beta
+    return beta
 
 
 def overflow_conditions(

@@ -16,7 +16,9 @@ Canonicalization has three steps:
    process, whichever cache or campaign asks first;
 3. variables are renamed to ``v000, v001, ...`` in first-occurrence order
    across the ordered conjunct list, so alpha-equivalent systems rebuild the
-   *same* interned canonical terms.
+   *same* interned canonical terms; the renamed system is memoized per
+   normalized conjunct tuple for the life of the process, so each distinct
+   query is renamed once.
 
 Because terms are hash-consed, the canonical conjuncts of two equivalent
 systems are identical objects, and the cache key is simply the tuple of
@@ -185,21 +187,28 @@ class SolverCache:
         and uses the original variable names, so it is stable across
         processes and across intern-table history.  Both the normal form
         and the key live on the interned term, so a conjunct any earlier
-        query in this process normalized costs one slot read.
+        query in this process normalized costs one slot read.  The renamed
+        system is kept per normalized conjunct tuple (``_CANONICAL``), so a
+        query seen before in this process renames nothing.
         """
         normalized = tuple(_normalize(c) for c in conjuncts)
-        rename: Dict[str, str] = {}
-        for conjunct in normalized:
-            _collect_names(conjunct, rename)
-        memo: Dict[Term, Term] = {}
-        canonical = tuple(_rename_term(c, rename, memo) for c in normalized)
-        key = (fingerprint, tuple(t._id for t in canonical))
+        entry = _CANONICAL.get(normalized)
+        if entry is None:
+            rename: Dict[str, str] = {}
+            for conjunct in normalized:
+                _collect_names(conjunct, rename)
+            memo: Dict[Term, Term] = {}
+            canonical = tuple(_rename_term(c, rename, memo) for c in normalized)
+            entry = _CANONICAL[normalized] = (
+                canonical,
+                tuple(t._id for t in canonical),
+                tuple((name, actual) for actual, name in rename.items()),
+            )
+        canonical, ids, from_canonical = entry
         return CanonicalSystem(
-            key=key,
+            key=(fingerprint, ids),
             conjuncts=canonical,
-            from_canonical=tuple(
-                (canonical_name, actual) for actual, canonical_name in rename.items()
-            ),
+            from_canonical=from_canonical,
         )
 
     def lookup(self, system: CanonicalSystem) -> Optional[CachedVerdict]:
@@ -338,6 +347,18 @@ class SolverCache:
 # ----------------------------------------------------------------------
 # Canonical renaming over the interned term DAG
 # ----------------------------------------------------------------------
+#: Normalized conjunct tuple -> (canonical conjuncts, their intern ids,
+#: canonical name -> caller name pairs), for the life of the process.  The
+#: canonical system is a pure function of the normalized conjuncts, so a
+#: repeated query (every later campaign's, whichever cache asks) costs one
+#: lookup and builds no term; a miss runs the renaming below unchanged.
+#: Racing threads both store the same interned terms.
+_CANONICAL: Dict[
+    Tuple[Term, ...],
+    Tuple[Tuple[Term, ...], Tuple[int, ...], Tuple[Tuple[str, str], ...]],
+] = {}
+
+
 def _collect_names(term: Term, rename: Dict[str, str]) -> None:
     """Assign canonical names in deterministic first-occurrence DFS order."""
     stack: List[Term] = [term]
