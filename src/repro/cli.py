@@ -159,16 +159,18 @@ def _cmd_site(args: argparse.Namespace) -> int:
 
 
 def _positive_int(value: str) -> int:
-    """argparse type for ``--jobs``: an integer >= 1, with a clear error."""
+    """argparse type for ``--jobs``, ``--top`` and ``--tail``: an integer >= 1.
+
+    argparse prefixes the error with the flag's name, so the message names
+    none.
+    """
     try:
-        jobs = int(value)
+        number = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"--jobs must be >= 1 (got {jobs}); use 1 for the serial schedule"
-        )
-    return jobs
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {number})")
+    return number
 
 
 def _positive_float(value: str) -> float:

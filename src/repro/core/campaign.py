@@ -12,8 +12,8 @@ solver is backed by a shared :class:`~repro.smt.cache.SolverCache`, and
 every term keeps its simplified form, so enforcement iterations and
 sibling sites stop re-deriving work.  Units solve incrementally (one
 :class:`~repro.smt.solver.SolverSession` per site); the cache carries
-whole-query verdicts and canonical UNSAT cores through every backend —
-the process backend ships both as tagged wire-format deltas.
+whole-query verdicts through every backend — the process backend ships
+them as wire-format deltas.
 
 With a ``cache_dir``, the campaign also warm-starts across runs: the
 solver cache is loaded from a persistent
@@ -122,7 +122,7 @@ class CampaignConfig:
     #: Execution backend name (see :func:`repro.sched.available_backends`).
     backend: str = "thread"
     #: Directory of the persistent cross-run solver-cache store; ``None``
-    #: disables persistence.
+    #: disables persistence.  Requires ``use_cache``.
     cache_dir: Optional[str] = None
     #: Write the (possibly warm-started) cache back to ``cache_dir`` after
     #: the run.  Ignored without a ``cache_dir``.
@@ -287,6 +287,8 @@ class CampaignEngine:
             raise ValueError("CampaignConfig.skip_known requires a corpus_dir")
         if self.config.corpus_dir and not self.config.triage:
             raise ValueError("CampaignConfig.corpus_dir requires triage")
+        if self.config.cache_dir and not self.config.use_cache:
+            raise ValueError("CampaignConfig.cache_dir requires use_cache")
         jobs = self.config.resolved_jobs()
         backend_name = self.config.resolved_backend()
         cache = SolverCache() if self.config.use_cache else None
@@ -294,7 +296,7 @@ class CampaignEngine:
         store: Optional[CacheStore] = None
         fingerprint = self.config.diode.solver_fingerprint()
         loaded = saved = 0
-        if cache is not None and self.config.cache_dir:
+        if self.config.cache_dir:
             store = CacheStore(self.config.cache_dir)
             loaded = store.load(cache, fingerprint)
 

@@ -13,12 +13,11 @@ term would rebuild as a distinct, non-interned object and silently break
   name, lazily and at most once per ⟨worker, application⟩ pair;
 * **back**: one :class:`SiteResultPayload` record per site
   (classification value, bug report, timing — all term-free) plus the
-  worker cache's *new* artifacts in the :mod:`repro.smt.cachestore` wire
-  format — whole-query verdicts and canonical UNSAT cores, each tagged
-  with its kind — which the parent merges into the campaign cache so a
-  persistent store (or a later run) sees every worker's derivations of
-  both kinds.  When the campaign enables triage, each site's bug report
-  also comes back as a wire-form
+  worker cache's *new* whole-query verdicts in the
+  :mod:`repro.smt.cachestore` wire format, which the parent merges into
+  the campaign cache so a persistent store (or a later run) sees every
+  worker's derivations.  When the campaign enables triage, each site's
+  bug report also comes back as a wire-form
   :class:`~repro.triage.corpus.WitnessRecord` (validated, minimized,
   signed *in the worker*, which parallelizes minimization's concrete
   re-validation runs); the parent collects them into
@@ -149,9 +148,7 @@ class _WorkerState:
         #: ``(registry name, minimize)`` -> triager; kept across campaigns.
         self.triagers: Dict[Tuple[str, bool], object] = {}
         self.cache = None
-        #: ``(kind, key)`` pairs already shipped to the parent — both
-        #: artifact kinds (whole-query verdict, UNSAT core) travel through
-        #: the same delta stream.
+        #: Cache keys already shipped to the parent (or seeded from it).
         self.exported_keys: set = set()
         self.stats_mark: Dict[str, int] = {}
         #: Registry wire mark for per-unit metrics deltas.

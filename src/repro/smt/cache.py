@@ -32,9 +32,9 @@ the answer every caller receives is a pure function of the canonical system
 arrived first.  SAT models are translated back through the renaming and
 verified against the caller's actual conjuncts before being returned.
 
-Verdicts are stored at one granularity, the whole canonical query.  Beside
-them the cache keeps canonical UNSAT cores, which answer any query whose
-canonical conjuncts are a superset of a stored core.
+Verdicts are stored at one granularity, the whole canonical query, and
+that is the cache's only table.  UNSAT cores are per-derivation: they live
+in the solver session and the enforcer's per-site accumulator, never here.
 """
 
 from __future__ import annotations
@@ -97,9 +97,6 @@ class SolverCacheStats:
     stores: int = 0
     invalid_hits: int = 0
     merged: int = 0
-    #: Queries answered UNSAT because a stored canonical core subsumed them.
-    core_hits: int = 0
-    core_stores: int = 0
 
     @property
     def lookups(self) -> int:
@@ -118,21 +115,12 @@ class SolverCacheStats:
             "invalid_hits": self.invalid_hits,
             "merged": self.merged,
             "hit_rate": round(self.hit_rate(), 4),
-            "core_hits": self.core_hits,
-            "core_stores": self.core_stores,
         }
 
 
 #: The :class:`SolverCacheStats` fields a worker-local cache's delta
 #: carries back to the campaign cache (see :meth:`SolverCache.stats_snapshot`).
-_TRANSFERABLE_STATS = (
-    "hits",
-    "misses",
-    "stores",
-    "invalid_hits",
-    "core_hits",
-    "core_stores",
-)
+_TRANSFERABLE_STATS = ("hits", "misses", "stores", "invalid_hits")
 
 
 class SolverCache:
@@ -144,11 +132,9 @@ class SolverCache:
     coordination beyond the internal lock is needed.
     """
 
-    #: Entry kinds: whole-query verdicts and canonical UNSAT cores.  The
-    #: kind strings double as the unified store's record namespaces
-    #: (:mod:`repro.store`).
+    #: The one entry kind, whole-query verdicts; the string doubles as the
+    #: unified store's record namespace (:mod:`repro.store`).
     KIND_QUERY = "query"
-    KIND_CORE = "core"
 
     def __init__(self) -> None:
         # key -> (canonical conjuncts, verdict).  The conjuncts are kept so
@@ -156,22 +142,11 @@ class SolverCache:
         # process boundary — and rebuilt against a fresh intern table on
         # the other side.
         self._entries: Dict[Tuple, Tuple[Tuple[Term, ...], CachedVerdict]] = {}
-        # Canonical UNSAT cores, per fingerprint: frozenset of the core
-        # conjuncts' intern ids -> the core conjunct tuple.  A core is a
-        # semantic certificate ("these canonical conjuncts are jointly
-        # infeasible"), so any canonical query whose conjunct-id set is a
-        # superset is UNSAT without solving.  Small (a handful of terms
-        # each), so unbounded.
-        self._cores: Dict[Tuple, Dict[frozenset, Tuple[Term, ...]]] = {}
         self._lock = threading.Lock()
         self.stats = SolverCacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def core_count(self) -> int:
-        """Number of stored canonical UNSAT cores (all fingerprints)."""
-        return sum(len(table) for table in self._cores.values())
 
     # ------------------------------------------------------------------
     def canonicalize(
@@ -226,62 +201,6 @@ class SolverCache:
         with self._lock:
             self._entries[system.key] = (system.conjuncts, verdict)
             self.stats.stores += 1
-
-    # ------------------------------------------------------------------
-    # Canonical UNSAT cores (kind "core")
-    # ------------------------------------------------------------------
-    def add_core(
-        self, fingerprint: Tuple, conjuncts: Sequence[Term], merged: bool = False
-    ) -> bool:
-        """Record a canonical UNSAT core; returns whether it was new.
-
-        ``conjuncts`` must be canonical terms (a subset of some canonical
-        system's conjuncts).  Cores are per fingerprint — like every
-        cached verdict, the certificate is only consulted for queries
-        canonicalized under the same solver configuration.  ``merged``
-        selects which counter the insert books (a local derivation vs an
-        adoption from a store or a worker delta).
-        """
-        conjuncts = tuple(conjuncts)
-        ids = frozenset(term._id for term in conjuncts)
-        if not ids:
-            return False
-        with self._lock:
-            table = self._cores.setdefault(fingerprint, {})
-            if ids in table:
-                return False
-            table[ids] = conjuncts
-            if merged:
-                self.stats.merged += 1
-            else:
-                self.stats.core_stores += 1
-            return True
-
-    def match_core(self, system: CanonicalSystem) -> Optional[Tuple[Term, ...]]:
-        """A stored core subsumed by ``system``'s conjuncts, or ``None``.
-
-        Subsumption is set inclusion over intern ids: asserting a superset
-        of a jointly infeasible conjunct set stays infeasible, so a match
-        answers the query UNSAT without solving.
-        """
-        ids = {term._id for term in system.conjuncts}
-        with self._lock:
-            table = self._cores.get(system.key[0])
-            if table:
-                for core_ids, core_conjuncts in table.items():
-                    if core_ids <= ids:
-                        self.stats.core_hits += 1
-                        return core_conjuncts
-        return None
-
-    def cores_snapshot(self) -> List[Tuple[Tuple, Tuple[Term, ...]]]:
-        """Every stored core as ``(fingerprint, conjuncts)``."""
-        with self._lock:
-            return [
-                (fingerprint, conjuncts)
-                for fingerprint, table in self._cores.items()
-                for conjuncts in table.values()
-            ]
 
     def note_invalid_hit(self) -> None:
         """Record a hit whose translated model failed verification."""

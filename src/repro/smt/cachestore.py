@@ -3,16 +3,14 @@
 A campaign's :class:`~repro.smt.cache.SolverCache` holds verdicts keyed by
 canonical constraint systems.  Intern ids — the in-memory key material —
 are process-creation history and mean nothing outside the process, so the
-store serializes the *structure*: each artifact is the canonical conjuncts
-in a small wire format plus its payload.  Loading re-interns every term
+store serializes the *structure*: each entry is the canonical conjuncts
+in a small wire format plus its verdict.  Loading re-interns every term
 against the current process's table and recomputes the key, so a warm
 start is exact regardless of how either process built its DAG.
 
-Two artifact kinds travel through this codec:
-
-* ``query`` — (canonical conjuncts, verdict) pairs, one per whole query;
-* ``core`` — canonical UNSAT cores; a warm run answers any query whose
-  canonical conjuncts are a superset of a stored core without solving.
+One record kind travels through this codec, ``query``: (canonical
+conjuncts, verdict) pairs, one per whole query.  UNSAT cores are
+per-derivation and never persisted.
 
 Persistence itself — versioned + fingerprint-stamped ``meta.json``,
 sharded files with atomic replaces, and crucially the exclusive-lock
@@ -21,14 +19,13 @@ additive instead of last-writer-wins — lives in
 :class:`repro.store.ArtifactStore`; this module only encodes and decodes.
 
 The same wire format doubles as the process backend's delta encoding:
-:func:`export_wire_entries` / :func:`merge_wire_entries` move artifacts
+:func:`export_wire_entries` / :func:`merge_wire_entries` move entries
 between a worker's local cache and the parent campaign cache through a
 pickle-friendly list of plain dicts.
 """
 
 from __future__ import annotations
 
-import json
 from typing import List, Optional, Sequence, Tuple
 
 from repro.smt.cache import CachedVerdict, SolverCache
@@ -47,7 +44,9 @@ from repro.store import ArtifactStore, StoreRecord, content_key
 #: cold-start.
 #: v6: connected-component verdicts (tag ``"c"``) are gone; stores
 #: holding them cold-start.
-FORMAT_VERSION = 6
+#: v7: canonical UNSAT cores are no longer persisted; stores holding them
+#: cold-start.
+FORMAT_VERSION = 7
 
 #: Default number of shard files a store spreads its entries over.
 DEFAULT_SHARD_COUNT = 16
@@ -59,10 +58,6 @@ _KIND_BY_VALUE = {kind.value: kind for kind in TermKind}
 
 #: Errors that mean "this file/entry is unusable", not "crash the run".
 _WIRE_ERRORS = (KeyError, ValueError, TypeError, IndexError, AttributeError)
-
-#: Wire "k" tag of a canonical UNSAT core; whole-query entries carry no
-#: tag.
-_CORE_TAG = "u"
 
 
 # ----------------------------------------------------------------------
@@ -140,11 +135,6 @@ def entry_to_wire(conjuncts: Sequence[Term], verdict: CachedVerdict) -> dict:
     }
 
 
-def is_core_wire(obj: dict) -> bool:
-    """Whether a wire artifact is a canonical UNSAT core."""
-    return obj.get("k") == _CORE_TAG
-
-
 def entry_from_wire(obj: dict) -> Tuple[Tuple[Term, ...], CachedVerdict]:
     """Inverse of :func:`entry_to_wire`."""
     conjuncts = tuple(term_from_wire(c) for c in obj["c"])
@@ -157,63 +147,32 @@ def entry_from_wire(obj: dict) -> Tuple[Tuple[Term, ...], CachedVerdict]:
     )
 
 
-def core_to_wire(conjuncts: Sequence[Term]) -> dict:
-    """Serialize a canonical UNSAT core.
-
-    A core is a *set* of conjuncts; its wire conjuncts are sorted by
-    their serialized form so the same core gets the same content key
-    regardless of the order the derivation discovered it in.
-    """
-    wires = sorted(
-        (term_to_wire(c) for c in conjuncts),
-        key=lambda w: json.dumps(w, separators=(",", ":")),
-    )
-    return {"k": _CORE_TAG, "c": wires}
-
-
-def core_from_wire(obj: dict) -> Tuple[Term, ...]:
-    """Inverse of :func:`core_to_wire`."""
-    return tuple(term_from_wire(c) for c in obj["c"])
-
-
 # ----------------------------------------------------------------------
 # Cache <-> wire-entry lists (shared with the process backend)
 # ----------------------------------------------------------------------
 def export_wire_entries(
     cache: SolverCache, exclude: Optional[set] = None
 ) -> Tuple[List[dict], List[Tuple]]:
-    """Serialize ``cache``'s artifacts (minus ``exclude`` tagged keys).
+    """Serialize ``cache``'s entries (minus the keys in ``exclude``).
 
-    Both kinds travel: whole-query entries and UNSAT cores.  Returns
-    ``(wire_entries, keys)`` in matching order, where each key is a
-    ``(kind, cache key)`` pair — the same tagging ``exclude`` is matched
-    against — so callers can record which artifacts have been shipped
-    already.
+    Returns ``(wire_entries, keys)`` in matching order, so callers can
+    record which entries have been shipped already.
     """
     exclude = exclude or set()
     wire: List[dict] = []
     keys: List[Tuple] = []
     for key, conjuncts, verdict in cache.entries_snapshot():
-        if (SolverCache.KIND_QUERY, key) in exclude:
+        if key in exclude:
             continue
         item = entry_to_wire(conjuncts, verdict)
         item["f"] = fingerprint_to_wire(key[0])
         wire.append(item)
-        keys.append((SolverCache.KIND_QUERY, key))
-
-    for fingerprint, conjuncts in cache.cores_snapshot():
-        key = (fingerprint, frozenset(term._id for term in conjuncts))
-        if (SolverCache.KIND_CORE, key) in exclude:
-            continue
-        item = core_to_wire(conjuncts)
-        item["f"] = fingerprint_to_wire(fingerprint)
-        wire.append(item)
-        keys.append((SolverCache.KIND_CORE, key))
+        keys.append(key)
     return wire, keys
 
 
 def merge_wire_entries(cache: SolverCache, wire_entries: List[dict]) -> List[Tuple]:
-    """Adopt exported artifacts into ``cache``; returns the merged tagged keys.
+    """Adopt exported entries into ``cache``; returns their keys in it.
 
     Malformed entries are skipped — a bad delta or file costs coverage,
     never correctness.
@@ -222,21 +181,10 @@ def merge_wire_entries(cache: SolverCache, wire_entries: List[dict]) -> List[Tup
     for item in wire_entries:
         try:
             fingerprint = fingerprint_from_wire(item["f"])
-            if is_core_wire(item):
-                conjuncts = core_from_wire(item)
-                cache.add_core(fingerprint, conjuncts, merged=True)
-                merged.append(
-                    (
-                        SolverCache.KIND_CORE,
-                        (fingerprint, frozenset(t._id for t in conjuncts)),
-                    )
-                )
-            else:
-                conjuncts, verdict = entry_from_wire(item)
-                key = cache.merge_canonical(fingerprint, conjuncts, verdict)
-                merged.append((SolverCache.KIND_QUERY, key))
+            conjuncts, verdict = entry_from_wire(item)
         except _WIRE_ERRORS:
             continue
+        merged.append(cache.merge_canonical(fingerprint, conjuncts, verdict))
     return merged
 
 
@@ -266,7 +214,7 @@ class CacheStore:
 
     # ------------------------------------------------------------------
     def load(self, cache: SolverCache, fingerprint: Tuple) -> int:
-        """Merge the store into ``cache``; returns artifacts merged.
+        """Merge the store into ``cache``; returns entries merged.
 
         Returns 0 — a cold start — when the store is absent, was written
         by a different format version, or was derived under a different
@@ -278,24 +226,18 @@ class CacheStore:
             if not isinstance(payload, dict):
                 continue
             try:
-                if is_core_wire(payload):
-                    if cache.add_core(
-                        fingerprint, core_from_wire(payload), merged=True
-                    ):
-                        merged += 1
-                else:
-                    conjuncts, verdict = entry_from_wire(payload)
-                    cache.merge_canonical(fingerprint, conjuncts, verdict)
-                    merged += 1
+                conjuncts, verdict = entry_from_wire(payload)
             except _WIRE_ERRORS:
                 continue
+            cache.merge_canonical(fingerprint, conjuncts, verdict)
+            merged += 1
         return merged
 
     # ------------------------------------------------------------------
     def save(self, cache: SolverCache, fingerprint: Tuple) -> int:
-        """Merge ``cache``'s artifacts into the store; returns the total stored.
+        """Merge ``cache``'s verdicts into the store; returns the total stored.
 
-        Both kinds are written.  UNKNOWN verdicts are *not*: an
+        UNKNOWN verdicts are *not* written: an
         UNKNOWN only records that this run's budget was exhausted, and
         persisting it would pin the failure across runs whose budgets (or
         solver improvements) could decide the query.
@@ -311,15 +253,4 @@ class CacheStore:
                 continue
             payload = entry_to_wire(conjuncts, verdict)
             records.append(StoreRecord(kind, content_key(kind, payload["c"]), payload))
-        for core_fingerprint, conjuncts in cache.cores_snapshot():
-            if core_fingerprint != fingerprint:
-                continue
-            payload = core_to_wire(conjuncts)
-            records.append(
-                StoreRecord(
-                    SolverCache.KIND_CORE,
-                    content_key(SolverCache.KIND_CORE, payload["c"]),
-                    payload,
-                )
-            )
         return self._store.save(fingerprint_to_wire(fingerprint), records)

@@ -325,43 +325,10 @@ class PortfolioSolver:
             # re-derive (and overwrite) the entry.
             self.cache.note_invalid_hit()
 
-        if self.config.enable_unsat_cores:
-            # A stored canonical core whose conjuncts are a subset of this
-            # system's is a proof: asserting a superset of a jointly
-            # infeasible set stays infeasible.  Answer UNSAT without
-            # solving and store the verdict like any other derivation
-            # (it is a pure function of the canonical system).
-            core = self.cache.match_core(system)
-            if core is not None:
-                stages.append("core-subsumed")
-                self.cache.store(
-                    system,
-                    CachedVerdict(
-                        status=SolverStatus.UNSAT,
-                        canonical_model=None,
-                        reason="core-subsumed",
-                        stages=("core-subsumed",),
-                    ),
-                )
-                return SolverResult(
-                    SolverStatus.UNSAT,
-                    reason="core-subsumed",
-                    unsat_core=_translate_core(core, system.conjuncts, conjuncts),
-                )
-
         mark = len(stages)
         canonical_result = self._run_portfolio(
             list(system.conjuncts), stages, session
         )
-        if (
-            canonical_result.is_unsat
-            and canonical_result.unsat_core
-            and self.config.enable_unsat_cores
-        ):
-            # Cores are sound whatever derived them (even a session's
-            # history-dependent CDCL: the certificate is about the terms,
-            # not the search), so record them even for tainted verdicts.
-            self.cache.add_core(system.key[0], canonical_result.unsat_core)
         if session is None or not session.last_call_tainted:
             self.cache.store(
                 system,

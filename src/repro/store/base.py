@@ -9,7 +9,7 @@ One :class:`ArtifactStore` owns one directory::
     .lock           (exists only while a save is in flight)
 
 Records are **content-addressed**: each carries a ``kind`` (the codec's
-namespace — solver-cache query, UNSAT core, witness) and a
+namespace — solver-cache query, witness) and a
 ``key``, the canonical content hash of its payload within that kind
 (:func:`content_key`, or a codec-supplied identity such as a witness
 signature, which is itself a content hash).  Identity lives in
@@ -75,8 +75,8 @@ def content_key(kind: str, payload) -> str:
 
     The canonical form is sorted-key, separator-free JSON, so the key is
     identical across processes, runs and platforms for structurally equal
-    payloads; the kind is hashed in so e.g. a whole-query entry and an
-    UNSAT core over the same conjuncts stay distinct records.
+    payloads; the kind is hashed in so records of two kinds with equal
+    payloads stay distinct.
     """
     canonical = json.dumps(
         [kind, payload], separators=(",", ":"), sort_keys=True

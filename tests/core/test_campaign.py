@@ -123,12 +123,9 @@ class TestCampaignResult:
         assert stats.hits > 0
         assert stats.hit_rate() > 0.0
 
-    def test_cache_stats_count_whole_query_lookups_and_cores(
-        self, cached_parallel_result
-    ):
-        """The reported counters are the whole-query table's and the core
-        table's: every store follows a miss (or an invalid hit), and the
-        registry's CDCL refutations leave canonical cores behind."""
+    def test_cache_stats_count_whole_query_lookups(self, cached_parallel_result):
+        """The reported counters are the whole-query table's, the cache's
+        only one: every store follows a miss (or an invalid hit)."""
         stats = cached_parallel_result.cache_stats
         reported = stats.as_dict()
         assert set(reported) == {
@@ -138,12 +135,9 @@ class TestCampaignResult:
             "invalid_hits",
             "merged",
             "hit_rate",
-            "core_hits",
-            "core_stores",
         }
         assert reported["hits"] + reported["misses"] == stats.lookups > 0
         assert 0 < stats.stores <= stats.misses + stats.invalid_hits
-        assert stats.core_stores > 0
 
     def test_uncached_run_reports_no_stats(self):
         result = run_campaign(

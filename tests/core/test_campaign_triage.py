@@ -214,6 +214,19 @@ class TestSkipKnown:
                 CampaignConfig(jobs=1, applications=["dillo"], skip_known=True)
             ).run()
 
+    def test_cache_dir_requires_use_cache(self, tmp_path):
+        """The store is not silently ignored when the cache is off."""
+        with pytest.raises(ValueError, match="cache_dir requires use_cache"):
+            CampaignEngine(
+                CampaignConfig(
+                    jobs=1,
+                    applications=["dillo"],
+                    use_cache=False,
+                    cache_dir=str(tmp_path),
+                )
+            ).run()
+        assert not any(tmp_path.iterdir())
+
     def test_corpus_dir_requires_triage(self, tmp_path):
         with pytest.raises(ValueError):
             CampaignEngine(

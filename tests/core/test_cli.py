@@ -43,6 +43,23 @@ class TestParser:
         count_word = re.search(r"(\w+) subcommands", doc).group(1).lower()
         assert numbers.index(count_word) + 1 == len(registered)
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["trace", "--trace-dir", "t", "--top", "0"], "--top"),
+            (["events", "--trace-dir", "t", "--tail", "0"], "--tail"),
+        ],
+    )
+    def test_count_flags_reject_zero_under_their_own_name(self, capsys, argv, flag):
+        """Every flag typed ``_positive_int`` reports its own name, not
+        ``--jobs``."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= 1 (got 0)" in err
+        assert "--jobs" not in err
+
 
 class TestCommands:
     def test_analyze_text_output(self, capsys):
@@ -129,7 +146,9 @@ class TestCampaignCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--jobs", jobs, "--apps", "vlc"])
         assert excinfo.value.code == 2
-        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert f"argument --jobs: must be >= 1 (got {int(jobs)})" in (
+            capsys.readouterr().err
+        )
 
     def test_campaign_no_core_guidance_flag_keeps_classifications(self, capsys):
         """The UNSAT-core ablation reports identical classifications."""

@@ -19,8 +19,6 @@ from repro.smt.cache import CachedVerdict, SolverCache
 from repro.smt.cachestore import (
     FORMAT_VERSION,
     CacheStore,
-    core_from_wire,
-    core_to_wire,
     entry_from_wire,
     entry_to_wire,
     export_wire_entries,
@@ -32,6 +30,7 @@ from repro.smt.cachestore import (
 )
 from repro.smt.evalmodel import Model
 from repro.smt.solver import PortfolioSolver, SolverConfig
+from repro.store import content_key
 
 WIDTH = 8
 VALUE = st.integers(min_value=0, max_value=(1 << WIDTH) - 1)
@@ -148,24 +147,18 @@ _SYSTEMS = [
 ]
 
 
-def _total_entries(cache):
-    """Artifacts across both kinds (query, core)."""
-    return len(cache) + cache.core_count()
-
-
 class TestCacheStoreRoundTrip:
     def test_save_then_load_restores_every_entry(self, tmp_path):
         fingerprint = SolverConfig().fingerprint()
         cache, _ = _warmed_cache(_SYSTEMS)
         store = CacheStore(str(tmp_path))
         saved = store.save(cache, fingerprint)
-        assert saved == _total_entries(cache) > 0
+        assert saved == len(cache) > 0
 
         fresh = SolverCache()
         loaded = store.load(fresh, fingerprint)
         assert loaded == saved
         assert len(fresh) == len(cache)
-        assert fresh.core_count() == cache.core_count()
         assert fresh.stats.merged == loaded
 
     def test_warm_started_cache_answers_from_cache(self, tmp_path):
@@ -192,7 +185,7 @@ class TestCacheStoreRoundTrip:
             CachedVerdict(status="sat", canonical_model=Model({"v000": 0}), reason=""),
         )
         saved = CacheStore(str(tmp_path)).save(cache, fingerprint)
-        assert saved == _total_entries(cache) - 1
+        assert saved == len(cache) - 1
 
 
     def test_saving_the_same_cache_twice_adds_no_records(self, tmp_path):
@@ -202,7 +195,7 @@ class TestCacheStoreRoundTrip:
         cache, _ = _warmed_cache(_SYSTEMS)
         store = CacheStore(str(tmp_path))
         first = store.save(cache, fingerprint)
-        assert store.save(cache, fingerprint) == first == _total_entries(cache)
+        assert store.save(cache, fingerprint) == first == len(cache)
         assert store.load(SolverCache(), fingerprint) == first
 
 
@@ -214,8 +207,9 @@ class TestStoreInvalidation:
         other = SolverConfig(heuristic_max_checks=1).fingerprint()
         assert store.load(SolverCache(), other) == 0
 
-    # 5: the last format holding connected-component ("c") records.
-    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, 4, 5])
+    # 5: the last format holding connected-component ("c") records;
+    # 6: the last holding canonical UNSAT-core ("core") records.
+    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, 4, 5, 6])
     def test_version_mismatch_is_a_cold_start(self, tmp_path, version):
         fingerprint = SolverConfig().fingerprint()
         cache, _ = _warmed_cache(_SYSTEMS[:1])
@@ -245,6 +239,43 @@ class TestStoreInvalidation:
         loaded = store.load(SolverCache(), fingerprint)
         assert loaded == saved - lost
 
+    def test_v6_store_with_core_records_cold_starts(self, tmp_path):
+        """A store from the last format that persisted UNSAT cores loads
+        nothing, and the next save rewrites it without the core record."""
+        fingerprint = SolverConfig().fingerprint()
+        cache, _ = _warmed_cache(_SYSTEMS)
+        store = CacheStore(str(tmp_path))
+        store.save(cache, fingerprint)
+        x = b.bv_var("v000", 8)
+        core_wire = [term_to_wire(b.ult(x, b.bv_const(3, 8)))]
+        shard = sorted(tmp_path.glob("shard-*.json"))[0]
+        records = json.loads(shard.read_text())
+        records.append(
+            {
+                "k": "core",
+                "h": content_key("core", core_wire),
+                "d": {"k": "u", "c": core_wire},
+            }
+        )
+        shard.write_text(json.dumps(records))
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["version"] = 6
+        meta["kinds"]["core"] = 1
+        meta_path.write_text(json.dumps(meta))
+        assert store.load(SolverCache(), fingerprint) == 0
+
+        assert store.save(cache, fingerprint) == len(cache)
+        saved = [
+            record
+            for path in tmp_path.glob("shard-*.json")
+            for record in json.loads(path.read_text())
+        ]
+        assert {record["k"] for record in saved} == {SolverCache.KIND_QUERY}
+        meta = json.loads(meta_path.read_text())
+        assert meta["version"] == FORMAT_VERSION
+        assert meta["kinds"] == {SolverCache.KIND_QUERY: len(cache)}
+
     def test_corrupt_meta_is_a_cold_start(self, tmp_path):
         fingerprint = SolverConfig().fingerprint()
         cache, _ = _warmed_cache(_SYSTEMS[:1])
@@ -262,30 +293,26 @@ class TestWireEntryExchange:
         fingerprint = SolverConfig().fingerprint()
         source, _ = _warmed_cache(_SYSTEMS)
         wire, keys = export_wire_entries(source)
-        assert len(wire) == len(keys) == _total_entries(source)
+        assert len(wire) == len(keys) == len(source)
 
         target = SolverCache()
         merged = merge_wire_entries(target, wire)
         assert sorted(map(str, merged)) == sorted(map(str, keys))
         assert len(target) == len(source)
-        assert target.core_count() == source.core_count()
 
     def test_exclude_skips_already_shipped_keys(self):
         source, _ = _warmed_cache(_SYSTEMS)
         _, keys = export_wire_entries(source)
         shipped = set(keys[:1])
         wire, rest = export_wire_entries(source, exclude=shipped)
-        assert len(wire) == _total_entries(source) - 1
+        assert len(wire) == len(source) - 1
         assert not shipped.intersection(rest)
 
-    def test_export_tags_every_key_with_its_kind(self):
-        """Keys come back tagged ``query`` or ``core``, one per artifact."""
+    def test_export_returns_the_plain_cache_keys(self):
+        """Keys come back as the cache's own keys, one per entry."""
         source, _ = _warmed_cache(_SYSTEMS)
         _, keys = export_wire_entries(source)
-        kinds = [kind for kind, _key in keys]
-        assert set(kinds) <= {SolverCache.KIND_QUERY, SolverCache.KIND_CORE}
-        assert kinds.count(SolverCache.KIND_QUERY) == len(source)
-        assert kinds.count(SolverCache.KIND_CORE) == source.core_count()
+        assert keys == [key for key, _c, _v in source.entries_snapshot()]
 
     def test_malformed_wire_entries_are_skipped(self):
         target = SolverCache()
@@ -345,12 +372,12 @@ class TestCampaignWarmStart:
         assert warm.cache_stats.hits == warm.cache_stats.lookups
         assert warm.classifications() == cold.classifications()
 
-    def test_registry_campaign_saves_one_record_per_verdict_and_core(
+    def test_registry_campaign_saves_one_record_per_verdict(
         self, tmp_path, monkeypatch
     ):
-        """A full-registry save writes whole-query verdicts and cores only:
-        ``len(cache) + core_count()`` records (63 + 20), none tagged as a
-        connected-component entry."""
+        """A full-registry save writes whole-query verdicts only: one
+        ``query`` record per cache entry (63), no UNSAT-core and no
+        connected-component record."""
         from repro.core.campaign import CampaignConfig, run_campaign
 
         saved_caches = []
@@ -365,15 +392,15 @@ class TestCampaignWarmStart:
             CampaignConfig(jobs=1, backend="serial", cache_dir=str(tmp_path))
         )
         (cache,) = saved_caches
-        assert result.cache_saved == len(cache) + cache.core_count() == 83
+        assert result.cache_saved == len(cache) == 63
         records = [
             record
             for shard in tmp_path.glob("shard-*.json")
             for record in json.loads(shard.read_text())
         ]
-        assert len(records) == 83
-        assert {record["k"] for record in records} == {"query", "core"}
-        assert not [r for r in records if r["d"].get("k") == "c"]
+        assert len(records) == 63
+        assert {record["k"] for record in records} == {"query"}
+        assert not [r for r in records if "k" in r["d"]]
 
     def test_no_save_cache_leaves_the_store_untouched(self, tmp_path):
         from repro.core.campaign import CampaignConfig, run_campaign
@@ -396,25 +423,6 @@ class TestCampaignWarmStart:
         assert (tmp_path / "meta.json").read_bytes() == stamp
 
 
-class TestCoreWire:
-    """Canonical UNSAT cores on the wire (kind ``core``, tag ``"u"``)."""
-
-    @given(system=constraint_systems())
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_reinterns_the_core(self, system):
-        wire = json.loads(json.dumps(core_to_wire(tuple(system))))
-        back = core_from_wire(wire)
-        assert set(back) == set(system)  # hash-consing: identical objects
-
-    def test_wire_is_order_independent(self):
-        """A core is a set; its wire (and so its content key) must not
-        depend on the order the derivation discovered the conjuncts in."""
-        x = b.bv_var("v000", 8)
-        p = b.ult(x, b.bv_const(3, 8))
-        q = b.ugt(x, b.bv_const(250, 8))
-        assert core_to_wire((p, q)) == core_to_wire((q, p))
-
-
 def _synthetic_entries(cache, fingerprint, count, offset=0):
     """Populate ``cache`` with ``count`` distinct single-conjunct verdicts."""
     x = b.bv_var("v000", 16)
@@ -428,31 +436,6 @@ def _synthetic_entries(cache, fingerprint, count, offset=0):
                 reason="synthetic",
             ),
         )
-
-
-class TestCorePersistence:
-    def test_core_roundtrips_through_the_store(self, tmp_path):
-        fingerprint = SolverConfig().fingerprint()
-        cache = SolverCache()
-        x = b.bv_var("v000", 8)
-        core = (b.ult(x, b.bv_const(3, 8)), b.ugt(x, b.bv_const(250, 8)))
-        assert cache.add_core(fingerprint, core)
-        store = CacheStore(str(tmp_path))
-        assert store.save(cache, fingerprint) == 1
-
-        fresh = SolverCache()
-        assert store.load(fresh, fingerprint) == 1
-        assert fresh.core_count() == 1
-        [(back_fingerprint, back_core)] = fresh.cores_snapshot()
-        assert back_fingerprint == fingerprint
-        assert set(back_core) == set(core)
-
-    def test_foreign_fingerprint_cores_are_not_saved(self, tmp_path):
-        fingerprint = SolverConfig().fingerprint()
-        cache = SolverCache()
-        x = b.bv_var("v000", 8)
-        cache.add_core(("other-config",), (b.ult(x, b.bv_const(1, 8)),))
-        assert CacheStore(str(tmp_path)).save(cache, fingerprint) == 0
 
 
 class TestShardLayoutChanges:

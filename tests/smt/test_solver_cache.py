@@ -281,7 +281,7 @@ class TestCanonicalFormOnTheTerm:
             )
 
     def test_the_cache_keeps_no_normalization_memo_of_its_own(self):
-        assert set(vars(SolverCache())) == {"_entries", "_cores", "_lock", "stats"}
+        assert set(vars(SolverCache())) == {"_entries", "_lock", "stats"}
 
     def test_keys_and_store_records_repeat_under_any_hash_seed(self, tmp_path):
         """Canonical keys (intern ids in creation order) and the store
@@ -451,16 +451,15 @@ class TestCacheStore:
         assert cache.stats.hit_rate() == pytest.approx(10 / 15)
 
     def test_stats_snapshot_round_trips_through_external_stats(self):
-        """A worker's snapshot names the six counters that travel; the
+        """A worker's snapshot names the four counters that travel; the
         table-local one (merged) stays behind."""
         worker = SolverCache()
         for offset, name in enumerate(
-            ("hits", "misses", "stores", "invalid_hits", "core_hits",
-             "core_stores", "merged")
+            ("hits", "misses", "stores", "invalid_hits", "merged")
         ):
             setattr(worker.stats, name, offset + 1)
         snapshot = worker.stats_snapshot()
-        assert len(snapshot) == 6
+        assert len(snapshot) == 4
         assert "merged" not in snapshot
         parent = SolverCache()
         parent.add_external_stats(snapshot)
@@ -492,8 +491,8 @@ class TestCacheStore:
 
 
 class TestCacheTables:
-    """The two tables a cache keeps, checked directly: whole-query
-    verdicts and canonical UNSAT cores."""
+    """The one table a cache keeps, whole-query verdicts, checked
+    directly."""
 
     FINGERPRINT = ("table-config",)
 
@@ -515,7 +514,7 @@ class TestCacheTables:
             reason=reason,
         )
 
-    def test_stats_report_query_and_core_counters_only(self):
+    def test_stats_report_query_counters_only(self):
         stats = SolverCache().stats
         assert set(stats.as_dict()) == {
             "hits",
@@ -524,8 +523,6 @@ class TestCacheTables:
             "invalid_hits",
             "merged",
             "hit_rate",
-            "core_hits",
-            "core_stores",
         }
         assert stats.lookups == 0
         assert stats.hit_rate() == 0.0
@@ -557,44 +554,6 @@ class TestCacheTables:
         assert cache.stats.merged == 1
         assert len(cache) == 2
         assert cache.lookup(other).canonical_model["v000"] == 3
-
-    def test_add_core_ignores_empty_and_repeated_cores(self):
-        cache = SolverCache()
-        core = self._system(10).conjuncts + self._system(20).conjuncts
-        assert not cache.add_core(self.FINGERPRINT, ())
-        assert cache.add_core(self.FINGERPRINT, core)
-        # A core is a set: the same conjuncts in another order are no news.
-        assert not cache.add_core(self.FINGERPRINT, tuple(reversed(core)))
-        assert cache.core_count() == 1
-        assert cache.stats.core_stores == 1
-        # An adopted core books ``merged``, not ``core_stores``.
-        assert cache.add_core(self.FINGERPRINT, core[:1], merged=True)
-        assert cache.stats.core_stores == 1
-        assert cache.stats.merged == 1
-        assert cache.core_count() == 2
-
-    def test_cores_answer_only_supersets_under_their_own_fingerprint(self):
-        x = b.bv_var("core_x", WIDTH)
-        low = b.ult(x, b.bv_const(5, WIDTH))
-        high = b.ugt(x, b.bv_const(9, WIDTH))
-        extra = b.ne(x, b.bv_const(7, WIDTH))
-        cache = SolverCache()
-        superset = cache.canonicalize([low, high, extra], self.FINGERPRINT)
-        core = cache.canonicalize([low, high], self.FINGERPRINT).conjuncts
-        assert cache.add_core(self.FINGERPRINT, core)
-
-        assert cache.match_core(superset) == core
-        assert cache.stats.core_hits == 1
-        # A subset of the core proves nothing.
-        partial = cache.canonicalize([low, extra], self.FINGERPRINT)
-        assert cache.match_core(partial) is None
-        # The same conjuncts under another solver configuration miss.
-        foreign = cache.canonicalize([low, high, extra], ("other-config",))
-        assert cache.match_core(foreign) is None
-        assert cache.stats.core_hits == 1
-        # Cores are counted across every fingerprint.
-        assert cache.add_core(("other-config",), core)
-        assert cache.core_count() == 2
 
     def test_invalid_hit_is_counted_and_rederived(self):
         """A stored model that fails verification against the caller's

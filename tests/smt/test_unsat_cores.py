@@ -159,29 +159,6 @@ class TestSessionCores:
             list(result.unsat_core)
         ).is_unsat
 
-    def test_session_core_is_shared_though_its_verdict_is_not(self):
-        """The incremental CDCL's verdict depends on session history and
-        stays out of the cache, but its core is a certificate about the
-        terms: a sibling solver answers a superset of an alpha-variant
-        of the chain by subsumption."""
-        cache = SolverCache()
-        session = PortfolioSolver(_stress_config(), cache=cache).open_session()
-        for constraint in _contradictory_chain("s"):
-            session.push(constraint)
-        assert session.check().is_unsat
-        assert session.last_call_tainted
-        assert len(cache) == 0
-        assert cache.core_count() == 1
-
-        beta, align, hmask, parity = _contradictory_chain("t")
-        extra = b.ult(b.bv_var("cht", WIDTH), b.bv_const(0x8000, WIDTH))
-        sibling = PortfolioSolver(_stress_config(), cache=cache).check(
-            [beta, align, hmask, parity, extra]
-        )
-        assert sibling.is_unsat
-        assert sibling.reason == "core-subsumed"
-        assert {align, parity} <= set(sibling.unsat_core)
-
     def test_interval_unsat_falls_back_to_the_full_component(self):
         """Interval propagation names no culprit, so its core is the whole
         conjunction — including conjuncts over unrelated variables."""
@@ -246,63 +223,3 @@ class TestCoreKnob:
         result = session.check()
         assert result.is_unsat and result.unsat_core is None
 
-
-class TestCoreSubsumption:
-    """Persisted cores as semantic certificates: a warm query whose
-    canonical conjuncts are a *superset* of a stored core is UNSAT by
-    subsumption — asserting more on top of a jointly infeasible subset
-    cannot restore satisfiability — without running any solver layer."""
-
-    def _core_system(self, tag=""):
-        x = b.bv_var(f"cs{tag}", WIDTH)
-        return x, [
-            b.ult(x, b.bv_const(5, WIDTH)),
-            b.ugt(x, b.bv_const(9, WIDTH)),
-        ]
-
-    def test_superset_query_is_answered_by_subsumption(self):
-        cache = SolverCache()
-        solver = PortfolioSolver(SolverConfig(), cache=cache)
-        x, system = self._core_system("a")
-        first = solver.check(system)
-        assert first.is_unsat and first.unsat_core
-        assert cache.core_count() >= 1
-
-        superset = system + [b.ne(x, b.bv_const(7, WIDTH))]
-        result = solver.check(superset)
-        assert result.is_unsat
-        assert result.reason == "core-subsumed"
-        assert result.unsat_core  # translated back into caller terms
-        assert set(result.unsat_core) <= set(superset)
-        assert cache.stats.core_hits >= 1
-
-    def test_core_survives_the_store_round_trip(self, tmp_path):
-        from repro.smt.cachestore import CacheStore
-
-        config = SolverConfig()
-        cache = SolverCache()
-        x, system = self._core_system("b")
-        assert PortfolioSolver(config, cache=cache).check(system).is_unsat
-        CacheStore(str(tmp_path)).save(cache, config.fingerprint())
-
-        warm_cache = SolverCache()
-        CacheStore(str(tmp_path)).load(warm_cache, config.fingerprint())
-        assert warm_cache.core_count() == cache.core_count() >= 1
-        warm = PortfolioSolver(config, cache=warm_cache)
-        superset = system + [b.ne(x, b.bv_const(7, WIDTH))]
-        result = warm.check(superset)
-        assert result.is_unsat
-        assert result.reason == "core-subsumed"
-        assert warm_cache.stats.core_hits >= 1
-
-    def test_disabled_cores_never_subsume(self):
-        config = SolverConfig(enable_unsat_cores=False)
-        cache = SolverCache()
-        solver = PortfolioSolver(config, cache=cache)
-        x, system = self._core_system("c")
-        assert solver.check(system).is_unsat
-        assert cache.core_count() == 0
-        result = solver.check(system + [b.ne(x, b.bv_const(7, WIDTH))])
-        assert result.is_unsat
-        assert result.reason != "core-subsumed"
-        assert cache.stats.core_hits == 0
