@@ -147,6 +147,22 @@ _SYSTEMS = [
 ]
 
 
+def _append_core_record(store_dir):
+    """Append a v6-style canonical UNSAT-core record to the first shard."""
+    x = b.bv_var("v000", 8)
+    core_wire = [term_to_wire(b.ult(x, b.bv_const(3, 8)))]
+    shard = sorted(store_dir.glob("shard-*.json"))[0]
+    records = json.loads(shard.read_text())
+    records.append(
+        {
+            "k": "core",
+            "h": content_key("core", core_wire),
+            "d": {"k": "u", "c": core_wire},
+        }
+    )
+    shard.write_text(json.dumps(records))
+
+
 class TestCacheStoreRoundTrip:
     def test_save_then_load_restores_every_entry(self, tmp_path):
         fingerprint = SolverConfig().fingerprint()
@@ -246,18 +262,7 @@ class TestStoreInvalidation:
         cache, _ = _warmed_cache(_SYSTEMS)
         store = CacheStore(str(tmp_path))
         store.save(cache, fingerprint)
-        x = b.bv_var("v000", 8)
-        core_wire = [term_to_wire(b.ult(x, b.bv_const(3, 8)))]
-        shard = sorted(tmp_path.glob("shard-*.json"))[0]
-        records = json.loads(shard.read_text())
-        records.append(
-            {
-                "k": "core",
-                "h": content_key("core", core_wire),
-                "d": {"k": "u", "c": core_wire},
-            }
-        )
-        shard.write_text(json.dumps(records))
+        _append_core_record(tmp_path)
         meta_path = tmp_path / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta["version"] = 6
@@ -275,6 +280,18 @@ class TestStoreInvalidation:
         meta = json.loads(meta_path.read_text())
         assert meta["version"] == FORMAT_VERSION
         assert meta["kinds"] == {SolverCache.KIND_QUERY: len(cache)}
+
+    def test_stray_core_record_in_a_current_store_is_skipped(self, tmp_path):
+        """A ``core`` record in a v7 store decodes to no verdict: the load
+        skips it and keeps every query record."""
+        fingerprint = SolverConfig().fingerprint()
+        cache, _ = _warmed_cache(_SYSTEMS)
+        store = CacheStore(str(tmp_path))
+        saved = store.save(cache, fingerprint)
+        _append_core_record(tmp_path)
+        fresh = SolverCache()
+        assert store.load(fresh, fingerprint) == saved == len(cache)
+        assert len(fresh) == len(cache)
 
     def test_corrupt_meta_is_a_cold_start(self, tmp_path):
         fingerprint = SolverConfig().fingerprint()
@@ -313,6 +330,29 @@ class TestWireEntryExchange:
         source, _ = _warmed_cache(_SYSTEMS)
         _, keys = export_wire_entries(source)
         assert keys == [key for key, _c, _v in source.entries_snapshot()]
+
+    def test_seeded_keys_are_not_exported_again(self):
+        """The keys a merge returns are the ones an export reports, so a
+        worker seeded from its parent ships none of the seed back."""
+        source, _ = _warmed_cache(_SYSTEMS)
+        wire, _ = export_wire_entries(source)
+        target = SolverCache()
+        seeded = set(merge_wire_entries(target, wire))
+        assert export_wire_entries(target, exclude=seeded) == ([], [])
+
+    def test_core_kind_wire_entry_is_skipped(self):
+        """A kind-tagged UNSAT-core entry of the v6 delta format carries no
+        verdict; merging it adopts nothing."""
+        fingerprint = SolverConfig().fingerprint()
+        x = b.bv_var("v000", 8)
+        core_entry = {
+            "k": "u",
+            "f": fingerprint_to_wire(fingerprint),
+            "c": [term_to_wire(b.ult(x, b.bv_const(3, 8)))],
+        }
+        target = SolverCache()
+        assert merge_wire_entries(target, [core_entry]) == []
+        assert len(target) == 0
 
     def test_malformed_wire_entries_are_skipped(self):
         target = SolverCache()

@@ -159,6 +159,28 @@ class TestSessionCores:
             list(result.unsat_core)
         ).is_unsat
 
+    def test_session_core_stays_with_its_caller(self):
+        """The incremental CDCL's verdict depends on session history and
+        stays out of the cache, and so does its core: a sibling solver
+        sharing the cache derives a superset of an alpha-variant of the
+        chain itself and reports a core of its own."""
+        cache = SolverCache()
+        session = PortfolioSolver(_stress_config(), cache=cache).open_session()
+        for constraint in _contradictory_chain("s"):
+            session.push(constraint)
+        assert session.check().is_unsat
+        assert session.last_call_tainted
+        assert len(cache) == 0
+
+        beta, align, hmask, parity = _contradictory_chain("t")
+        extra = b.ult(b.bv_var("cht", WIDTH), b.bv_const(0x8000, WIDTH))
+        superset = [beta, align, hmask, parity, extra]
+        sibling = PortfolioSolver(_stress_config(), cache=cache).check(superset)
+        assert sibling.is_unsat
+        assert sibling.reason == "bitblast"
+        assert cache.stats.hits == 0
+        assert {align, parity} <= set(sibling.unsat_core) <= set(superset)
+
     def test_interval_unsat_falls_back_to_the_full_component(self):
         """Interval propagation names no culprit, so its core is the whole
         conjunction — including conjuncts over unrelated variables."""
@@ -223,3 +245,78 @@ class TestCoreKnob:
         result = session.check()
         assert result.is_unsat and result.unsat_core is None
 
+
+class TestCoresStayOutOfTheCache:
+    """The solver cache keeps whole-query verdicts only: a core answers
+    nothing beyond the derivation that produced it, so a superset of a
+    refuted system is solved, not looked up, and a store carries no
+    cores across runs."""
+
+    def _core_system(self, tag=""):
+        x = b.bv_var(f"cs{tag}", WIDTH)
+        return x, [
+            b.ult(x, b.bv_const(5, WIDTH)),
+            b.ugt(x, b.bv_const(9, WIDTH)),
+        ]
+
+    def test_superset_query_is_solved_not_looked_up(self):
+        cache = SolverCache()
+        solver = PortfolioSolver(SolverConfig(), cache=cache)
+        x, system = self._core_system("a")
+        first = solver.check(system)
+        assert first.is_unsat and first.unsat_core
+        assert len(cache) == 1
+
+        superset = system + [b.ne(x, b.bv_const(7, WIDTH))]
+        result = solver.check(superset)
+        assert result.is_unsat
+        assert result.reason == "interval propagation"
+        assert result.unsat_core  # derived afresh, in caller terms
+        assert set(result.unsat_core) <= set(superset)
+        assert cache.stats.hits == 0
+        assert len(cache) == 2
+
+    def test_store_round_trip_answers_only_the_saved_query(self, tmp_path):
+        from repro.smt.cachestore import CacheStore
+
+        config = SolverConfig()
+        cache = SolverCache()
+        x, system = self._core_system("b")
+        assert PortfolioSolver(config, cache=cache).check(system).is_unsat
+        store = CacheStore(str(tmp_path))
+        assert store.save(cache, config.fingerprint()) == len(cache) == 1
+
+        warm_cache = SolverCache()
+        assert store.load(warm_cache, config.fingerprint()) == 1
+        warm = PortfolioSolver(config, cache=warm_cache)
+        exact = warm.check(system)
+        assert exact.is_unsat
+        assert exact.reason == "cache"
+        assert exact.unsat_core is None
+        superset = warm.check(system + [b.ne(x, b.bv_const(7, WIDTH))])
+        assert superset.is_unsat
+        assert superset.reason != "cache"
+        assert superset.unsat_core
+        assert warm_cache.stats.hits == 1
+
+    def test_disabled_cores_cache_the_same_verdicts(self):
+        """The knob changes what a result carries, not what is cached."""
+        x, system = self._core_system("c")
+        superset = system + [b.ne(x, b.bv_const(7, WIDTH))]
+        caches = {}
+        for enabled in (True, False):
+            cache = SolverCache()
+            solver = PortfolioSolver(
+                SolverConfig(enable_unsat_cores=enabled), cache=cache
+            )
+            results = [solver.check(system), solver.check(superset)]
+            assert all(result.is_unsat for result in results)
+            assert all(
+                (result.unsat_core is not None) == enabled for result in results
+            )
+            caches[enabled] = cache
+        on, off = caches[True], caches[False]
+        assert len(on) == len(off) == 2
+        assert [v.status for _k, _c, v in on.entries_snapshot()] == [
+            v.status for _k, _c, v in off.entries_snapshot()
+        ]
