@@ -27,8 +27,24 @@ Quickstart::
 #: here.
 __version__ = "1.7.0"
 
-from repro.core.engine import Diode, DiodeConfig
-from repro.apps.registry import all_applications, application_names, get_application
+import importlib
+
+#: Re-exports loaded on first use (PEP 562), by the module defining them, so
+#: ``import repro.<subpackage>`` loads only what that subpackage needs (the
+#: CLI's ``trace`` and ``events`` read a trace without the analysis stack).
+_LAZY = {
+    "Diode": "repro.core.engine",
+    "DiodeConfig": "repro.core.engine",
+    "all_applications": "repro.apps.registry",
+    "application_names": "repro.apps.registry",
+    "get_application": "repro.apps.registry",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Diode",

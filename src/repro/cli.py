@@ -16,7 +16,9 @@ Seven subcommands cover the common workflows::
 The CLI is a thin layer over :class:`repro.core.engine.Diode`,
 :class:`repro.core.campaign.CampaignEngine` and the witness-triage
 subsystem (:mod:`repro.triage`); it exists so the reproduction can be
-driven without writing Python.
+driven without writing Python.  Each subcommand imports what it runs:
+``trace`` and ``events`` read a trace directory without loading the
+analysis stack, and building the parser loads no application model.
 """
 
 from __future__ import annotations
@@ -25,16 +27,16 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro import __version__
-from repro.apps import all_applications, application_names, get_application
-from repro.core import CampaignConfig, CampaignEngine, Diode
-from repro.core.report import ApplicationResult
 from repro.sched import available_backends
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.report import ApplicationResult
 
-def _format_application_result(result: ApplicationResult, as_json: bool) -> str:
+
+def _format_application_result(result: "ApplicationResult", as_json: bool) -> str:
     if as_json:
         payload = {
             "application": result.application,
@@ -78,6 +80,9 @@ def _format_application_result(result: ApplicationResult, as_json: bool) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.apps.registry import get_application
+    from repro.core.engine import Diode
+
     application = get_application(args.application)
     result = Diode().analyze(application)
     print(_format_application_result(result, args.json))
@@ -114,6 +119,9 @@ def _print_table1(rows) -> None:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.apps.registry import all_applications
+    from repro.core.engine import Diode
+
     engine = Diode()
     rows = []
     for application in all_applications():
@@ -127,9 +135,12 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_site(args: argparse.Namespace) -> int:
+    from repro.apps.registry import get_application
+    from repro.core.engine import Diode
+    from repro.core.sites import identify_target_sites
+
     application = get_application(args.application)
     engine = Diode()
-    from repro.core.sites import identify_target_sites
 
     sites = identify_target_sites(application.program, application.seed_input)
     matching = [s for s in sites if s.site_tag == args.site or s.name == args.site]
@@ -156,6 +167,23 @@ def _cmd_site(args: argparse.Namespace) -> int:
         print(f"  error type: {report.error_type}")
         print(f"  triggering fields: {report.triggering_field_values}")
     return 0
+
+
+class _ApplicationNames:
+    """``choices`` of an application argument, read from the registry on use.
+
+    argparse tests membership when it parses the argument and iterates when
+    it prints usage, so only the subcommands that name an application load
+    the application models.
+    """
+
+    def __iter__(self) -> Iterator[str]:
+        from repro.apps.registry import application_names
+
+        return iter(application_names())
+
+    def __contains__(self, name: object) -> bool:
+        return name in list(self)
 
 
 def _positive_int(value: str) -> int:
@@ -215,6 +243,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.core.campaign import CampaignConfig, CampaignEngine
+
     config = CampaignConfig(
         jobs=args.jobs,
         use_cache=not args.no_cache,
@@ -643,7 +673,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     analyze = subparsers.add_parser("analyze", help="analyze one application model")
-    analyze.add_argument("application", choices=application_names())
+    # ``add_argument`` iterates a positional's choices to check its metavar,
+    # so the application choices are attached to the returned action.
+    analyze.add_argument("application").choices = _ApplicationNames()
     analyze.add_argument("--json", action="store_true", help="emit JSON")
     analyze.set_defaults(func=_cmd_analyze)
 
@@ -652,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     table1.set_defaults(func=_cmd_table1)
 
     site = subparsers.add_parser("site", help="analyze a single target site")
-    site.add_argument("application", choices=application_names())
+    site.add_argument("application").choices = _ApplicationNames()
     site.add_argument("site", help="site tag, e.g. png.c@203")
     site.set_defaults(func=_cmd_site)
 
@@ -742,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--apps",
         nargs="+",
-        choices=application_names(),
+        choices=_ApplicationNames(),
         metavar="APP",
         help="restrict the campaign to these applications",
     )
@@ -775,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--apps",
         nargs="+",
-        choices=application_names(),
+        choices=_ApplicationNames(),
         metavar="APP",
         help="replay only witnesses for these applications",
     )

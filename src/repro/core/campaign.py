@@ -87,12 +87,13 @@ from repro.sched import (
     get_backend,
 )
 from repro.smt.cache import SolverCache, SolverCacheStats
-from repro.smt.cachestore import CacheStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily at call time: repro.triage imports repro.core
-    # submodules, so a module-scope import here would be circular.
+    # submodules, so a module-scope import here would be circular; the
+    # stores load only when a campaign has a directory to persist to.
     from repro.sched.base import Slot
+    from repro.smt.cachestore import CacheStore
     from repro.triage.corpus import WitnessRecord
     from repro.triage.engine import TriageStats
 
@@ -293,10 +294,12 @@ class CampaignEngine:
         backend_name = self.config.resolved_backend()
         cache = SolverCache() if self.config.use_cache else None
 
-        store: Optional[CacheStore] = None
+        store: Optional["CacheStore"] = None
         fingerprint = self.config.diode.solver_fingerprint()
         loaded = saved = 0
         if self.config.cache_dir:
+            from repro.smt.cachestore import CacheStore
+
             store = CacheStore(self.config.cache_dir)
             loaded = store.load(cache, fingerprint)
 

@@ -28,21 +28,14 @@ regardless of backend worker count for schedule-independent workloads
 
 from __future__ import annotations
 
+import importlib
+
 from repro.obs.metrics import (
     METRICS,
     METRICS_WIRE_VERSION,
     MetricsRegistry,
     diff_snapshots,
     merge_snapshots,
-)
-from repro.obs.report import (
-    StageSummary,
-    TraceData,
-    UnitSummary,
-    chrome_trace_events,
-    load_trace_dir,
-    stage_summaries,
-    unit_summaries,
 )
 from repro.obs.trace import (
     TRACER,
@@ -52,6 +45,27 @@ from repro.obs.trace import (
     Tracer,
     validate_record,
 )
+
+#: The report step's names, loaded on first use (PEP 562): a run that only
+#: records spans never imports the trace reader.
+_REPORT_NAMES = frozenset(
+    {
+        "StageSummary",
+        "TraceData",
+        "UnitSummary",
+        "chrome_trace_events",
+        "load_trace_dir",
+        "stage_summaries",
+        "unit_summaries",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _REPORT_NAMES:
+        return getattr(importlib.import_module("repro.obs.report"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "InMemorySink",

@@ -31,7 +31,8 @@ run counts are schedule-independent too.
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+import importlib
+from typing import Dict, List, Tuple, Type
 
 from repro.sched.base import (
     Backend,
@@ -40,30 +41,56 @@ from repro.sched.base import (
     UnitRunRequest,
 )
 from repro.sched.context import ApplicationContext, build_application_context
-from repro.sched.process import ProcessBackend, SiteResultPayload, shutdown_pool
 from repro.sched.serial import SerialBackend
-from repro.sched.thread import ThreadBackend
 
-#: Registered backend classes, keyed by their CLI-visible names.
-BACKENDS: Dict[str, Type[Backend]] = {
-    backend.name: backend
-    for backend in (SerialBackend, ThreadBackend, ProcessBackend)
+#: Backend classes by CLI-visible name, as ``(module, class)``.  A backend's
+#: module loads when a campaign first asks for it, so a serial run never
+#: imports the thread and process pools (nor ``concurrent.futures`` and
+#: ``multiprocessing`` behind them).
+_BACKEND_CLASSES: Dict[str, Tuple[str, str]] = {
+    "serial": ("repro.sched.serial", "SerialBackend"),
+    "thread": ("repro.sched.thread", "ThreadBackend"),
+    "process": ("repro.sched.process", "ProcessBackend"),
+}
+
+#: Re-exports loaded on first use (PEP 562), by the module defining them.
+_LAZY = {
+    "ProcessBackend": "repro.sched.process",
+    "SiteResultPayload": "repro.sched.process",
+    "shutdown_pool": "repro.sched.process",
+    "ThreadBackend": "repro.sched.thread",
 }
 
 
 def available_backends() -> List[str]:
     """Names of the registered execution backends."""
-    return list(BACKENDS)
+    return list(_BACKEND_CLASSES)
+
+
+def _backend_class(name: str) -> Type[Backend]:
+    entry = _BACKEND_CLASSES.get(name)
+    if entry is None:
+        raise ValueError(
+            f"unknown backend {name!r}; available: {', '.join(_BACKEND_CLASSES)}"
+        )
+    module, attribute = entry
+    return getattr(importlib.import_module(module), attribute)
 
 
 def get_backend(name: str) -> Backend:
     """Instantiate the backend registered under ``name``."""
-    backend = BACKENDS.get(name)
-    if backend is None:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {', '.join(BACKENDS)}"
-        )
-    return backend()
+    return _backend_class(name)()
+
+
+def __getattr__(name: str):
+    # Nothing is cached in this namespace: the process backend's pool key
+    # digests every ``repro`` module's bindings, so a first lookup here
+    # after the pool forked must not add one.
+    if name == "BACKENDS":  # every backend class, keyed by its name
+        return {backend: _backend_class(backend) for backend in _BACKEND_CLASSES}
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

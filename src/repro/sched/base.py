@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import FIRST_EXCEPTION, Future, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import Future
+
     from repro.core.engine import DiodeConfig
     from repro.core.report import SiteResult
     from repro.sched.context import ApplicationContext
@@ -242,6 +243,10 @@ def drain_futures(
     exception as ``__cause__``.  Otherwise returns results in submission
     order.
     """
+    # Only the pooled backends get here; a serial campaign never loads
+    # concurrent.futures (and the logging it pulls in).
+    from concurrent.futures import FIRST_EXCEPTION, wait
+
     wait(futures, return_when=FIRST_EXCEPTION)
     failed_index: Optional[int] = None
     for index, future in enumerate(futures):

@@ -373,12 +373,19 @@ def _code_digest() -> int:
 
     Identity-based: rebinding any function, method or class (a patch, a
     wrapper) changes it; plain data such as counters and caches does not
-    count.  Modules the workers import lazily are imported first, so a
-    campaign's own first imports do not change the digest of the next.
+    count.  Modules that load on first use are imported first — the ones
+    the workers import, and the ones a serial campaign never loads (the
+    CDCL stack, the thread backend, the baselines, the trace reader) — so
+    neither a campaign's own first imports nor the parent's later first use
+    of such a module changes the digest of the next campaign.
     """
+    import repro.core.baselines  # noqa: F401
     import repro.core.engine  # noqa: F401
+    import repro.obs.report  # noqa: F401
     import repro.sched.context  # noqa: F401
-    import repro.smt.cachestore  # noqa: F401
+    import repro.sched.thread  # noqa: F401
+    import repro.smt.bitblast  # noqa: F401  (with smt.sat and smt.cnf)
+    import repro.smt.cachestore  # noqa: F401  (with repro.store)
     import repro.triage.engine  # noqa: F401
 
     bindings: list = []

@@ -209,10 +209,6 @@ class CacheStore:
         )
 
     # ------------------------------------------------------------------
-    def _meta_path(self) -> str:
-        return self._store.meta_path()
-
-    # ------------------------------------------------------------------
     def load(self, cache: SolverCache, fingerprint: Tuple) -> int:
         """Merge the store into ``cache``; returns entries merged.
 

@@ -46,20 +46,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.smt import builder as b
-from repro.smt.bitblast import BitBlaster, BitBlastError
 from repro.smt.cache import CachedVerdict, SolverCache
 from repro.smt.evalmodel import Model, satisfies
 from repro.smt.heuristics import try_algebraic_solution
 from repro.smt.interval import Interval, propagate_intervals
 from repro.smt.sampler import ModelSampler, SamplerConfig, split_conjuncts
-from repro.smt.sat import CDCLSolver, SatResult, SatStatus
 from repro.smt.simplify import simplify
 from repro.smt.terms import Term, TermKind
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # Layer 5 (bit-blasting + CDCL) loads on its first call: most workloads,
+    # the registry campaign among them, never reach it.
+    from repro.smt.bitblast import BitBlaster
+    from repro.smt.sat import CDCLSolver, SatResult
 
 
 class SolverStatus:
@@ -416,12 +420,12 @@ class PortfolioSolver:
             stages.append("bitblast")
             backend = self._bitblast if session is None else session._bitblast
             status, model = backend(conjuncts)
-            if status == SatStatus.SAT and model is not None:
+            if status == SolverStatus.SAT and model is not None:
                 restricted = model.restricted_to(widths)
                 return SolverResult(
                     SolverStatus.SAT, model=restricted, reason="bitblast"
                 )
-            if status == SatStatus.UNSAT:
+            if status == SolverStatus.UNSAT:
                 core = None if session is None else session.last_call_core
                 return SolverResult(
                     SolverStatus.UNSAT,
@@ -512,6 +516,9 @@ class PortfolioSolver:
         return wide_multiplications <= 2
 
     def _bitblast(self, conjuncts: Sequence[Term]) -> Tuple[str, Optional[Model]]:
+        from repro.smt.bitblast import BitBlaster, BitBlastError
+        from repro.smt.sat import CDCLSolver, SatStatus
+
         started = time.perf_counter()
         try:
             blaster = BitBlaster()
@@ -624,6 +631,9 @@ class SolverSession:
     # ------------------------------------------------------------------
     def _bitblast(self, conjuncts: Sequence[Term]) -> Tuple[str, Optional[Model]]:
         """Complete-backend hook: delta-blast + assumption-based CDCL."""
+        from repro.smt.bitblast import BitBlaster, BitBlastError
+        from repro.smt.sat import CDCLSolver, SatStatus
+
         started = time.perf_counter()
         config = self.solver.config
         try:

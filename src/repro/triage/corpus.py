@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.exec.values import WORD_WIDTH
-from repro.store import ArtifactStore, StoreRecord
 from repro.triage.signature import SIGNATURE_VERSION, site_identity
 
 __all__ = [
@@ -231,15 +230,14 @@ class CorpusStore:
     ) -> None:
         self.corpus_dir = str(corpus_dir)
         self.shard_count = max(1, int(shard_count))
+        # The store layer loads only once a campaign has a corpus directory.
+        from repro.store import ArtifactStore
+
         self._store = ArtifactStore(
             self.corpus_dir,
             version=CORPUS_FORMAT_VERSION,
             shard_count=self.shard_count,
         )
-
-    # ------------------------------------------------------------------
-    def _meta_path(self) -> str:
-        return self._store.meta_path()
 
     # ------------------------------------------------------------------
     def load(self) -> Dict[str, WitnessRecord]:
@@ -269,6 +267,8 @@ class CorpusStore:
         overwriting each other.  ``merge=False`` replaces the store
         outright (the replay subcommand uses it after rewriting statuses).
         """
+        from repro.store import StoreRecord
+
         wire: List[StoreRecord] = []
         for signature in sorted(records):
             wire.append(
