@@ -212,6 +212,17 @@ def _positive_float(value: str) -> float:
     return seconds
 
 
+def _non_negative_float(value: str) -> float:
+    """argparse type for ``--duration``: a finite number of seconds >= 0."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a number")
+    if not math.isfinite(seconds) or seconds < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 seconds (got {value})")
+    return seconds
+
+
 def _store_block(metrics: Optional[dict]) -> dict:
     """The ``store`` summary of a campaign's metrics delta (lock visibility)."""
     from repro.obs.metrics import counter_value, histogram_stats
@@ -886,10 +897,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     events.add_argument(
         "--duration",
-        type=float,
+        type=_non_negative_float,
         default=None,
         metavar="SECONDS",
-        help="with --follow: stop after this many seconds",
+        help="with --follow: stop after this many seconds (0: one pass)",
     )
     events.add_argument(
         "--poll",

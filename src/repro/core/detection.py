@@ -65,20 +65,10 @@ class ErrorDetector:
     def __init__(self, program: Program, seed_input: bytes) -> None:
         self.program = program
         self.seed_input = bytes(seed_input)
-        self._seed_report = OverflowWitnessInterpreter(program).run_witness(self.seed_input)
+        seed_report = OverflowWitnessInterpreter(program).run_witness(self.seed_input)
         self._seed_error_signatures: Set[Tuple[str, int, int]] = (
-            self._seed_report.execution.error_signatures()
+            seed_report.execution.error_signatures()
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def seed_report(self) -> OverflowWitnessReport:
-        """The witness report of the seed run (reused by callers)."""
-        return self._seed_report
-
-    def seed_triggers(self, site_label: int) -> bool:
-        """Whether the seed input itself already overflows at the site."""
-        return self._seed_report.site_overflowed(site_label)
 
     # ------------------------------------------------------------------
     def evaluate(

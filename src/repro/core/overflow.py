@@ -119,35 +119,3 @@ def _operation_overflow(term: Term, spec: OverflowSpec) -> Optional[Term]:
         # Unsigned borrow: a - b wraps exactly when a < b.
         return smt.ult(term.args[0], term.args[1])
     return None
-
-
-def widened_value(expression: Term) -> Term:
-    """The target expression recomputed at double width without wrapping.
-
-    Only the *top-level* arithmetic is widened (operands are the recorded
-    wrapped subexpressions); this is the value the paper's example compares
-    against ``0xFFFFFFFF``.
-    """
-    width = expression.width
-    if width is None:
-        raise ValueError("target expressions must be bitvector terms")
-    kind = expression.kind
-    if kind is TermKind.MUL:
-        return smt.mul(
-            smt.zext(expression.args[0], 2 * width),
-            smt.zext(expression.args[1], 2 * width),
-        )
-    if kind is TermKind.ADD:
-        return smt.add(
-            smt.zext(expression.args[0], 2 * width),
-            smt.zext(expression.args[1], 2 * width),
-        )
-    return smt.zext(expression, 2 * width)
-
-
-def ideal_size_exceeds_width(expression: Term) -> Term:
-    """Constraint: the top-level widened value exceeds the machine width."""
-    width = expression.width
-    if width is None:
-        raise ValueError("target expressions must be bitvector terms")
-    return smt.ugt(widened_value(expression), smt.bv_const(mask(width), 2 * width))

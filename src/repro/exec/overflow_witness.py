@@ -55,12 +55,6 @@ class OverflowWitnessReport:
     execution: ExecutionReport
     overflowed_allocations: List[OverflowedAllocation] = field(default_factory=list)
 
-    def overflowed_site_labels(self) -> List[int]:
-        """Labels of allocation sites whose size overflowed in this run."""
-        return list(
-            dict.fromkeys(r.site_label for r in self.overflowed_allocations)
-        )
-
     def site_overflowed(self, site_label: int) -> bool:
         """Whether the given site allocated a wrapped size during this run."""
         return any(r.site_label == site_label for r in self.overflowed_allocations)

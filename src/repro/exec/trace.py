@@ -89,20 +89,6 @@ class ExecutionReport:
         """Allocation records for a specific site label."""
         return [a for a in self.allocations if a.site_label == site_label]
 
-    def executed_site_labels(self) -> List[int]:
-        """Labels of allocation sites exercised by this run (deduplicated)."""
-        seen: List[int] = []
-        for record in self.allocations:
-            if record.site_label not in seen:
-                seen.append(record.site_label)
-        return seen
-
-    def errors_for_site(self, site_label: int) -> List[MemoryError]:
-        """Memory errors on blocks allocated at the given site."""
-        return [
-            e for e in self.memory_errors if e.allocation_site_label == site_label
-        ]
-
     def error_signatures(self) -> set:
         """Set of error signatures (used to filter seed-run errors)."""
         return {error.signature() for error in self.memory_errors}
@@ -110,11 +96,3 @@ class ExecutionReport:
     def branch_path(self) -> List[Tuple[int, bool]]:
         """The branch path as a list of (label, taken) pairs in order."""
         return [(b.label, b.taken) for b in self.branches]
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        return (
-            f"outcome={self.outcome.value} steps={self.steps} "
-            f"allocs={len(self.allocations)} branches={len(self.branches)} "
-            f"memory_errors={len(self.memory_errors)}"
-        )

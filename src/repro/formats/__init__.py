@@ -19,7 +19,7 @@ This package provides the same two services:
 
 from repro.formats.fields import Endianness, FieldKind, FieldSpec, FieldValue
 from repro.formats.spec import FormatSpec, DissectedInput, FormatError
-from repro.formats.checksum import crc32, adler32, additive_checksum
+from repro.formats.checksum import crc32, additive_checksum
 from repro.formats.rewriter import InputRewriter
 from repro.formats.png import PngFormat, build_png_seed
 from repro.formats.wav import WavFormat, build_wav_seed
@@ -36,7 +36,6 @@ __all__ = [
     "DissectedInput",
     "FormatError",
     "crc32",
-    "adler32",
     "additive_checksum",
     "InputRewriter",
     "PngFormat",

@@ -15,11 +15,6 @@ def crc32(data: bytes) -> int:
     return zlib.crc32(bytes(data)) & 0xFFFFFFFF
 
 
-def adler32(data: bytes) -> int:
-    """The Adler-32 checksum used by zlib streams."""
-    return zlib.adler32(bytes(data)) & 0xFFFFFFFF
-
-
 def additive_checksum(data: bytes, width: int = 32) -> int:
     """A simple additive checksum (sum of bytes modulo 2^width)."""
     return sum(data) & ((1 << width) - 1)

@@ -87,7 +87,3 @@ class FieldValue:
 
     spec: FieldSpec
     value: int
-
-    @property
-    def path(self) -> str:
-        return self.spec.path

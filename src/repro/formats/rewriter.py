@@ -9,21 +9,21 @@ provided for unknown formats, exactly as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.formats.fields import FieldKind, FieldSpec
-from repro.formats.spec import FormatError, FormatSpec
+from repro.formats.spec import FormatSpec
 
 
 class InputRewriter:
-    """Rebuild input files around new byte or field values."""
+    """Rebuild input files around new byte values."""
 
     def __init__(self, spec: Optional[FormatSpec] = None) -> None:
         self.spec = spec
 
     # ------------------------------------------------------------------
-    # Byte-level interface (what the DIODE pipeline uses: solver models are
-    # assignments to individual relevant input bytes).
+    # Byte-level interface (solver models are assignments to individual
+    # relevant input bytes; FieldMapper expands named fields into them).
     # ------------------------------------------------------------------
     def rewrite_bytes(self, seed: bytes, byte_values: Mapping[int, int]) -> bytes:
         """Return a copy of ``seed`` with the given byte offsets replaced.
@@ -46,36 +46,6 @@ class InputRewriter:
         if self.spec is not None:
             self._fix_derived_fields(data)
         return bytes(data)
-
-    # ------------------------------------------------------------------
-    # Field-level interface (used by examples and tests).
-    # ------------------------------------------------------------------
-    def rewrite_fields(self, seed: bytes, field_values: Mapping[str, int]) -> bytes:
-        """Return a copy of ``seed`` with named UINT fields set to new values."""
-        if self.spec is None:
-            raise FormatError("field-level rewriting requires a format spec")
-        data = bytearray(seed)
-        for path, value in field_values.items():
-            field_spec = self.spec.field(path)
-            if field_spec.kind not in (FieldKind.UINT,):
-                raise FormatError(f"field {path!r} is not a writable integer field")
-            data[field_spec.offset : field_spec.offset + field_spec.size] = (
-                field_spec.encode(value)
-            )
-        self._fix_derived_fields(data)
-        return bytes(data)
-
-    def field_values_to_bytes(self, field_values: Mapping[str, int]) -> Dict[int, int]:
-        """Expand named field values into individual byte assignments."""
-        if self.spec is None:
-            raise FormatError("field expansion requires a format spec")
-        out: Dict[int, int] = {}
-        for path, value in field_values.items():
-            field_spec = self.spec.field(path)
-            encoded = field_spec.encode(value)
-            for index, byte in enumerate(encoded):
-                out[field_spec.offset + index] = byte
-        return out
 
     # ------------------------------------------------------------------
     # Derived-field fix-up

@@ -13,7 +13,7 @@ the two questions DIODE asks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.formats.fields import FieldKind, FieldSpec, FieldValue
 
@@ -49,10 +49,6 @@ class FormatSpec:
     def has_field(self, path: str) -> bool:
         """Whether the format defines a field with this path."""
         return path in self._by_path
-
-    def field_paths(self) -> List[str]:
-        """All field paths, in file order."""
-        return [spec.path for spec in self.fields]
 
     def mutable_fields(self) -> List[FieldSpec]:
         """Fields whose bytes DIODE may replace with solver values."""
@@ -97,10 +93,6 @@ class DissectedInput:
             raise FormatError(f"field {path!r} is a byte payload, not an integer")
         return field_spec.read(self.data)
 
-    def bytes_of(self, path: str) -> bytes:
-        """Raw bytes of any field."""
-        return self.spec.field(path).read_bytes(self.data)
-
     def field_values(self) -> List[FieldValue]:
         """All UINT field values in file order."""
         out: List[FieldValue] = []
@@ -108,20 +100,3 @@ class DissectedInput:
             if field_spec.kind in (FieldKind.UINT, FieldKind.CHECKSUM, FieldKind.LENGTH):
                 out.append(FieldValue(spec=field_spec, value=field_spec.read(self.data)))
         return out
-
-    def field_for_offset(self, offset: int) -> Optional[str]:
-        """Path of the field containing a byte offset (``None`` if padding)."""
-        field_spec = self.spec.field_at_offset(offset)
-        return field_spec.path if field_spec else None
-
-    def describe_offsets(self, offsets: Iterable[int]) -> Dict[str, List[int]]:
-        """Group byte offsets by the field they belong to.
-
-        Offsets not covered by any field are grouped under ``"<raw>"``.
-        This is how DIODE reports relevant input bytes as named fields.
-        """
-        grouped: Dict[str, List[int]] = {}
-        for offset in sorted(set(offsets)):
-            path = self.field_for_offset(offset) or "<raw>"
-            grouped.setdefault(path, []).append(offset)
-        return grouped

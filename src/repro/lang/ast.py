@@ -191,10 +191,6 @@ class Stmt:
     loc: SourceLocation
 
 
-def _stmt_defaults():
-    return {"label": None, "tag": None}
-
-
 @dataclass
 class SkipStmt(Stmt):
     """``skip``."""

@@ -14,17 +14,15 @@ three.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Tuple
 
 from repro.lang.ast import (
     AllocStmt,
     CallExpr,
     CallStmt,
-    IfStmt,
     ReturnStmt,
     SeqStmt,
     Stmt,
-    WhileStmt,
     statement_expressions,
     walk_expressions,
     walk_statements,
@@ -136,41 +134,18 @@ class Program:
         """Iterate over every statement in the program."""
         return walk_statements(self.body)
 
-    def statement_at(self, label: int) -> Stmt:
-        """Return the statement with the given label."""
+    def label_of_tag(self, tag: str) -> int:
+        """Return the label of the statement carrying the ``@ "tag"`` annotation."""
         try:
-            return self._by_label[label]
-        except KeyError as error:
-            raise ProgramError(f"no statement with label {label}") from error
-
-    def statement_tagged(self, tag: str) -> Stmt:
-        """Return the statement carrying the given ``@ "tag"`` annotation."""
-        try:
-            return self._by_tag[tag]
+            statement = self._by_tag[tag]
         except KeyError as error:
             raise ProgramError(f"no statement tagged {tag!r}") from error
-
-    def label_of_tag(self, tag: str) -> int:
-        """Return the label of the statement carrying ``tag``."""
-        statement = self.statement_tagged(tag)
         assert statement.label is not None
         return statement.label
-
-    def tag_of_label(self, label: int) -> Optional[str]:
-        """Return the tag of the statement at ``label`` (if any)."""
-        return self.statement_at(label).tag
 
     def allocation_sites(self) -> List[AllocStmt]:
         """All ``alloc`` statements in the program (potential target sites)."""
         return [s for s in self.statements() if isinstance(s, AllocStmt)]
-
-    def conditional_labels(self) -> List[int]:
-        """Labels of all conditional statements (``if`` and ``while``)."""
-        return [
-            s.label
-            for s in self.statements()
-            if isinstance(s, (IfStmt, WhileStmt)) and s.label is not None
-        ]
 
     def statement_count(self) -> int:
         """Total number of core statements."""

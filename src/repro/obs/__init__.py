@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     METRICS_WIRE_VERSION,
     MetricsRegistry,
     diff_snapshots,
-    merge_snapshots,
 )
 from repro.obs.trace import (
     TRACER,
@@ -82,7 +81,6 @@ __all__ = [
     "chrome_trace_events",
     "diff_snapshots",
     "load_trace_dir",
-    "merge_snapshots",
     "stage_summaries",
     "unit_summaries",
     "validate_record",

@@ -44,7 +44,7 @@ indices; ``buckets`` is sparse (absent index = zero).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Tuple
 
 __all__ = [
     "BUCKET_BOUNDS",
@@ -54,7 +54,6 @@ __all__ = [
     "METRICS",
     "METRICS_WIRE_VERSION",
     "MetricsRegistry",
-    "merge_snapshots",
     "seconds_to_nanos",
 ]
 
@@ -146,9 +145,6 @@ class Histogram:
             self.sum_nanos += nanos
             self.buckets[index] = self.buckets.get(index, 0) + 1
 
-    def sum_seconds(self) -> float:
-        return self.sum_nanos / 1e9
-
     def wire(self) -> dict:
         return {
             "k": "h",
@@ -193,10 +189,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
@@ -292,29 +284,6 @@ def _combine(kind: str, a: dict, b: dict, sign: int = 1) -> dict:
         "count": int(a.get("count", 0)) + sign * int(b.get("count", 0)),
         "sum": int(a.get("sum", 0)) + sign * int(b.get("sum", 0)),
         "buckets": {k: v for k, v in sorted(buckets.items()) if v},
-    }
-
-
-def merge_snapshots(*wires: dict) -> dict:
-    """Pure merge of wire dicts: counters/histograms add, gauges ``max``.
-
-    Commutative and associative by construction (all stored quantities are
-    integers), so any merge order over any partition of the same deltas
-    yields an identical result.
-    """
-    combined: Dict[str, dict] = {}
-    for wire in wires:
-        if not isinstance(wire, dict) or wire.get("v") != METRICS_WIRE_VERSION:
-            continue
-        for name, entry in (wire.get("metrics") or {}).items():
-            existing = combined.get(name)
-            if existing is None:
-                combined[name] = _combine(entry.get("k"), _empty_like(entry), entry)
-            elif existing.get("k") == entry.get("k"):
-                combined[name] = _combine(entry.get("k"), existing, entry)
-    return {
-        "v": METRICS_WIRE_VERSION,
-        "metrics": {name: combined[name] for name in sorted(combined)},
     }
 
 

@@ -284,11 +284,6 @@ class Tracer:
         with self._lock:
             self._sinks = []
 
-    @property
-    def active(self) -> bool:
-        """Whether any sink is attached (spans always feed stage timers)."""
-        return bool(self._sinks)
-
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs) -> _SpanHandle:
         """A context manager timing one named stage with ``attrs``."""

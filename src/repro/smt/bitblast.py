@@ -56,10 +56,6 @@ class BitBlaster:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def assert_constraint(self, constraint: Term) -> None:
-        """Assert a boolean term as true."""
-        self.cnf.add_unit(self.literal_for(constraint))
-
     def assert_all(self, conjuncts) -> None:
         """Batch-assert a query's conjunct list in one pass.
 

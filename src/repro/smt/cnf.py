@@ -36,10 +36,6 @@ class CNF:
             return existing
         return self.new_var(name)
 
-    def named_vars(self) -> Dict[str, int]:
-        """Mapping from registered names to variable indices."""
-        return dict(self._names)
-
     # ------------------------------------------------------------------
     # Clause construction
     # ------------------------------------------------------------------
@@ -92,4 +88,3 @@ class CNF:
 
     def __repr__(self) -> str:
         return f"CNF(vars={self.num_vars}, clauses={len(self.clauses)})"
-

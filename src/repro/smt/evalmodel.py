@@ -81,11 +81,6 @@ class Model:
         """Return the assignment as a plain dictionary."""
         return dict(self._assignment)
 
-    def update(self, other: Mapping[str, int]) -> None:
-        """Merge ``other`` into this model, overwriting existing keys."""
-        for key, value in other.items():
-            self._assignment[key] = int(value)
-
     def restricted_to(self, names: Iterable[str]) -> "Model":
         """Return a model containing only the listed variable names."""
         keep = set(names)

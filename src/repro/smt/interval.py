@@ -52,11 +52,6 @@ class Interval(NamedTuple):
         """The singleton interval ``[value, value]``."""
         return Interval(value, value)
 
-    @staticmethod
-    def empty() -> "Interval":
-        """The canonical empty interval."""
-        return Interval(1, 0)
-
     @property
     def is_empty(self) -> bool:
         """Whether this interval contains no values."""
@@ -70,28 +65,9 @@ class Interval(NamedTuple):
     def __contains__(self, value: int) -> bool:  # type: ignore[override]
         return self.lo <= value <= self.hi
 
-    def size(self) -> int:
-        """Number of values in the interval."""
-        if self.is_empty:
-            return 0
-        return self.hi - self.lo + 1
-
     def intersect(self, other: "Interval") -> "Interval":
         """Meet of two intervals."""
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    def union(self, other: "Interval") -> "Interval":
-        """Join (convex hull) of two intervals."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def widen_to(self, width: int) -> "Interval":
-        """Clamp to the representable range of ``width`` bits."""
-        return self.intersect(Interval.full(width))
-
 
 # Node kinds of the lowered DAG.  Bitvector kinds come first; the unsigned
 # comparisons are contiguous, so one range test recognises them.  ``_OPAQUE``

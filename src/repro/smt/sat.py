@@ -270,9 +270,6 @@ class CDCLSolver:
         self.saved_phase[var] = (lit_index & 1) ^ 1
         self.trail.append(lit_index)
 
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
-
     def _backtrack(self, target_level: int) -> None:
         if len(self.trail_lim) <= target_level:
             return

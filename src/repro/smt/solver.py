@@ -54,7 +54,7 @@ from repro.smt import builder as b
 from repro.smt.cache import CachedVerdict, SolverCache
 from repro.smt.evalmodel import Model, satisfies
 from repro.smt.heuristics import try_algebraic_solution
-from repro.smt.interval import Interval, propagate_intervals
+from repro.smt.interval import propagate_intervals
 from repro.smt.sampler import ModelSampler, SamplerConfig, split_conjuncts
 from repro.smt.simplify import simplify
 from repro.smt.terms import Term, TermKind
@@ -382,14 +382,6 @@ class PortfolioSolver:
                 reason="interval propagation",
                 unsat_core=tuple(conjuncts),
             )
-        point_model = self._point_model_if_determined(variables, bounds)
-        if point_model is not None and all(
-            satisfies(c, point_model) for c in conjuncts
-        ):
-            return SolverResult(
-                SolverStatus.SAT, model=point_model, reason="interval point"
-            )
-
         # Layer 3: algebraic extreme-point heuristics over layer 2's box,
         # checked against the conjuncts' own evaluators.
         stages.append("heuristics")
@@ -479,18 +471,6 @@ class PortfolioSolver:
                 if variable.is_bv:
                     seen.setdefault(str(variable.name), variable)
         return [seen[name] for name in sorted(seen)]
-
-    @staticmethod
-    def _point_model_if_determined(
-        variables: Sequence[Term], bounds: Dict[str, Interval]
-    ) -> Optional[Model]:
-        model = Model()
-        for variable in variables:
-            interval = bounds.get(str(variable.name))
-            if interval is None or not interval.is_point:
-                return None
-            model[str(variable.name)] = interval.lo
-        return model if len(model) == len(variables) else None
 
     def _blastable(self, conjuncts: Sequence[Term]) -> bool:
         node_budget = 4000

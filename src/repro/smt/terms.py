@@ -372,8 +372,3 @@ def to_signed(value: int, width: int) -> int:
     if value >= 1 << (width - 1):
         return value - (1 << width)
     return value
-
-
-def from_signed(value: int, width: int) -> int:
-    """Encode a (possibly negative) integer as unsigned ``width``-bit."""
-    return truncate(value, width)

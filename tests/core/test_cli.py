@@ -505,17 +505,19 @@ class TestEventsCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == len(load_trace_dir(trace_dir).events)
 
-    def _assert_poll_rejected(self, capsys, tmp_path, poll):
+    def _assert_rejected(self, capsys, tmp_path, flag, options):
         with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["events", "--trace-dir", str(tmp_path), "--follow",
-                 "--duration", "0.1", "--poll", poll]
-            )
+            main(["events", "--trace-dir", str(tmp_path), "--follow", *options])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "--poll" in errors[0]
+        assert len(errors) == 1 and flag in errors[0]
+
+    def _assert_poll_rejected(self, capsys, tmp_path, poll):
+        self._assert_rejected(
+            capsys, tmp_path, "--poll", ["--duration", "0.1", "--poll", poll]
+        )
 
     @pytest.mark.parametrize("poll", ["-1", "0"])
     def test_non_positive_poll_is_a_one_line_error(self, capsys, tmp_path, poll):
@@ -528,6 +530,19 @@ class TestEventsCommand:
     ):
         """``nan`` would slip past a bare ``> 0`` check; ``inf`` never wakes."""
         self._assert_poll_rejected(capsys, tmp_path, poll)
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-inf", "-1", "soon"])
+    def test_bad_duration_is_a_one_line_error(self, capsys, tmp_path, duration):
+        """``nan`` never reached the deadline, so ``--follow`` never returned."""
+        self._assert_rejected(capsys, tmp_path, "--duration", ["--duration", duration])
+
+    def test_zero_duration_is_a_single_pass(self, capsys, tmp_path):
+        missing = str(tmp_path / "not-yet")
+        assert (
+            main(["events", "--trace-dir", missing, "--follow", "--duration", "0"])
+            == 0
+        )
+        assert capsys.readouterr().out == ""
 
     def test_missing_dir_is_a_one_line_error(self, capsys):
         assert main(["events", "--trace-dir", "/nonexistent/trace"]) == 2

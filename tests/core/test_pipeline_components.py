@@ -14,7 +14,6 @@ from repro.core.fieldmap import FieldMapper
 from repro.core.inputs import InputGenerator
 from repro.core.overflow import (
     OverflowSpec,
-    ideal_size_exceeds_width,
     overflow_conditions,
     overflow_constraint,
 )
@@ -99,12 +98,6 @@ class TestOverflowConstraint:
         expression = b.add(b.mul(x, y), b.bv_const(16, 32))
         kinds = {c.operation.kind for c in overflow_conditions(expression)}
         assert kinds == {TermKind.ADD, TermKind.MUL}
-
-    def test_ideal_size_exceeds_width(self):
-        x = b.bv_var("x", 32)
-        y = b.bv_var("y", 32)
-        constraint = ideal_size_exceeds_width(b.mul(x, y))
-        assert satisfies(constraint, {"x": 1 << 20, "y": 1 << 20})
 
     def test_boolean_expression_rejected(self):
         with pytest.raises(ValueError):
@@ -264,7 +257,7 @@ class TestInputGeneratorAndDetection:
         program = Program.from_source(self.PROGRAM)
         seed = bytes([0xAA, 0xBB, 0, 40, 0, 0, 1])
         detector = ErrorDetector(program, seed)
-        assert not detector.seed_triggers(program.label_of_tag("demo.c@1"))
+        assert not detector.evaluate(seed, program.label_of_tag("demo.c@1")).overflow_triggered
         # Choose w so that w*w*2 wraps: w = 0xFFFF -> w*w*2 = 0x1FFFC0002 wraps.
         candidate = InputGenerator(seed, SIMPLE_SPEC).generate(Model({"/w": 0xFFFF}))
         evaluation = detector.evaluate(candidate.data, program.label_of_tag("demo.c@1"))

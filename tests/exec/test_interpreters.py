@@ -224,6 +224,23 @@ class TestOverflowWitness:
         assert report.overflowed_allocations
         assert report.site_overflowed(report.overflowed_allocations[0].site_label)
 
+    def test_every_overflowing_execution_of_a_site_is_recorded(self):
+        program = _program(
+            "i = 0; while (i < 3) {"
+            " buf = alloc(input(0) * 16777216 * 256);"
+            " buf2 = alloc(input(0) * 33554432 * 128);"
+            " buf3 = alloc(input(0) + 1);"
+            " i = i + 1; }"
+        )
+        report = OverflowWitnessInterpreter(program).run_witness(bytes([255]))
+        labels = [record.site_label for record in report.overflowed_allocations]
+        # Two wrapping sites, three iterations each, in execution order.
+        assert len(labels) == 6 and len(set(labels)) == 2
+        assert labels[:2] * 3 == labels
+        assert all(report.site_overflowed(label) for label in labels)
+        clean = [s.label for s in program.allocation_sites() if s.label not in labels]
+        assert len(clean) == 1 and not report.site_overflowed(clean[0])
+
     def test_non_wrapping_allocation_not_flagged(self):
         program = _program("w = input(0) * 4; buf = alloc(w + 1);")
         report = OverflowWitnessInterpreter(program).run_witness(bytes([200]))
@@ -269,23 +286,6 @@ class TestOverflowWitness:
         program = _program("buf = alloc(input(0) + 1);")
         report = OverflowWitnessInterpreter(program).run_witness(bytes([5]))
         assert report.site_provenance(0) == ()
-
-    def test_overflowed_site_labels_deduplicates_in_first_seen_order(self):
-        program = _program(
-            "i = 0; while (i < 3) {"
-            " buf = alloc(input(0) * 16777216 * 256);"
-            " buf2 = alloc(input(0) * 33554432 * 128);"
-            " i = i + 1; }"
-        )
-        report = OverflowWitnessInterpreter(program).run_witness(bytes([255]))
-        labels = report.overflowed_site_labels()
-        # Two distinct sites, each overflowed three times: deduplicated,
-        # first-dynamic-execution order preserved.
-        assert len(report.overflowed_allocations) == 6
-        assert len(labels) == 2
-        assert labels == sorted(set(labels), key=labels.index)
-        first_seen = [r.site_label for r in report.overflowed_allocations]
-        assert labels == list(dict.fromkeys(first_seen))
 
     @pytest.mark.parametrize("shift", [31, 32, 63, 64, 65, 200])
     def test_shift_out_of_width_is_flagged_for_any_amount(self, shift):

@@ -150,13 +150,6 @@ class TestExecutionReport:
     def test_allocations_at(self):
         assert len(self._report().allocations_at(5)) == 2
 
-    def test_executed_site_labels_deduplicated_in_order(self):
-        assert self._report().executed_site_labels() == [5, 9]
-
-    def test_errors_for_site(self):
-        assert len(self._report().errors_for_site(5)) == 1
-        assert self._report().errors_for_site(9) == []
-
     def test_error_signatures(self):
         signatures = self._report().error_signatures()
         assert signatures == {("SIGSEGV/InvalidWrite", 5, 11)}
@@ -170,10 +163,6 @@ class TestExecutionReport:
         assert report.crashed and not report.halted
         report.outcome = ExecutionOutcome.HALTED
         assert report.halted and not report.crashed
-
-    def test_summary_mentions_counts(self):
-        summary = self._report().summary()
-        assert "allocs=3" in summary and "branches=2" in summary
 
     def test_memory_error_is_crash_classification(self):
         error = self._report().memory_errors[0]

@@ -5,6 +5,7 @@ import zlib
 import pytest
 
 from repro.apps.registry import application_names, get_application
+from repro.core.fieldmap import FieldMapper
 from repro.formats import (
     PngFormat,
     SwfFormat,
@@ -17,7 +18,7 @@ from repro.formats import (
     build_webp_seed,
     build_xwd_seed,
 )
-from repro.formats.checksum import additive_checksum, adler32, crc32
+from repro.formats.checksum import additive_checksum, crc32
 from repro.formats.fields import Endianness, FieldKind, FieldSpec
 from repro.formats.rewriter import InputRewriter
 from repro.formats.spec import DissectedInput, FormatError, FormatSpec
@@ -112,20 +113,10 @@ class TestFormatSpec:
         paths = [f.path for f in self._spec().mutable_fields()]
         assert "/magic" not in paths
 
-    def test_describe_offsets_groups_by_field(self):
-        dissected = self._spec().dissect(bytes(8))
-        grouped = dissected.describe_offsets([2, 3, 6, 100])
-        assert grouped["/len"] == [2, 3]
-        assert grouped["/payload"] == [6]
-        assert grouped["<raw>"] == [100]
-
 
 class TestChecksums:
     def test_crc32_matches_zlib(self):
         assert crc32(b"IHDR1234") == zlib.crc32(b"IHDR1234") & 0xFFFFFFFF
-
-    def test_adler32_matches_zlib(self):
-        assert adler32(b"payload") == zlib.adler32(b"payload") & 0xFFFFFFFF
 
     def test_additive_checksum(self):
         assert additive_checksum(bytes([1, 2, 3])) == 6
@@ -190,10 +181,11 @@ class TestWavSpecifics:
 
 
 class TestRewriter:
-    def test_rewrite_fields_updates_values_and_checksum(self):
+    def test_field_values_rewrite_updates_values_and_checksum(self):
         rewriter = InputRewriter(PngFormat)
         seed = build_png_seed()
-        rewritten = rewriter.rewrite_fields(seed, {"/header/width": 966175})
+        byte_values = FieldMapper(PngFormat).model_to_byte_values({"/header/width": 966175})
+        rewritten = rewriter.rewrite_bytes(seed, byte_values)
         dissected = PngFormat.dissect(rewritten)
         assert dissected.value_of("/header/width") == 966175
         start = png_layout.IHDR_TYPE_OFFSET
@@ -218,20 +210,16 @@ class TestRewriter:
         out = rewriter.rewrite_bytes(b"\x00\x01\x02", {1: 0xFF})
         assert out == b"\x00\xff\x02"
 
-    def test_field_rewrite_without_spec_raises(self):
-        with pytest.raises(FormatError):
-            InputRewriter(None).rewrite_fields(b"abcd", {"/x": 1})
-
-    def test_field_values_to_bytes_big_endian(self):
-        rewriter = InputRewriter(PngFormat)
-        mapping = rewriter.field_values_to_bytes({"/header/width": 0x01020304})
+    def test_field_values_expand_to_big_endian_bytes(self):
+        mapping = FieldMapper(PngFormat).model_to_byte_values({"/header/width": 0x01020304})
         assert mapping[png_layout.WIDTH_OFFSET] == 0x01
         assert mapping[png_layout.WIDTH_OFFSET + 3] == 0x04
 
     def test_wav_length_field_recomputed(self):
         rewriter = InputRewriter(WavFormat)
         seed = build_wav_seed()
-        rewritten = rewriter.rewrite_fields(seed, {"/data/frame_size": 4096})
+        byte_values = FieldMapper(WavFormat).model_to_byte_values({"/data/frame_size": 4096})
+        rewritten = rewriter.rewrite_bytes(seed, byte_values)
         dissected = WavFormat.dissect(rewritten)
         assert dissected.value_of("/data/frame_size") == 4096
         assert dissected.value_of("/riff/size") == len(rewritten) - wav_layout.WAVE_MAGIC_OFFSET

@@ -22,6 +22,7 @@ from repro.core.branches import compress_branches, extract_branch_constraints
 from repro.core.fieldmap import FieldMapper
 from repro.core.sites import identify_target_sites
 from repro.core.target import extract_target_observations
+from repro.core.inputs import InputGenerator
 from repro.exec.concolic import ConcolicInterpreter
 from repro.exec.overflow_witness import OverflowWitnessInterpreter
 from repro.formats.png import PngFormat, build_png_seed
@@ -65,12 +66,10 @@ class TestConcolicAgreesWithConcrete:
             if (width * height) & 0xFFFFFFFF < 1 << 31
             else (width * height) & 0xFFFFFFFF - (1 << 32)
         )
-        rewriter = InputRewriter(PngFormat)
-        candidate = rewriter.rewrite_fields(
-            dillo.seed_input,
-            {"/header/width": width, "/header/height": height},
-        )
-        candidate = rewriter.rewrite_bytes(candidate, {24: depth})
+        candidate = InputGenerator(dillo.seed_input, PngFormat).generate_from_fields(
+            {"/header/width": width, "/header/height": height}
+        ).data
+        candidate = InputRewriter(PngFormat).rewrite_bytes(candidate, {24: depth})
         report = ConcolicInterpreter(
             dillo.program,
             relevant_bytes=set(dillo_observation.site.relevant_bytes),
@@ -91,12 +90,10 @@ class TestConcolicAgreesWithConcrete:
     def test_overflow_witness_matches_big_integer_arithmetic(
         self, dillo, width, height, depth
     ):
-        rewriter = InputRewriter(PngFormat)
-        candidate = rewriter.rewrite_fields(
-            dillo.seed_input,
-            {"/header/width": width, "/header/height": height},
-        )
-        candidate = rewriter.rewrite_bytes(candidate, {24: depth})
+        candidate = InputGenerator(dillo.seed_input, PngFormat).generate_from_fields(
+            {"/header/width": width, "/header/height": height}
+        ).data
+        candidate = InputRewriter(PngFormat).rewrite_bytes(candidate, {24: depth})
         report = OverflowWitnessInterpreter(dillo.program).run_witness(candidate)
         site_label = dillo.program.label_of_tag("png.c@203")
         executed = [
@@ -116,10 +113,9 @@ class TestRewriterProperties:
     @given(width=st.integers(0, 0xFFFFFFFF), height=st.integers(0, 0xFFFFFFFF))
     @settings(max_examples=50, deadline=None)
     def test_rewritten_png_is_structurally_valid(self, width, height):
-        rewriter = InputRewriter(PngFormat)
-        data = rewriter.rewrite_fields(
-            build_png_seed(), {"/header/width": width, "/header/height": height}
-        )
+        data = InputGenerator(build_png_seed(), PngFormat).generate_from_fields(
+            {"/header/width": width, "/header/height": height}
+        ).data
         dissected = PngFormat.dissect(data)
         assert data[:8] == build_png_seed()[:8]
         assert dissected.value_of("/header/width") == width
@@ -164,10 +160,9 @@ class TestBranchConstraintProperties:
         """If an input satisfies every compressed relevant constraint, its
         concrete run takes the same direction as the seed at those branches."""
         mapper = FieldMapper(dillo.format_spec)
-        rewriter = InputRewriter(PngFormat)
-        candidate = rewriter.rewrite_fields(
-            dillo.seed_input, {"/header/width": width, "/header/height": height}
-        )
+        candidate = InputGenerator(dillo.seed_input, PngFormat).generate_from_fields(
+            {"/header/width": width, "/header/height": height}
+        ).data
         assignment = mapper.assignment_for_input(candidate, range(len(candidate)))
         compressed = compress_branches(
             extract_branch_constraints(dillo_observation.seed_path)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang.ast import AllocStmt, AssignStmt, IfStmt, SeqStmt, WhileStmt
+from repro.lang.ast import SeqStmt
 from repro.lang.lowering import LoweringError, lower_program
 from repro.lang.parser import parse_program
 from repro.lang.program import Program, ProgramError
@@ -144,24 +144,13 @@ class TestProgram:
     def test_tag_lookup(self):
         program = Program.from_source(self.SOURCE)
         label = program.label_of_tag("site.a")
-        assert isinstance(program.statement_at(label), AllocStmt)
-        assert program.tag_of_label(label) == "site.a"
+        (site,) = [s for s in program.allocation_sites() if s.tag == "site.a"]
+        assert site.label == label
 
     def test_unknown_tag_raises(self):
         program = Program.from_source(self.SOURCE)
         with pytest.raises(ProgramError):
-            program.statement_tagged("missing")
-
-    def test_unknown_label_raises(self):
-        program = Program.from_source(self.SOURCE)
-        with pytest.raises(ProgramError):
-            program.statement_at(10_000)
-
-    def test_conditional_labels(self):
-        program = Program.from_source(self.SOURCE)
-        conditionals = program.conditional_labels()
-        assert len(conditionals) == 1
-        assert isinstance(program.statement_at(conditionals[0]), IfStmt)
+            program.label_of_tag("missing")
 
     def test_duplicate_tags_rejected(self):
         source = """

@@ -1,7 +1,7 @@
 """The metrics registry: wire snapshots, deltas, and lossless merging.
 
-The load-bearing property is that :func:`merge_snapshots` is commutative
-and associative — the process backend's parent folds worker deltas in
+The load-bearing property is that :meth:`MetricsRegistry.merge` is
+commutative and associative — the process backend's parent folds worker deltas in
 arrival order, and the totals must not depend on which worker finished
 first.  Hypothesis drives that over generated wire dicts; everything is
 stored as integers (counts, nanoseconds, bucket indices) precisely so the
@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs.metrics import (
     BUCKET_BOUNDS,
@@ -25,7 +25,6 @@ from repro.obs.metrics import (
     counter_value,
     diff_snapshots,
     histogram_stats,
-    merge_snapshots,
     seconds_to_nanos,
 )
 
@@ -68,6 +67,14 @@ _WIRE = st.dictionaries(_NAMES, st.one_of(_COUNTER, _GAUGE, _HISTOGRAM), max_siz
 )
 
 
+def _merged(*wires: dict) -> dict:
+    """Fold ``wires`` into a fresh registry, in order; return its snapshot."""
+    registry = MetricsRegistry()
+    for wire in wires:
+        registry.merge(wire)
+    return registry.snapshot()
+
+
 def _normalized(wire: dict) -> dict:
     """Drop empty-bucket noise so structurally-equal wires compare equal."""
     out = {}
@@ -81,18 +88,29 @@ def _normalized(wire: dict) -> dict:
     return out
 
 
+def _one_of_each(value: int) -> dict:
+    """A wire with one counter, gauge and histogram, all scaled by ``value``."""
+    return {
+        "v": METRICS_WIRE_VERSION,
+        "metrics": {
+            "c": {"k": "c", "value": value},
+            "g": {"k": "g", "value": value},
+            "h": {"k": "h", "count": value, "sum": 10 * value, "buckets": {"3": value}},
+        },
+    }
+
+
 class TestMergeProperties:
     @settings(max_examples=200, deadline=None)
     @given(a=_WIRE, b=_WIRE)
+    @example(a=_one_of_each(2), b=_one_of_each(5))
     def test_merge_is_commutative(self, a, b):
         # Same-name entries with different kinds are the one case merge
         # resolves by first-seen kind; restrict to kind-consistent pairs.
         for name in set(a["metrics"]) & set(b["metrics"]):
             if a["metrics"][name]["k"] != b["metrics"][name]["k"]:
                 del b["metrics"][name]
-        assert _normalized(merge_snapshots(a, b)) == _normalized(
-            merge_snapshots(b, a)
-        )
+        assert _normalized(_merged(a, b)) == _normalized(_merged(b, a))
 
     @settings(max_examples=200, deadline=None)
     @given(a=_WIRE, b=_WIRE, c=_WIRE)
@@ -103,17 +121,15 @@ class TestMergeProperties:
                 kind = wire["metrics"][name]["k"]
                 if kinds.setdefault(name, kind) != kind:
                     del wire["metrics"][name]
-        left = merge_snapshots(merge_snapshots(a, b), c)
-        right = merge_snapshots(a, merge_snapshots(b, c))
+        left = _merged(_merged(a, b), c)
+        right = _merged(a, _merged(b, c))
         assert _normalized(left) == _normalized(right)
 
     @settings(max_examples=100, deadline=None)
     @given(a=_WIRE)
     def test_merge_with_empty_is_identity_for_counters_and_histograms(self, a):
         empty = {"v": METRICS_WIRE_VERSION, "metrics": {}}
-        assert _normalized(merge_snapshots(a, empty)) == _normalized(
-            merge_snapshots(a)
-        )
+        assert _normalized(_merged(a, empty)) == _normalized(_merged(a))
 
     @settings(max_examples=100, deadline=None)
     @given(mark=_WIRE, delta=_WIRE)
@@ -122,26 +138,12 @@ class TestMergeProperties:
         for name in set(mark["metrics"]) & set(delta["metrics"]):
             if mark["metrics"][name]["k"] != delta["metrics"][name]["k"]:
                 del delta["metrics"][name]
-        current = merge_snapshots(mark, delta)
+        current = _merged(mark, delta)
         # Gauges merge by max, so only counters/histograms invert exactly.
         recovered = diff_snapshots(mark, current)
         for name, entry in delta["metrics"].items():
             if entry["k"] == "c":
                 assert counter_value(recovered, name) == entry["value"]
-
-    @settings(max_examples=100, deadline=None)
-    @given(a=_WIRE, b=_WIRE)
-    def test_registry_merge_equals_pure_merge(self, a, b):
-        """Folding deltas into a live registry is the pure merge."""
-        for name in set(a["metrics"]) & set(b["metrics"]):
-            if a["metrics"][name]["k"] != b["metrics"][name]["k"]:
-                del b["metrics"][name]
-        registry = MetricsRegistry()
-        registry.merge(a)
-        registry.merge(b)
-        assert _normalized(registry.snapshot()) == _normalized(
-            merge_snapshots(a, b)
-        )
 
     @settings(max_examples=100, deadline=None)
     @given(mark=_WIRE, current=_WIRE)
@@ -162,11 +164,10 @@ class TestMergeProperties:
     def test_unknown_wire_version_is_dropped(self):
         good = {"v": METRICS_WIRE_VERSION, "metrics": {"a": {"k": "c", "value": 3}}}
         bad = {"v": 999, "metrics": {"a": {"k": "c", "value": 5}}}
-        merged = merge_snapshots(good, bad)
-        assert counter_value(merged, "a") == 3
         registry = MetricsRegistry()
         assert registry.merge(bad) == 0
         assert registry.merge(good) == 1
+        assert counter_value(registry.snapshot(), "a") == 3
 
     def test_counter_value_tolerates_junk(self):
         assert counter_value(None, "a") == 0
@@ -228,20 +229,6 @@ class TestRegistry:
         count, total = histogram_stats(registry.snapshot(), "h")
         assert count == 2
         assert total == pytest.approx(0.003, abs=1e-6)
-
-    def test_merge_registry_equals_pure_merge(self):
-        a = MetricsRegistry()
-        a.counter("c").inc(4)
-        a.histogram("h").observe(0.5)
-        b = MetricsRegistry()
-        b.counter("c").inc(6)
-        b.histogram("h").observe(0.25)
-        target = MetricsRegistry()
-        target.merge(a.snapshot())
-        target.merge(b.snapshot())
-        assert _normalized(target.snapshot()) == _normalized(
-            merge_snapshots(a.snapshot(), b.snapshot())
-        )
 
     def test_concurrent_increments_are_not_lost(self):
         registry = MetricsRegistry()

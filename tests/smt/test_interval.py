@@ -17,9 +17,11 @@ class TestIntervalLattice:
     def test_point(self):
         assert Interval.point(7).is_point
 
-    def test_empty(self):
-        assert Interval.empty().is_empty
-        assert Interval.empty().size() == 0
+    def test_ite_interval_is_the_hull_of_its_arms(self):
+        x = b.bv_var("x", 32)
+        y = b.bv_var("y", 32)
+        bounds = {"x": Interval(0, 2), "y": Interval(8, 9)}
+        assert interval_of(b.ite(b.bool_var("p"), x, y), bounds) == Interval(0, 9)
 
     def test_contains(self):
         assert 5 in Interval(0, 10)
@@ -30,15 +32,6 @@ class TestIntervalLattice:
 
     def test_intersect_disjoint_is_empty(self):
         assert Interval(0, 4).intersect(Interval(5, 9)).is_empty
-
-    def test_union_hull(self):
-        assert Interval(0, 2).union(Interval(8, 9)) == Interval(0, 9)
-
-    def test_union_with_empty(self):
-        assert Interval.empty().union(Interval(1, 2)) == Interval(1, 2)
-
-    def test_size(self):
-        assert Interval(3, 7).size() == 5
 
 
 class TestForwardAnalysis:

@@ -15,11 +15,11 @@ class TestCNF:
         assert cnf.new_var() == 1
         assert cnf.new_var() == 2
 
-    def test_named_vars(self):
+    def test_var_for_reuses_a_named_variable(self):
         cnf = CNF()
         a = cnf.var_for("a")
         assert cnf.var_for("a") == a
-        assert cnf.named_vars() == {"a": a}
+        assert cnf.var_for("b") != a
 
     def test_tautology_dropped(self):
         cnf = CNF()
@@ -260,7 +260,7 @@ class TestBitBlaster:
 
     def test_model_extraction_requires_sat(self):
         blaster = BitBlaster()
-        blaster.assert_constraint(b.eq(b.bv_var("x", 4), 3))
+        blaster.assert_all([b.eq(b.bv_var("x", 4), 3)])
         solver = CDCLSolver(blaster.cnf)
         result = solver.solve()
         model = blaster.extract_model(result)

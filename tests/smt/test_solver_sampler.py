@@ -36,6 +36,54 @@ class TestPortfolioBasic:
         assert result.is_sat
         assert result.model["x"] == 1234
 
+    def test_point_box_is_decided_by_the_heuristics_layer(self, solver):
+        """Intervals pin every variable to one value; layer 3's box corners
+        then find that point, so the portfolio needs no point shortcut."""
+        x = b.bv_var("x", 32)
+        y = b.bv_var("y", 32)
+        result = solver.check(
+            [b.uge(x, 5), b.ule(x, 5), b.uge(y, 9), b.ule(y, 9), b.eq(b.add(x, y), 14)]
+        )
+        assert result.status == SolverStatus.SAT
+        assert result.model.as_dict() == {"x": 5, "y": 9}
+        assert result.stages_tried == ("simplify", "intervals", "heuristics")
+
+    @pytest.mark.parametrize(
+        "third, status, model, stages",
+        [
+            pytest.param(
+                lambda x: b.eq(b.mul(x, 3), 15),
+                SolverStatus.SAT, {"x": 5}, ("simplify", "intervals", "heuristics"),
+                id="third-conjunct-holds",
+            ),
+            pytest.param(
+                lambda x: b.eq(b.mul(x, 3), 16),
+                SolverStatus.UNSAT, None, ("simplify", "intervals"),
+                id="third-conjunct-fails",
+            ),
+            pytest.param(
+                lambda x: b.ne(x, 5),
+                SolverStatus.UNSAT, None, ("simplify", "intervals"),
+                id="point-excluded",
+            ),
+        ],
+    )
+    def test_point_box_query_keeps_its_verdict(self, solver, third, status, model, stages):
+        """x in [5, 5] plus a third conjunct: the point model when it holds,
+        UNSAT when it does not."""
+        x = b.bv_var("x", 32)
+        result = solver.check([b.uge(x, 5), b.ule(x, 5), third(x)])
+        assert result.status == status
+        assert (result.model.as_dict() if result.is_sat else None) == model
+        assert result.stages_tried == stages
+
+    def test_wrapping_point_box_is_decided_at_the_point(self, solver):
+        z = b.bv_var("z", 8)
+        result = solver.check([b.uge(z, 200), b.ule(z, 200), b.ult(b.add(z, 100), 50)])
+        assert result.is_sat
+        assert result.model.as_dict() == {"z": 200}
+        assert result.stages_tried == ("simplify", "intervals", "heuristics")
+
     def test_contradiction_via_intervals(self, solver):
         x = b.bv_var("x", 32)
         result = solver.check([b.ult(x, 10), b.ugt(x, 20)])

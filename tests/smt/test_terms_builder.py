@@ -11,7 +11,7 @@ import repro
 
 from repro.smt import builder as b
 from repro.smt.builder import SortError
-from repro.smt.terms import Term, TermKind, from_signed, mask, to_signed, truncate
+from repro.smt.terms import Term, TermKind, mask, to_signed, truncate
 
 
 class TestLeafConstruction:
@@ -187,5 +187,7 @@ class TestNumericHelpers:
     def test_to_signed_positive(self):
         assert to_signed(0x7F, 8) == 127
 
-    def test_from_signed_roundtrip(self):
-        assert from_signed(-2, 8) == 0xFE
+    def test_truncate_inverts_to_signed(self):
+        assert truncate(-2, 8) == 0xFE
+        for value in range(256):
+            assert truncate(to_signed(value, 8), 8) == value
