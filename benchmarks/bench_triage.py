@@ -1,6 +1,6 @@
 """Witness-triage benchmark: dedup stability, minimization soundness, warm skips.
 
-The acceptance bar of the triage subsystem, enforced as three gates:
+The acceptance bar of the triage subsystem, enforced as five gates:
 
 1. **dedup** — campaigns under different schedules and backends (serial,
    thread, process) merged into one corpus collapse to a *stable* distinct-
@@ -20,7 +20,13 @@ The acceptance bar of the triage subsystem, enforced as three gates:
    registry witness spends at most :data:`MAX_TRIAGE_WITNESS_RUNS` concrete
    runs, and every minimized field is 1-minimal (one step toward the seed
    baseline loses the overflow or a root operator kind) unless the
-   minimizer recorded it as a concrete-bisection fallback.
+   minimizer recorded it as a concrete-bisection fallback;
+5. **warm rerun writes nothing** (deterministic) — after a campaign that
+   populates fresh cache and corpus stores, a ``skip_known`` rerun over
+   them makes no cache-store save (its trace has no ``store.save`` span
+   and no lock acquisition under the cache directory), leaves every
+   cache-store file's bytes and mtime as they were, and reports the
+   populating campaign's classifications.
 
 Standalone::
 
@@ -29,6 +35,7 @@ Standalone::
 
 from __future__ import annotations
 
+import os
 import sys
 import tempfile
 import time
@@ -39,6 +46,7 @@ import pytest
 
 from repro.core.campaign import CampaignConfig, CampaignEngine, CampaignResult
 from repro.exec.overflow_witness import OverflowWitnessInterpreter
+from repro.obs.report import load_trace_dir
 from repro.triage.corpus import CorpusStore, WitnessRecord
 from repro.triage.engine import rebuild_witness_input
 
@@ -370,6 +378,101 @@ def print_minimization_counts(measurement: MinimizationCountMeasurement) -> None
 
 
 # ----------------------------------------------------------------------
+# Gate 5: a warm rerun writes nothing to the cache store
+# ----------------------------------------------------------------------
+@dataclass
+class WarmRerunMeasurement:
+    populate: CampaignResult
+    rerun: CampaignResult
+    #: ``store.save`` spans and lock acquisitions under the cache directory
+    #: in the rerun's trace.
+    cache_saves: int
+    cache_locks: int
+    #: Cache-store file name -> (mtime_ns, bytes), before and after the rerun.
+    files_before: Dict[str, tuple]
+    files_after: Dict[str, tuple]
+
+    def gates(self) -> List[str]:
+        failures = []
+        if self.rerun.cache_loaded == 0:
+            failures.append("warm rerun loaded no cache entries")
+        if self.cache_saves or self.cache_locks:
+            failures.append(
+                f"warm rerun made {self.cache_saves} cache-store saves and "
+                f"{self.cache_locks} lock acquisitions (want 0 and 0)"
+            )
+        if self.files_after != self.files_before:
+            failures.append("warm rerun changed cache-store files")
+        if self.rerun.cache_saved != self.rerun.cache_loaded:
+            failures.append(
+                f"warm rerun reports {self.rerun.cache_saved} entries saved, "
+                f"{self.rerun.cache_loaded} loaded"
+            )
+        if self.rerun.classifications() != self.populate.classifications():
+            failures.append("warm rerun changed classifications")
+        return failures
+
+
+def _file_states(directory: str) -> Dict[str, tuple]:
+    states = {}
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        with open(path, "rb") as handle:
+            states[name] = (os.stat(path).st_mtime_ns, handle.read())
+    return states
+
+
+def run_warm_rerun() -> WarmRerunMeasurement:
+    with tempfile.TemporaryDirectory(prefix="diode-stores-") as root:
+        cache_dir = os.path.join(root, "cache")
+        corpus_dir = os.path.join(root, "corpus")
+        trace_dir = os.path.join(root, "trace")
+        stores = dict(cache_dir=cache_dir, corpus_dir=corpus_dir, jobs=1)
+        populate = _run(**stores)
+        before = _file_states(cache_dir)
+        rerun = _run(skip_known=True, trace_dir=trace_dir, **stores)
+        after = _file_states(cache_dir)
+        records = load_trace_dir(trace_dir).records
+    saves = [
+        r for r in records
+        if r["name"] == "store.save" and r["attrs"].get("root") == cache_dir
+    ]
+    locks = [
+        r for r in records
+        if r["name"] == "store.lock_wait"
+        and str(r["attrs"].get("path", "")).startswith(cache_dir + os.sep)
+    ]
+    return WarmRerunMeasurement(
+        populate=populate,
+        rerun=rerun,
+        cache_saves=len(saves),
+        cache_locks=len(locks),
+        files_before=before,
+        files_after=after,
+    )
+
+
+def print_warm_rerun(measurement: WarmRerunMeasurement) -> None:
+    print("\n=== Warm rerun over unchanged stores: no cache-store write ===")
+    print(
+        f"cache entries        : {measurement.rerun.cache_loaded} loaded, "
+        f"{measurement.rerun.cache_saved} reported saved"
+    )
+    print(
+        f"cache-store saves    : {measurement.cache_saves} "
+        f"({measurement.cache_locks} lock acquisitions)"
+    )
+    print(
+        "cache files unchanged: "
+        f"{measurement.files_after == measurement.files_before}"
+    )
+    print(
+        "classifications equal: "
+        f"{measurement.rerun.classifications() == measurement.populate.classifications()}"
+    )
+
+
+# ----------------------------------------------------------------------
 # pytest twins
 # ----------------------------------------------------------------------
 @pytest.mark.benchmark(group="triage")
@@ -403,6 +506,13 @@ def test_minimization_stays_within_its_witness_runs_and_is_one_minimal(benchmark
     assert measurement.gates() == []
 
 
+@pytest.mark.benchmark(group="triage")
+def test_warm_rerun_writes_nothing_to_the_cache_store(benchmark):
+    measurement = benchmark.pedantic(run_warm_rerun, rounds=1, iterations=1)
+    print_warm_rerun(measurement)
+    assert measurement.gates() == []
+
+
 def main() -> int:
     dedup = run_dedup()
     print_dedup(dedup)
@@ -412,8 +522,16 @@ def main() -> int:
     print_skip_known(skip)
     counts = run_minimization_counts()
     print_minimization_counts(counts)
+    rerun = run_warm_rerun()
+    print_warm_rerun(rerun)
 
-    failures = dedup.gates() + minimization.gates() + skip.gates() + counts.gates()
+    failures = (
+        dedup.gates()
+        + minimization.gates()
+        + skip.gates()
+        + counts.gates()
+        + rerun.gates()
+    )
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:

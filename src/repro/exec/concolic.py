@@ -156,10 +156,6 @@ _COMPARISONS: Dict[BinaryOp, Callable[[Term, Term], Term]] = {
 }
 
 
-def _keep(term: Term) -> Term:
-    return term
-
-
 def _guard(call: str, *terms: str) -> str:
     """Code for ``call``, or ``None`` where each of ``terms`` is ``None``."""
     live = " and ".join(f"{term} is None" for term in terms if term != "None")
@@ -171,9 +167,9 @@ class ConcolicDomain(AnnotationDomain):
 
     Generated code calls the annotators the factories below build once per
     compiled program, and skips the call where no operand has a term.
-    Every result term goes through :func:`repro.smt.simplify.simplify` when
-    ``simplify_online`` is set.  The relevant bytes and the field map vary
-    per run and are read from the running interpreter.
+    Every result term goes through :func:`repro.smt.simplify.simplify`.
+    The relevant bytes and the field map vary per run and are read from
+    the running interpreter.
 
     Each annotator keeps a *computed table*: a dict from its interned
     operands to the finished term.  Terms are hash-consed and never freed,
@@ -184,9 +180,7 @@ class ConcolicDomain(AnnotationDomain):
     same order.  The tables live as long as the program's compiled code.
     """
 
-    def __init__(self, simplify_online: bool = True) -> None:
-        self.simplify_online = simplify_online
-        self.key = ("concolic", simplify_online)
+    key = "concolic"
 
     def bind(self, width: int) -> Dict[str, Any]:
         helpers = {f"n_{op.name.lower()}": self.unary(op, width) for op in UnaryOp}
@@ -224,9 +218,7 @@ class ConcolicDomain(AnnotationDomain):
         # ``simplify`` is looked up at call time, never bound here, so a
         # wrapper installed on this module's ``simplify`` sees every call
         # the annotators make — computed-table misses only; hits skip it.
-        if self.simplify_online:
-            return lambda term: simplify(term)
-        return _keep
+        return lambda term: simplify(term)
 
     def input_byte(self, width: int) -> Callable[[Any, int, Any], Optional[Term]]:
         memo: Dict[Tuple[int, Any], Term] = {}
@@ -327,9 +319,6 @@ def _input_byte_term(
     return smt.zext(input_byte_variable(offset), width)
 
 
-_DOMAINS = {online: ConcolicDomain(online) for online in (True, False)}
-
-
 class ConcolicInterpreter(ConcreteInterpreter):
     """Concrete interpreter that pairs values with symbolic expressions.
 
@@ -339,17 +328,17 @@ class ConcolicInterpreter(ConcreteInterpreter):
     DIODE pipeline always passes the relevant set from the taint stage).
     """
 
+    domain = ConcolicDomain()
+
     def __init__(
         self,
         program: Program,
         relevant_bytes: Optional[Set[int]] = None,
-        simplify_online: bool = True,
         field_map: Optional[Dict[int, Tuple[str, int, int]]] = None,
         **kwargs: Any,
     ) -> None:
         super().__init__(program, **kwargs)
         self.relevant_bytes = set(relevant_bytes) if relevant_bytes is not None else None
-        self.domain = _DOMAINS[bool(simplify_online)]
         #: offset → (field variable name, field width in bits, low bit of
         #: this byte within the field value).  When present, input bytes are
         #: symbolised as slices of a per-field variable instead of per-byte

@@ -125,8 +125,8 @@ class UnitRunRequest:
     diode: "DiodeConfig"
     #: Registry short names indexed by ``app_index`` — what a worker process
     #: needs to rebuild the application model on its side of the pipe, and
-    #: the key its warm per-application contexts are kept under (an index
-    #: only means something within one campaign's application order).
+    #: the key its triagers are kept under across campaigns (an index only
+    #: means something within one campaign's application order).
     application_names: List[str]
     #: Whether workers should triage bug reports (validate + minimize + sign
     #: witnesses; :mod:`repro.triage`).  Only the process backend acts on

@@ -10,7 +10,10 @@ term would rebuild as a distinct, non-interned object and silently break
   work they share never split across workers), each paired with its
   campaign's :class:`_CampaignToken`; a worker rebuilds the application
   model and its per-application collaborators from the registry short
-  name, lazily and at most once per ⟨worker, application⟩ pair;
+  name, lazily and at most once per ⟨worker, campaign, application⟩
+  (the application's analysis — taint run, sites, seed-run detector —
+  comes from :mod:`repro.sched.context`'s process-lifetime table, so it
+  runs at most once per worker);
 * **back**: one :class:`SiteResultPayload` record per site
   (classification value, bug report, timing — all term-free) plus the
   worker cache's *new* whole-query verdicts in the
@@ -32,9 +35,9 @@ term would rebuild as a distinct, non-interned object and silently break
 **One pool per parent process.**  The pool outlives a single
 :meth:`ProcessBackend.run_units` call, so its workers keep their
 process-lifetime caches across campaigns — interned terms, simplified
-forms, compiled programs and concolic tables, plus the per-application
-contexts (keyed by registry name: ``app_index`` follows each campaign's
-application order) and triagers — as the serial backend's process does.
+forms, compiled programs and concolic tables, term wire forms and
+application analyses, plus the triagers — as the serial backend's process
+does.
 The pool is reused while its key matches: (worker count, start method,
 a digest of the code bindings in ``repro.*``).  A fork-started worker
 runs the parent's code as it was at fork time, so once anything callable
@@ -143,8 +146,8 @@ class _WorkerState:
 
     def __init__(self) -> None:
         self.generation: Optional[int] = None
-        #: Registry name -> context; kept across campaigns.
-        self.contexts: Dict[str, "ApplicationContext"] = {}
+        #: The current campaign's contexts by ``app_index``.
+        self.contexts: Dict[int, "ApplicationContext"] = {}
         #: ``(registry name, minimize)`` -> triager; kept across campaigns.
         self.triagers: Dict[Tuple[str, bool], object] = {}
         self.cache = None
@@ -163,6 +166,7 @@ class _WorkerState:
         from repro.smt.cache import SolverCache
 
         self.generation = token.generation
+        self.contexts = {}
         self.cache = SolverCache() if token.use_cache else None
         self.exported_keys = set()
         self.stats_mark = {}
@@ -188,18 +192,14 @@ class _WorkerState:
         self.metrics_mark = METRICS.snapshot()
 
     def context_for(self, name: str, app_index: int) -> "ApplicationContext":
-        """Lazy per-⟨worker, application⟩ context.
-
-        Its ``index`` is the campaign's that built it; workers look
-        contexts up by registry name and never read the index.
-        """
-        context = self.contexts.get(name)
+        """Lazy per-⟨campaign, application⟩ context."""
+        context = self.contexts.get(app_index)
         if context is None:
             from repro.apps.registry import get_application
             from repro.sched.context import build_application_context
 
             context = build_application_context(app_index, get_application(name))
-            self.contexts[name] = context
+            self.contexts[app_index] = context
         return context
 
     def triager_for(

@@ -22,12 +22,20 @@ The same wire format doubles as the process backend's delta encoding:
 :func:`export_wire_entries` / :func:`merge_wire_entries` move entries
 between a worker's local cache and the parent campaign cache through a
 pickle-friendly list of plain dicts.
+
+Each interned term is encoded once per process (``_WIRE``), so the
+parent's pool seed, a worker's delta exports and a save are lookups
+after the first; the wire forms are nested tuples, so no caller can
+change a shared one.  A save writes only the entries its load did not
+supply, and skips the store entirely when that is nothing and the load
+found the directory clean.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import METRICS
 from repro.smt.cache import CachedVerdict, SolverCache
 from repro.smt.evalmodel import Model
 from repro.smt.terms import Term, TermKind
@@ -63,22 +71,35 @@ _WIRE_ERRORS = (KeyError, ValueError, TypeError, IndexError, AttributeError)
 # ----------------------------------------------------------------------
 # Term wire format
 # ----------------------------------------------------------------------
-def term_to_wire(term: Term) -> list:
-    """Serialize a term DAG into nested JSON-able lists."""
+#: Interned term -> its wire form, for the life of the process.  The wire
+#: form is a pure function of the (immutable, interned) term, so a term is
+#: encoded once whichever export or save asks first; racing threads store
+#: equal tuples.  Tuples, not lists: the forms are shared by every caller.
+_WIRE: Dict[Term, tuple] = {}
+
+
+def term_to_wire(term: Term) -> tuple:
+    """Serialize a term DAG into nested JSON-able tuples (memoised)."""
+    wire = _WIRE.get(term)
+    if wire is not None:
+        return wire
     if term.kind is TermKind.BV_CONST:
-        return ["c", term.width, term.value]
-    if term.kind is TermKind.BOOL_CONST:
-        return ["C", 1 if term.value else 0]
-    if term.kind is TermKind.BV_VAR:
-        return ["v", term.width, str(term.name)]
-    if term.kind is TermKind.BOOL_VAR:
-        return ["V", str(term.name)]
-    return [
-        term.kind.value,
-        term.width,
-        list(term.params),
-        [term_to_wire(a) for a in term.args],
-    ]
+        wire = ("c", term.width, term.value)
+    elif term.kind is TermKind.BOOL_CONST:
+        wire = ("C", 1 if term.value else 0)
+    elif term.kind is TermKind.BV_VAR:
+        wire = ("v", term.width, str(term.name))
+    elif term.kind is TermKind.BOOL_VAR:
+        wire = ("V", str(term.name))
+    else:
+        wire = (
+            term.kind.value,
+            term.width,
+            tuple(term.params),
+            tuple(term_to_wire(a) for a in term.args),
+        )
+    _WIRE[term] = wire
+    return wire
 
 
 def term_from_wire(obj: Sequence) -> Term:
@@ -207,6 +228,12 @@ class CacheStore:
             version=FORMAT_VERSION,
             shard_count=self.shard_count,
         )
+        #: Cache key -> the verdict object the last load merged: entries
+        #: the store already holds while the cache still has that object.
+        self._loaded: Dict[Tuple, CachedVerdict] = {}
+        #: The fingerprint whose load found the store clean (every record
+        #: decoded, see :meth:`ArtifactStore.load_checked`), else ``None``.
+        self._clean_fingerprint: Optional[Tuple] = None
 
     # ------------------------------------------------------------------
     def load(self, cache: SolverCache, fingerprint: Tuple) -> int:
@@ -216,37 +243,50 @@ class CacheStore:
         by a different format version, or was derived under a different
         solver-configuration fingerprint.
         """
-        merged = 0
-        for record in self._store.load(fingerprint_to_wire(fingerprint)):
+        records, clean = self._store.load_checked(fingerprint_to_wire(fingerprint))
+        loaded: Dict[Tuple, CachedVerdict] = {}
+        for record in records:
             payload = record.payload
-            if not isinstance(payload, dict):
-                continue
             try:
                 conjuncts, verdict = entry_from_wire(payload)
             except _WIRE_ERRORS:
+                clean = False
                 continue
-            cache.merge_canonical(fingerprint, conjuncts, verdict)
-            merged += 1
-        return merged
+            loaded[cache.merge_canonical(fingerprint, conjuncts, verdict)] = verdict
+        self._loaded = loaded
+        self._clean_fingerprint = fingerprint if clean else None
+        return len(loaded)
 
     # ------------------------------------------------------------------
     def save(self, cache: SolverCache, fingerprint: Tuple) -> int:
-        """Merge ``cache``'s verdicts into the store; returns the total stored.
+        """Merge ``cache``'s new verdicts into the store; returns the total stored.
 
         UNKNOWN verdicts are *not* written: an
         UNKNOWN only records that this run's budget was exhausted, and
         persisting it would pin the failure across runs whose budgets (or
         solver improvements) could decide the query.
 
-        The save is **merge-on-save** under the store's exclusive lock:
-        entries already on disk (written by another campaign sharing this
-        directory) survive — the union is what the next load sees.
+        An entry whose verdict is still the very object the last
+        :meth:`load` merged is already stored and is not written again; a
+        re-solved or worker-derived entry is.  With nothing new after a
+        clean load the save is skipped — no lock, no re-read, no write —
+        and counted as ``store.saves_skipped``; it returns the loaded
+        count.  Otherwise the save is **merge-on-save** under the store's
+        exclusive lock: entries already on disk (written by another
+        campaign sharing this directory) survive — the union is what the
+        next load sees — and a load that dropped a corrupt shard heals it.
         """
         records: List[StoreRecord] = []
         kind = SolverCache.KIND_QUERY
+        loaded = self._loaded
         for key, conjuncts, verdict in cache.entries_snapshot():
             if key[0] != fingerprint or verdict.status == _UNKNOWN_STATUS:
                 continue
+            if loaded.get(key) is verdict:
+                continue
             payload = entry_to_wire(conjuncts, verdict)
             records.append(StoreRecord(kind, content_key(kind, payload["c"]), payload))
+        if not records and fingerprint == self._clean_fingerprint:
+            METRICS.counter("store.saves_skipped").inc()
+            return len(loaded)
         return self._store.save(fingerprint_to_wire(fingerprint), records)

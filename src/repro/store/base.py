@@ -24,9 +24,12 @@ Durability contract, shared by every store in the system:
   start and the next save overwrites the store;
 * records are **sharded** by key over ``shard-NN.json`` files, so files
   stay small and a corrupt shard loses its records, never the store;
-* every file is written with an **atomic replace**, so readers racing a
-  writer see complete files (readers take no lock), and only when its
-  content changes — a save that adds nothing new rewrites no file;
+* every file is written with an **atomic replace** through a temp file
+  private to its writer (pid plus a counter, removed if the write
+  fails), so readers racing a writer see complete files (readers take
+  no lock) and two writers never share a half-written temp file; a file
+  is written only when its content changes — a save that adds nothing
+  new rewrites no file;
 * saving is **merge-on-save under an exclusive lock**
   (:class:`~repro.store.locking.DirectoryLock`): the on-disk records are
   re-read, the incoming ones folded in by ``(kind, key)``, and the union
@@ -41,6 +44,7 @@ Durability contract, shared by every store in the system:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -68,6 +72,10 @@ _SHARD_PATTERN = re.compile(r"^shard-(\d+)\.json$")
 
 #: Errors that mean "this file/record is unusable", not "crash the run".
 _WIRE_ERRORS = (KeyError, ValueError, TypeError, IndexError, AttributeError)
+
+#: Per-process temp-file sequence (``itertools.count`` is atomic under
+#: the GIL), so no two writers — threads or processes — share a temp name.
+_TMP_SEQUENCE = itertools.count()
 
 
 def content_key(kind: str, payload) -> str:
@@ -157,30 +165,48 @@ class ArtifactStore:
         shard loses its records, never the store; malformed envelopes are
         skipped individually.
         """
-        return self._load_texts(fingerprint_wire)[0]
+        return self.load_checked(fingerprint_wire)[0]
+
+    def load_checked(self, fingerprint_wire) -> Tuple[List[StoreRecord], bool]:
+        """:meth:`load`, plus whether the directory is *clean*.
+
+        Clean means a save adding nothing would rewrite no file: the stamp
+        matches, the layout is this store's (its shard count, no orphan
+        shard), every shard found parsed with no empty shard and no
+        malformed envelope, and ``meta.json`` counts exactly the records
+        read.  A codec may skip such a save; one that is not clean still
+        saves, which heals what the load had to drop.
+        """
+        records, _, clean = self._load_texts(fingerprint_wire)
+        return records, clean
 
     def _load_texts(
         self, fingerprint_wire
-    ) -> Tuple[List[StoreRecord], Dict[str, str]]:
-        """:meth:`load`, plus the text of every file it read, keyed by path."""
+    ) -> Tuple[List[StoreRecord], Dict[str, str], bool]:
+        """:meth:`load_checked`, plus the text of every file it read, by path."""
         with TRACER.span("store.load", root=self.root):
-            records, texts = self._load(fingerprint_wire)
+            records, texts, clean = self._load(fingerprint_wire)
         METRICS.counter("store.loads").inc()
         METRICS.counter("store.records_loaded").inc(len(records))
-        return records, texts
+        return records, texts, clean
 
-    def _load(self, fingerprint_wire) -> Tuple[List[StoreRecord], Dict[str, str]]:
+    def _load(
+        self, fingerprint_wire
+    ) -> Tuple[List[StoreRecord], Dict[str, str], bool]:
         texts: Dict[str, str] = {}
         meta_text = _read_text(self.meta_path())
         meta = _parse_meta(meta_text)
         if not self._meta_matches(meta, fingerprint_wire):
-            return [], texts
+            return [], texts, False
         texts[self.meta_path()] = meta_text
         try:
             shard_count = max(1, min(int(meta.get("shards", 1)), 4096))
         except (TypeError, ValueError):
-            return [], texts
+            return [], texts, False
 
+        clean = shard_count == self.shard_count and all(
+            index < shard_count for index, _ in self._existing_shards()
+        )
         records: List[StoreRecord] = []
         for index in range(shard_count):
             path = self._shard_path(index)
@@ -191,15 +217,22 @@ class ArtifactStore:
                 envelopes = json.loads(text)
             except json.JSONDecodeError:
                 # One corrupt shard loses its records, not the store.
+                clean = False
                 continue
             if not isinstance(envelopes, list):
+                clean = False
                 continue
             texts[path] = text
+            # A save would remove an empty shard.
+            clean = clean and bool(envelopes)
             for envelope in envelopes:
                 record = _record_from_envelope(envelope)
-                if record is not None:
+                if record is None:
+                    clean = False
+                else:
                     records.append(record)
-        return records, texts
+        clean = clean and meta.get("entries") == len(records)
+        return records, texts, clean
 
     # ------------------------------------------------------------------
     def save(
@@ -247,7 +280,7 @@ class ArtifactStore:
             #: a file whose new text equals it is left alone.
             on_disk: Dict[str, str] = {}
             if not replace:
-                loaded, on_disk = self._load_texts(fingerprint_wire)
+                loaded, on_disk, _ = self._load_texts(fingerprint_wire)
                 for record in loaded:
                     combined[(record.kind, record.key)] = record.payload
             for record in records:
@@ -347,11 +380,23 @@ def _parse_meta(text: Optional[str]) -> Optional[dict]:
 
 
 def _write_if_changed(path: str, payload, on_disk: Dict[str, str]) -> None:
-    """Atomically replace ``path`` with ``payload`` unless it already holds it."""
+    """Atomically replace ``path`` with ``payload`` unless it already holds it.
+
+    The temp file is this writer's own: a lock broken as stale may still
+    have a live holder, and two writers sharing one temp name could
+    publish a torn file.  A failed write or replace removes it.
+    """
     text = json.dumps(payload, separators=(",", ":"))
     if on_disk.get(path) == text:
         return
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp_path, path)
+    tmp_path = f"{path}.tmp-{os.getpid()}-{next(_TMP_SEQUENCE)}"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.remove(tmp_path)
+        except OSError:
+            pass
+        raise

@@ -27,6 +27,8 @@ from repro.core.target import extract_target_observations
 from repro.exec.concrete import ConcreteInterpreter
 from repro.obs.metrics import METRICS, counter_value
 from repro.sched import UnitAnalysisError
+from repro.sched import context as context_module
+from repro.sched.context import build_application_context
 from repro.triage.engine import WitnessTriager
 
 needs_fork = pytest.mark.skipif(
@@ -207,6 +209,26 @@ class TestRunCounts:
         assert _counts(process) == _counts(serial)
         assert _counts(serial)["test.runs.concolic"] == 6 + 6
 
+    @needs_fork
+    def test_process_counts_equal_serial_after_a_warm_analysis_table(
+        self, monkeypatch
+    ):
+        """The parent's process-lifetime analyses (taint run, sites, seed
+        run) are warm before the counting starts and reach the workers by
+        fork; the unit-side counts still agree."""
+        apps = ["dillo", "swfplay"]
+        run_campaign(CampaignConfig(backend="serial", jobs=1, applications=apps))
+        _count_unit_work(monkeypatch)
+        serial = run_campaign(
+            CampaignConfig(backend="serial", jobs=1, applications=apps)
+        )
+        process = run_campaign(
+            CampaignConfig(backend="process", jobs=2, applications=apps)
+        )
+        assert process.classifications() == serial.classifications()
+        assert _counts(process) == _counts(serial)
+        assert _counts(serial)["test.runs.concolic"] == 6 + 6
+
     def test_diode_analyze_shares_the_group_work(self, monkeypatch):
         _count_unit_work(monkeypatch)
         mark = METRICS.snapshot()
@@ -242,6 +264,42 @@ class TestRunCounts:
         run_campaign(CampaignConfig(backend="serial", jobs=1, applications=["dillo"]))
         firsts = {sites[members[0]].name for members in seed_path_groups(sites)}
         assert charged == {name: 1 for name in firsts}
+
+
+class TestApplicationAnalyses:
+    def test_a_second_serial_campaign_makes_no_taint_run(self, monkeypatch):
+        """Each application's taint run, site list and seed run happen once
+        per process; a later campaign builds fresh contexts around them."""
+        monkeypatch.setattr(context_module, "_ANALYSES", {})
+        runs = []
+        original_run = ConcreteInterpreter.run
+
+        def run(self, *args, **kwargs):
+            runs.append(type(self).__name__)
+            return original_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConcreteInterpreter, "run", run)
+        first = run_campaign(CampaignConfig(backend="serial", jobs=1))
+        assert runs.count("TaintInterpreter") == 5
+        del runs[:]
+        second = run_campaign(CampaignConfig(backend="serial", jobs=1))
+        assert runs.count("TaintInterpreter") == 0
+        assert second.classifications() == first.classifications()
+        assert [r.analysis_seconds for r in second.application_results] == [
+            r.analysis_seconds for r in first.application_results
+        ]
+
+    def test_each_campaign_gets_its_own_context(self, monkeypatch):
+        monkeypatch.setattr(context_module, "_ANALYSES", {})
+        first = build_application_context(0, get_application("dillo"))
+        second = build_application_context(3, get_application("dillo"))
+        assert (first.index, second.index) == (0, 3)
+        assert second is not first
+        assert second.application is not first.application
+        assert second.mapper is not first.mapper
+        assert second.sites is not first.sites
+        assert second.sites == first.sites
+        assert second.detector is first.detector
 
 
 class TestGroupFailure:

@@ -482,13 +482,11 @@ class ReferenceConcolic(ReferenceInterpreter):
         self,
         program: Program,
         relevant_bytes: Optional[Set[int]] = None,
-        simplify_online: bool = True,
         field_map: Optional[Dict[int, Tuple[str, int, int]]] = None,
         **kwargs: Any,
     ) -> None:
         super().__init__(program, **kwargs)
         self.relevant_bytes = set(relevant_bytes) if relevant_bytes is not None else None
-        self.simplify_online = simplify_online
         self.field_map = dict(field_map) if field_map else {}
 
     def run_concolic(self, input_bytes: bytes) -> ConcolicReport:
@@ -498,9 +496,6 @@ class ReferenceConcolic(ReferenceInterpreter):
 
     def _setup_analysis(self) -> None:
         self.concolic_report = ConcolicReport(execution=ExecutionReport())
-
-    def _maybe_simplify(self, term: Term) -> Term:
-        return simplify(term) if self.simplify_online else term
 
     @staticmethod
     def _term_of(annotated: Tuple[int, Any]) -> Optional[Term]:
@@ -526,12 +521,12 @@ class ReferenceConcolic(ReferenceInterpreter):
         width = self.machine.width
         zero, one = smt.bv_const(0, width), smt.bv_const(1, width)
         if op is UnaryOp.NEG:
-            return self._maybe_simplify(smt.neg(term))
+            return simplify(smt.neg(term))
         if op is UnaryOp.BITNOT:
-            return self._maybe_simplify(smt.bvnot(term))
+            return simplify(smt.bvnot(term))
         if op is UnaryOp.NOT:
-            return self._maybe_simplify(smt.ite(smt.eq(term, zero), one, zero))
-        return self._maybe_simplify(smt.ite(smt.slt(term, zero), smt.neg(term), term))
+            return simplify(smt.ite(smt.eq(term, zero), one, zero))
+        return simplify(smt.ite(smt.slt(term, zero), smt.neg(term), term))
 
     def _annotate_binary(self, op, left, right, result):
         left_term, right_term = self._term_of(left), self._term_of(right)
@@ -576,14 +571,14 @@ class ReferenceConcolic(ReferenceInterpreter):
             term = smt.ite(
                 both(smt.ne(left_term, zero), smt.ne(right_term, zero)), one, zero
             )
-        return self._maybe_simplify(term)
+        return simplify(term)
 
     def _observe_branch(self, statement, condition, taken):
         term = self._term_of(condition)
         if term is None:
             return None
         truth = smt.ne(term, smt.bv_const(0, self.machine.width))
-        oriented = self._maybe_simplify(truth if taken else smt.bnot(truth))
+        oriented = simplify(truth if taken else smt.bnot(truth))
         self.concolic_report.branches.append(
             SymbolicBranch(
                 label=statement.label,

@@ -45,9 +45,7 @@ DILLO_WIDTH_BYTES = range(16, 20)
 class MemoFreeDomain(ConcolicDomain):
     """The concolic annotators with no computed tables (the oracle)."""
 
-    def __init__(self, simplify_online: bool = True) -> None:
-        super().__init__(simplify_online)
-        self.key = ("concolic-memo-free", simplify_online)
+    key = "concolic-memo-free"
 
     def input_byte(self, width: int) -> Callable[[Any, int, Any], Optional[Term]]:
         def annotate(rt: Any, offset: int, offset_term: Any) -> Optional[Term]:

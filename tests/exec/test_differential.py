@@ -221,14 +221,12 @@ def test_witness_domain_matches_reference(program, data, limits, width):
     WIDTHS,
     st.one_of(st.none(), st.sets(st.integers(min_value=0, max_value=9))),
     st.booleans(),
-    st.booleans(),
 )
 def test_concolic_domain_matches_reference(
-    program, data, limits, width, relevant, simplify_online, use_fields
+    program, data, limits, width, relevant, use_fields
 ):
     options = dict(
         relevant_bytes=relevant,
-        simplify_online=simplify_online,
         field_map=FIELD_MAP if use_fields else None,
         limits=limits,
         word_width=width,

@@ -260,6 +260,90 @@ class TestWriteOnlyWhatChanged:
         assert len(store.load(FP)) == len(records)
 
 
+class TestCleanLoad:
+    """``load_checked`` reports clean only when a save adding nothing would
+    rewrite no file; anything a save would heal makes it unclean."""
+
+    def test_a_saved_store_loads_clean(self, tmp_path):
+        records = [_record("alpha", i) for i in range(32)]
+        _store(tmp_path, shard_count=4).save(FP, records)
+        loaded, clean = _store(tmp_path, shard_count=4).load_checked(FP)
+        assert clean and len(loaded) == len(records)
+
+    def test_an_absent_store_is_not_clean(self, tmp_path):
+        assert _store(tmp_path / "nope").load_checked(FP) == ([], False)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["corrupt", "empty", "malformed", "missing", "orphan", "stamp", "layout"],
+    )
+    def test_damage_a_save_would_heal_is_not_clean(self, tmp_path, damage):
+        records = [_record("alpha", i) for i in range(32)]
+        _store(tmp_path, shard_count=4).save(FP, records)
+        shard = sorted(tmp_path.glob("shard-*.json"))[0]
+        shard_count = 4
+        if damage == "corrupt":
+            shard.write_text("{ not json")
+        elif damage == "empty":
+            shard.write_text("[]")
+        elif damage == "malformed":
+            envelopes = json.loads(shard.read_text())
+            shard.write_text(json.dumps(envelopes + [{"k": 1}]))
+        elif damage == "missing":
+            shard.unlink()
+        elif damage == "orphan":
+            (tmp_path / "shard-09.json").write_text("[]")
+        elif damage == "stamp":
+            meta = json.loads((tmp_path / "meta.json").read_text())
+            meta["fingerprint"] = ["other-config"]
+            (tmp_path / "meta.json").write_text(json.dumps(meta))
+        else:
+            shard_count = 8
+        _, clean = _store(tmp_path, shard_count=shard_count).load_checked(FP)
+        assert not clean
+
+
+class TestPrivateTempFiles:
+    def test_failing_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def failing_replace(source, target):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            _store(tmp_path).save(FP, [_record("alpha", 1)])
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_interleaved_writers_never_publish_unparsable_json(
+        self, tmp_path, monkeypatch
+    ):
+        """A lock broken as stale may still have a live holder.  Here the
+        second writer runs to completion between the first writer's open
+        of its temp file and its write: with one shared temp name the
+        first writer's text lands in the file the second just published,
+        over the start of a longer text."""
+        from repro.store import base
+
+        path = str(tmp_path / "shard-00.json")
+        short = [{"k": "alpha", "h": "a", "d": 1}]
+        long = [{"k": "alpha", "h": f"key-{i}", "d": i} for i in range(50)]
+        real_open = open
+        opened = []
+
+        def interleaving_open(file, *args, **kwargs):
+            handle = real_open(file, *args, **kwargs)
+            if not opened:
+                opened.append(file)
+                base._write_if_changed(path, long, {})
+            return handle
+
+        monkeypatch.setattr(base, "open", interleaving_open, raising=False)
+        base._write_if_changed(path, short, {})
+        monkeypatch.undo()
+        assert json.loads((tmp_path / "shard-00.json").read_text()) == short
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shard-00.json"]
+
+
 class TestDirectoryLock:
     def test_exclusive_and_context_managed(self, tmp_path):
         path = str(tmp_path / ".lock")
