@@ -27,8 +27,11 @@ Discovered overflows flow through the witness-triage subsystem
 overflow-witness run, minimized (ddmin over the triggering field values),
 and collapsed onto its canonical signature, so the campaign reports
 *distinct verified* witnesses — the paper's Table-2 notion — instead of
-per-run rediscoveries.  With a ``corpus_dir`` the deduplicated witnesses
-persist across runs (merge-on-save, so parallel campaigns converge), and
+per-run rediscoveries.  Each unit triages its own reports on every
+backend (:func:`~repro.sched.base.analyze_unit`); the campaign only folds
+the records into its dedup table, in registry order.  With a
+``corpus_dir`` the deduplicated witnesses persist across runs
+(merge-on-save, so parallel campaigns converge), and
 ``skip_known`` lets a warm campaign replay a stored witness per site —
 one cheap concrete run — instead of re-deriving it through the
 enforcement loop; a witness that no longer replays falls back to full
@@ -47,9 +50,11 @@ Structure of a run:
    groups over its workers; a group's sites run
    :func:`repro.core.engine.analyze_site` one after another, sharing one
    concolic run, one set of branch constraints and one witness run per
-   distinct enforcement candidate (:mod:`repro.core.group`);
-4. reassemble per-application :class:`ApplicationResult` records in registry
-   order and aggregate the Table-1 / Table-2 report.
+   distinct enforcement candidate (:mod:`repro.core.group`), then the
+   unit triages its bug reports;
+4. deduplicate the witness records, reassemble per-application
+   :class:`ApplicationResult` records in registry order and aggregate the
+   Table-1 / Table-2 report.
 
 Determinism: units are pure (see :func:`~repro.core.engine.analyze_site`)
 and results are slotted by (application, site) index, so the report is
@@ -293,6 +298,8 @@ class CampaignEngine:
         jobs = self.config.resolved_jobs()
         backend_name = self.config.resolved_backend()
         cache = SolverCache() if self.config.use_cache else None
+        # Before the store loads, so the run's metrics count them.
+        metrics_mark = METRICS.snapshot()
 
         store: Optional["CacheStore"] = None
         fingerprint = self.config.diode.solver_fingerprint()
@@ -311,7 +318,6 @@ class CampaignEngine:
             corpus_store = CorpusStore(self.config.corpus_dir)
             corpus_records = corpus_store.load()
 
-        metrics_mark = METRICS.snapshot()
         contexts = self._build_contexts()
         skipped: Dict["Slot", SiteResult] = {}
         adopted: Dict["Slot", "WitnessRecord"] = {}
@@ -360,7 +366,7 @@ class CampaignEngine:
         corpus_saved = 0
         if self.config.triage:
             triage_stats, run_records = self._triage_results(
-                contexts, site_results, request, adopted
+                contexts, site_results, adopted
             )
             if corpus_store is not None and self.config.save_corpus:
                 corpus_saved = corpus_store.save(run_records)
@@ -496,54 +502,29 @@ class CampaignEngine:
         self,
         contexts: List[ApplicationContext],
         site_results: Dict["Slot", SiteResult],
-        request: UnitRunRequest,
         adopted: Dict["Slot", "WitnessRecord"],
     ) -> Tuple["TriageStats", Dict[str, "WitnessRecord"]]:
-        """Validate, minimize and deduplicate every discovered overflow.
+        """Deduplicate every discovered overflow's witness record.
 
         Slots answered by corpus replay adopt their matched (already
-        minimized, just re-validated) record; slots the backend triaged on
-        the worker side (the process backend's witness payloads) are
-        adopted from their wire form; the rest run through a
-        per-application :class:`WitnessTriager` sharing the campaign's
-        seed-run detector, with the site's enforcement result to steer
-        minimization.
+        minimized, just re-validated) record; the rest carry the record
+        their unit triaged (:func:`~repro.sched.base.analyze_unit`), or
+        ``None`` when the report failed re-validation.  Records fold in
+        application × site order, whatever order the units ran in.
         """
-        from repro.triage.corpus import WitnessRecord, merge_records
-        from repro.triage.engine import TriageStats, WitnessTriager
+        from repro.triage.corpus import merge_records
+        from repro.triage.engine import TriageStats
 
         stats = TriageStats()
         records: Dict[str, "WitnessRecord"] = {}
-        triagers: Dict[int, WitnessTriager] = {}
         for context in contexts:
-            for site_index, site in enumerate(context.sites):
+            for site_index in range(len(context.sites)):
                 slot = (context.index, site_index)
-                result = site_results.get(slot)
-                if result is None or result.bug_report is None:
+                result = site_results[slot]
+                if result.bug_report is None:
                     continue
                 stats.raw_reports += 1
-                if slot in adopted:
-                    record = adopted[slot]
-                elif slot in request.witness_results:
-                    wire = request.witness_results[slot]
-                    try:
-                        record = (
-                            None if wire is None else WitnessRecord.from_wire(wire)
-                        )
-                    except (KeyError, ValueError, TypeError):
-                        record = None
-                else:
-                    triager = triagers.get(context.index)
-                    if triager is None:
-                        triager = WitnessTriager(
-                            context.application,
-                            detector=context.detector,
-                            minimize=self.config.minimize_witnesses,
-                        )
-                        triagers[context.index] = triager
-                    record = triager.triage(
-                        site, result.bug_report, result.enforcement
-                    )
+                record = adopted.get(slot, result.witness)
                 if record is None:
                     stats.validation_failures += 1
                     continue

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.enforcement import EnforcementOutcome, EnforcementResult
 from repro.core.sites import TargetSite
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.triage.corpus import WitnessRecord
 
 
 class SiteClassification(enum.Enum):
@@ -53,6 +56,9 @@ class SiteResult:
     enforcement: Optional[EnforcementResult] = None
     bug_report: Optional[OverflowBugReport] = None
     discovery_seconds: float = 0.0
+    #: The bug report's triaged witness when the campaign triages (``None``
+    #: also when the report failed re-validation; :mod:`repro.triage`).
+    witness: Optional["WitnessRecord"] = None
 
     @property
     def exposed(self) -> bool:

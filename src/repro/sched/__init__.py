@@ -14,12 +14,16 @@ This package owns *how* those units are executed; results come back per
   queue sharing one in-process :class:`~repro.smt.cache.SolverCache`;
   under the GIL its win comes from the caches, not CPU parallelism.
 * ``process`` (:mod:`repro.sched.process`) — a ``ProcessPoolExecutor``
-  shipping slim picklable unit descriptors out and picklable
-  :class:`~repro.sched.process.SiteResultPayload` records (plus wire-format
+  shipping slim picklable unit descriptors out and term-free
+  :class:`~repro.core.report.SiteResult` records (plus wire-format
   solver-cache deltas) back, rebuilding per-application collaborators once
   per worker; the only backend with real CPU parallelism.  One pool serves
   every campaign of the parent process, so its workers stay warm across
   campaigns (:func:`~repro.sched.process.shutdown_pool` stops it early).
+
+Every backend runs a unit through :func:`~repro.sched.base.analyze_unit`,
+which also triages the unit's bug reports when the campaign triages, so
+each backend returns finished results, witness records included.
 
 Classification parity is the contract: every backend must produce exactly
 the classifications of the serial ``Diode.analyze`` path.  The unit is pure
@@ -56,7 +60,6 @@ _BACKEND_CLASSES: Dict[str, Tuple[str, str]] = {
 #: Re-exports loaded on first use (PEP 562), by the module defining them.
 _LAZY = {
     "ProcessBackend": "repro.sched.process",
-    "SiteResultPayload": "repro.sched.process",
     "shutdown_pool": "repro.sched.process",
     "ThreadBackend": "repro.sched.thread",
 }
@@ -100,7 +103,6 @@ __all__ = [
     "CampaignUnit",
     "ProcessBackend",
     "SerialBackend",
-    "SiteResultPayload",
     "ThreadBackend",
     "UnitAnalysisError",
     "UnitRunRequest",

@@ -14,7 +14,9 @@ counts.
 
 Every backend runs a unit through :func:`analyze_unit`, which wraps each
 of its sites in a ``unit`` span and ``unit.started`` / ``unit.finished`` /
-``unit.failed`` lifecycle events.
+``unit.failed`` lifecycle events and, when the campaign triages, triages
+the unit's bug reports before returning: every backend gets back finished
+:class:`~repro.core.report.SiteResult` records, witness included.
 
 Error contract (shared by every backend through :func:`drain_futures`): the
 first unit failure cancels all still-pending sibling units, and the failure
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -124,21 +126,13 @@ class UnitRunRequest:
     jobs: int
     diode: "DiodeConfig"
     #: Registry short names indexed by ``app_index`` — what a worker process
-    #: needs to rebuild the application model on its side of the pipe, and
-    #: the key its triagers are kept under across campaigns (an index only
-    #: means something within one campaign's application order).
+    #: needs to rebuild the application model on its side of the pipe.
     application_names: List[str]
-    #: Whether workers should triage bug reports (validate + minimize + sign
-    #: witnesses; :mod:`repro.triage`).  Only the process backend acts on
-    #: it — in-process backends leave triage to the campaign engine, which
-    #: already holds the shared per-application collaborators.
+    #: Whether each unit triages its bug reports (validate + minimize + sign
+    #: witnesses; :mod:`repro.triage`) into ``SiteResult.witness``.
     triage: bool = False
-    #: Whether worker-side triage minimizes witnesses before signing.
+    #: Whether triage minimizes witnesses before signing.
     minimize_witnesses: bool = True
-    #: Filled by backends that triage on the worker side: ``slot → wire-form
-    #: WitnessRecord`` (``None`` = the report failed witness re-validation).
-    #: Slots absent from this mapping are triaged by the campaign engine.
-    witness_results: Dict[Slot, Optional[dict]] = field(default_factory=dict)
     #: Trace directory for this run (``campaign --trace-dir``).  In-process
     #: backends inherit the campaign's already-attached sink; the process
     #: backend ships this path in each unit's campaign token, and a worker
@@ -151,7 +145,13 @@ class UnitRunRequest:
     ) -> Dict[Slot, "SiteResult"]:
         """Execute one unit in-process against the shared contexts."""
         return analyze_unit(
-            unit, self.contexts[unit.app_index], self.diode, self.cache, backend
+            unit,
+            self.contexts[unit.app_index],
+            self.diode,
+            self.cache,
+            backend,
+            triage=self.triage,
+            minimize_witnesses=self.minimize_witnesses,
         )
 
     def worker_count(self) -> int:
@@ -165,6 +165,8 @@ def analyze_unit(
     diode: "DiodeConfig",
     cache: Optional["SolverCache"],
     backend: str,
+    triage: bool = False,
+    minimize_witnesses: bool = True,
 ) -> Dict[Slot, "SiteResult"]:
     """Analyze a unit's sites in order, sharing one seed-path group.
 
@@ -174,6 +176,14 @@ def analyze_unit(
     type.  Every event carries the site's ``application``, ``site`` and
     ``backend``.  A site's exception stops the unit and is raised as a
     :class:`UnitAnalysisError` naming that site.
+
+    With ``triage``, once every site has run, each bug report is
+    validated, minimized and signed by one
+    :class:`~repro.triage.engine.WitnessTriager` built for this unit (its
+    minimizer keeps per-call state, so concurrent units never share one),
+    and the record — ``None`` when the report fails re-validation — lands
+    on ``SiteResult.witness``.  A triage exception is raised as a
+    :class:`UnitAnalysisError` naming the site whose report raised.
     """
     from repro.core.engine import analyze_site
     from repro.core.group import SeedPathGroup
@@ -217,6 +227,28 @@ def analyze_unit(
             **identity,
         )
         results[(unit.app_index, site_index)] = result
+    if not triage:
+        return results
+
+    from repro.triage.engine import WitnessTriager
+
+    triager: Optional[WitnessTriager] = None
+    for site_index, site_name in zip(unit.site_indices, unit.site_names):
+        result = results[(unit.app_index, site_index)]
+        if result.bug_report is None:
+            continue
+        if triager is None:
+            triager = WitnessTriager(
+                context.application,
+                detector=context.detector,
+                minimize=minimize_witnesses,
+            )
+        try:
+            result.witness = triager.triage(
+                result.site, result.bug_report, result.enforcement
+            )
+        except Exception as exc:
+            raise UnitAnalysisError(unit, exc, site_name) from exc
     return results
 
 

@@ -14,30 +14,26 @@ term would rebuild as a distinct, non-interned object and silently break
   (the application's analysis — taint run, sites, seed-run detector —
   comes from :mod:`repro.sched.context`'s process-lifetime table, so it
   runs at most once per worker);
-* **back**: one :class:`SiteResultPayload` record per site
-  (classification value, bug report, timing — all term-free) plus the
-  worker cache's *new* whole-query verdicts in the
+* **back**: each site's finished :class:`~repro.core.report.SiteResult`
+  — triaged inside the unit as on every backend, witness record
+  included, which parallelizes minimization's concrete re-validation
+  runs — with its ``enforcement`` (the one part holding terms) dropped;
+  the parent re-attaches its own :class:`~repro.core.sites.TargetSite`.
+  Beside them come the worker cache's *new* whole-query verdicts in the
   :mod:`repro.smt.cachestore` wire format, which the parent merges into
   the campaign cache so a persistent store (or a later run) sees every
-  worker's derivations.  When the campaign enables triage, each site's
-  bug report also comes back as a wire-form
-  :class:`~repro.triage.corpus.WitnessRecord` (validated, minimized,
-  signed *in the worker*, which parallelizes minimization's concrete
-  re-validation runs); the parent collects them into
-  ``request.witness_results`` for the campaign's corpus merge.  Each
-  unit's result also carries the worker's metrics delta since its previous
-  unit — stage timers, ``solver.*`` and the ``events.*`` lifecycle
-  counts among them; the parent merges it, so without a shared cache the
-  campaign totals equal the serial schedule's.  Nothing else crosses
-  back: workers persist their own span and event records to
+  worker's derivations, and the worker's metrics delta since its
+  previous unit — stage timers, ``solver.*`` and the ``events.*``
+  lifecycle counts among them; the parent merges it, so without a shared
+  cache the campaign totals equal the serial schedule's.  Nothing else
+  crosses back: workers persist their own span and event records to
   ``<trace_dir>/spans-<pid>.jsonl``.
 
 **One pool per parent process.**  The pool outlives a single
 :meth:`ProcessBackend.run_units` call, so its workers keep their
 process-lifetime caches across campaigns — interned terms, simplified
 forms, compiled programs and concolic tables, term wire forms and
-application analyses, plus the triagers — as the serial backend's process
-does.
+application analyses — as the serial backend's process does.
 The pool is reused while its key matches: (worker count, start method,
 a digest of the code bindings in ``repro.*``).  A fork-started worker
 runs the parent's code as it was at fork time, so once anything callable
@@ -69,7 +65,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.sched.base import (
@@ -83,45 +79,10 @@ from repro.sched.base import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import DiodeConfig
-    from repro.core.report import OverflowBugReport, SiteResult
-    from repro.core.sites import TargetSite
     from repro.sched.context import ApplicationContext
 
 #: How often an idle or busy worker checks that its parent is still alive.
 _PARENT_POLL_SECONDS = 0.5
-
-
-@dataclass
-class SiteResultPayload:
-    """Picklable, term-free projection of a :class:`SiteResult`.
-
-    Carries exactly what the campaign report consumes — the classification,
-    the (already picklable) bug report and the discovery timing.  The
-    parent re-attaches its own :class:`TargetSite` object when rebuilding,
-    so sites never cross the pipe either.
-    """
-
-    classification: str
-    discovery_seconds: float
-    bug_report: Optional["OverflowBugReport"]
-
-    @classmethod
-    def from_site_result(cls, result: "SiteResult") -> "SiteResultPayload":
-        return cls(
-            classification=result.classification.value,
-            discovery_seconds=result.discovery_seconds,
-            bug_report=result.bug_report,
-        )
-
-    def to_site_result(self, site: "TargetSite") -> "SiteResult":
-        from repro.core.report import SiteClassification, SiteResult
-
-        return SiteResult(
-            site=site,
-            classification=SiteClassification(self.classification),
-            bug_report=self.bug_report,
-            discovery_seconds=self.discovery_seconds,
-        )
 
 
 @dataclass(frozen=True)
@@ -148,8 +109,6 @@ class _WorkerState:
         self.generation: Optional[int] = None
         #: The current campaign's contexts by ``app_index``.
         self.contexts: Dict[int, "ApplicationContext"] = {}
-        #: ``(registry name, minimize)`` -> triager; kept across campaigns.
-        self.triagers: Dict[Tuple[str, bool], object] = {}
         self.cache = None
         #: Cache keys already shipped to the parent (or seeded from it).
         self.exported_keys: set = set()
@@ -202,22 +161,6 @@ class _WorkerState:
             self.contexts[app_index] = context
         return context
 
-    def triager_for(
-        self, name: str, context: "ApplicationContext", minimize: bool
-    ):
-        """Lazy per-⟨worker, application, minimize⟩ witness triager."""
-        triager = self.triagers.get((name, minimize))
-        if triager is None:
-            from repro.triage.engine import WitnessTriager
-
-            triager = WitnessTriager(
-                context.application,
-                detector=context.detector,
-                minimize=minimize,
-            )
-            self.triagers[(name, minimize)] = triager
-        return triager
-
 
 _STATE: Optional[_WorkerState] = None
 
@@ -247,9 +190,8 @@ def _watch_parent(parent_pid: int) -> None:
 def _worker_run(token: _CampaignToken, unit: CampaignUnit) -> dict:
     """Analyze one unit in the worker and return what crosses back.
 
-    One dict: ``payloads`` (site index -> term-free result),
-    ``witnesses`` (site index -> wire-form witness record or ``None``, for
-    the sites with a bug report when the campaign triages),
+    One dict: ``payloads`` (site index -> its finished
+    :class:`~repro.core.report.SiteResult` without ``enforcement``),
     ``cache_entries`` (new wire-format cache artifacts), ``cache_stats``
     (the cache counters' delta by name) and ``metrics`` (the registry
     delta since the previous unit).
@@ -263,7 +205,15 @@ def _worker_run(token: _CampaignToken, unit: CampaignUnit) -> dict:
         state.begin(token)
     name = token.application_names[unit.app_index]
     context = state.context_for(name, unit.app_index)
-    results = analyze_unit(unit, context, token.diode, state.cache, "process")
+    results = analyze_unit(
+        unit,
+        context,
+        token.diode,
+        state.cache,
+        "process",
+        triage=token.triage,
+        minimize_witnesses=token.minimize_witnesses,
+    )
 
     cache_entries: List[dict] = []
     cache_stats: Dict[str, int] = {}
@@ -281,28 +231,15 @@ def _worker_run(token: _CampaignToken, unit: CampaignUnit) -> dict:
         }
         state.stats_mark = mark
 
-    witnesses: Dict[int, Optional[dict]] = {}
-    if token.triage:
-        for (_, site_index), result in results.items():
-            if result.bug_report is None:
-                continue
-            record = state.triager_for(
-                name, context, token.minimize_witnesses
-            ).triage(
-                context.sites[site_index], result.bug_report, result.enforcement
-            )
-            witnesses[site_index] = None if record is None else record.to_wire()
-
-    # Last, so the delta also covers triage/cache work done above.
+    # Last, so the delta also covers the cache work done above.
     snapshot = METRICS.snapshot()
     metrics = diff_snapshots(state.metrics_mark, snapshot)
     state.metrics_mark = snapshot
     return {
         "payloads": {
-            site_index: SiteResultPayload.from_site_result(result)
+            site_index: replace(result, enforcement=None)
             for (_, site_index), result in results.items()
         },
-        "witnesses": witnesses,
         "cache_entries": cache_entries,
         "cache_stats": cache_stats,
         "metrics": metrics,
@@ -462,10 +399,9 @@ class ProcessBackend(Backend):
         for unit, delta in zip(request.units, deltas):
             sites = request.contexts[unit.app_index].sites
             for site_index, payload in delta["payloads"].items():
-                slot = (unit.app_index, site_index)
-                results[slot] = payload.to_site_result(sites[site_index])
-                if site_index in delta["witnesses"]:
-                    request.witness_results[slot] = delta["witnesses"][site_index]
+                results[(unit.app_index, site_index)] = replace(
+                    payload, site=sites[site_index]
+                )
             if request.cache is not None:
                 if delta["cache_entries"]:
                     from repro.smt.cachestore import merge_wire_entries

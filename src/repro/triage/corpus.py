@@ -120,7 +120,7 @@ class WitnessRecord:
 
     # ------------------------------------------------------------------
     def to_wire(self) -> dict:
-        """JSON-able form of this record (also the process-backend payload)."""
+        """JSON-able form of this record."""
         return {
             "signature": self.signature,
             "application": self.application,

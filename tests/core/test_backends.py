@@ -124,10 +124,12 @@ class TestBackendParity:
     def test_worker_unit_delta_is_one_dict_with_named_fields(self, monkeypatch):
         """What a process unit sends home, run in this process.
 
-        One dict with named fields; ``cache_stats`` names exactly the
-        counters the parent cache folds in, and ``metrics`` is this unit's
-        delta only.
+        One dict with named fields; ``payloads`` are the unit's finished
+        ``SiteResult`` records without their term-holding ``enforcement``,
+        ``cache_stats`` names exactly the counters the parent cache folds
+        in, and ``metrics`` is this unit's delta only.
         """
+        from repro.core.report import SiteResult
         from repro.obs.metrics import counter_value
         from repro.obs.trace import TRACER
         from repro.sched import process
@@ -151,14 +153,16 @@ class TestBackendParity:
             unit = CampaignUnit.for_sites(context, [index])
             delta = process._worker_run(token, unit)
             assert set(delta) == {
-                "payloads", "witnesses", "cache_entries", "cache_stats", "metrics",
+                "payloads", "cache_entries", "cache_stats", "metrics",
             }
             assert set(delta["cache_stats"]) == set(
                 SolverCache().stats_snapshot()
             )
-            assert delta["witnesses"] == {}
             assert list(delta["payloads"]) == [index]
-            assert isinstance(delta["payloads"][index], process.SiteResultPayload)
+            payload = delta["payloads"][index]
+            assert isinstance(payload, SiteResult)
+            assert payload.enforcement is None
+            assert payload.witness is None  # the token does not triage
             assert counter_value(delta["metrics"], "events.unit.started") == 1
             assert counter_value(delta["metrics"], "events.unit.finished") == 1
 
@@ -334,6 +338,42 @@ def _counters(result):
         for name, entry in result.metrics["metrics"].items()
         if entry["k"] == "c"
     }
+
+
+class TestTriageFailures:
+    #: The second site of a two-site seed-path group, so a failure named
+    #: after the unit's first site would not pass.
+    SITE = "jpeg_rgb_decoder.c@257"
+
+    @pytest.mark.parametrize(
+        "backend",
+        ["serial", "thread", pytest.param("process", marks=needs_fork)],
+    )
+    def test_a_triage_failure_names_its_site_on_every_backend(
+        self, monkeypatch, backend
+    ):
+        from repro.triage.engine import WitnessTriager
+
+        original = WitnessTriager.triage
+
+        def triage(self, site, report, enforcement=None):
+            if site.name == TestTriageFailures.SITE:
+                raise RuntimeError("triage meltdown")
+            return original(self, site, report, enforcement)
+
+        monkeypatch.setattr(WitnessTriager, "triage", triage)
+        with pytest.raises(UnitAnalysisError) as info:
+            run_campaign(
+                CampaignConfig(
+                    jobs=1 if backend == "serial" else 2,
+                    backend=backend,
+                    applications=["swfplay"],
+                )
+            )
+        assert info.value.application_name == "SwfPlay 0.5.5"
+        assert info.value.site_name == self.SITE
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert "triage meltdown" in repr(info.value.__cause__)
 
 
 class TestPoolLifecycle:

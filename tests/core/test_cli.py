@@ -238,6 +238,25 @@ class TestCampaignCommand:
             metrics, "events.store.lock_break"
         ) == 0
 
+    def test_warm_rerun_store_block_counts_the_loads_before_the_run(
+        self, capsys, tmp_path
+    ):
+        args = [
+            "campaign", "--jobs", "1", "--json",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--corpus-dir", str(tmp_path / "corpus"),
+        ]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["cache_store"]["loaded"] == 63
+        assert warm["corpus"]["loaded"] == 14
+        # The cache and corpus loads before the run, plus the corpus
+        # merge's re-read of the 14 witnesses before it saves.
+        assert warm["store"]["loads"] == 3
+        assert warm["store"]["records_loaded"] == 63 + 14 + 14
+
     def test_campaign_text_output_names_backend_and_store(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "store")
         assert (

@@ -11,7 +11,8 @@ reached) and checks the goal-directed minimizer against them:
   except a fallback field, which is no further from baseline than before;
 * every stored witness replays under a fresh :class:`ErrorDetector`;
 * the campaign spends at most :data:`MAX_TRIAGE_WITNESS_RUNS` concrete runs
-  on triage, identically on the serial and process backends;
+  on triage, identically on the serial, thread and process backends, which
+  produce the same witness records;
 * replacing the symbolic predicate by "always true" or "always false" keeps
   every witness sound, and "always false" reproduces the concrete-only
   minimizer exactly.
@@ -163,9 +164,15 @@ class TestRegistryWitnesses:
         runs = _counter(serial, "triage.witness_runs")
         assert runs == sum(outcome.attempts for _, _, _, outcome in captured)
         assert runs <= MAX_TRIAGE_WITNESS_RUNS
-        process = _campaign(backend="process", jobs=2)
-        for name in ("triage.witness_runs", "triage.shrink.fallbacks"):
-            assert _counter(process, name) == _counter(serial, name), name
+        # Triage runs inside the unit: in worker threads and processes too.
+        for backend in ("thread", "process"):
+            other = _campaign(backend=backend, jobs=2)
+            assert other.witness_records == serial.witness_records, backend
+            for name in ("triage.witness_runs", "triage.shrink.fallbacks"):
+                assert _counter(other, name) == _counter(serial, name), (
+                    backend,
+                    name,
+                )
         assert _counter(serial, "triage.shrink.fallbacks") == 1
 
 
