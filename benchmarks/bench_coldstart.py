@@ -47,6 +47,7 @@ NEVER_LOADED = (
     "repro.smt.sat",
     "repro.smt.bitblast",
     "repro.smt.cnf",
+    "repro.smt.sampler",
     "repro.core.baselines",
     "repro.obs.report",
     "multiprocessing",

@@ -191,8 +191,8 @@ def _hard_application(variant: int) -> Application:
     """A guarded allocation whose sanity checks only the CDCL can reason on.
 
     The checksum guards pin exact low-bit patterns of ``w``/``h`` sums (the
-    regime interval propagation and boundary sampling cannot decide), and
-    the mask guards bound the high bytes so that once every guard is
+    regime interval propagation and the extreme-point heuristics cannot
+    decide), and the mask guards bound the high bytes so that once every guard is
     enforced the overflow target is infeasible — an UNSAT tail proved by
     the session's assumption-based CDCL, which is what makes its
     final-conflict core precise.  The square guard exists purely to keep

@@ -48,7 +48,6 @@ from repro.smt import builder as b
 from repro.smt.bitblast import BitBlaster
 from repro.smt.cache import SolverCache
 from repro.smt.evalmodel import satisfies
-from repro.smt.sampler import SamplerConfig
 from repro.smt.solver import PortfolioSolver, SolverConfig, SolverSession
 
 #: Number of alpha/constant-varied enforcement chains in workload 2.
@@ -135,7 +134,7 @@ def _enforcement_chain(variant: int):
     """One β + appended-sanity-check chain, like the enforcement loop's.
 
     The alignment and low-byte checksum equalities defeat the incomplete
-    layers (interval corners and boundary-biased sampling never land on
+    layers (interval corners and extreme-point candidates never land on
     exact low-bit patterns), so every iteration reaches bit-blasting —
     the regime where a session's CNF and learned-clause reuse pays.  The
     final parity constraint contradicts the alignment check in a way
@@ -169,12 +168,6 @@ def run_enforcement_chains(incremental: bool) -> ArmMeasurement:
     re-checks the growing constraint list with :meth:`PortfolioSolver.check`.
     """
     config = SolverConfig(
-        sampler=SamplerConfig(
-            random_attempts_per_sample=3,
-            hill_climb_steps=2,
-            perturbation_attempts=2,
-            seed=0,
-        ),
         heuristic_max_checks=4,
         bitblast_max_conflicts=100_000,
     )
@@ -233,8 +226,8 @@ def _product_systems():
 
 def _cdcl_bound_systems():
     """The enforcement chains as whole conjunctions, plus CDCL-searching
-    companions: exact squares force real decisions (the sampler would have
-    to guess the root), mod-32 non-residues force real conflicts (squares
+    companions: exact squares force real decisions (the heuristics would
+    have to guess the root), mod-32 non-residues force real conflicts (squares
     mod 32 are {0,1,4,9,16,17,25})."""
     systems = []
     for variant in range(CHAIN_COUNT):

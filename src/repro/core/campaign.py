@@ -295,8 +295,9 @@ class CampaignEngine:
             raise ValueError("CampaignConfig.corpus_dir requires triage")
         if self.config.cache_dir and not self.config.use_cache:
             raise ValueError("CampaignConfig.cache_dir requires use_cache")
-        jobs = self.config.resolved_jobs()
         backend_name = self.config.resolved_backend()
+        # The serial backend runs one unit at a time, whatever ``jobs`` asks.
+        jobs = 1 if backend_name == "serial" else self.config.resolved_jobs()
         cache = SolverCache() if self.config.use_cache else None
         # Before the store loads, so the run's metrics count them.
         metrics_mark = METRICS.snapshot()

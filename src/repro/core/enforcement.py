@@ -67,8 +67,7 @@ from repro.core.target import TargetObservation
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.smt import builder as smt
-from repro.smt.sampler import split_conjuncts
-from repro.smt.simplify import simplify
+from repro.smt.simplify import simplify, split_conjuncts
 from repro.smt.solver import (
     PortfolioSolver,
     SolverResult,

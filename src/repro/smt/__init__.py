@@ -9,16 +9,19 @@ the same capability from scratch:
   ...).
 * :mod:`repro.smt.simplify` — a rewriting simplifier and constant folder.
 * :mod:`repro.smt.interval` — unsigned interval analysis with backward
-  propagation, used both to prove unsatisfiability cheaply and to guide
-  sampling.
+  propagation, used both to prove unsatisfiability cheaply and to bound the
+  candidates of the heuristics and the sampler.
 * :mod:`repro.smt.bitblast`, :mod:`repro.smt.cnf`, :mod:`repro.smt.sat` — a
   complete decision procedure: Tseitin bit-blasting into CNF and a CDCL SAT
   solver.
-* :mod:`repro.smt.sampler` — constraint-guided random model sampling (used to
-  reproduce the paper's 200-input success-rate experiments).
 * :mod:`repro.smt.solver` — the portfolio front end exposed to the rest of
-  the system.
+  the system: simplify → intervals → heuristics → CDCL.
+* :mod:`repro.smt.sampler` — constraint-guided random model sampling (used to
+  reproduce the paper's 200-input success-rate experiments).  It is no
+  solver layer, and loads on first use.
 """
+
+import importlib
 
 from repro.smt.terms import Term, TermKind, BV, BOOL
 from repro.smt.builder import (
@@ -69,7 +72,15 @@ from repro.smt.solver import (
     SolverSession,
     SolverStatus,
 )
-from repro.smt.sampler import ModelSampler
+
+
+def __getattr__(name: str):
+    # PEP 562: only the Section 5.5/5.6 baselines sample models, and the
+    # campaign never runs them.
+    if name == "ModelSampler":
+        return importlib.import_module("repro.smt.sampler").ModelSampler
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Term",

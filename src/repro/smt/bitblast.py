@@ -7,7 +7,7 @@ ripple-carry adders, shift-and-add multipliers, mux-chains for variable
 shifts, and lexicographic comparators.
 
 This is the complete backend of the portfolio solver; the cheaper layers
-(simplification, interval propagation, guided sampling) exist so that it is
+(simplification, interval propagation, algebraic heuristics) exist so it is
 only rarely needed — exactly the role Z3 plays in the paper, where DIODE
 keeps constraints small via staged, relevant-bytes-only symbolic recording.
 

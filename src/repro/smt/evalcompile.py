@@ -1,8 +1,9 @@
 """Compile term DAGs to straight-line Python evaluators.
 
-Term evaluation is hot: the sampler's hill climber evaluates the same
-conjuncts millions of times on the CDCL-hard enforcement chains, so per-node
-dispatch and Python call overhead would dominate wall clock.
+Term evaluation is hot: the heuristics check up to hundreds of candidates
+per query, and the baselines' model sampler, when its random draws miss,
+evaluates the same conjuncts tens of thousands of times for one sample, so
+per-node dispatch and Python call overhead would dominate wall clock.
 
 This module removes that per-evaluation overhead by compiling a term once
 into a generated Python function: a topological walk emits one assignment

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.smt.evalmodel import Model, satisfies
 from repro.smt.interval import Interval, propagate_intervals
-from repro.smt.sampler import split_conjuncts
+from repro.smt.simplify import split_conjuncts
 from repro.smt.terms import Term
 
 

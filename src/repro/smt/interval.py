@@ -9,9 +9,11 @@ Two roles in the DIODE pipeline:
   ``2^32``).  Forward interval evaluation plus backward propagation over the
   conjunction of constraints detects these cases without bit-blasting.
 
-* **Sampler guidance.**  The sampler draws candidate field values from the
-  propagated intervals instead of the full 2^32 space, which is what makes
-  the 200-input success-rate experiments fast.
+* **Candidate bounds.**  The portfolio's heuristics draw their
+  extreme-point candidates from the box the solver's interval layer
+  propagated, and the baselines' model sampler draws field values from a
+  box of its own, instead of the full 2^32 space; that is what makes the
+  200-input success-rate experiments fast.
 
 The domain is the classic unsigned interval lattice ``[lo, hi]`` (with
 ``lo > hi`` meaning empty / contradiction).  Operations that can wrap fall
@@ -355,7 +357,7 @@ class IntervalAnalysis:
             return self._contract_comparison(kind, a, b, bounds)
         # Disjunctions under positive polarity (and other connectives) are
         # not contracted — that would require splitting; the portfolio
-        # solver falls back to sampling / bit-blasting for those.
+        # solver falls back to its heuristics / bit-blasting for those.
         return True
 
     def _contract_comparison(

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
-from repro.smt import builder as b
 from repro.smt.evalmodel import Model, satisfies
 from repro.smt.interval import Interval, propagate_intervals
-from repro.smt.simplify import simplify
+from repro.smt.simplify import simplify, split_conjuncts
 from repro.smt.terms import Term, TermKind, mask
 
 
@@ -45,28 +44,8 @@ class SamplerConfig:
     perturbation_attempts: int = 40
 
 
-def split_conjuncts(constraint: Term) -> List[Term]:
-    """Split nested boolean conjunctions into a flat list."""
-    out: List[Term] = []
-    stack = [constraint]
-    while stack:
-        term = stack.pop()
-        if term.kind is TermKind.BAND:
-            stack.extend(term.args)
-        else:
-            out.append(term)
-    out.reverse()
-    return out
-
-
 class ModelSampler:
-    """Sample diverse models of a boolean constraint.
-
-    ``bounds`` is a propagated interval box over ``variables`` that the
-    caller already found feasible (the portfolio passes the one its
-    interval layer computed).  Without it, the box is propagated here over
-    the conjuncts of ``constraint``.
-    """
+    """Sample diverse models of a boolean constraint."""
 
     def __init__(
         self,
@@ -74,7 +53,6 @@ class ModelSampler:
         variables: Sequence[Term],
         config: Optional[SamplerConfig] = None,
         fallback_solve: Optional[Callable[[Term], Optional[Model]]] = None,
-        bounds: Optional[Dict[str, Interval]] = None,
     ) -> None:
         if not constraint.is_bool:
             raise ValueError("sampler constraint must be boolean")
@@ -85,11 +63,9 @@ class ModelSampler:
         self.fallback_solve = fallback_solve
         self._widths = {str(v.name): v.width for v in self.variables}
         self._conjuncts = split_conjuncts(self.constraint)
-        feasible = True
-        if bounds is None:
-            feasible, bounds = propagate_intervals(self._conjuncts, self._widths)
-        self.feasible_hint = feasible
-        self.bounds: Dict[str, Interval] = bounds
+        self.feasible_hint, self.bounds = propagate_intervals(
+            self._conjuncts, self._widths
+        )
         self._anchor: Optional[Model] = None
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """An incremental CDCL SAT solver over flat integer arrays.
 
 This is the complete decision procedure backing the portfolio solver: when
-the cheap layers (simplification, interval propagation, sampling) cannot
+the cheap layers (simplification, interval propagation, heuristics) cannot
 decide a bitvector constraint, the constraint is bit-blasted to CNF and
 handed to this solver.
 

@@ -15,6 +15,8 @@ alone for the interval analysis or the bit-blasting backend.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.smt import builder as b
 from repro.smt.terms import Term, TermKind, mask, to_signed, truncate
 
@@ -29,6 +31,20 @@ def simplify(term: Term) -> Term:
     rule may expose a further rewrite on a second pass.
     """
     return _simplify(term)
+
+
+def split_conjuncts(constraint: Term) -> List[Term]:
+    """Split nested boolean conjunctions into a flat list."""
+    out: List[Term] = []
+    stack = [constraint]
+    while stack:
+        term = stack.pop()
+        if term.kind is TermKind.BAND:
+            stack.extend(term.args)
+        else:
+            out.append(term)
+    out.reverse()
+    return out
 
 
 def _simplify(term: Term) -> Term:
@@ -522,9 +538,9 @@ def _try_reassemble_bytes(term: Term) -> Term | None:
     with the pieces covering a contiguous bit range starting at 0.  This
     rewrite recognises the pattern and replaces the whole chain with
     ``zext(V, w)`` (or ``zext(extract(V, max_hi, 0), w)`` for a partial
-    read), which is what lets interval propagation and sampling reason about
-    the field as a single variable — the same role Hachoir's byte-range →
-    field conversion plays in the paper.
+    read), which is what lets interval propagation and the heuristics
+    reason about the field as a single variable — the same role Hachoir's
+    byte-range → field conversion plays in the paper.
     """
     width = term.width
     pieces = _flatten_or(term)

@@ -9,15 +9,16 @@ The portfolio runs, in order:
 1. **Simplification** — constant folding may already decide the query.
 2. **Interval propagation** — an HC4-style contractor over the conjunction;
    an empty box is a proof of unsatisfiability, and the contracted box feeds
-   the later layers.
+   layer 3.
 3. **Algebraic heuristics** — extreme-point candidates tuned to the shape of
    overflow constraints, drawn from layer 2's box (not propagated again).
-4. **Guided random sampling** — boundary-biased sampling plus hill climbing.
-5. **Bit-blasting + CDCL** — the complete fallback.
+4. **Bit-blasting + CDCL** — the complete fallback.
 
-Layers 3 and 4 can only return SAT (with a checked model); layer 2 can only
-return UNSAT; layer 5 is complete but is budgeted by a conflict limit so the
-front end degrades to UNKNOWN rather than hanging on adversarial queries.
+Layer 3 can only return SAT (with a checked model); layer 2 can only return
+UNSAT; layer 4 is complete but is budgeted by a conflict limit so the front
+end degrades to UNKNOWN rather than hanging on adversarial queries.
+Random model sampling (:mod:`repro.smt.sampler`) is not a layer: it serves
+the Section 5.5/5.6 baselines through :meth:`PortfolioSolver.sample_models`.
 
 Two mechanisms exploit the structure *across* queries:
 
@@ -45,7 +46,7 @@ site and prunes candidate queries subsumed by one (see
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import METRICS
@@ -55,12 +56,11 @@ from repro.smt.cache import CachedVerdict, SolverCache
 from repro.smt.evalmodel import Model, satisfies
 from repro.smt.heuristics import try_algebraic_solution
 from repro.smt.interval import propagate_intervals
-from repro.smt.sampler import ModelSampler, SamplerConfig, split_conjuncts
-from repro.smt.simplify import simplify
+from repro.smt.simplify import simplify, split_conjuncts
 from repro.smt.terms import Term, TermKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    # Layer 5 (bit-blasting + CDCL) loads on its first call: most workloads,
+    # Layer 4 (bit-blasting + CDCL) loads on its first call: most workloads,
     # the registry campaign among them, never reach it.
     from repro.smt.bitblast import BitBlaster
     from repro.smt.sat import CDCLSolver, SatResult
@@ -110,7 +110,6 @@ class SolverResult:
 class SolverConfig:
     """Tuning knobs for :class:`PortfolioSolver`."""
 
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
     bitblast_max_conflicts: int = 200_000
     heuristic_max_checks: int = 768
     #: Attach UNSAT cores (:attr:`SolverResult.unsat_core`) to UNSAT
@@ -128,15 +127,9 @@ class SolverConfig:
         run or across runs.  Every knob is part of it.  Primitives only, so
         it survives a JSON round trip unchanged.
         """
-        sampler = self.sampler
         return (
             self.bitblast_max_conflicts,
             self.heuristic_max_checks,
-            sampler.random_attempts_per_sample,
-            sampler.hill_climb_steps,
-            sampler.seed,
-            sampler.boundary_bias,
-            sampler.perturbation_attempts,
             self.enable_unsat_cores,
         )
 
@@ -181,7 +174,7 @@ def _translate_core(
 
 
 class PortfolioSolver:
-    """Layered QF_BV solver: simplify → intervals → heuristics → sampling → CDCL.
+    """Layered QF_BV solver: simplify → intervals → heuristics → CDCL.
 
     When a :class:`~repro.smt.cache.SolverCache` is supplied, queries are
     canonicalized (alpha-renamed over the hash-consed DAG) and the portfolio
@@ -197,7 +190,6 @@ class PortfolioSolver:
         self.config = config or SolverConfig()
         self.cache = cache
         self.query_count = 0
-        self.stage_hits: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -223,7 +215,7 @@ class PortfolioSolver:
         """The one query body behind :meth:`check` and :meth:`SolverSession.check`.
 
         A one-shot query simplifies and splits ``constraints``; a session
-        passes its conjuncts (already simplified and split) and layer 5
+        passes its conjuncts (already simplified and split) and layer 4
         runs on its incremental backend.
         """
         with TRACER.span("solve", session=session is not None) as span:
@@ -270,24 +262,22 @@ class PortfolioSolver:
         count: int,
         seed: Optional[int] = None,
     ) -> List[Model]:
-        """Sample up to ``count`` models of the conjunction (with replacement)."""
-        constraint_list = [simplify(c) for c in constraints]
-        conjuncts: List[Term] = []
-        for constraint in constraint_list:
-            conjuncts.extend(split_conjuncts(constraint))
-        variables = self._collect_variables(conjuncts)
-        whole = b.band(*conjuncts) if conjuncts else b.TRUE
-        config = SamplerConfig(
-            random_attempts_per_sample=self.config.sampler.random_attempts_per_sample,
-            hill_climb_steps=self.config.sampler.hill_climb_steps,
-            seed=seed if seed is not None else self.config.sampler.seed,
-            boundary_bias=self.config.sampler.boundary_bias,
-            perturbation_attempts=self.config.sampler.perturbation_attempts,
-        )
+        """Sample up to ``count`` models of the conjunction (with replacement).
+
+        Random search over the conjunction's interval box.  When it misses,
+        the sampler asks :meth:`solve_for_model` for one model and perturbs
+        it, so a satisfiable conjunction does not look unsatisfiable merely
+        because random draws never hit it.
+        """
+        from repro.smt.sampler import ModelSampler, SamplerConfig
+
+        conjuncts = [
+            part for c in constraints for part in split_conjuncts(simplify(c))
+        ]
         sampler = ModelSampler(
-            whole,
-            variables,
-            config=config,
+            b.band(*conjuncts) if conjuncts else b.TRUE,
+            self._collect_variables(conjuncts),
+            config=SamplerConfig() if seed is None else SamplerConfig(seed=seed),
             fallback_solve=lambda c: self.solve_for_model([c]),
         )
         return sampler.sample(count)
@@ -364,14 +354,14 @@ class PortfolioSolver:
         stages: List[str],
         session: Optional["SolverSession"],
     ) -> SolverResult:
-        """Layers 2-5 over an already simplified, split conjunction.
+        """Layers 2-4 over an already simplified, split conjunction.
 
-        With a ``session``, layer 5 runs on its incremental backend.
+        With a ``session``, layer 4 runs on its incremental backend.
         """
         variables = self._collect_variables(conjuncts)
         widths = {str(v.name): v.width for v in variables}
 
-        # Layer 2: interval propagation (UNSAT proofs + bounds for later layers).
+        # Layer 2: interval propagation (UNSAT proofs + bounds for layer 3).
         stages.append("intervals")
         feasible, bounds = propagate_intervals(conjuncts, widths)
         if not feasible:
@@ -394,20 +384,7 @@ class PortfolioSolver:
         if model is not None:
             return SolverResult(SolverStatus.SAT, model=model, reason="heuristics")
 
-        # Layer 4: guided sampling over the conjunction, in layer 2's box.
-        stages.append("sampling")
-        sampler = ModelSampler(
-            b.band(*conjuncts) if conjuncts else b.TRUE,
-            variables,
-            config=self.config.sampler,
-            fallback_solve=None,
-            bounds=bounds,
-        )
-        model = sampler.sample_one()
-        if model is not None:
-            return SolverResult(SolverStatus.SAT, model=model, reason="sampling")
-
-        # Layer 5: complete bit-blasting backend.
+        # Layer 4: complete bit-blasting backend.
         if self._blastable(conjuncts):
             stages.append("bitblast")
             backend = self._bitblast if session is None else session._bitblast
@@ -435,7 +412,6 @@ class PortfolioSolver:
     ) -> SolverResult:
         result.elapsed_seconds = time.perf_counter() - started
         result.stages_tried = tuple(stages)
-        self.stage_hits[result.reason] = self.stage_hits.get(result.reason, 0) + 1
         if result.is_sat and result.model is None:
             raise AssertionError("SAT result without a model")
         # Cores are an UNSAT-only, opt-out feature; strip anything a lower

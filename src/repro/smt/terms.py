@@ -275,8 +275,9 @@ class Term:
         """Return all distinct variable leaves, sorted by name.
 
         Terms are immutable and hash-consed, so the answer is computed once
-        and cached on the term — the sampler's hill climber asks for the
-        variables of the same conjuncts millions of times per campaign.
+        and cached on the term — every solver query collects its conjuncts'
+        variables, and the enforcement loop and the baselines' model
+        sampler ask again for the same conjuncts.
         """
         cached = self._vars
         if cached is not None:

@@ -254,7 +254,7 @@ class TestCanonicalizationCount:
         """The heuristics layer draws its candidates from the interval
         layer's box instead of propagating again: one propagation per
         portfolio run (63 on the registry, one per cache miss)."""
-        from repro.smt import heuristics, sampler, solver
+        from repro.smt import heuristics, solver
         from repro.smt.interval import propagate_intervals
 
         runs, propagations = [], []
@@ -269,7 +269,7 @@ class TestCanonicalizationCount:
             return propagate_intervals(*args, **kwargs)
 
         monkeypatch.setattr(solver.PortfolioSolver, "_run_portfolio", counting_run)
-        for module in (solver, heuristics, sampler):
+        for module in (solver, heuristics):
             monkeypatch.setattr(module, "propagate_intervals", counting_propagate)
         result = run_campaign(CampaignConfig(jobs=1, backend="serial"))
         assert len(propagations) == len(runs) == result.cache_stats.misses == 63

@@ -99,6 +99,16 @@ class TestCampaignCommand:
         out = capsys.readouterr().out
         assert "1 worker(s)" in out
 
+    def test_serial_backend_reports_one_worker(self, capsys):
+        """``--jobs`` does not make the serial backend run more workers, so
+        it reports the one it runs, in text and in ``--json``."""
+        argv = ["campaign", "--backend", "serial", "--jobs", "2", "--apps", "vlc"]
+        assert main(argv) == 0
+        assert "with 1 worker(s) on the serial backend" in capsys.readouterr().out
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["jobs"], payload["backend"]) == (1, "serial")
+
     def test_campaign_no_cache_flag(self, capsys):
         assert main(["campaign", "--jobs", "1", "--no-cache", "--apps", "vlc"]) == 0
         out = capsys.readouterr().out

@@ -30,6 +30,7 @@ NEVER_LOADED = (
     "repro.smt.sat",
     "repro.smt.bitblast",
     "repro.smt.cnf",
+    "repro.smt.sampler",
     "repro.core.baselines",
     "repro.obs.report",
     "multiprocessing",
@@ -129,6 +130,45 @@ def test_the_trace_subcommand_reads_a_trace_without_the_analysis_stack(tmp_path)
         "}\n"
     )
     assert report["result"] == {"code": 0, "vlc": True, "stack": []}
+
+
+def test_the_sampler_loads_on_first_sample_not_on_a_check():
+    """``repro.smt.ModelSampler`` is a lazy export: importing the package
+    and checking a query leave the sampler unloaded; ``sample_models`` and
+    the attribute load it, and an unknown attribute still raises."""
+    report = _run(
+        "import sys\n"
+        "import repro.smt as smt\n"
+        "from repro.smt import builder as b\n"
+        "x = b.bv_var('x', 32)\n"
+        "solver = smt.PortfolioSolver()\n"
+        "checked = solver.check([b.ugt(x, 100)]).is_sat\n"
+        "after_check = 'repro.smt.sampler' in sys.modules\n"
+        "sampled = len(solver.sample_models([b.ugt(x, 100)], 2, seed=1))\n"
+        "after_sample = 'repro.smt.sampler' in sys.modules\n"
+        "try:\n"
+        "    smt.NoSuchName\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError:\n"
+        "    unknown = 'AttributeError'\n"
+        "from repro.smt.sampler import ModelSampler\n"
+        "result = {\n"
+        "    'checked': checked, 'after_check': after_check,\n"
+        "    'sampled': sampled, 'after_sample': after_sample,\n"
+        "    'export': smt.ModelSampler is ModelSampler,\n"
+        "    'listed': 'ModelSampler' in smt.__all__,\n"
+        "    'unknown': unknown,\n"
+        "}\n"
+    )
+    assert report["result"] == {
+        "checked": True,
+        "after_check": False,
+        "sampled": 2,
+        "after_sample": True,
+        "export": True,
+        "listed": True,
+        "unknown": "AttributeError",
+    }
 
 
 def test_first_use_of_a_deferred_module_keeps_the_process_pool(tmp_path):

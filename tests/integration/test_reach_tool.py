@@ -1,5 +1,6 @@
-"""``tools/reach.py``: its function keys match code objects, and calls made
-in a forked worker are recorded apart from its parent's."""
+"""``tools/reach.py``: its function keys match code objects, calls made
+in a forked worker are recorded apart from its parent's, and calls inside
+pytest-benchmark bodies are recorded."""
 
 from __future__ import annotations
 
@@ -61,6 +62,28 @@ def test_forked_worker_calls_are_recorded_apart(tmp_path, monkeypatch):
     main_calls, worker_calls = reach.read_calls(record_dir / "calls")
     point = _key(reach, Interval.point.__code__)
     assert point in worker_calls and point not in main_calls
+    assert _key(reach, interval_of.__code__) in main_calls
+
+
+def test_calls_inside_benchmark_bodies_are_recorded(tmp_path, monkeypatch):
+    """The bench argv keeps pytest-benchmark from pausing the hook."""
+    reach = _reach()
+    bench = tmp_path / "bench_timed.py"
+    bench.write_text(
+        "from repro.smt import builder as b\n"
+        "from repro.smt.interval import interval_of\n"
+        "def test_timed(benchmark):\n"
+        "    term = b.bv_const(1, 8)\n"
+        "    benchmark.pedantic(interval_of, args=(term,), rounds=1, iterations=1)\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(
+        reach, "WORKLOADS", [("bench", reach.PYTEST_BENCH + [str(bench)])]
+    )
+    record_dir = tmp_path / "record"
+    record_dir.mkdir()
+    assert reach.run_workloads(record_dir, tmp_path) == []
+    main_calls, _ = reach.read_calls(record_dir / "calls")
     assert _key(reach, interval_of.__code__) in main_calls
 
 

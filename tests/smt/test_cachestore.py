@@ -111,14 +111,14 @@ class TestEntryWire:
         x = b.bv_var("v000", 32)
         conjuncts = (b.ult(x, b.bv_const(10, 32)),)
         verdict = CachedVerdict(
-            status="sat", canonical_model=Model({"v000": 3}), reason="sampling"
+            status="sat", canonical_model=Model({"v000": 3}), reason="heuristics"
         )
         wire = json.loads(json.dumps(entry_to_wire(conjuncts, verdict)))
         back_conjuncts, back_verdict = entry_from_wire(wire)
         assert back_conjuncts == conjuncts
         assert back_verdict.status == "sat"
         assert back_verdict.canonical_model.as_dict() == {"v000": 3}
-        assert back_verdict.reason == "sampling"
+        assert back_verdict.reason == "heuristics"
 
     def test_unsat_entry_roundtrip(self):
         conjuncts = (b.FALSE,)

@@ -24,7 +24,6 @@ from repro.smt import builder as b
 from repro.smt import cache as cache_module
 from repro.smt.cache import SolverCache
 from repro.smt.evalmodel import satisfies
-from repro.smt.sampler import SamplerConfig
 from repro.smt.solver import PortfolioSolver, SolverConfig, SolverStatus
 from repro.smt.terms import Term
 
@@ -322,17 +321,11 @@ class TestCanonicalFormOnTheTerm:
 
 
 #: ``(owner, field, non-default value)`` for every configuration knob;
-#: ``owner`` is ``"solver"`` for :class:`SolverConfig` fields and
-#: ``"sampler"`` for its nested :class:`SamplerConfig`.
+#: every knob is a :class:`SolverConfig` field (owner ``"solver"``).
 _KNOB_CHANGES = [
     ("solver", "bitblast_max_conflicts", 1),
     ("solver", "heuristic_max_checks", 1),
     ("solver", "enable_unsat_cores", False),
-    ("sampler", "random_attempts_per_sample", 1),
-    ("sampler", "hill_climb_steps", 1),
-    ("sampler", "seed", 7),
-    ("sampler", "boundary_bias", 0.9),
-    ("sampler", "perturbation_attempts", 1),
 ]
 
 
@@ -343,19 +336,17 @@ class TestConfigFingerprint:
     @pytest.mark.parametrize("owner, name, value", _KNOB_CHANGES)
     def test_every_knob_changes_the_fingerprint(self, owner, name, value):
         config = SolverConfig()
-        target = config if owner == "solver" else config.sampler
-        assert getattr(target, name) != value
-        setattr(target, name, value)
+        assert owner == "solver"
+        assert getattr(config, name) != value
+        setattr(config, name, value)
         assert config.fingerprint() != SolverConfig().fingerprint()
 
     def test_the_knob_list_names_every_field(self):
         keyed = {(owner, name) for owner, name, _ in _KNOB_CHANGES}
-        assert keyed == {
-            ("solver", f.name) for f in fields(SolverConfig) if f.name != "sampler"
-        } | {("sampler", f.name) for f in fields(SamplerConfig)}
+        assert keyed == {("solver", f.name) for f in fields(SolverConfig)}
 
     def test_fingerprint_has_one_entry_per_keyed_knob(self):
-        assert len(SolverConfig().fingerprint()) == len(_KNOB_CHANGES) == 8
+        assert len(SolverConfig().fingerprint()) == len(_KNOB_CHANGES) == 3
 
 
 class TestCacheStore:

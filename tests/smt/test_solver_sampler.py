@@ -11,7 +11,8 @@ import repro
 from repro.smt import builder as b
 from repro.smt.evalmodel import evaluate, satisfies
 from repro.smt.heuristics import try_algebraic_solution
-from repro.smt.sampler import ModelSampler, SamplerConfig, split_conjuncts
+from repro.smt.sampler import ModelSampler, SamplerConfig
+from repro.smt.simplify import split_conjuncts
 from repro.smt.solver import PortfolioSolver, SolverConfig, SolverStatus
 
 
@@ -152,6 +153,14 @@ class TestSampler:
         p, q, r = b.bool_var("p"), b.bool_var("q"), b.bool_var("r")
         assert len(split_conjuncts(b.band(p, b.band(q, r)))) == 3
 
+    def test_split_conjuncts_keeps_left_to_right_order(self):
+        """The solver's conjunct lists (and so its cache keys) follow the
+        source order, however the conjunction is nested."""
+        p, q, r, s = (b.bool_var(name) for name in "pqrs")
+        nested = b.band(b.band(p, q), b.band(r, s))
+        assert split_conjuncts(nested) == [p, q, r, s]
+        assert split_conjuncts(p) == [p]
+
     def test_samples_satisfy_constraint(self):
         x = b.bv_var("x", 32)
         y = b.bv_var("y", 32)
@@ -188,8 +197,8 @@ class TestSampler:
         assert [m.as_dict() for m in first] == [m.as_dict() for m in second]
 
     def test_default_config_is_deterministic(self):
-        """The solver's sampling layer runs on the default config, so its
-        models (and the CDCL work left after it) must not vary by run."""
+        """``sample_models`` without a seed samples on the default config,
+        so the baselines' models must not vary by run."""
         x = b.bv_var("x", 32)
         constraint = b.ugt(x, 100)
         first = ModelSampler(constraint, [x]).sample(5)
@@ -205,6 +214,54 @@ class TestSampler:
         assert len(models) == 10
         for model in models:
             assert satisfies(constraint, model)
+
+    def test_sample_models_seed_selects_the_models(self):
+        """The seed is the one sampler knob ``sample_models`` still takes:
+        the same seed repeats its models, another seed draws others."""
+        solver = PortfolioSolver()
+        x = b.bv_var("x", 32)
+        constraint = b.ugt(x, 100)
+
+        def draw(seed):
+            return [m["x"] for m in solver.sample_models([constraint], 5, seed=seed)]
+
+        assert draw(3) == draw(3)
+        assert draw(3) != draw(4)
+        assert all(value > 100 for value in draw(4))
+
+    def test_sample_models_reaches_the_solver_fallback(self, monkeypatch):
+        """``x * 2654435761 == 0x12345678`` has one 32-bit solution, which
+        random draws miss; the sampler's solver fallback still finds it, so
+        a baseline does not call a satisfiable constraint unsatisfiable."""
+        from repro.smt import sampler as sampler_module
+
+        fallbacks, solves = [], []
+        original_fallback = sampler_module.ModelSampler._fallback_sample
+
+        def counting_fallback(self):
+            fallbacks.append(1)
+            return original_fallback(self)
+
+        monkeypatch.setattr(
+            sampler_module.ModelSampler, "_fallback_sample", counting_fallback
+        )
+        solver = PortfolioSolver()
+        original_solve = solver.solve_for_model
+
+        def counting_solve(constraints):
+            solves.append(1)
+            return original_solve(constraints)
+
+        monkeypatch.setattr(solver, "solve_for_model", counting_solve)
+        x = b.bv_var("x", 32)
+        constraint = b.eq(
+            b.mul(x, b.bv_const(2654435761, 32)), b.bv_const(0x12345678, 32)
+        )
+        models = solver.sample_models([constraint], 5, seed=1)
+        solution = (0x12345678 * pow(2654435761, -1, 1 << 32)) % (1 << 32)
+        assert [model["x"] for model in models] == [solution] * 5
+        assert len(fallbacks) == 5
+        assert len(solves) == 1
 
 
 class TestHeuristics:
@@ -274,9 +331,12 @@ class TestRepeatsAcrossProcesses:
 
 
 class TestLayersReuseEarlierWork:
-    """Layers 3 and 4 read what layer 2 already derived."""
+    """Layer 3 reads what layer 2 already derived."""
 
-    def test_sampling_layer_draws_from_the_interval_box(self, monkeypatch):
+    def test_cdcl_bound_check_constructs_no_sampler(self, monkeypatch):
+        """A query that only the complete backend decides goes straight
+        from the heuristics to CDCL, on a one-shot check and in a session;
+        no check samples, and each propagates intervals once."""
         from repro.smt import heuristics, sampler
         from repro.smt import solver as solver_module
         from repro.smt.interval import propagate_intervals
@@ -287,17 +347,27 @@ class TestLayersReuseEarlierWork:
             propagations.append(1)
             return propagate_intervals(*args, **kwargs)
 
-        for module in (solver_module, heuristics, sampler):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver check constructed a ModelSampler")
+
+        monkeypatch.setattr(sampler.ModelSampler, "__init__", refuse)
+        for module in (solver_module, heuristics):
             monkeypatch.setattr(module, "propagate_intervals", counting)
         x, y, z = (b.bv_var(name, 8) for name in "xyz")
         product = b.mul(b.zext(x, 16), b.zext(y, 16))
-        result = PortfolioSolver().check([
+        constraints = [
             b.eq(b.add(product, b.zext(z, 16)), 30174),
             b.ugt(x, 1), b.ugt(y, 1), b.ult(x, y), b.ult(z, 3),
-        ])
-        assert result.is_sat
-        assert "sampling" in result.stages_tried
-        assert len(propagations) == 1
+        ]
+        solver = PortfolioSolver()
+        session = solver.open_session()
+        session.push(*constraints)
+        for result in (solver.check(constraints), session.check()):
+            assert result.is_sat and result.reason == "bitblast"
+            assert result.stages_tried == (
+                "simplify", "intervals", "heuristics", "bitblast"
+            )
+        assert len(propagations) == 2
 
     def test_first_campaign_compiles_fewer_evaluators_for_the_same_models(self):
         """Layer 3 checks candidates with the conjuncts' own evaluators.

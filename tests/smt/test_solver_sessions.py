@@ -19,7 +19,6 @@ from repro.obs.trace import TRACER, InMemorySink
 from repro.smt import builder as b
 from repro.smt.cache import SolverCache
 from repro.smt.cachestore import CacheStore
-from repro.smt.sampler import SamplerConfig
 from repro.smt.solver import (
     PortfolioSolver,
     SolverConfig,
@@ -48,14 +47,8 @@ def _mixing_chain(tag=""):
 
 
 def _stress_config(**overrides):
-    """Tiny incomplete-layer budgets: route SAT queries to the CDCL backend."""
+    """A tiny heuristic budget: route SAT queries to the CDCL backend."""
     defaults = dict(
-        sampler=SamplerConfig(
-            random_attempts_per_sample=3,
-            hill_climb_steps=2,
-            perturbation_attempts=2,
-            seed=0,
-        ),
         heuristic_max_checks=4,
         bitblast_max_conflicts=100_000,
     )

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.smt import builder as b
 from repro.smt.cache import SolverCache
 from repro.smt.cnf import CNF
-from repro.smt.sampler import SamplerConfig
 from repro.smt.sat import CDCLSolver, SatStatus
 from repro.smt.solver import PortfolioSolver, SolverConfig
 
@@ -26,14 +25,8 @@ WIDTH = 16
 
 
 def _stress_config(**overrides):
-    """Tiny incomplete-layer budgets: route queries to the CDCL backend."""
+    """A tiny heuristic budget: route queries to the CDCL backend."""
     defaults = dict(
-        sampler=SamplerConfig(
-            random_attempts_per_sample=3,
-            hill_climb_steps=2,
-            perturbation_attempts=2,
-            seed=0,
-        ),
         heuristic_max_checks=4,
         bitblast_max_conflicts=100_000,
     )

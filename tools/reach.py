@@ -89,6 +89,15 @@ if _OUT:
     threading.setprofile(_hook)
 '''
 
+#: pytest over bench files.  Left enabled, pytest-benchmark clears
+#: ``sys.setprofile`` around every ``benchmark(...)``/``benchmark.pedantic``
+#: body, so the hook would record nothing those bodies run;
+#: ``--benchmark-disable`` makes both call their target directly.
+PYTEST_BENCH = [
+    sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+    "--benchmark-disable",
+]
+
 #: ``(label, argv)``; ``{tmp}`` is one scratch directory shared by every
 #: workload, in order, so ``replay``/``trace``/``events`` read what the
 #: campaigns before them wrote.
@@ -147,15 +156,16 @@ WORKLOADS: List[Tuple[str, List[str]]] = [
     ("perfbench --check-oracle", [sys.executable, "perfbench/run.py", "--check-oracle"]),
     (
         "paper-table benches",
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "benchmarks/bench_table1_site_classification.py",
-         "benchmarks/bench_table2_overflows.py",
-         "benchmarks/bench_table2_success_rates.py",
-         "benchmarks/bench_table2_timing.py",
-         "benchmarks/bench_sec54_blocking_checks.py",
-         "benchmarks/bench_fig2_dillo_walkthrough.py",
-         "benchmarks/bench_ablations.py",
-         "benchmarks/bench_substrate_solver.py"],
+        PYTEST_BENCH + [
+            "benchmarks/bench_table1_site_classification.py",
+            "benchmarks/bench_table2_overflows.py",
+            "benchmarks/bench_table2_success_rates.py",
+            "benchmarks/bench_table2_timing.py",
+            "benchmarks/bench_sec54_blocking_checks.py",
+            "benchmarks/bench_fig2_dillo_walkthrough.py",
+            "benchmarks/bench_ablations.py",
+            "benchmarks/bench_substrate_solver.py",
+        ],
     ),
 ] + [
     (f"example {path.stem}", [sys.executable, str(path.relative_to(ROOT))])
